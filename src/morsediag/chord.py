@@ -20,6 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from math import factorial
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from .combmap import CombMap, build_map
@@ -157,11 +160,52 @@ def _point_maps(pts: int, sym: SymmetryConvention) -> Iterator[tuple[int, ...]]:
             yield tuple((c - i) % pts for i in range(pts))
 
 
+@cache
+def _symmetry_maps(pts: int, sym: SymmetryConvention) -> tuple[tuple[int, ...], ...]:
+    """The maps of _point_maps as a tuple: rotation k at index k, reflection
+    c at index pts + c."""
+    return tuple(_point_maps(pts, sym))
+
+
+@cache
+def _span_table(pts: int) -> tuple[tuple[int, ...], ...]:
+    """table[q][j] == (j - q) % pts: the first entry of a matching's image
+    under the rotation taking q to 0, given the partner j of q."""
+    return tuple(tuple((j - q) % pts for j in range(pts)) for q in range(pts))
+
+
 def _apply(match: Sequence[int], p: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(match)
     for i, j in enumerate(match):
         out[p[i]] = p[j]
     return tuple(out)
+
+
+def _least_image(match: Sequence[int], sym: SymmetryConvention
+                 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The lexicographically least image of a matching under the symmetry
+    maps, and the list of maps that give it.
+
+    A map p with p[q] == 0 gives an image starting with p[match[q]]: that is
+    (match[q] - q) % pts for the rotation and (q - match[q]) % pts for the
+    reflection.  Full images are built only for the maps whose first entry is
+    the least one."""
+    pts = len(match)
+    maps = _symmetry_maps(pts, sym)
+    spans = list(map(getitem, _span_table(pts), match))
+    first = min(spans)
+    tied = [maps[-q % pts] for q in range(pts) if spans[q] == first]
+    if sym is SymmetryConvention.DIHEDRAL:
+        tied += [maps[pts + q] for q in range(pts) if pts - spans[q] == first]
+    images = [_apply(match, p) for p in tied]
+    least = min(images)
+    return least, [p for p, image in zip(tied, images) if image == least]
+
+
+def _code(kind: str, n: int, least: Sequence[int], sym: SymmetryConvention) -> str:
+    """Code prefix shared by chord ("cd1") and colored ("ccd1") class codes."""
+    tag = "dih" if sym is SymmetryConvention.DIHEDRAL else "rot"
+    return f"{kind}[{tag}]|n={n}|m=" + ",".join(map(str, least))
 
 
 def canonical_match(match: Sequence[int], sym: SymmetryConvention) -> tuple[int, ...]:
@@ -171,9 +215,7 @@ def canonical_match(match: Sequence[int], sym: SymmetryConvention) -> tuple[int,
 def canonical_chord(cd: ChordDiagram, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
     """Class code: lexicographically least matching over all rotations (and
     reflections when dihedral).  Equal codes iff same class."""
-    best = canonical_match(cd.match, sym)
-    tag = "dih" if sym is SymmetryConvention.DIHEDRAL else "rot"
-    return f"cd1[{tag}]|n={cd.n}|m=" + ",".join(map(str, best))
+    return _code("cd1", cd.n, canonical_match(cd.match, sym), sym)
 
 
 def canonical_colored(ccd: ColoredChordDiagram,
@@ -190,10 +232,8 @@ def canonical_colored(ccd: ColoredChordDiagram,
         key = (m2, tuple(c2))
         if best is None or key < best:
             best = key
-    tag = "dih" if sym is SymmetryConvention.DIHEDRAL else "rot"
     cols = "".join("g" if c == GREEN else "r" for c in best[1])
-    return (f"ccd1[{tag}]|n={ccd.base.n}|m=" + ",".join(map(str, best[0]))
-            + "|c=" + cols)
+    return _code("ccd1", ccd.base.n, best[0], sym) + "|c=" + cols
 
 
 def colored_from_point_colors(match: Sequence[int], pcol: Sequence[str]) -> ColoredChordDiagram:
@@ -220,57 +260,155 @@ def all_matchings(points: int) -> Iterator[tuple[int, ...]]:
     yield from rec(list(range(points)))
 
 
+def one_face_matchings(points: int) -> Iterator[tuple[int, ...]]:
+    """Every one-face perfect matching of 0..points-1, in the order of
+    all_matchings.
+
+    A partial matching is extended only while its face permutation
+    i -> (match[i] + 1) % points has no closed cycle: a cycle that closes
+    before the last chord misses the points still unmatched, so it is
+    shorter than points.  The permutation's open paths are kept by their
+    ends (end[x] is the other end of the path x ends), so that each new chord
+    a-b, which adds the steps a -> b+1 and b -> a+1, is tested in O(1)."""
+    match = [-1] * points
+    end = list(range(points))
+
+    def rec(a: int, left: int) -> Iterator[tuple[int, ...]]:
+        a1 = a + 1
+        for b in range(a1, points):
+            if match[b] >= 0:
+                continue
+            b1 = (b + 1) % points
+            head = end[a]
+            if head == b1:       # the step a -> b+1 closes a cycle
+                continue
+            tail = end[b1]
+            end[head], end[tail] = tail, head
+            match[a], match[b] = b, a
+            if left == 1:        # b -> a+1 closes the one cycle of all points
+                yield tuple(match)
+            else:
+                head2 = end[b]
+                if head2 != a1:  # else the step b -> a+1 closes a cycle
+                    tail2 = end[a1]
+                    end[head2], end[tail2] = tail2, head2
+                    nxt = a1
+                    while match[nxt] >= 0:
+                        nxt += 1
+                    yield from rec(nxt, left - 1)
+                    end[head2], end[tail2] = b, a1
+            match[a] = match[b] = -1
+            end[head], end[tail] = a, b1
+
+    if points % 2 == 0:
+        yield from rec(0, points // 2)
+
+
+def _harer_zagier_count(g: int) -> int:
+    """Harer-Zagier count of labeled one-face matchings with 2g chords:
+    (4g)! / (4^g (2g+1)!), giving 1, 21, 1485, 225225 for g = 1..4."""
+    return factorial(4 * g) // (4 ** g * factorial(2 * g + 1))
+
+
 def enumerate_bases(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[ChordDiagram]:
     """All classes of one-face diagrams with 2g chords, one canonical
-    representative each, sorted by code."""
+    representative each, sorted by matching.
+
+    Isomorph-free generation (McKay, J. Algorithms 26, 1998): a one-face
+    matching is its class's representative iff it is the least image of
+    itself under the symmetry maps, so no set of classes seen is kept.  Most
+    matchings are rejected on the first entry of their images alone.  The
+    maps that fix a representative form its stabiliser, and its class holds
+    len(maps) // len(stabiliser) labeled matchings; these must sum to the
+    Harer-Zagier count (4g)! / (4^g (2g+1)!), or RuntimeError is raised.
+    Generation runs in lexicographic order, so the representatives come out
+    sorted."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     pts = 4 * g
-    reps = {}
-    for match in all_matchings(pts):
-        cd = ChordDiagram(2 * g, match)
-        if face_count(cd) != 1:
+    first_entries = _span_table(pts)
+    group = len(_symmetry_maps(pts, sym))
+    reps = []
+    labeled = 0
+    for match in one_face_matchings(pts):
+        # the rotations' first entries; the reflections give the same set
+        if min(map(getitem, first_entries, match)) < match[0]:
             continue
-        cm = canonical_match(match, sym)
-        if cm not in reps:
-            reps[cm] = ChordDiagram(2 * g, cm)
-    return [reps[k] for k in sorted(reps)]
+        least, stabiliser = _least_image(match, sym)
+        if least == match:
+            reps.append(ChordDiagram(2 * g, match))
+            labeled += group // len(stabiliser)
+    expected = _harer_zagier_count(g)
+    if labeled != expected:
+        raise RuntimeError(
+            f"genus {g}: the {len(reps)} base classes hold {labeled} labeled "
+            f"one-face matchings, not the Harer-Zagier count {expected}")
+    return reps
 
 
 def _noncrossing_subsets(chords: list[tuple[int, int]], size: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples of `size` pairwise non-crossing chords, in lexicographic
+    order; the chords are (min, max) pairs, as ChordDiagram.chords() gives."""
     n = len(chords)
+    crossed = [sum(1 << j for j, (c, d) in enumerate(chords) if a < c < b < d or c < a < d < b)
+               for a, b in chords]
 
-    def rec(start: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(start: int, chosen: list[int], blocked: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == size:
             yield tuple(chosen)
             return
         for i in range(start, n):
-            if all(not _pairs_cross(chords[i], chords[j]) for j in chosen):
+            if not blocked >> i & 1:
                 chosen.append(i)
-                yield from rec(i + 1, chosen)
+                yield from rec(i + 1, chosen, blocked | crossed[i])
                 chosen.pop()
 
-    yield from rec(0, [])
+    yield from rec(0, [], 0)
+
+
+def _coloring_classes(base: ChordDiagram, g: int, sym: SymmetryConvention):
+    """The base's least image, and its coloring classes as (code, first
+    representative) pairs sorted by code.
+
+    A coloring's code pairs the least image of the base with the least color
+    string over the maps that give that image; for a canonical base these
+    maps are its stabiliser, trivial for most bases."""
+    least, maps = _least_image(base.match, sym)
+    # colors read through a map's inverse are the colors of the image
+    inverses = [sorted(range(base.points), key=p.__getitem__) for p in maps]
+    chords = base.chords()
+    first_seen = {}
+    for green_ids in _noncrossing_subsets(chords, g):
+        pcol = ["r"] * base.points
+        for i in green_ids:
+            a, b = chords[i]
+            pcol[a] = pcol[b] = "g"
+        key = min("".join([pcol[i] for i in inv]) for inv in inverses)
+        if key not in first_seen:
+            first_seen[key] = green_ids
+    prefix = _code("ccd1", base.n, least, sym) + "|c="
+    return least, [
+        (prefix + key, ColoredChordDiagram(
+            base, tuple(GREEN if i in green_ids else RED for i in range(base.n))))
+        for key, green_ids in sorted(first_seen.items())]
 
 
 def enumerate_colorings(base: ChordDiagram, g: int,
                         sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[ColoredChordDiagram]:
     """All colorings of a one-face base with exactly g pairwise non-crossing
     green chords, one representative per class under the symmetries of the
-    base, sorted by code."""
+    base, sorted by code.
+
+    The maps that take the base to its least image are computed once; a
+    coloring's class is told by its least color string under those maps
+    alone (for a canonical base, its stabiliser), which is what
+    canonical_colored gives.  The representative of a class is its first
+    coloring in the order of the non-crossing green subsets."""
     if base.n != 2 * g:
         raise WrongChordCount(f"expected {2 * g} chords, got {base.n}")
     if not is_one_face(base):
         raise NotOneFace("colorings are defined for one-face diagrams")
-    chords = base.chords()
-    reps = {}
-    for green_ids in _noncrossing_subsets(chords, g):
-        colors = tuple(GREEN if i in green_ids else RED for i in range(base.n))
-        ccd = ColoredChordDiagram(base, colors)
-        code = canonical_colored(ccd, sym)
-        if code not in reps:
-            reps[code] = ccd
-    return [reps[k] for k in sorted(reps)]
+    return [ccd for _, ccd in _coloring_classes(base, g, sym)[1]]
 
 
 def is_river(ccd: ColoredChordDiagram) -> bool:
@@ -305,18 +443,17 @@ def is_river(ccd: ColoredChordDiagram) -> bool:
 def _classify_base(args):
     match, g, sym_value = args
     sym = SymmetryConvention(sym_value)
-    base = ChordDiagram(2 * g, match)
-    colorings = enumerate_colorings(base, g, sym)
-    out = []
-    for ccd in colorings:
-        out.append((canonical_colored(ccd, sym), is_river(ccd)))
-    return canonical_chord(base, sym), out
+    least, classes = _coloring_classes(ChordDiagram(2 * g, match), g, sym)
+    return _code("cd1", 2 * g, least, sym), [(code, is_river(ccd)) for code, ccd in classes]
 
 
 def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY,
              workers: int = 1, max_genus: int = 4):
     """Full classification at one genus: base classes, colored classes,
-    river classes, and all canonical codes.  Returns a CatalogReport."""
+    river classes, and all canonical codes.  Returns a CatalogReport.
+
+    Base enumeration runs in this process; workers > 1 runs the per-base
+    colorings and river tests in a pool of that many processes."""
     from .catalog import CatalogReport
 
     if g > max_genus:

@@ -70,13 +70,6 @@ def _load_diagram(path: str) -> PrDiagram:
     return pr_from_json(obj)
 
 
-def _load_any(path: str):
-    obj = _read_json(path)
-    if "curves" in obj or "darts" in obj:
-        return pr_from_json(obj)
-    return chord_from_json(obj)
-
-
 def _symmetry(name: str) -> SymmetryConvention:
     return (SymmetryConvention.ROTATION_ONLY if name == "rotation"
             else SymmetryConvention.DIHEDRAL)

@@ -14,7 +14,6 @@ systems live directly on the map and canonical forms are label-aware.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -670,7 +669,3 @@ def map_from_json(obj: dict, allow_disconnected: bool = False) -> CombMap:
         lab[item["edge"]] = CurveLabel(kind, item.get("index"))
     return build_map(n, alpha, obj["sigma"], lab, obj.get("holes", ()),
                      allow_disconnected=allow_disconnected)
-
-
-def map_dumps(m: CombMap) -> str:
-    return json.dumps(map_to_json(m), indent=1, sort_keys=True)

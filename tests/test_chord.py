@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from morsediag import chord
 from morsediag.chord import (
     DEFAULT_SYMMETRY,
     GREEN,
@@ -12,10 +13,12 @@ from morsediag.chord import (
     SymmetryConvention,
     WrongChordCount,
     _apply,
+    _noncrossing_subsets,
     _point_maps,
     all_matchings,
     canonical_chord,
     canonical_colored,
+    canonical_match,
     chord_from_json,
     chord_to_json,
     classify,
@@ -27,6 +30,7 @@ from morsediag.chord import (
     genus_of,
     is_one_face,
     is_river,
+    one_face_matchings,
     ribbon_map,
 )
 from morsediag.combmap import faces
@@ -136,9 +140,72 @@ def test_enumeration_matches_burnside(g):
         assert sum(any(map(is_river, c)) for c in colorings) == oracle.river_bases
 
 
-# ---------------------------------------------------------------------------
-# colorings
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("points", [2, 3, 4, 8, 12])
+def test_one_face_generator_matches_filtered_matchings(points):
+    expected = [m for m in all_matchings(points)
+                if face_count(ChordDiagram(points // 2, m)) == 1]
+    assert list(one_face_matchings(points)) == expected
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_bases_are_the_least_images_of_one_face_matchings(g):
+    one_face = [m for m in all_matchings(4 * g) if face_count(ChordDiagram(2 * g, m)) == 1]
+    for sym in (ROT, DIH):
+        expected = sorted({canonical_match(m, sym) for m in one_face})
+        assert enumerate_bases(g, sym) == [ChordDiagram(2 * g, m) for m in expected]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_orbit_sizes_sum_to_harer_zagier_count(g):
+    for sym in (ROT, DIH):
+        orbits = [{_apply(b.match, p) for p in _point_maps(b.points, sym)}
+                  for b in enumerate_bases(g, sym)]
+        assert sum(map(len, orbits)) == (1, 21, 1485)[g - 1]
+
+
+def test_missing_class_fails_the_run_time_check(monkeypatch):
+    generate = chord.one_face_matchings
+
+    def drop_first(points):
+        matchings = generate(points)
+        next(matchings)
+        yield from matchings
+
+    monkeypatch.setattr(chord, "one_face_matchings", drop_first)
+    with pytest.raises(RuntimeError, match=r"genus 2: .* not the Harer-Zagier count 21$"):
+        enumerate_bases(2)
+
+
+def _green_subsets(chords, g):
+    """Green chord index sets in lexicographic order, by a test of their own."""
+    def interleave(p, q):
+        (a, b), (c, d) = p, q
+        return a < c < b < d or c < a < d < b
+
+    return [ids for ids in combinations(range(len(chords)), g)
+            if not any(interleave(chords[i], chords[j]) for i, j in combinations(ids, 2))]
+
+
+def _reference_colorings(base, g, sym):
+    """The first coloring per canonical_colored code, sorted by code."""
+    first_seen = {}
+    for ids in _green_subsets(base.chords(), g):
+        ccd = ColoredChordDiagram(base, tuple(GREEN if i in ids else RED for i in range(base.n)))
+        first_seen.setdefault(canonical_colored(ccd, sym), ccd)
+    return [first_seen[code] for code in sorted(first_seen)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_colorings_match_reference(g):
+    # canonical bases, and rotated copies that are not their class's least image
+    for sym in (ROT, DIH):
+        for b in enumerate_bases(g, sym):
+            step = tuple((i + 1) % b.points for i in range(b.points))
+            for base in (b, ChordDiagram(b.n, _apply(b.match, step))):
+                chords = base.chords()
+                assert list(_noncrossing_subsets(chords, g)) == _green_subsets(chords, g)
+                assert enumerate_colorings(base, g, sym) == _reference_colorings(base, g, sym)
+
 
 def test_coloring_counts():
     (g1,) = enumerate_bases(1)
@@ -200,31 +267,10 @@ def test_river_counts_genus2():
 
 
 def test_river_agrees_with_selection_brute_force():
-    def brute(ccd):
-        greens, reds = ccd.green_chords(), ccd.red_chords()
-        if len(greens) != len(reds):
-            return False
-        for fam in (greens, reds):
-            for i in range(len(fam)):
-                for j in range(i + 1, len(fam)):
-                    (a, b), (c, d) = fam[i], fam[j]
-                    if a < c < b < d or c < a < d < b:
-                        return False
-        g = len(reds)
-        pts = ccd.base.points
-        for sel in product(*reds):
-            if len(set(sel)) != g:
-                continue
-            for start in sel:
-                window = {(start + k) % pts for k in range(g)}
-                if window == set(sel):
-                    return True
-        return False
-
     for g in (1, 2, 3):
         for b in enumerate_bases(g):
             for ccd in enumerate_colorings(b, g):
-                assert is_river(ccd) == brute(ccd)
+                assert is_river(ccd) == _river_by_selection(ccd)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +325,6 @@ def test_chord_json_roundtrip():
 
 def test_river_brute_force_agreement_sampled_genus4(rng):
     # random one-face diagrams on 16 points, all valid colorings, both routes
-    from morsediag.chord import _noncrossing_subsets
-
     checked = 0
     while checked < 40:
         pts = list(range(16))
