@@ -218,11 +218,10 @@ def canonical_chord(cd: ChordDiagram, sym: SymmetryConvention = DEFAULT_SYMMETRY
     return _code("cd1", cd.n, canonical_match(cd.match, sym), sym)
 
 
-def canonical_colored(ccd: ColoredChordDiagram,
-                      sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
-    """Class code of a colored diagram: least (matching, point colors) pair."""
-    match = ccd.base.match
-    pcol = ccd.point_colors()
+def _least_colored(match: Sequence[int], pcol: Sequence[str], sym: SymmetryConvention
+                   ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The least (matching, point colors) image of a colored diagram under
+    the symmetry maps."""
     best = None
     for p in _point_maps(len(match), sym):
         m2 = _apply(match, p)
@@ -232,8 +231,15 @@ def canonical_colored(ccd: ColoredChordDiagram,
         key = (m2, tuple(c2))
         if best is None or key < best:
             best = key
-    cols = "".join("g" if c == GREEN else "r" for c in best[1])
-    return _code("ccd1", ccd.base.n, best[0], sym) + "|c=" + cols
+    return best
+
+
+def canonical_colored(ccd: ColoredChordDiagram,
+                      sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
+    """Class code of a colored diagram: least (matching, point colors) pair."""
+    match, pcol = _least_colored(ccd.base.match, ccd.point_colors(), sym)
+    cols = "".join("g" if c == GREEN else "r" for c in pcol)
+    return _code("ccd1", ccd.base.n, match, sym) + "|c=" + cols
 
 
 def colored_from_point_colors(match: Sequence[int], pcol: Sequence[str]) -> ColoredChordDiagram:

@@ -23,7 +23,7 @@ from .chord import (
     classify,
     colored_to_json,
 )
-from .combmap import CurveKind, vertex_table
+from .combmap import CurveKind, MapError, vertex_table
 from .prdiag import (
     InvalidColoring,
     InvalidDiagram,
@@ -63,11 +63,23 @@ def _usage_error(msg: str) -> int:
     return USAGE_ERROR
 
 
+def _parse(path: str, obj: dict, parse):
+    """``parse(obj)``; a missing or malformed field is a usage error naming
+    the file and the field, never a traceback or a negative verdict."""
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        msg = f"missing field {exc.args[0]!r}"
+    except (TypeError, MapError) as exc:
+        msg = f"bad field: {exc}"
+    raise SystemExit(_usage_error(f"{path}: {msg}"))
+
+
 def _load_diagram(path: str) -> PrDiagram:
     obj = _read_json(path)
     if "curves" not in obj:
         raise SystemExit(_usage_error(f"{path} is not a flow-diagram file"))
-    return pr_from_json(obj)
+    return _parse(path, obj, pr_from_json)
 
 
 def _symmetry(name: str) -> SymmetryConvention:
@@ -125,12 +137,12 @@ def _cmd_convert(args) -> int:
     obj = _read_json(args.file)
     try:
         if args.to == "chord":
-            d = pr_from_json(obj)
+            d = _parse(args.file, obj, pr_from_json)
             ccd = to_colored_chord(d)
             out = colored_to_json(ccd)
             summary = f"colored chord diagram with {ccd.base.n} chords"
         else:
-            cd = chord_from_json(obj)
+            cd = _parse(args.file, obj, chord_from_json)
             if not isinstance(cd, ColoredChordDiagram):
                 raise InvalidColoring("chord file must carry colors")
             d = from_colored_chord(cd)
@@ -237,31 +249,32 @@ def _chord_dot(ccd: ColoredChordDiagram) -> str:
 def _cmd_export(args) -> int:
     obj = _read_json(args.file)
     is_pr = "curves" in obj or ("darts" in obj and "match" not in obj)
+    loaded = _parse(args.file, obj, pr_from_json if is_pr else chord_from_json)
     try:
         if args.format == "json":
             if is_pr:
-                out_text = json.dumps(pr_to_json(pr_from_json(obj)), indent=1,
+                out_text = json.dumps(pr_to_json(loaded), indent=1,
                                       sort_keys=True) + "\n"
             else:
-                cd = chord_from_json(obj)
+                cd = loaded
                 ccd = cd if isinstance(cd, ColoredChordDiagram) else None
                 payload = colored_to_json(ccd) if ccd else {"n": cd.n, "match": list(cd.match)}
                 out_text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
         elif args.format == "svg":
             if is_pr:
-                d = pr_from_json(obj)
+                d = loaded
                 ccd = to_colored_chord(d)
             else:
-                cd = chord_from_json(obj)
+                cd = loaded
                 if not isinstance(cd, ColoredChordDiagram):
                     cd = ColoredChordDiagram(cd, tuple("red" for _ in range(cd.n)))
                 ccd = cd
             out_text = _chord_svg(ccd)
         else:
             if is_pr:
-                out_text = _pr_dot(pr_from_json(obj))
+                out_text = _pr_dot(loaded)
             else:
-                cd = chord_from_json(obj)
+                cd = loaded
                 if not isinstance(cd, ColoredChordDiagram):
                     cd = ColoredChordDiagram(cd, tuple("red" for _ in range(cd.n)))
                 out_text = _chord_dot(cd)

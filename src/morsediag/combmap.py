@@ -172,20 +172,27 @@ def vertex_table(m: CombMap) -> dict[int, int]:
     return out
 
 
+def _component_index(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
+    """dart -> connected component, numbered in order of smallest dart."""
+    comp = [-1] * len(alpha)
+    ncomp = 0
+    for start in range(len(alpha)):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = ncomp
+        while stack:
+            d = stack.pop()
+            for nxt in (alpha[d], sigma[d]):
+                if comp[nxt] < 0:
+                    comp[nxt] = ncomp
+                    stack.append(nxt)
+        ncomp += 1
+    return comp
+
+
 def _is_connected(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
-    n = len(alpha)
-    if n == 0:
-        return True
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        d = stack.pop()
-        for nxt in (alpha[d], sigma[d]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return all(seen)
+    return max(_component_index(alpha, sigma), default=0) == 0
 
 
 def hole_corner_dart(m: CombMap, vertex_darts: Sequence[int],
@@ -262,23 +269,14 @@ def build_map(dart_count: int,
     return m
 
 
-def components(m: CombMap) -> list[CombMap]:
-    """Connected components as separate maps with renumbered darts."""
+def components(m: CombMap, comp: Optional[Sequence[int]] = None) -> list[CombMap]:
+    """Connected components as separate maps with renumbered darts.
+
+    ``comp`` is the map's dart -> component index when the caller has it."""
     n = m.n_darts
-    comp = [-1] * n
-    ncomp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            d = stack.pop()
-            for nxt in (m.alpha[d], m.sigma[d]):
-                if comp[nxt] < 0:
-                    comp[nxt] = ncomp
-                    stack.append(nxt)
-        ncomp += 1
+    if comp is None:
+        comp = _component_index(m.alpha, m.sigma)
+    ncomp = max(comp, default=0) + 1
     if ncomp <= 1:
         return [m]
     ftab = face_table(m)
@@ -328,7 +326,8 @@ class EmbeddedCurve:
     label: CurveLabel
 
 
-def curve_dart_walk(m: CombMap, curve: EmbeddedCurve) -> list[int]:
+def curve_dart_walk(m: CombMap, curve: EmbeddedCurve,
+                    vtab: Optional[dict[int, int]] = None) -> list[int]:
     """Oriented dart sequence t_1..t_k traversing the curve.
 
     t_i is the dart of edge i at the vertex where the traversal enters it.
@@ -338,7 +337,8 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve) -> list[int]:
     edges = list(curve.edges)
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
-    vtab = vertex_table(m)
+    if vtab is None:
+        vtab = vertex_table(m)
     for e in edges:
         if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
             raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
@@ -573,35 +573,33 @@ def mirror_map(m: CombMap) -> CombMap:
     return CombMap(m.alpha, tuple(inv), m.labels, holes, m.allow_disconnected)
 
 
-def _trace_from(m: CombMap, root: int, hole_bit: Sequence[int],
+def _trace_from(m: CombMap, root: int, tail: Sequence[tuple[int, int]],
                 best: Optional[list]) -> Optional[list]:
     """BFS relabeling trace from a root dart (visit sigma then alpha).
 
-    Returns the trace if it is lexicographically smaller than ``best``
-    (always when best is None), else None; comparison aborts early."""
-    n = m.n_darts
-    new_id = [-1] * n
+    The atom of a dart is (id of its sigma image, id of its alpha image) +
+    ``tail[dart]``, the (kind ordinal, hole bit) pair; it is fixed as soon as
+    the dart is dequeued, so it is compared with ``best`` there.  Returns the
+    trace if it is lexicographically smaller than ``best`` (always when best
+    is None), else None, stopping at the first larger atom."""
+    sigma, alpha = m.sigma, m.alpha
+    new_id = [-1] * m.n_darts
     order = [root]
     new_id[root] = 0
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
-        s = m.sigma[d]
+    out = []
+    undecided = best is not None
+    for head, d in enumerate(order):
+        s = sigma[d]
         if new_id[s] < 0:
             new_id[s] = len(order)
             order.append(s)
-        a = m.alpha[d]
+        a = alpha[d]
         if new_id[a] < 0:
             new_id[a] = len(order)
             order.append(a)
-    out = []
-    undecided = best is not None
-    for i, d in enumerate(order):
-        atom = (new_id[m.sigma[d]], new_id[m.alpha[d]],
-                _KIND_ORD[m.labels[d].kind], hole_bit[d])
+        atom = (new_id[s], new_id[a]) + tail[d]
         if undecided:
-            ref = best[i]
+            ref = best[head]
             if atom > ref:
                 return None
             if atom < ref:
@@ -627,9 +625,10 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     best = None
     for mv in variants:
         ftab = face_table(mv)
-        hole_bit = [1 if ftab[d] in mv.holes else 0 for d in range(mv.n_darts)]
+        tail = [(_KIND_ORD[mv.labels[d].kind], 1 if ftab[d] in mv.holes else 0)
+                for d in range(mv.n_darts)]
         for root in range(mv.n_darts):
-            tr = _trace_from(mv, root, hole_bit, best)
+            tr = _trace_from(mv, root, tail, best)
             if tr is not None:
                 best = tr
     flat = ";".join(f"{s},{a},{k},{h}" for s, a, k, h in best)

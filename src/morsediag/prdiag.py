@@ -46,8 +46,8 @@ from .chord import (
     RED,
     ColoredChordDiagram,
     SymmetryConvention,
+    _least_colored,
     _pairs_cross,
-    canonical_colored,
     colored_from_point_colors,
     face_count,
 )
@@ -246,12 +246,11 @@ class _Walks:
     inner_verts: dict[int, set[int]]      # arcs: vertices minus endpoints
 
 
-def _curve_walks(d: PrDiagram) -> _Walks:
+def _curve_walks(d: PrDiagram, vtab: dict[int, int]) -> _Walks:
     m = d.surface
-    vtab = vertex_table(m)
     walk, end_verts, verts, inner = {}, {}, {}, {}
     for ci, c in enumerate(d.curves):
-        w = curve_dart_walk(m, c)
+        w = curve_dart_walk(m, c, vtab)
         walk[ci] = w
         vs = {vtab[w[0]]}
         for t in w:
@@ -368,24 +367,6 @@ class _SideReduction:
     arc_end_darts: dict[int, tuple[int, int]] # arc curve idx -> original end darts
 
 
-def _component_index(m: CombMap) -> list[int]:
-    comp = [-1] * m.n_darts
-    ncomp = 0
-    for start in range(m.n_darts):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            x = stack.pop()
-            for nxt in (m.alpha[x], m.sigma[x]):
-                if comp[nxt] < 0:
-                    comp[nxt] = ncomp
-                    stack.append(nxt)
-        ncomp += 1
-    return comp
-
-
 def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
                     green: bool) -> _SideReduction:
     """Surger every assembled cycle (corner-side copy erased, the other copy
@@ -412,8 +393,8 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
                             CurveLabel(CurveKind.BDY), slits_are_holes=True)
         m = res.map
         arc_sides[ci] = (aw[0], res.copy_q[aw[0]])
-    comp = _component_index(m)
-    comps = cmb.components(m)
+    comp = cmb._component_index(m.alpha, m.sigma)
+    comps = cmb.components(m, comp)
     end_darts = {}
     for ci in arc_ids:
         w = walks.walk[ci]
@@ -432,6 +413,17 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
 # Validation (the five-property criterion)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Analysis:
+    """One validity analysis of a diagram: the report and, for a valid
+    diagram, the curve walks and both side reductions."""
+
+    report: ValidityReport
+    walks: Optional[_Walks] = None
+    green: Optional[_SideReduction] = None
+    red: Optional[_SideReduction] = None
+
+
 def validate(d: PrDiagram) -> ValidityReport:
     """Check the five diagram properties; failures carry a witness instead of
     raising.
@@ -446,6 +438,10 @@ def validate(d: PrDiagram) -> ValidityReport:
     5. cutting along all u-arcs and surgering every assembled green cycle
        leaves a union of disks (same for red).
     """
+    return _analyse(d).report
+
+
+def _analyse(d: PrDiagram) -> _Analysis:
     verdicts = []
     err = _structure_errors(d)
     if err is not None:
@@ -453,20 +449,20 @@ def validate(d: PrDiagram) -> ValidityReport:
         for name in ("p2_cycle_endpoints", "p3_disjointness",
                      "p4_left_turn_cycles", "p5_disk_reduction"):
             verdicts.append(PropertyVerdict(name, False, "prerequisite failed"))
-        return ValidityReport(tuple(verdicts))
+        return _Analysis(ValidityReport(tuple(verdicts)))
 
     m = d.surface
+    vtab = vertex_table(m)
     try:
-        walks = _curve_walks(d)
+        walks = _curve_walks(d, vtab)
     except MapError as exc:
         verdicts.append(PropertyVerdict("p1_placement", False, str(exc)))
         for name in ("p2_cycle_endpoints", "p3_disjointness",
                      "p4_left_turn_cycles", "p5_disk_reduction"):
             verdicts.append(PropertyVerdict(name, False, "prerequisite failed"))
-        return ValidityReport(tuple(verdicts))
+        return _Analysis(ValidityReport(tuple(verdicts)))
 
     ftab = face_table(m)
-    vtab = vertex_table(m)
     vert_darts: dict[int, list[int]] = {}
     for dart in range(m.n_darts):
         vert_darts.setdefault(vtab[dart], []).append(dart)
@@ -568,40 +564,32 @@ def validate(d: PrDiagram) -> ValidityReport:
     # Property 5
     if p4_witness or p1_witness or p3_witness:
         verdicts.append(PropertyVerdict("p5_disk_reduction", False, "prerequisite failed"))
-        return ValidityReport(tuple(verdicts))
+        return _Analysis(ValidityReport(tuple(verdicts)))
     p5_witness = ""
+    sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
-            red = _side_reduction(d, walks, cycles, green)
+            side = _side_reduction(d, walks, cycles, green)
         except MapError as exc:
             p5_witness = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
-        for k, comp in enumerate(red.components):
+        sides.append(side)
+        for k, comp in enumerate(side.components):
             if euler_genus(comp) != (1, 0, 1):
-                side = "green" if green else "red"
-                p5_witness = (f"{side} reduction component {k} is not a disk "
-                              f"(chi, genus, boundary) = {euler_genus(comp)}")
+                p5_witness = (f"{'green' if green else 'red'} reduction component {k} "
+                              f"is not a disk (chi, genus, boundary) = {euler_genus(comp)}")
                 break
         if p5_witness:
             break
     verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
-    return ValidityReport(tuple(verdicts))
+    return _Analysis(ValidityReport(tuple(verdicts)), walks, *sides)
 
 
-def _require_valid(d: PrDiagram) -> None:
-    rep = validate(d)
-    if not rep.valid:
-        raise InvalidDiagram(rep.first_failure())
-
-
-def _reductions(d: PrDiagram) -> tuple[_SideReduction, _SideReduction]:
-    walks = _curve_walks(d)
-    green_cycles, gwit = _assemble_cycles(d, walks, green=True)
-    red_cycles, rwit = _assemble_cycles(d, walks, green=False)
-    if gwit or rwit:
-        raise InvalidDiagram(gwit or rwit)
-    return (_side_reduction(d, walks, green_cycles, True),
-            _side_reduction(d, walks, red_cycles, False))
+def _require_valid(d: PrDiagram) -> _Analysis:
+    analysis = _analyse(d)
+    if not analysis.report.valid:
+        raise InvalidDiagram(analysis.report.first_failure())
+    return analysis
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +600,11 @@ def census(d: PrDiagram) -> Census:
     """Fixed point counts: sources from the green reduction (one disk per
     source; each cycle's surgery cap accounts for one type-2 point), saddles
     from the arcs, sinks symmetrically from the red side."""
-    _require_valid(d)
-    green, red = _reductions(d)
+    return _census(d, _require_valid(d))
+
+
+def _census(d: PrDiagram, analysis: _Analysis) -> Census:
+    green, red = analysis.green, analysis.red
     n2 = green.n_cycles
     n5 = red.n_cycles
     n1 = len(green.components) - n2
@@ -665,10 +656,13 @@ def morse_checks(d: PrDiagram) -> MorseChecks:
 def is_optimal(d: PrDiagram, g: int) -> bool:
     """Minimal singularity structure on the genus-g handlebody: census
     (1,0,g,g,0,1) and green arcs disjoint from red arcs."""
-    c = census(d)
-    if c.as_tuple() != (1, 0, g, g, 0, 1):
+    return _is_optimal(d, g, _require_valid(d))
+
+
+def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
+    if _census(d, analysis).as_tuple() != (1, 0, g, g, 0, 1):
         return False
-    walks = _curve_walks(d)
+    walks = analysis.walks
     u_ids = [ci for ci, cv in enumerate(d.curves)
              if cv.label.kind is CurveKind.U_GREEN_ARC]
     v_ids = [ci for ci, cv in enumerate(d.curves)
@@ -708,10 +702,11 @@ def to_colored_chord(d: PrDiagram,
     green chord endpoints and one mark per red side, read off in circular
     order.  The result is normalized to its canonical class representative."""
     g = len(d.u_arcs)
-    if not is_optimal(d, g):
+    analysis = _require_valid(d)
+    if not _is_optimal(d, g, analysis):
         raise NotOptimal("chord conversion requires an optimal diagram")
     m = d.surface
-    walks = _curve_walks(d)
+    walks = analysis.walks
     v_ids = sorted(ci for ci, c in enumerate(d.curves)
                    if c.label.kind is CurveKind.V_RED_ARC)
     u_ids = sorted(ci for ci, c in enumerate(d.curves)
@@ -772,18 +767,7 @@ def to_colored_chord(d: PrDiagram,
             raise NotOptimal(f"curve {key} meets the boundary circle {len(positions)} times")
         a, b = positions
         match[a], match[b] = b, a
-    ccd = colored_from_point_colors(match, colors)
-    code = canonical_colored(ccd, sym)
-    best_match, best_cols = _decode_colored_code(code)
-    return colored_from_point_colors(best_match, best_cols)
-
-
-def _decode_colored_code(code: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    body = code.split("|m=")[1]
-    mpart, cpart = body.split("|c=")
-    match = tuple(int(x) for x in mpart.split(","))
-    cols = tuple(GREEN if ch == "g" else RED for ch in cpart)
-    return match, cols
+    return colored_from_point_colors(*_least_colored(match, colors, sym))
 
 
 def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
@@ -885,9 +869,9 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     is a canonical choice; only role counts, the Euler relation and
     region-incidence degrees are contractual.
     """
-    _require_valid(d)
-    c = census(d)
-    green, red = _reductions(d)
+    analysis = _require_valid(d)
+    c = _census(d, analysis)
+    green, red = analysis.green, analysis.red
 
     vertices = []
     edges = []

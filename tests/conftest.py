@@ -6,7 +6,7 @@ import random
 from functools import cache
 from itertools import combinations, product
 from math import factorial
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -58,11 +58,19 @@ def make_solid_torus_diagram():
     ))
 
 
-def relabel_map(m: CombMap, rng: random.Random) -> CombMap:
-    """The same map with darts renamed by a random permutation."""
-    n = m.n_darts
+def _shuffled_darts(n: int, rng: random.Random) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
+    return perm
+
+
+def relabel_map(m: CombMap, rng: random.Random,
+                perm: Optional[list[int]] = None) -> CombMap:
+    """The same map with dart d renamed perm[d]; ``perm`` is drawn from
+    ``rng`` when not given."""
+    n = m.n_darts
+    if perm is None:
+        perm = _shuffled_darts(n, rng)
     alpha = [0] * n
     sigma = [0] * n
     labels = [None] * n
@@ -84,21 +92,8 @@ def relabel_diagram(d, rng: random.Random):
     from morsediag.prdiag import PrDiagram
 
     m = d.surface
-    n = m.n_darts
-    perm = list(range(n))
-    rng.shuffle(perm)
-    alpha = [0] * n
-    sigma = [0] * n
-    labels = [None] * n
-    for dd in range(n):
-        alpha[perm[dd]] = perm[m.alpha[dd]]
-        sigma[perm[dd]] = perm[m.sigma[dd]]
-        labels[perm[dd]] = m.labels[dd]
-    ftab_old = face_table(m)
-    probe = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset())
-    ftab_new = face_table(probe)
-    holes = frozenset(ftab_new[perm[dd]] for dd in range(n) if ftab_old[dd] in m.holes)
-    m2 = CombMap(tuple(alpha), tuple(sigma), tuple(labels), holes)
+    perm = _shuffled_darts(m.n_darts, rng)
+    m2 = relabel_map(m, rng, perm)
 
     def edge_image(e):
         return min(perm[e], perm[m.alpha[e]])
@@ -145,6 +140,35 @@ def brute_force_isomorphic(m1: CombMap, m2: CombMap, mirror: bool = True) -> boo
             if ok and len(mapping) == n and len(set(mapping.values())) == n:
                 return True
     return False
+
+
+#: Kind ordinals of the cm1 code atoms.
+_CODE_KINDS = (CurveKind.BDY, CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE,
+               CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)
+
+
+def reference_canonical_code(m: CombMap, mirror: bool = True) -> bytes:
+    """combmap.canonical_code without its early abort: the complete BFS
+    trace (visit sigma then alpha) from every root of the map and, with
+    ``mirror``, of its mirror; the least trace, serialised as cm1."""
+    if m.n_darts == 0:
+        return b"cm1|empty"
+    traces = []
+    for mv in [m] + ([mirror_map(m)] if mirror else []):
+        ftab = face_table(mv)
+        for root in range(mv.n_darts):
+            new_id = {root: 0}
+            order = [root]
+            for d in order:
+                for nxt in (mv.sigma[d], mv.alpha[d]):
+                    if nxt not in new_id:
+                        new_id[nxt] = len(order)
+                        order.append(nxt)
+            traces.append([(new_id[mv.sigma[d]], new_id[mv.alpha[d]],
+                            _CODE_KINDS.index(mv.labels[d].kind),
+                            int(ftab[d] in mv.holes)) for d in order])
+    flat = ";".join(f"{s},{a},{k},{h}" for s, a, k, h in min(traces))
+    return f"cm1[{'dih' if mirror else 'rot'}]|n={m.n_darts}|{flat}".encode("ascii")
 
 
 def thickened_boundary_walk_faces(match) -> int:

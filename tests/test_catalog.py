@@ -88,12 +88,13 @@ def test_flags_recomputable_from_code(tmp_path):
 
 
 def _decode(code):
-    from morsediag.prdiag import _decode_colored_code
-    from morsediag.chord import ChordDiagram
+    """(matching, chord colors) read from a "ccd1[..]|n=..|m=..|c=.." code."""
+    from morsediag.chord import GREEN, RED, ChordDiagram
 
-    match, point_cols = _decode_colored_code(code)
+    mpart, cpart = code.split("|m=")[1].split("|c=")
+    match = tuple(int(x) for x in mpart.split(","))
     base = ChordDiagram(len(match) // 2, match)
-    cols = tuple(point_cols[a] for a, b in base.chords())
+    cols = tuple(GREEN if cpart[a] == "g" else RED for a, b in base.chords())
     return match, cols
 
 

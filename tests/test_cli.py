@@ -159,6 +159,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "validate", str(not_pr))[0] == 2
 
 
+def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
+    # a crash must not read as a negative verdict (exit 1)
+    no_darts = tmp_path / "no_darts.json"
+    no_darts.write_text(json.dumps({"curves": []}))
+    obj = json.loads(open(fixture_path("solid_torus.json")).read())
+    del obj["curves"][0]["closed"]
+    no_closed = tmp_path / "no_closed.json"
+    no_closed.write_text(json.dumps(obj))
+    good = fixture_path("solid_torus.json")
+    for bad, field in ((no_darts, "darts"), (no_closed, "closed")):
+        for argv in (("validate", str(bad)), ("census", str(bad)),
+                     ("boundary", str(bad)), ("iso", good, str(bad)),
+                     ("iso", str(bad), good)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith(f"error: {bad}: ") and repr(field) in err, err
+    chord = tmp_path / "no_match.json"
+    chord.write_text(json.dumps({"n": 2, "colors": ["green", "red"]}))
+    code, out, err = run(capsys, "convert", "--to", "pr", str(chord))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {chord}: ") and "'match'" in err
+
+
 def test_workers_env_var(monkeypatch, capsys):
     monkeypatch.setenv("MORSEDIAG_WORKERS", "2")
     code, out, _ = run(capsys, "classify", "--genus", "1")

@@ -34,6 +34,7 @@ from conftest import (
     make_solid_torus_diagram,
     make_sphere,
     make_torus,
+    reference_canonical_code,
     relabel_map,
 )
 
@@ -352,6 +353,24 @@ def test_brute_force_isomorphism_agrees_with_codes(rng):
         for b in diagrams[i:]:
             assert (canonical_code(a) == canonical_code(b)) == \
                 brute_force_isomorphic(a, b)
+
+
+def test_canonical_code_equals_full_trace_reference(rng):
+    # the early-abort traces must give the code of the complete search
+    import morsediag.catalog as cat
+    from morsediag.chord import enumerate_bases, enumerate_colorings
+    from morsediag.prdiag import from_colored_chord
+
+    maps = [cat.load_fixture(n).surface for n in cat.fixture_names()]
+    assert len(maps) == 9
+    maps += [from_colored_chord(ccd).surface
+             for g in (1, 2, 3) for b in enumerate_bases(g)
+             for ccd in enumerate_colorings(b, g)]
+    assert len(maps) == 9 + 185
+    maps += [relabel_map(m, rng) for m in maps]
+    for m in maps:
+        for mirror in (True, False):
+            assert canonical_code(m, mirror) == reference_canonical_code(m, mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,29 @@ def test_equivalent_requires_valid_inputs():
         equivalent(broken, st)
 
 
+def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
+    # one validity analysis per public call: one side reduction per color,
+    # and one analysis per argument of equivalent
+    import morsediag.prdiag as pr
+
+    calls = []
+    reduce_side = pr._side_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return reduce_side(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "_side_reduction", counted)
+    d = next(from_colored_chord(ccd) for g, ccd in all_colored_classes(3) if g == 3)
+    for op in (validate, census, morse_checks, boundary_restriction, to_colored_chord):
+        calls.clear()
+        op(d)
+        assert calls == [True, False], op.__name__
+    calls.clear()
+    assert equivalent(d, relabel_diagram(d, rng))
+    assert calls == [True, False, True, False]
+
+
 # ---------------------------------------------------------------------------
 # boundary restriction
 # ---------------------------------------------------------------------------
