@@ -27,13 +27,13 @@ from .combmap import CurveKind, MapError, vertex_table
 from .prdiag import (
     InvalidColoring,
     InvalidDiagram,
+    MorseChecks,
     NotOptimal,
     PrDiagram,
     boundary_restriction,
     census,
     equivalent,
     from_colored_chord,
-    morse_checks,
     pr_from_json,
     pr_to_json,
     to_colored_chord,
@@ -128,7 +128,7 @@ def _cmd_census(args) -> int:
         _emit({"error": str(exc)}, f"invalid diagram: {exc}")
         return NEGATIVE
     out = c.to_json()
-    out["morse_checks"] = morse_checks(d).to_json()
+    out["morse_checks"] = MorseChecks.from_census(c).to_json()
     _emit(out, f"census {c.as_tuple()}, boundary genus {c.boundary_genus}")
     return 0
 

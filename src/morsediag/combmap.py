@@ -152,24 +152,25 @@ def vertices(m: CombMap) -> list[tuple[int, ...]]:
     return _orbits(m.sigma)
 
 
+def _orbit_ids(perm: Sequence[int]) -> list[int]:
+    """element -> smallest element of its orbit."""
+    ids = [-1] * len(perm)
+    for start in range(len(perm)):
+        d = start
+        while ids[d] < 0:
+            ids[d] = start
+            d = perm[d]
+    return ids
+
+
 def face_table(m: CombMap) -> dict[int, int]:
     """dart -> face id (smallest dart of its face orbit)."""
-    out = {}
-    for cyc in faces(m):
-        fid = cyc[0]
-        for d in cyc:
-            out[d] = fid
-    return out
+    return dict(enumerate(_orbit_ids([m.sigma[a] for a in m.alpha])))
 
 
 def vertex_table(m: CombMap) -> dict[int, int]:
     """dart -> vertex id (smallest dart of its sigma orbit)."""
-    out = {}
-    for cyc in vertices(m):
-        vid = cyc[0]
-        for d in cyc:
-            out[d] = vid
-    return out
+    return dict(enumerate(_orbit_ids(m.sigma)))
 
 
 def _component_index(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
@@ -195,6 +196,13 @@ def _is_connected(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     return max(_component_index(alpha, sigma), default=0) == 0
 
 
+def _single_corner(corners: list[int]) -> Optional[int]:
+    if len(corners) > 1:
+        raise MapError(
+            f"vertex has two boundary corners (darts {corners[0]} and {corners[1]})")
+    return corners[0] if corners else None
+
+
 def hole_corner_dart(m: CombMap, vertex_darts: Sequence[int],
                      ftab: Optional[dict[int, int]] = None) -> Optional[int]:
     """The dart x at this vertex whose corner (x -> sigma(x)) lies in a hole
@@ -202,14 +210,7 @@ def hole_corner_dart(m: CombMap, vertex_darts: Sequence[int],
     orbit containing sigma(x)."""
     if ftab is None:
         ftab = face_table(m)
-    found = None
-    for x in vertex_darts:
-        if ftab[m.sigma[x]] in m.holes:
-            if found is not None:
-                raise MapError(
-                    f"vertex has two boundary corners (darts {found} and {x})")
-            found = x
-    return found
+    return _single_corner([x for x in vertex_darts if ftab[m.sigma[x]] in m.holes])
 
 
 def build_map(dart_count: int,
@@ -242,6 +243,8 @@ def build_map(dart_count: int,
     elif isinstance(labels, dict):
         full = [_BDY] * dart_count
         for edge, lb in labels.items():
+            if not 0 <= edge < dart_count:
+                raise LabelMismatch(f"label edge {edge} is not a dart of the map")
             full[edge] = lb
             full[alpha[edge]] = lb
         lab = tuple(full)
@@ -294,17 +297,19 @@ def components(m: CombMap, comp: Optional[Sequence[int]] = None) -> list[CombMap
     return out
 
 
-def euler_genus(m: CombMap) -> tuple[int, int, int]:
+def euler_genus(m: CombMap, vtab: Optional[dict[int, int]] = None,
+                ftab: Optional[dict[int, int]] = None) -> tuple[int, int, int]:
     """(chi, genus, boundary_count) of a connected map.
 
     chi = V - E + interior faces; boundary circles are the hole faces;
-    genus from chi = 2 - 2g - b.
+    genus from chi = 2 - 2g - b.  ``vtab`` and ``ftab`` are the map's vertex
+    and face tables when the caller has them.
     """
     if not _is_connected(m.alpha, m.sigma):
         raise MapError("euler_genus requires a connected map")
-    v = len(vertices(m))
+    v = len(set(vtab.values())) if vtab is not None else len(vertices(m))
     e = m.n_darts // 2
-    f_int = len(faces(m)) - len(m.holes)
+    f_int = (len(set(ftab.values())) if ftab is not None else len(faces(m))) - len(m.holes)
     chi = v - e + f_int
     b = len(m.holes)
     twog = 2 - b - chi
@@ -415,13 +420,113 @@ class CutResult:
     slit_q_face: Optional[int]
 
 
-def _rotation_at(m: CombMap, d: int) -> list[int]:
-    rot = [d]
-    x = m.sigma[d]
-    while x != d:
-        rot.append(x)
-        x = m.sigma[x]
-    return rot
+class _WorkMap:
+    """A map that a sequence of cuts rewrites in place.
+
+    ``alpha``, ``sigma`` and ``labels`` are lists; ``in_hole[d]`` says whether
+    dart d lies in a hole face.  A cut recomputes that flag only on the faces
+    through its curve darts and their new copies, which are all the faces it
+    changes, so faces and components are found once, by ``finish``."""
+
+    def __init__(self, m: CombMap, ftab: Optional[dict[int, int]] = None):
+        self.alpha = list(m.alpha)
+        self.sigma = list(m.sigma)
+        self.labels = list(m.labels)
+        fid = self.face_ids() if ftab is None else ftab
+        self.in_hole = [fid[d] in m.holes for d in range(m.n_darts)]
+
+    def face_ids(self) -> list[int]:
+        return _orbit_ids([self.sigma[a] for a in self.alpha])
+
+    def _rotation_at(self, d: int) -> list[int]:
+        rot = [d]
+        x = self.sigma[d]
+        while x != d:
+            rot.append(x)
+            x = self.sigma[x]
+        return rot
+
+    def cut(self, walk: Sequence[int], closed: bool,
+            label_p: Optional[CurveLabel], label_q: Optional[CurveLabel],
+            slits_are_holes: bool):
+        """Cut along an oriented dart walk; returns (copy_p, copy_q, slit
+        darts), the slit darts lying in the P and Q slit faces of a closed
+        curve (empty for an arc).  See ``_cut_walk``."""
+        alpha, sigma, labels, in_hole = self.alpha, self.sigma, self.labels, self.in_hole
+        n, k = len(alpha), len(walk)
+        copy_q = {}
+        for i, t in enumerate(walk):
+            copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
+        copy_p = {d: d for d in copy_q}
+
+        # Read every rotation and boundary corner before writing anything.
+        arrivals = [alpha[t] for t in walk]
+        if closed:
+            pairs = [(arrivals[i], walk[(i + 1) % k]) for i in range(k)]
+        else:
+            pairs = [(arrivals[i], walk[i + 1]) for i in range(k - 1)]
+        rotations = []
+        for a, dep in pairs:
+            # P: strictly between arrival and departure; Q: the rest
+            rot = self._rotation_at(a)
+            j = rot.index(dep)
+            rotations += [[a] + rot[1:j] + [dep],
+                          [copy_q[dep]] + rot[j + 1:] + [copy_q[a]]]
+        # At an arc's ends the slit runs out through the boundary corner; P
+        # is the side sigma-before the departure at the start and the side
+        # sigma-after the arrival at the end.
+        for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
+            rot = self._rotation_at(d)
+            x = _single_corner([y for y in rot if in_hole[sigma[y]]])
+            if x is None:
+                raise ArcEndpointNotOnBoundary(
+                    f"arc {end} vertex (dart {d}) is not on the boundary")
+            j = rot.index(x) + 1
+            before, after = rot[j:], rot[1:j]
+            p_side, q_side = (before, after) if end == "start" else (after, before)
+            rotations += [[d] + p_side, [copy_q[d]] + q_side]
+
+        for t in walk:
+            lab = labels[t]
+            alpha += (len(alpha) + 1, len(alpha))
+            labels += [lab if label_q is None else label_q] * 2
+            labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
+        sigma += [0] * (2 * k)
+        in_hole += [False] * (2 * k)
+        for rot in rotations:
+            for x, y in zip(rot, rot[1:] + rot[:1]):
+                sigma[x] = y
+
+        # A face is a hole if it keeps a dart of a hole face that is not on
+        # the curve, or if it is a slit face and slits become holes.
+        slits = (arrivals[0], copy_q[walk[0]]) if closed else ()
+        marked = set(slits) if slits_are_holes else set()
+        done = set()
+        for start in copy_q.keys() | copy_q.values():
+            if start in done:
+                continue
+            face = [start]
+            d = sigma[alpha[start]]
+            while d != start:
+                face.append(d)
+                d = sigma[alpha[d]]
+            done.update(face)
+            hole = any(x in marked if x in copy_q or x >= n else in_hole[x] for x in face)
+            for x in face:
+                in_hole[x] = hole
+        return copy_p, copy_q, slits
+
+    def finish(self, fid: Optional[list[int]] = None,
+               comp: Optional[list[int]] = None) -> CombMap:
+        """The map as it stands; ``fid`` (from ``face_ids``) and ``comp``
+        (from ``_component_index``) when the caller has them."""
+        if fid is None:
+            fid = self.face_ids()
+        if comp is None:
+            comp = _component_index(self.alpha, self.sigma)
+        holes = frozenset(f for f, h in zip(fid, self.in_hole) if h)
+        return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels),
+                       holes, allow_disconnected=max(comp, default=0) > 0)
 
 
 def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
@@ -433,110 +538,13 @@ def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
     darts strictly sigma-between arrival and departure.  label_p / label_q
     replace the copies' labels (None keeps the original curve label).
     """
-    n = m.n_darts
-    k = len(walk)
-    ftab = face_table(m)
-    alpha = list(m.alpha)
-    sigma = list(m.sigma)
-    labels = list(m.labels)
-
-    curve_darts = set()
-    for t in walk:
-        curve_darts.add(t)
-        curve_darts.add(m.alpha[t])
-
-    copy_p = {d: d for d in curve_darts}
-    copy_q = {}
-    nxt_id = n
-    for t in walk:
-        for d in (t, m.alpha[t]):
-            copy_q[d] = nxt_id
-            nxt_id += 1
-    alpha.extend([0] * (nxt_id - n))
-    sigma.extend([0] * (nxt_id - n))
-    labels.extend([_BDY] * (nxt_id - n))
-    for t in walk:
-        qa, qb = copy_q[t], copy_q[m.alpha[t]]
-        alpha[qa], alpha[qb] = qb, qa
-        lab = labels[t] if label_q is None else label_q
-        labels[qa] = labels[qb] = lab
-        lab_p = labels[t] if label_p is None else label_p
-        labels[t] = labels[m.alpha[t]] = lab_p
-
-    def split_rotation(center_cycles: list[list[int]]):
-        for cyc in center_cycles:
-            for i, d in enumerate(cyc):
-                sigma[d] = cyc[(i + 1) % len(cyc)]
-
-    # Rewire sigma at every traversal vertex.
-    arrivals = [m.alpha[t] for t in walk]
-    if closed:
-        pairs = [(arrivals[i], walk[(i + 1) % k]) for i in range(k)]
-    else:
-        pairs = [(arrivals[i], walk[i + 1]) for i in range(k - 1)]
-    for a, dep in pairs:
-        rot = _rotation_at(m, a)
-        j = rot.index(dep)
-        side_p = rot[1:j]          # strictly between arrival and departure
-        side_q = rot[j + 1:]       # strictly between departure and arrival
-        split_rotation([
-            [copy_p[a]] + side_p + [copy_p[dep]],
-            [copy_q[dep]] + side_q + [copy_q[a]],
-        ])
-
-    if not closed:
-        # Start vertex: the slit runs from the first edge out through the
-        # boundary corner; P is the side sigma-before the departure.
-        t1 = walk[0]
-        rot = _rotation_at(m, t1)
-        x0 = hole_corner_dart(m, rot, ftab)
-        if x0 is None:
-            raise ArcEndpointNotOnBoundary(
-                f"arc start vertex (dart {t1}) is not on the boundary")
-        j = rot.index(x0)
-        side_q = rot[1:j + 1]      # after departure, through the hole corner
-        side_p = rot[j + 1:]       # before departure
-        split_rotation([
-            [copy_p[t1]] + side_p,
-            [copy_q[t1]] + side_q,
-        ])
-        # End vertex: P is the side sigma-after the arrival.
-        ak = m.alpha[walk[-1]]
-        rot = _rotation_at(m, ak)
-        xk = hole_corner_dart(m, rot, ftab)
-        if xk is None:
-            raise ArcEndpointNotOnBoundary(
-                f"arc end vertex (dart {ak}) is not on the boundary")
-        j = rot.index(xk)
-        side_p = rot[1:j + 1]
-        side_q = rot[j + 1:]
-        split_rotation([
-            [copy_p[ak]] + side_p,
-            [copy_q[ak]] + side_q,
-        ])
-
-    connected = _is_connected(alpha, sigma)
-    new_map = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(),
-                      allow_disconnected=not connected)
-    new_ftab = face_table(new_map)
-    holes = set()
-    for d in range(n):
-        if d in curve_darts:
-            continue
-        if ftab[d] in m.holes:
-            holes.add(new_ftab[d])
-    slit_p = slit_q = None
-    if closed:
-        # Slit corners: on P the corner (departure -> arrival) lies in the
-        # face of the arrival copy; on Q in the face of the departure copy.
-        slit_p = new_ftab[copy_p[arrivals[0]]]
-        slit_q = new_ftab[copy_q[walk[0]]]
-        if slits_are_holes:
-            holes.add(slit_p)
-            holes.add(slit_q)
-    new_map = CombMap(new_map.alpha, new_map.sigma, new_map.labels,
-                      frozenset(holes), allow_disconnected=not connected)
-    return CutResult(new_map, copy_p, copy_q, slit_p, slit_q)
+    work = _WorkMap(m)
+    copy_p, copy_q, slits = work.cut(walk, closed, label_p, label_q, slits_are_holes)
+    fid = work.face_ids()
+    # Slit corners: on P the corner (departure -> arrival) lies in the face
+    # of the arrival copy; on Q in the face of the departure copy.
+    slit_p, slit_q = (fid[s] for s in slits) if closed else (None, None)
+    return CutResult(work.finish(fid), copy_p, copy_q, slit_p, slit_q)
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:

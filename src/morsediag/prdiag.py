@@ -92,6 +92,7 @@ _FAMILY_KIND = {
     "V": CurveKind.V_RED_CYCLE,
 }
 _KIND_FAMILY = {v: k for k, v in _FAMILY_KIND.items()}
+_BDY = CurveLabel(CurveKind.BDY)
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,8 @@ class _SideReduction:
 
     final: CombMap
     comp_of_dart: list[int]
-    components: list[CombMap]
+    n_components: int
+    non_disk: Optional[int]                   # first component that is not a disk
     n_cycles: int
     cap_comp: list[int]                       # per cycle: component of its cap
     arc_sides: dict[int, tuple[int, int]]     # arc curve idx -> (comp P, comp Q)
@@ -368,41 +370,52 @@ class _SideReduction:
 
 
 def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
-                    green: bool) -> _SideReduction:
+                    green: bool, ftab: dict[int, int]) -> _SideReduction:
     """Surger every assembled cycle (corner-side copy erased, the other copy
-    keeps curve labels), then cut every arc of the family."""
-    m = d.surface
+    keeps curve labels), then cut every arc of the family, all on one working
+    map started from the surface's face table ``ftab``; components, faces and
+    vertices are counted once, at the end."""
     arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
     arc_ids = sorted(ci for ci, c in enumerate(d.curves)
                      if c.label.kind is arc_kind)
     arc_walks = {ci: list(walks.walk[ci]) for ci in arc_ids}
+    work = cmb._WorkMap(d.surface, ftab)
     cap_darts = []
     for wk in sorted(cycles, key=min):
-        res = cmb._cut_walk(m, wk, True, CurveLabel(CurveKind.BDY), None,
-                            slits_are_holes=False)
-        m = res.map
+        _, copy_q, _ = work.cut(wk, True, _BDY, None, slits_are_holes=False)
         # arcs embedded in this cycle survive as their label-keeping copies;
         # copy_q is keyed by exactly the darts of the cut cycle
         for ci in arc_ids:
-            arc_walks[ci] = [res.copy_q.get(t, t) for t in arc_walks[ci]]
-        cap_darts.append(res.copy_q[wk[0]])
+            arc_walks[ci] = [copy_q.get(t, t) for t in arc_walks[ci]]
+        cap_darts.append(copy_q[wk[0]])
     arc_sides = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
-        res = cmb._cut_walk(m, aw, False, CurveLabel(CurveKind.BDY),
-                            CurveLabel(CurveKind.BDY), slits_are_holes=True)
-        m = res.map
-        arc_sides[ci] = (aw[0], res.copy_q[aw[0]])
-    comp = cmb._component_index(m.alpha, m.sigma)
-    comps = cmb.components(m, comp)
+        _, copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
+        arc_sides[ci] = (aw[0], copy_q[aw[0]])
+    comp = cmb._component_index(work.alpha, work.sigma)
+    fid = work.face_ids()
+    vid = cmb._orbit_ids(work.sigma)
+    # per component: chi = V - E + interior faces, and the hole count
+    ncomp = max(comp, default=0) + 1
+    chi = [0] * ncomp
+    holes = [0] * ncomp
+    for x, c in enumerate(comp):
+        chi[c] += (vid[x] == x) - (x < work.alpha[x])
+        if fid[x] == x:
+            if work.in_hole[x]:
+                holes[c] += 1
+            else:
+                chi[c] += 1
     end_darts = {}
     for ci in arc_ids:
         w = walks.walk[ci]
         end_darts[ci] = (w[0], d.surface.alpha[w[-1]])
     return _SideReduction(
-        final=m,
+        final=work.finish(fid, comp),
         comp_of_dart=comp,
-        components=comps,
+        n_components=ncomp,
+        non_disk=next((k for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
         n_cycles=len(cycles),
         cap_comp=[comp[cd] for cd in cap_darts],
         arc_sides={ci: (comp[p], comp[q]) for ci, (p, q) in arc_sides.items()},
@@ -416,9 +429,12 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
 @dataclass
 class _Analysis:
     """One validity analysis of a diagram: the report and, for a valid
-    diagram, the curve walks and both side reductions."""
+    diagram, the surface's vertex and face tables, the curve walks and both
+    side reductions."""
 
     report: ValidityReport
+    vtab: Optional[dict[int, int]] = None
+    ftab: Optional[dict[int, int]] = None
     walks: Optional[_Walks] = None
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
@@ -569,20 +585,19 @@ def _analyse(d: PrDiagram) -> _Analysis:
     sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
-            side = _side_reduction(d, walks, cycles, green)
+            side = _side_reduction(d, walks, cycles, green, ftab)
         except MapError as exc:
             p5_witness = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
         sides.append(side)
-        for k, comp in enumerate(side.components):
-            if euler_genus(comp) != (1, 0, 1):
-                p5_witness = (f"{'green' if green else 'red'} reduction component {k} "
-                              f"is not a disk (chi, genus, boundary) = {euler_genus(comp)}")
-                break
-        if p5_witness:
+        k = side.non_disk
+        if k is not None:
+            shape = euler_genus(cmb.components(side.final, side.comp_of_dart)[k])
+            p5_witness = (f"{'green' if green else 'red'} reduction component {k} "
+                          f"is not a disk (chi, genus, boundary) = {shape}")
             break
     verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
-    return _Analysis(ValidityReport(tuple(verdicts)), walks, *sides)
+    return _Analysis(ValidityReport(tuple(verdicts)), vtab, ftab, walks, *sides)
 
 
 def _require_valid(d: PrDiagram) -> _Analysis:
@@ -607,11 +622,11 @@ def _census(d: PrDiagram, analysis: _Analysis) -> Census:
     green, red = analysis.green, analysis.red
     n2 = green.n_cycles
     n5 = red.n_cycles
-    n1 = len(green.components) - n2
-    n6 = len(red.components) - n5
+    n1 = green.n_components - n2
+    n6 = red.n_components - n5
     n3 = len(d.u_arcs)
     n4 = len(d.v_arcs)
-    chi_f = euler_genus(d.surface)[0]
+    chi_f = euler_genus(d.surface, analysis.vtab, analysis.ftab)[0]
     chi_boundary = 2 * chi_f + 2 * n2 + 2 * n5
     if chi_boundary % 2 != 0 or chi_boundary > 2:
         raise InvalidDiagram(f"boundary Euler characteristic {chi_boundary}")
@@ -633,6 +648,11 @@ class MorseChecks:
     def passed(self) -> bool:
         return self.has_source and self.has_sink and self.euler_ok
 
+    @classmethod
+    def from_census(cls, c: Census) -> MorseChecks:
+        lhs = (c.n1 + c.n2) + (c.n5 + c.n6) - (c.n3 + c.n4)
+        return cls(c.n1 >= 1, c.n6 >= 1, lhs, 2 - 2 * c.boundary_genus)
+
     def to_json(self) -> dict:
         return {
             "has_source": self.has_source,
@@ -647,10 +667,7 @@ def morse_checks(d: PrDiagram) -> MorseChecks:
     """Necessary conditions for realization: a source and a sink exist and
     sources + sinks - saddles of the boundary flow equals the boundary Euler
     characteristic."""
-    c = census(d)
-    lhs = (c.n1 + c.n2) + (c.n5 + c.n6) - (c.n3 + c.n4)
-    rhs = 2 - 2 * c.boundary_genus
-    return MorseChecks(c.n1 >= 1, c.n6 >= 1, lhs, rhs)
+    return MorseChecks.from_census(census(d))
 
 
 def is_optimal(d: PrDiagram, g: int) -> bool:
@@ -705,7 +722,8 @@ def to_colored_chord(d: PrDiagram,
     analysis = _require_valid(d)
     if not _is_optimal(d, g, analysis):
         raise NotOptimal("chord conversion requires an optimal diagram")
-    m = d.surface
+    if g == 0:
+        raise NotOptimal("a chord diagram needs genus >= 1")
     walks = analysis.walks
     v_ids = sorted(ci for ci, c in enumerate(d.curves)
                    if c.label.kind is CurveKind.V_RED_ARC)
@@ -713,16 +731,16 @@ def to_colored_chord(d: PrDiagram,
                    if c.label.kind is CurveKind.U_GREEN_ARC)
     side_of = {}   # edge id -> (v curve, side)
     arc_walks = {ci: list(walks.walk[ci]) for ci in v_ids}
+    work = cmb._WorkMap(d.surface, analysis.ftab)
     for ci in v_ids:
         aw = arc_walks[ci]
-        res = cmb._cut_walk(m, aw, False, CurveLabel(CurveKind.BDY),
-                            CurveLabel(CurveKind.BDY), slits_are_holes=True)
-        m = res.map
+        copy_p, copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
         for t in aw:
-            side_of[m.edge_of(res.copy_p[t])] = (ci, 0)
-            side_of[m.edge_of(res.copy_q[t])] = (ci, 1)
+            for copy, side in ((copy_p[t], 0), (copy_q[t], 1)):
+                side_of[min(copy, work.alpha[copy])] = (ci, side)
         for cj in v_ids:
-            arc_walks[cj] = [res.copy_q.get(t, t) for t in arc_walks[cj]]
+            arc_walks[cj] = [copy_q.get(t, t) for t in arc_walks[cj]]
+    m = work.finish()
     if euler_genus(m) != (1, 0, 1):
         raise NotOptimal("red cut did not produce a single disk")
 
@@ -886,7 +904,7 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     for comp in green.cap_comp:
         vid = add_vertex("source", 2)
         green_source.setdefault(comp, vid)
-    for comp in range(len(green.components)):
+    for comp in range(green.n_components):
         if comp not in green_source:
             green_source[comp] = add_vertex("source", 1)
 
@@ -902,7 +920,7 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     for comp in red.cap_comp:
         vid = add_vertex("sink", 5)
         red_sink.setdefault(comp, vid)
-    for comp in range(len(red.components)):
+    for comp in range(red.n_components):
         if comp not in red_sink:
             red_sink[comp] = add_vertex("sink", 6)
 

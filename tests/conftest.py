@@ -11,12 +11,17 @@ from typing import NamedTuple, Optional
 import pytest
 
 from morsediag.combmap import (
+    ArcEndpointNotOnBoundary,
     CombMap,
     CurveKind,
     CurveLabel,
+    CutResult,
     EmbeddedCurve,
     build_map,
+    components,
+    euler_genus,
     face_table,
+    hole_corner_dart,
     mirror_map,
 )
 
@@ -55,6 +60,49 @@ def make_solid_torus_diagram():
     return PrDiagram(m, (
         EmbeddedCurve((8,), False, CurveLabel(CurveKind.U_GREEN_ARC, 0)),
         EmbeddedCurve((10,), False, CurveLabel(CurveKind.V_RED_ARC, 0)),
+    ))
+
+
+def make_six_point_ball_flow():
+    """A 3-ball flow with six boundary fixed points: the green cycle
+    alternates one U-arc with a two-edge u-arc; a red arc crosses the u-arc."""
+    from morsediag.prdiag import PrDiagram
+
+    alpha = (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16)
+    sigma = [0] * 18
+    for cyc in ((13, 8, 5, 0), (11, 12, 1, 2), (9, 16, 10, 15),
+                (4, 14, 3), (6, 17, 7)):
+        for i, d in enumerate(cyc):
+            sigma[d] = cyc[(i + 1) % len(cyc)]
+    labels = {8: CurveLabel(CurveKind.U_GREEN_ARC, 0),
+              10: CurveLabel(CurveKind.U_GREEN_ARC, 0),
+              12: CurveLabel(CurveKind.U_GREEN_CYCLE, 0),
+              14: CurveLabel(CurveKind.V_RED_ARC, 0),
+              16: CurveLabel(CurveKind.V_RED_ARC, 0)}
+    m = build_map(18, alpha, sigma, labels, hole_faces=(0, 6))
+    return PrDiagram(m, (
+        EmbeddedCurve((8, 10), False, CurveLabel(CurveKind.U_GREEN_ARC, 0)),
+        EmbeddedCurve((12,), False, CurveLabel(CurveKind.U_GREEN_CYCLE, 0)),
+        EmbeddedCurve((14, 16), False, CurveLabel(CurveKind.V_RED_ARC, 0)),
+    ))
+
+
+def make_pinched_cycle_diagram():
+    """A disk whose single u-arc closes with a U-arc into a left-turn cycle:
+    the surgery strands a closed component, so property 5 rejects it."""
+    from morsediag.prdiag import PrDiagram
+
+    alpha = (1, 0, 3, 2, 5, 4, 7, 6)
+    sigma = [0] * 8
+    for cyc in ((4, 7, 3, 0), (6, 5, 1, 2)):
+        for i, d in enumerate(cyc):
+            sigma[d] = cyc[(i + 1) % len(cyc)]
+    labels = {4: CurveLabel(CurveKind.U_GREEN_ARC, 0),
+              6: CurveLabel(CurveKind.U_GREEN_CYCLE, 0)}
+    m = build_map(8, alpha, sigma, labels, hole_faces=(0,))
+    return PrDiagram(m, (
+        EmbeddedCurve((4,), False, CurveLabel(CurveKind.U_GREEN_ARC, 0)),
+        EmbeddedCurve((6,), False, CurveLabel(CurveKind.U_GREEN_CYCLE, 0)),
     ))
 
 
@@ -283,6 +331,186 @@ def chord_orbit_counts(g: int, *, reflections: bool) -> ChordOrbitCounts:
     assert one_face == factorial(4 * g) // (4 ** g * factorial(2 * g + 1))
     assert all(f % len(group) == 0 for f in fixed), "orbit counts must be whole"
     return ChordOrbitCounts(*(f // len(group) for f in fixed))
+
+
+# ---------------------------------------------------------------------------
+# Cut-by-cut reference for side reductions
+# ---------------------------------------------------------------------------
+
+def _connected(alpha, sigma) -> bool:
+    seen = {0} if alpha else set()
+    stack = list(seen)
+    while stack:
+        d = stack.pop()
+        for nxt in (alpha[d], sigma[d]):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(alpha)
+
+
+def _rotation(sigma, d) -> list[int]:
+    rot = [d]
+    while sigma[rot[-1]] != d:
+        rot.append(sigma[rot[-1]])
+    return rot
+
+
+def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
+                       slits_are_holes: bool) -> CutResult:
+    """combmap._cut_walk as a fresh map per cut: rewire copies of alpha,
+    sigma and labels, then rebuild the face table, the holes and the
+    connectivity flag of the result from scratch."""
+    n = m.n_darts
+    k = len(walk)
+    ftab = face_table(m)
+    alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
+    curve_darts = set(walk) | {m.alpha[t] for t in walk}
+    copy_p = {d: d for d in curve_darts}
+    copy_q = {}
+    for t in walk:
+        for d in (t, m.alpha[t]):
+            copy_q[d] = n + len(copy_q)
+    alpha += [0] * (2 * k)
+    sigma += [0] * (2 * k)
+    labels += [None] * (2 * k)
+    for t in walk:
+        qa, qb = copy_q[t], copy_q[m.alpha[t]]
+        alpha[qa], alpha[qb] = qb, qa
+        labels[qa] = labels[qb] = labels[t] if label_q is None else label_q
+        labels[t] = labels[m.alpha[t]] = labels[t] if label_p is None else label_p
+
+    def set_cycle(cyc):
+        for i, d in enumerate(cyc):
+            sigma[d] = cyc[(i + 1) % len(cyc)]
+
+    arrivals = [m.alpha[t] for t in walk]
+    steps = range(k) if closed else range(k - 1)
+    for i in steps:
+        a, dep = arrivals[i], walk[(i + 1) % k]
+        rot = _rotation(m.sigma, a)
+        j = rot.index(dep)
+        set_cycle([a] + rot[1:j] + [dep])
+        set_cycle([copy_q[dep]] + rot[j + 1:] + [copy_q[a]])
+    if not closed:
+        for end, d in (("start", walk[0]), ("end", arrivals[-1])):
+            rot = _rotation(m.sigma, d)
+            x = hole_corner_dart(m, rot, ftab)
+            if x is None:
+                raise ArcEndpointNotOnBoundary(
+                    f"arc {end} vertex (dart {d}) is not on the boundary")
+            j = rot.index(x)
+            p_side, q_side = (rot[j + 1:], rot[1:j + 1]) if end == "start" else \
+                (rot[1:j + 1], rot[j + 1:])
+            set_cycle([d] + p_side)
+            set_cycle([copy_q[d]] + q_side)
+
+    flag = not _connected(alpha, sigma)
+    bare = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(), flag)
+    new_ftab = face_table(bare)
+    holes = {new_ftab[d] for d in range(n)
+             if d not in curve_darts and ftab[d] in m.holes}
+    slit_p = slit_q = None
+    if closed:
+        slit_p, slit_q = new_ftab[arrivals[0]], new_ftab[copy_q[walk[0]]]
+        if slits_are_holes:
+            holes |= {slit_p, slit_q}
+    return CutResult(CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes), flag),
+                     copy_p, copy_q, slit_p, slit_q)
+
+
+def reference_side_reduction(d, walks, cycles, green: bool):
+    """prdiag._side_reduction cut by cut: a CombMap and its face table after
+    every cut, then the components as separate maps and euler_genus of each."""
+    from morsediag import prdiag as pr
+
+    bdy = CurveLabel(CurveKind.BDY)
+    arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
+    arc_ids = sorted(ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind)
+    arc_walks = {ci: list(walks.walk[ci]) for ci in arc_ids}
+    m = d.surface
+    cap_darts = []
+    for wk in sorted(cycles, key=min):
+        res = reference_cut_walk(m, wk, True, bdy, None, slits_are_holes=False)
+        m = res.map
+        for ci in arc_ids:
+            arc_walks[ci] = [res.copy_q.get(t, t) for t in arc_walks[ci]]
+        cap_darts.append(res.copy_q[wk[0]])
+    arc_sides = {}
+    for ci in arc_ids:
+        aw = arc_walks[ci]
+        res = reference_cut_walk(m, aw, False, bdy, bdy, slits_are_holes=True)
+        m = res.map
+        arc_sides[ci] = (aw[0], res.copy_q[aw[0]])
+    # component index: numbered in order of smallest dart
+    comp = [-1] * m.n_darts
+    for start in range(m.n_darts):
+        if comp[start] < 0:
+            label = max(comp) + 1
+            stack = [start]
+            comp[start] = label
+            while stack:
+                x = stack.pop()
+                for nxt in (m.alpha[x], m.sigma[x]):
+                    if comp[nxt] < 0:
+                        comp[nxt] = label
+                        stack.append(nxt)
+    pieces = components(m, comp)
+    return pr._SideReduction(
+        final=m,
+        comp_of_dart=comp,
+        n_components=len(pieces),
+        non_disk=next((k for k, p in enumerate(pieces)
+                       if euler_genus(p) != (1, 0, 1)), None),
+        n_cycles=len(cycles),
+        cap_comp=[comp[cd] for cd in cap_darts],
+        arc_sides={ci: (comp[p], comp[q]) for ci, (p, q) in arc_sides.items()},
+        arc_end_darts={ci: (walks.walk[ci][0], d.surface.alpha[walks.walk[ci][-1]])
+                       for ci in arc_ids},
+    )
+
+
+def _sample_colored(genus: int, rng: random.Random):
+    """A random optimal colored diagram: a one-face matching of 4g points by
+    rejection, then one of its non-crossing green g-subsets."""
+    from morsediag.chord import GREEN, RED, ChordDiagram, ColoredChordDiagram, face_count
+
+    pts = 4 * genus
+    while True:
+        order = list(range(pts))
+        rng.shuffle(order)
+        match = [0] * pts
+        for a, b in zip(order[::2], order[1::2]):
+            match[a], match[b] = b, a
+        base = ChordDiagram(2 * genus, tuple(match))
+        if face_count(base) != 1:
+            continue
+        chords = base.chords()
+        greens = [s for s in combinations(range(len(chords)), genus)
+                  if not any(_interleave(chords[i], chords[j]) for i, j in combinations(s, 2))]
+        if greens:
+            green = set(rng.choice(greens))
+            return ColoredChordDiagram(base, tuple(GREEN if i in green else RED
+                                                   for i in range(len(chords))))
+
+
+@cache  # pure; shared by the combmap and prdiag suites
+def analysis_corpus() -> tuple:
+    """Diagrams the cut reference is checked on: the shipped fixtures, two
+    hand-built diagrams whose green cycles pass through u-arcs, every colored
+    class of genus 1-3, a seeded genus-4/5 sample, and a copy of each with
+    renamed darts."""
+    import morsediag.catalog as cat
+    from morsediag.chord import enumerate_bases, enumerate_colorings
+    from morsediag.prdiag import from_colored_chord
+
+    rng = random.Random(4093)
+    out = [cat.load_fixture(name) for name in cat.fixture_names()]
+    out += [make_six_point_ball_flow(), make_pinched_cycle_diagram()]
+    out += [from_colored_chord(ccd) for g in (1, 2, 3)
+            for base in enumerate_bases(g) for ccd in enumerate_colorings(base, g)]
+    out += [from_colored_chord(_sample_colored(g, rng)) for g in (4,) * 8 + (5,) * 4]
+    return tuple(out + [relabel_diagram(d, rng) for d in out])
 
 
 @pytest.fixture

@@ -69,13 +69,26 @@ def test_iso_fixture_pair(capsys):
     assert json.loads(out) == {"equivalent": True}
 
 
-def test_census_command(capsys):
+def test_census_command(monkeypatch, capsys):
+    # the Morse checks come from the census: one analysis, one side
+    # reduction per color
+    import morsediag.prdiag as pr
+
+    calls = []
+    reduce_side = pr._side_reduction
+
+    def counted(*args):
+        calls.append(args[3])
+        return reduce_side(*args)
+
+    monkeypatch.setattr(pr, "_side_reduction", counted)
     code, out, _ = run(capsys, "census", fixture_path("solid_torus.json"))
     assert code == 0
     payload = json.loads(out)
     assert [payload[f"n{i}"] for i in range(1, 7)] == [1, 0, 1, 1, 0, 1]
     assert payload["boundary_genus"] == 1
     assert payload["morse_checks"]["passed"] is True
+    assert calls == [True, False]
 
 
 def test_convert_both_ways(tmp_path, capsys):
@@ -98,6 +111,11 @@ def test_convert_non_optimal_exits_one(capsys):
                        fixture_path("d3_four_a.json"))
     assert code == 1
     assert json.loads(out)["error"] == "NotOptimal"
+    # genus 0 has no chord diagram: a negative verdict, not a traceback
+    for argv in (("convert", "--to", "chord"), ("export", "--format", "svg")):
+        code, out, _ = run(capsys, *argv, fixture_path("d3_trivial.json"))
+        assert code == 1, argv
+        assert json.loads(out)["error"] == "NotOptimal"
 
 
 def test_boundary_command(capsys):
@@ -167,8 +185,16 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
     del obj["curves"][0]["closed"]
     no_closed = tmp_path / "no_closed.json"
     no_closed.write_text(json.dumps(obj))
+    bad_edges = []
+    for edge in (999, -1):
+        with open(fixture_path("solid_torus.json")) as fh:
+            obj = json.load(fh)
+        obj["labels"][0]["edge"] = edge
+        path = tmp_path / f"label_edge_{edge}.json"
+        path.write_text(json.dumps(obj))
+        bad_edges.append((path, edge))
     good = fixture_path("solid_torus.json")
-    for bad, field in ((no_darts, "darts"), (no_closed, "closed")):
+    for bad, field in [(no_darts, "darts"), (no_closed, "closed")] + bad_edges:
         for argv in (("validate", str(bad)), ("census", str(bad)),
                      ("boundary", str(bad)), ("iso", good, str(bad)),
                      ("iso", str(bad), good)):

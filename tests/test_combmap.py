@@ -23,11 +23,13 @@ from morsediag.combmap import (
     map_to_json,
     mirror_map,
     surger,
+    vertex_table,
     vertices,
 )
 from morsediag import combmap as cmb
 
 from conftest import (
+    analysis_corpus,
     brute_force_isomorphic,
     make_circle,
     make_genus2,
@@ -35,6 +37,7 @@ from conftest import (
     make_sphere,
     make_torus,
     reference_canonical_code,
+    reference_cut_walk,
     relabel_map,
 )
 
@@ -149,7 +152,8 @@ def test_cut_one_holed_disk_along_green_arc():
 def test_cut_arc_needs_boundary_endpoints():
     # the sphere has no boundary at all
     m = make_sphere()
-    with pytest.raises(ArcEndpointNotOnBoundary):
+    with pytest.raises(ArcEndpointNotOnBoundary,
+                       match=r"^arc start vertex \(dart 0\) is not on the boundary$"):
         cut_along(m, EmbeddedCurve((0,), False, BDY))
 
 
@@ -191,6 +195,17 @@ def test_surger_chi_plus_two_genus_never_up():
         chi1 = sum(euler_genus(p)[0] for p in parts)
         assert chi1 == chi0 + 2
         assert all(euler_genus(p)[1] <= g0 for p in parts)
+
+
+def test_cut_walk_matches_cut_by_cut_reference():
+    for d in analysis_corpus():
+        m = d.surface
+        vtab = vertex_table(m)
+        for curve in d.curves:
+            walk = cmb.curve_dart_walk(m, curve, vtab)
+            for slits_are_holes in (True, False):
+                args = (m, walk, curve.closed, BDY, None, slits_are_holes)
+                assert cmb._cut_walk(*args) == reference_cut_walk(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,17 @@ from morsediag.chord import (
     enumerate_bases,
     enumerate_colorings,
 )
-from morsediag.combmap import CurveKind, CurveLabel, EmbeddedCurve, build_map
+from morsediag.combmap import (
+    CombMap,
+    CurveKind,
+    CurveLabel,
+    EmbeddedCurve,
+    MapError,
+    build_map,
+    face_table,
+    vertex_table,
+)
+import morsediag.prdiag as pr
 from morsediag.prdiag import (
     FIXED_POINT_TYPES,
     Census,
@@ -31,7 +41,15 @@ from morsediag.prdiag import (
     validate,
 )
 
-from conftest import make_solid_torus_diagram, relabel_diagram
+from conftest import (
+    analysis_corpus,
+    make_pinched_cycle_diagram,
+    make_six_point_ball_flow,
+    make_solid_torus_diagram,
+    make_torus,
+    reference_side_reduction,
+    relabel_diagram,
+)
 
 G1_COLORED = ColoredChordDiagram(ChordDiagram(2, (2, 3, 0, 1)), (GREEN, RED))
 
@@ -190,6 +208,9 @@ def test_solid_torus_chord_conversion():
 def test_conversion_requires_optimal():
     with pytest.raises(NotOptimal):
         to_colored_chord(cat.load_fixture("d3_four_a.json"))
+    # the trivial flow is optimal at genus 0, where no chord diagram exists
+    with pytest.raises(NotOptimal, match="genus >= 1"):
+        to_colored_chord(cat.load_fixture("d3_trivial.json"))
 
 
 def test_from_colored_chord_rejects_bad_input():
@@ -347,30 +368,8 @@ def test_pr_json_roundtrip():
 # alternating cycles (open U components absorbed into left-turn cycles)
 # ---------------------------------------------------------------------------
 
-def _six_point_ball_flow():
-    """A 3-ball flow with six boundary fixed points: the green cycle
-    alternates one U-arc with a two-edge u-arc; a red arc crosses the u-arc."""
-    alpha = (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16)
-    sigma = [0] * 18
-    for cyc in ((13, 8, 5, 0), (11, 12, 1, 2), (9, 16, 10, 15),
-                (4, 14, 3), (6, 17, 7)):
-        for i, d in enumerate(cyc):
-            sigma[d] = cyc[(i + 1) % len(cyc)]
-    labels = {8: CurveLabel(CurveKind.U_GREEN_ARC, 0),
-              10: CurveLabel(CurveKind.U_GREEN_ARC, 0),
-              12: CurveLabel(CurveKind.U_GREEN_CYCLE, 0),
-              14: CurveLabel(CurveKind.V_RED_ARC, 0),
-              16: CurveLabel(CurveKind.V_RED_ARC, 0)}
-    m = build_map(18, alpha, sigma, labels, hole_faces=(0, 6))
-    return PrDiagram(m, (
-        EmbeddedCurve((8, 10), False, CurveLabel(CurveKind.U_GREEN_ARC, 0)),
-        EmbeddedCurve((12,), False, CurveLabel(CurveKind.U_GREEN_CYCLE, 0)),
-        EmbeddedCurve((14, 16), False, CurveLabel(CurveKind.V_RED_ARC, 0)),
-    ))
-
-
 def test_alternating_cycle_diagram_is_valid():
-    d = _six_point_ball_flow()
+    d = make_six_point_ball_flow()
     from morsediag.combmap import euler_genus
 
     assert euler_genus(d.surface) == (0, 0, 2)
@@ -379,7 +378,7 @@ def test_alternating_cycle_diagram_is_valid():
 
 
 def test_alternating_cycle_census_and_boundary():
-    d = _six_point_ball_flow()
+    d = make_six_point_ball_flow()
     c = census(d)
     assert c.as_tuple() == (2, 1, 1, 1, 0, 1)
     assert c.boundary_genus == 0
@@ -391,7 +390,7 @@ def test_alternating_cycle_census_and_boundary():
 
 
 def test_alternating_cycle_census_invariant_under_relabeling(rng):
-    d = _six_point_ball_flow()
+    d = make_six_point_ball_flow()
     for _ in range(5):
         copy = relabel_diagram(d, rng)
         assert validate(copy).valid
@@ -400,22 +399,48 @@ def test_alternating_cycle_census_invariant_under_relabeling(rng):
 
 
 def test_pinched_cycle_fails_disk_reduction():
-    # a disk whose single u-arc closes with a U-arc into a left-turn cycle:
-    # the surgery strands a closed component, so property 5 must reject it
-    alpha = (1, 0, 3, 2, 5, 4, 7, 6)
-    sigma = [0] * 8
-    for cyc in ((4, 7, 3, 0), (6, 5, 1, 2)):
-        for i, d in enumerate(cyc):
-            sigma[d] = cyc[(i + 1) % len(cyc)]
-    labels = {4: CurveLabel(CurveKind.U_GREEN_ARC, 0),
-              6: CurveLabel(CurveKind.U_GREEN_CYCLE, 0)}
-    m = build_map(8, alpha, sigma, labels, hole_faces=(0,))
-    d = PrDiagram(m, (
-        EmbeddedCurve((4,), False, CurveLabel(CurveKind.U_GREEN_ARC, 0)),
-        EmbeddedCurve((6,), False, CurveLabel(CurveKind.U_GREEN_CYCLE, 0)),
-    ))
-    rep = validate(d)
+    rep = validate(make_pinched_cycle_diagram())
     verdicts = {p.name: p for p in rep.properties}
     assert verdicts["p4_left_turn_cycles"].passed
     assert not verdicts["p5_disk_reduction"].passed
-    assert "not a disk" in verdicts["p5_disk_reduction"].witness
+    assert verdicts["p5_disk_reduction"].witness == (
+        "green reduction component 2 is not a disk (chi, genus, boundary) = (2, 0, 0)")
+
+
+def _disjoint_union(a: CombMap, b: CombMap) -> CombMap:
+    """Both maps side by side, the darts of ``b`` numbered after those of ``a``."""
+    n = a.n_darts
+    return CombMap(a.alpha + tuple(x + n for x in b.alpha),
+                   a.sigma + tuple(x + n for x in b.sigma),
+                   a.labels + b.labels,
+                   a.holes | {h + n for h in b.holes}, allow_disconnected=True)
+
+
+def test_disk_reduction_witness_names_the_component():
+    # d3_four_a's u-arc cuts its disk into green components 0 and 1; a closed
+    # torus beside it is component 2, and the witness gives that one's shape
+    four_a = cat.load_fixture("d3_four_a.json")
+    d = PrDiagram(_disjoint_union(four_a.surface, make_torus()), four_a.curves)
+    analysis = pr._analyse(d)
+    assert analysis.green.n_components == 3
+    assert analysis.report.properties[-1].witness == (
+        "green reduction component 2 is not a disk (chi, genus, boundary) = (0, 1, 0)")
+
+
+def test_census_of_a_disconnected_surface_raises_like_euler_genus():
+    four_a = cat.load_fixture("d3_four_a.json")
+    disk = cat.load_fixture("d3_trivial.json").surface
+    d = PrDiagram(_disjoint_union(four_a.surface, disk), four_a.curves)
+    assert validate(d).valid
+    with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
+        census(d)
+
+
+def test_side_reduction_matches_cut_by_cut_reference():
+    for d in analysis_corpus():
+        walks = pr._curve_walks(d, vertex_table(d.surface))
+        ftab = face_table(d.surface)
+        for green in (True, False):
+            cycles, _ = pr._assemble_cycles(d, walks, green)
+            assert pr._side_reduction(d, walks, cycles, green, ftab) == \
+                reference_side_reduction(d, walks, cycles, green)
