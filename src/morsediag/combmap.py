@@ -259,7 +259,7 @@ def build_map(dart_count: int,
     m = CombMap(tuple(alpha), tuple(sigma), lab, frozenset(hole_faces),
                 allow_disconnected)
     ftab = face_table(m)
-    valid_fids = {cyc[0] for cyc in faces(m)}
+    valid_fids = set(ftab.values())
     for h in m.holes:
         if h not in valid_fids:
             raise MapError(f"hole id {h} is not a face id")

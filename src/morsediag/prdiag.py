@@ -965,10 +965,13 @@ def pr_to_json(d: PrDiagram) -> dict:
 def pr_from_json(obj: dict) -> PrDiagram:
     m = map_from_json(obj)
     curves = []
-    for item in obj.get("curves", ()):
+    for k, item in enumerate(obj.get("curves", ())):
         kind = _FAMILY_KIND.get(item["family"])
         if kind is None:
             raise MapError(f"unknown curve family {item['family']!r}")
         lb = CurveLabel(kind, item.get("index"))
-        curves.append(EmbeddedCurve(tuple(item["edges"]), bool(item["closed"]), lb))
+        edges = item["edges"]
+        if not isinstance(edges, (list, tuple)) or any(type(e) is not int for e in edges):
+            raise MapError(f"curves[{k}].edges must be a list of edge ids, not {edges!r}")
+        curves.append(EmbeddedCurve(tuple(edges), bool(item["closed"]), lb))
     return PrDiagram(m, tuple(curves))

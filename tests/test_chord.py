@@ -1,4 +1,6 @@
+from dataclasses import replace
 from itertools import combinations, product
+from operator import getitem
 
 import pytest
 
@@ -13,6 +15,8 @@ from morsediag.chord import (
     SymmetryConvention,
     WrongChordCount,
     _apply,
+    _crossing_masks,
+    _least_image,
     _noncrossing_subsets,
     _point_maps,
     all_matchings,
@@ -163,17 +167,59 @@ def test_orbit_sizes_sum_to_harer_zagier_count(g):
         assert sum(map(len, orbits)) == (1, 21, 1485)[g - 1]
 
 
-def test_missing_class_fails_the_run_time_check(monkeypatch):
-    generate = chord.one_face_matchings
+def _least_span_first(points, one_face):
+    """The matchings whose chord at point 0 has the least short span
+    min(b - a, points - (b - a)): every chord gives both directed spans
+    b - a and points - (b - a), so the least short span is the least
+    (match[q] - q) % points."""
+    spans = [[(j - q) % points for j in range(points)] for q in range(points)]
+    return [m for m in one_face if min(map(getitem, spans, m)) == m[0]]
 
-    def drop_first(points):
-        matchings = generate(points)
+
+@pytest.fixture(scope="module")
+def least_span_16():
+    return _least_span_first(16, one_face_matchings(16))
+
+
+@pytest.mark.parametrize("points", [4, 8, 12, 16])
+def test_rooted_generator_yields_the_least_span_matchings(points, least_span_16):
+    expected = (least_span_16 if points == 16
+                else _least_span_first(points, one_face_matchings(points)))
+    assert expected
+    assert list(chord._one_face(points, True)) == expected
+
+
+def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
+    # no representative is lost: a matching is its own least image only if
+    # its first entry is the least of its images' first entries
+    expected = [m for m in least_span_16 if _least_image(m, DIH)[0] == m]
+    assert enumerate_bases(4) == [ChordDiagram(8, m) for m in expected]
+
+
+def test_missing_class_fails_the_run_time_check(monkeypatch):
+    generate = chord._one_face
+
+    def drop_first(points, least_first):
+        matchings = generate(points, least_first)
         next(matchings)
         yield from matchings
 
-    monkeypatch.setattr(chord, "one_face_matchings", drop_first)
+    monkeypatch.setattr(chord, "_one_face", drop_first)
     with pytest.raises(RuntimeError, match=r"genus 2: .* not the Harer-Zagier count 21$"):
         enumerate_bases(2)
+
+
+def test_missing_coloring_fails_the_coloring_check(monkeypatch):
+    # the genus-1 base has 2 green subsets in one class of orbit size 2
+    subsets = chord._noncrossing_subsets
+    monkeypatch.setattr(chord, "_noncrossing_subsets",
+                        lambda crossed, size: subsets(crossed, size)[1:])
+    message = (r"^genus 1: base 2,3,0,1: the 1 coloring classes hold 2 colorings, "
+               r"not the 1 non-crossing green subsets tried$")
+    with pytest.raises(RuntimeError, match=message):
+        classify(1)
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_colorings(ChordDiagram(2, (2, 3, 0, 1)), 1)
 
 
 def _green_subsets(chords, g):
@@ -203,7 +249,8 @@ def test_colorings_match_reference(g):
             step = tuple((i + 1) % b.points for i in range(b.points))
             for base in (b, ChordDiagram(b.n, _apply(b.match, step))):
                 chords = base.chords()
-                assert list(_noncrossing_subsets(chords, g)) == _green_subsets(chords, g)
+                assert _noncrossing_subsets(_crossing_masks(base.match), g) == \
+                    _green_subsets(chords, g)
                 assert enumerate_colorings(base, g, sym) == _reference_colorings(base, g, sym)
 
 
@@ -273,6 +320,20 @@ def test_river_agrees_with_selection_brute_force():
                 assert is_river(ccd) == _river_by_selection(ccd)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_point_color_river_test_agrees_with_both_oracles(g):
+    for sym in (ROT, DIH):
+        for base in enumerate_bases(g, sym):
+            crossed = _crossing_masks(base.match)
+            for ids in _green_subsets(base.chords(), g):
+                ccd = ColoredChordDiagram(base, tuple(GREEN if i in ids else RED
+                                                      for i in range(base.n)))
+                pcol = "".join("g" if c == GREEN else "r" for c in ccd.point_colors())
+                red = sum(1 << i for i in range(base.n) if i not in ids)
+                river = chord._river(base.match, pcol, crossed, red)
+                assert river == is_river(ccd) == _river_by_selection(ccd)
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -300,6 +361,12 @@ def test_classify_deterministic_and_parallel_merge():
     c = classify(2, workers=2)
     assert c.colored_codes == a.colored_codes
     assert c.river_codes == a.river_codes
+
+
+def test_classify_with_workers_equals_one_worker():
+    one = classify(3)
+    two = classify(3, workers=2)
+    assert replace(two, runtime_seconds=one.runtime_seconds) == one
 
 
 def test_convention_pinning():
@@ -336,8 +403,7 @@ def test_river_brute_force_agreement_sampled_genus4(rng):
         cd = ChordDiagram(8, tuple(match))
         if face_count(cd) != 1:
             continue
-        chords = cd.chords()
-        for ids in _noncrossing_subsets(chords, 4):
+        for ids in _noncrossing_subsets(_crossing_masks(match), 4):
             colors = tuple(GREEN if i in ids else RED for i in range(8))
             ccd = ColoredChordDiagram(cd, colors)
             assert is_river(ccd) == _river_by_selection(ccd)

@@ -209,6 +209,20 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
     assert err.startswith(f"error: {chord}: ") and "'match'" in err
 
 
+def test_malformed_curve_edges_exit_two_naming_the_field(tmp_path, capsys):
+    good = fixture_path("solid_torus.json")
+    with open(good) as fh:
+        obj = json.load(fh)
+    obj["curves"][0]["edges"] = "ab"
+    bad = tmp_path / "curve_edges.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (("validate", str(bad)), ("iso", good, str(bad)), ("iso", str(bad), good)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and "curves[0].edges" in err, err
+
+
 def test_workers_env_var(monkeypatch, capsys):
     monkeypatch.setenv("MORSEDIAG_WORKERS", "2")
     code, out, _ = run(capsys, "classify", "--genus", "1")
