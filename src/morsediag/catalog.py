@@ -130,26 +130,27 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
 
 
 def load_catalog(path) -> list[CatalogEntry]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read catalog {path}: {exc}") from exc
     entries = []
     seen = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
-        entry = _entry_from_json(obj, lineno)
-        if entry.code in seen:
-            raise SchemaViolation(
-                f"line {lineno}: field 'code' duplicates line {seen[entry.code]}")
-        seen[entry.code] = lineno
-        entries.append(entry)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            # one line at a time, numbered as str.splitlines numbers the whole text
+            lines = (line for chunk in fh for line in chunk.splitlines())
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
+                entry = _entry_from_json(obj, lineno)
+                if entry.code in seen:
+                    raise SchemaViolation(
+                        f"line {lineno}: field 'code' duplicates line {seen[entry.code]}")
+                seen[entry.code] = lineno
+                entries.append(entry)
+    except OSError as exc:
+        raise IoFailure(f"cannot read catalog {path}: {exc}") from exc
     return entries
 
 

@@ -25,8 +25,6 @@ from math import factorial
 from operator import getitem
 from typing import Iterator, Optional, Sequence
 
-from .combmap import CombMap, build_map
-
 
 class NotOneFace(ValueError):
     pass
@@ -137,34 +135,14 @@ def is_one_face(cd: ChordDiagram) -> bool:
     return face_count(cd) == 1
 
 
-def genus_of(cd: ChordDiagram) -> int:
-    """Genus of the closed surface presented by the diagram: chi = 1 - n + f."""
-    chi = 1 - cd.n + face_count(cd)
-    if chi % 2 != 0:
-        raise ValueError("odd Euler characteristic: corrupted diagram")
-    return (2 - chi) // 2
-
-
-def ribbon_map(cd: ChordDiagram) -> CombMap:
-    """The diagram as a 1-vertex combinatorial map (closed ribbon graph)."""
-    pts = cd.points
-    sigma = tuple((i + 1) % pts for i in range(pts))
-    return build_map(pts, cd.match, sigma)
-
-
-def _point_maps(pts: int, sym: SymmetryConvention) -> Iterator[tuple[int, ...]]:
-    for k in range(pts):
-        yield tuple((i + k) % pts for i in range(pts))
-    if sym is SymmetryConvention.DIHEDRAL:
-        for c in range(pts):
-            yield tuple((c - i) % pts for i in range(pts))
-
-
 @cache
 def _symmetry_maps(pts: int, sym: SymmetryConvention) -> tuple[tuple[int, ...], ...]:
-    """The maps of _point_maps as a tuple: rotation k at index k, reflection
-    c at index pts + c."""
-    return tuple(_point_maps(pts, sym))
+    """The point maps of the circle: rotation i -> i + k at index k and,
+    when dihedral, reflection i -> c - i at index pts + c."""
+    maps = [tuple((i + k) % pts for i in range(pts)) for k in range(pts)]
+    if sym is SymmetryConvention.DIHEDRAL:
+        maps += [tuple((c - i) % pts for i in range(pts)) for c in range(pts)]
+    return tuple(maps)
 
 
 @cache
@@ -186,10 +164,13 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
     """The lexicographically least image of a matching under the symmetry
     maps, and the list of maps that give it.
 
-    A map p with p[q] == 0 gives an image starting with p[match[q]]: that is
-    (match[q] - q) % pts for the rotation and (q - match[q]) % pts for the
-    reflection.  Full images are built only for the maps whose first entry is
-    the least one."""
+    This is the least-image test of isomorph-free generation (McKay,
+    J. Algorithms 26, 1998) and the one place where symmetry maps are
+    applied to a matching: every chord and colored class code comes from
+    it.  A map p with p[q] == 0 gives an image starting with p[match[q]]:
+    that is (match[q] - q) % pts for the rotation and (q - match[q]) % pts
+    for the reflection.  Full images are built only for the maps whose first
+    entry is the least one."""
     pts = len(match)
     maps = _symmetry_maps(pts, sym)
     spans = list(map(getitem, _span_table(pts), match))
@@ -208,35 +189,33 @@ def _code(kind: str, n: int, least: Sequence[int], sym: SymmetryConvention) -> s
     return f"{kind}[{tag}]|n={n}|m=" + ",".join(map(str, least))
 
 
-def canonical_match(match: Sequence[int], sym: SymmetryConvention) -> tuple[int, ...]:
-    return min(_apply(match, p) for p in _point_maps(len(match), sym))
-
-
 def canonical_chord(cd: ChordDiagram, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
-    """Class code: lexicographically least matching over all rotations (and
-    reflections when dihedral).  Equal codes iff same class."""
-    return _code("cd1", cd.n, canonical_match(cd.match, sym), sym)
+    """Class code: the least image of the matching (_least_image) over all
+    rotations, and reflections when dihedral.  Equal codes iff same class."""
+    return _code("cd1", cd.n, _least_image(cd.match, sym)[0], sym)
 
 
 def _least_colored(match: Sequence[int], pcol: Sequence[str], sym: SymmetryConvention
                    ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """The least (matching, point colors) image of a colored diagram under
-    the symmetry maps."""
-    best = None
-    for p in _point_maps(len(match), sym):
-        m2 = _apply(match, p)
-        c2 = [""] * len(pcol)
+    the symmetry maps: the least image of the matching, with the least of
+    the point colors' images under the maps that give it."""
+    least, maps = _least_image(match, sym)
+    images = []
+    for p in maps:
+        image = [""] * len(pcol)
         for i, col in enumerate(pcol):
-            c2[p[i]] = col
-        key = (m2, tuple(c2))
-        if best is None or key < best:
-            best = key
-    return best
+            image[p[i]] = col
+        images.append(tuple(image))
+    return least, min(images)
 
 
 def canonical_colored(ccd: ColoredChordDiagram,
                       sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
-    """Class code of a colored diagram: least (matching, point colors) pair."""
+    """Class code of a colored diagram: the least image of its matching
+    (_least_image), then the least point colors under the maps that give
+    that image; this is the least (matching, point colors) pair over all
+    symmetry maps.  Equal codes iff same class."""
     match, pcol = _least_colored(ccd.base.match, ccd.point_colors(), sym)
     cols = "".join("g" if c == GREEN else "r" for c in pcol)
     return _code("ccd1", ccd.base.n, match, sym) + "|c=" + cols
@@ -248,27 +227,9 @@ def colored_from_point_colors(match: Sequence[int], pcol: Sequence[str]) -> Colo
     return ColoredChordDiagram(base, colors)
 
 
-def all_matchings(points: int) -> Iterator[tuple[int, ...]]:
-    """Every perfect matching of 0..points-1 as a match array."""
-    match = [-1] * points
-
-    def rec(free: list[int]) -> Iterator[tuple[int, ...]]:
-        if not free:
-            yield tuple(match)
-            return
-        a = free[0]
-        for idx in range(1, len(free)):
-            b = free[idx]
-            match[a], match[b] = b, a
-            yield from rec(free[1:idx] + free[idx + 1:])
-            match[a] = match[b] = -1
-
-    yield from rec(list(range(points)))
-
-
 def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
-    """The one-face perfect matchings of 0..points-1, in the order of
-    all_matchings; with least_first, only those whose chord at point 0 has
+    """The one-face perfect matchings of 0..points-1, in lexicographic
+    order; with least_first, only those whose chord at point 0 has
     the least short span min(b - a, points - (b - a)) of all their chords.
 
     A partial matching is extended only while its face permutation
@@ -318,8 +279,8 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
 
 
 def one_face_matchings(points: int) -> Iterator[tuple[int, ...]]:
-    """Every one-face perfect matching of 0..points-1, in the order of
-    all_matchings."""
+    """Every one-face perfect matching of 0..points-1, in lexicographic
+    order."""
     return _one_face(points, False)
 
 

@@ -665,14 +665,27 @@ def map_to_json(m: CombMap) -> dict:
     }
 
 
+def _int_list(value, field: str) -> Sequence[int]:
+    """``value`` if it is a list of ints, else MapError naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise MapError(f"{field} must be a list of ints, not {value!r}")
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            raise MapError(f"{field}[{i}] must be an int, not {x!r}")
+    return value
+
+
 def map_from_json(obj: dict, allow_disconnected: bool = False) -> CombMap:
     n = obj["darts"]
-    alpha = obj["alpha"]
+    if type(n) is not int:
+        raise MapError(f"darts must be an int, not {n!r}")
+    alpha = _int_list(obj["alpha"], "alpha")
+    sigma = _int_list(obj["sigma"], "sigma")
+    holes = _int_list(obj.get("holes", []), "holes")
     lab = {}
     for item in obj.get("labels", []):
         kind = _KIND_BY_JSON.get(item["kind"])
         if kind is None:
             raise MapError(f"unknown label kind {item['kind']!r}")
         lab[item["edge"]] = CurveLabel(kind, item.get("index"))
-    return build_map(n, alpha, obj["sigma"], lab, obj.get("holes", ()),
-                     allow_disconnected=allow_disconnected)
+    return build_map(n, alpha, sigma, lab, holes, allow_disconnected=allow_disconnected)

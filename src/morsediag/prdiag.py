@@ -367,6 +367,8 @@ class _SideReduction:
     cap_comp: list[int]                       # per cycle: component of its cap
     arc_sides: dict[int, tuple[int, int]]     # arc curve idx -> (comp P, comp Q)
     arc_end_darts: dict[int, tuple[int, int]] # arc curve idx -> original end darts
+    # arc curve idx -> (P-side darts, Q-side darts) of its cut, in walk order
+    arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
@@ -388,11 +390,11 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
         for ci in arc_ids:
             arc_walks[ci] = [copy_q.get(t, t) for t in arc_walks[ci]]
         cap_darts.append(copy_q[wk[0]])
-    arc_sides = {}
+    arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
         _, copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
-        arc_sides[ci] = (aw[0], copy_q[aw[0]])
+        arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     comp = cmb._component_index(work.alpha, work.sigma)
     fid = work.face_ids()
     vid = cmb._orbit_ids(work.sigma)
@@ -418,8 +420,9 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
         non_disk=next((k for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
         n_cycles=len(cycles),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_sides={ci: (comp[p], comp[q]) for ci, (p, q) in arc_sides.items()},
+        arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
         arc_end_darts=end_darts,
+        arc_copies=arc_copies,
     )
 
 # ---------------------------------------------------------------------------
@@ -717,49 +720,37 @@ def to_colored_chord(d: PrDiagram,
                      sym: SymmetryConvention = DEFAULT_SYMMETRY) -> ColoredChordDiagram:
     """Cut the surface along the red arcs; the disk boundary then carries the
     green chord endpoints and one mark per red side, read off in circular
-    order.  The result is normalized to its canonical class representative."""
+    order.  The result is normalized to its canonical class representative.
+
+    The cut surface is the analysis's red side reduction: an optimal diagram
+    has no red cycles, so that reduction cuts the red arcs and nothing else."""
     g = len(d.u_arcs)
     analysis = _require_valid(d)
     if not _is_optimal(d, g, analysis):
         raise NotOptimal("chord conversion requires an optimal diagram")
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
-    walks = analysis.walks
-    v_ids = sorted(ci for ci, c in enumerate(d.curves)
-                   if c.label.kind is CurveKind.V_RED_ARC)
-    u_ids = sorted(ci for ci, c in enumerate(d.curves)
-                   if c.label.kind is CurveKind.U_GREEN_ARC)
-    side_of = {}   # edge id -> (v curve, side)
-    arc_walks = {ci: list(walks.walk[ci]) for ci in v_ids}
-    work = cmb._WorkMap(d.surface, analysis.ftab)
-    for ci in v_ids:
-        aw = arc_walks[ci]
-        copy_p, copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
-        for t in aw:
-            for copy, side in ((copy_p[t], 0), (copy_q[t], 1)):
-                side_of[min(copy, work.alpha[copy])] = (ci, side)
-        for cj in v_ids:
-            arc_walks[cj] = [copy_q.get(t, t) for t in arc_walks[cj]]
-    m = work.finish()
-    if euler_genus(m) != (1, 0, 1):
+    red = analysis.red
+    if red.n_components != 1:
         raise NotOptimal("red cut did not produce a single disk")
-
-    u_dart_of = {}
-    for ci in u_ids:
-        w = walks.walk[ci]
-        for t in (w[0], d.surface.alpha[w[-1]]):
-            u_dart_of[t] = ci
-    vtab = vertex_table(m)
-    vert_u = {}
-    for t, ci in u_dart_of.items():
-        vert_u[vtab[t]] = ci
-
-    hole = [cyc for cyc in cmb.faces(m) if cyc[0] in m.holes]
-    if len(hole) != 1:
+    m = red.final
+    if len(m.holes) != 1:
         raise NotOptimal("cut surface has more than one boundary circle")
+    side_of = {}   # edge id -> (v curve, side)
+    for ci, copies in red.arc_copies.items():
+        for side, darts in enumerate(copies):
+            for t in darts:
+                side_of[m.edge_of(t)] = (ci, side)
+    vid = cmb._orbit_ids(m.sigma)
+    vert_u = {vid[t]: ci for ci, ends in analysis.green.arc_end_darts.items()
+              for t in ends}
+
+    # walk the boundary circle from its hole id, the face's smallest dart
+    (start,) = m.holes
+    dart = start
     marks = []
-    for dart in hole[0]:
-        v = vtab[dart]
+    while True:
+        v = vid[dart]
         if v in vert_u:
             marks.append(("u", vert_u[v]))
         e = m.edge_of(dart)
@@ -767,6 +758,9 @@ def to_colored_chord(d: PrDiagram,
             mk = ("v", side_of[e])
             if not (marks and marks[-1] == mk):
                 marks.append(mk)
+        dart = m.sigma[m.alpha[dart]]
+        if dart == start:
+            break
     if len(marks) > 1 and marks[0] == marks[-1] and marks[0][0] == "v":
         marks.pop()
     if len(marks) != 4 * g:

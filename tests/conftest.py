@@ -266,6 +266,43 @@ def _perfect_matchings(points: int):
             yield [(0, partner)] + [(rest[a], rest[b]) for a, b in sub]
 
 
+def match_arrays(points: int):
+    """Every perfect matching of range(points) as a match array (entry i is
+    the partner of i), in lexicographic order."""
+    for pairs in _perfect_matchings(points):
+        match = [0] * points
+        for a, b in pairs:
+            match[a], match[b] = b, a
+        yield tuple(match)
+
+
+def circle_maps(points: int, reflections: bool) -> list[tuple[int, ...]]:
+    """The rotations i -> i + k of the circle's points and, with
+    `reflections`, the reflections i -> k - i."""
+    maps = [tuple((i + k) % points for i in range(points)) for k in range(points)]
+    if reflections:
+        maps += [tuple((k - i) % points for i in range(points)) for k in range(points)]
+    return maps
+
+
+def circle_image(match, p, colors=()) -> tuple[tuple, tuple]:
+    """The matching and its point colors moved by the point map p."""
+    moved, moved_colors = [0] * len(match), [None] * len(colors)
+    for i, j in enumerate(match):
+        moved[p[i]] = p[j]
+    for i, color in enumerate(colors):
+        moved_colors[p[i]] = color
+    return tuple(moved), tuple(moved_colors)
+
+
+def least_circle_image(match, colors=(), *, reflections: bool) -> tuple[tuple, tuple]:
+    """Canonical-form oracle with no package code: the least (matching,
+    point colors) image over every rotation and, with `reflections`, every
+    reflection of the circle."""
+    return min(circle_image(match, p, colors)
+               for p in circle_maps(len(match), reflections))
+
+
 def _interleave(p, q) -> bool:
     (a, b), (c, d) = sorted(p), sorted(q)
     return a < c < b < d or c < a < d < b
@@ -292,9 +329,7 @@ def chord_orbit_counts(g: int, *, reflections: bool) -> ChordOrbitCounts:
     `reflections` is set; every count is the mean number of fixed points.
     The labeled one-face count is checked against the Harer-Zagier term."""
     points = 4 * g
-    group = [tuple((i + k) % points for i in range(points)) for k in range(points)]
-    if reflections:
-        group += [tuple((k - i) % points for i in range(points)) for k in range(points)]
+    group = circle_maps(points, reflections)
     fixed = [0, 0, 0]
     one_face = 0
     for pairs in _perfect_matchings(points):
@@ -436,12 +471,12 @@ def reference_side_reduction(d, walks, cycles, green: bool):
         for ci in arc_ids:
             arc_walks[ci] = [res.copy_q.get(t, t) for t in arc_walks[ci]]
         cap_darts.append(res.copy_q[wk[0]])
-    arc_sides = {}
+    arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
         res = reference_cut_walk(m, aw, False, bdy, bdy, slits_are_holes=True)
         m = res.map
-        arc_sides[ci] = (aw[0], res.copy_q[aw[0]])
+        arc_copies[ci] = (tuple(res.copy_p[t] for t in aw), tuple(res.copy_q[t] for t in aw))
     # component index: numbered in order of smallest dart
     comp = [-1] * m.n_darts
     for start in range(m.n_darts):
@@ -464,9 +499,10 @@ def reference_side_reduction(d, walks, cycles, green: bool):
                        if euler_genus(p) != (1, 0, 1)), None),
         n_cycles=len(cycles),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_sides={ci: (comp[p], comp[q]) for ci, (p, q) in arc_sides.items()},
+        arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
         arc_end_darts={ci: (walks.walk[ci][0], d.surface.alpha[walks.walk[ci][-1]])
                        for ci in arc_ids},
+        arc_copies=arc_copies,
     )
 
 

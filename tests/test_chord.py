@@ -18,11 +18,8 @@ from morsediag.chord import (
     _crossing_masks,
     _least_image,
     _noncrossing_subsets,
-    _point_maps,
-    all_matchings,
     canonical_chord,
     canonical_colored,
-    canonical_match,
     chord_from_json,
     chord_to_json,
     classify,
@@ -31,15 +28,20 @@ from morsediag.chord import (
     enumerate_bases,
     enumerate_colorings,
     face_count,
-    genus_of,
     is_one_face,
     is_river,
     one_face_matchings,
-    ribbon_map,
 )
-from morsediag.combmap import faces
+from morsediag.combmap import build_map, faces
 
-from conftest import chord_orbit_counts, thickened_boundary_walk_faces
+from conftest import (
+    chord_orbit_counts,
+    circle_image,
+    circle_maps,
+    least_circle_image,
+    match_arrays,
+    thickened_boundary_walk_faces,
+)
 
 ROT = SymmetryConvention.ROTATION_ONLY
 DIH = SymmetryConvention.DIHEDRAL
@@ -68,15 +70,16 @@ def test_face_counts():
     assert face_count(CD_NESTED) == 3
     assert face_count(CD_ALLCROSS4) == 1
     assert is_one_face(CD_ALLCROSS4)
-    assert genus_of(CD_ALLCROSS4) == 2   # chi = 1 - 4 + 1 = -2
 
 
 def test_face_count_against_both_oracles():
     for n in (1, 2, 3, 4):
-        for match in all_matchings(2 * n):
+        # the one-vertex ribbon map: the rotation is the circle's point order
+        rotation = tuple((i + 1) % (2 * n) for i in range(2 * n))
+        for match in match_arrays(2 * n):
             cd = ChordDiagram(n, match)
             f = face_count(cd)
-            assert f == len(faces(ribbon_map(cd)))
+            assert f == len(faces(build_map(2 * n, match, rotation)))
             assert f == thickened_boundary_walk_faces(match)
             # closed orientable surface: chi is even
             assert (1 - n + f) % 2 == 0
@@ -96,10 +99,10 @@ def test_canonical_rotation_invariance():
 def test_two_classes_on_four_points():
     for sym in (ROT, DIH):
         codes = {canonical_chord(ChordDiagram(1, m), sym)
-                 for m in all_matchings(2)}
+                 for m in match_arrays(2)}
         assert len(codes) == 1
         codes = {canonical_chord(ChordDiagram(2, m), sym)
-                 for m in all_matchings(4)}
+                 for m in match_arrays(4)}
         assert len(codes) == 2
 
 
@@ -108,9 +111,42 @@ def test_symmetry_closure_of_representatives():
         reps = enumerate_bases(g, DIH)
         codes = {canonical_chord(b, DIH) for b in reps}
         for b in reps:
-            for p in _point_maps(b.points, DIH):
-                moved = ChordDiagram(b.n, _apply(b.match, p))
+            for p in circle_maps(b.points, reflections=True):
+                moved = ChordDiagram(b.n, circle_image(b.match, p)[0])
                 assert canonical_chord(moved, DIH) in codes
+
+
+def _oracle_code(kind, least, sym):
+    tag = "dih" if sym is DIH else "rot"
+    return f"{kind}[{tag}]|n={len(least) // 2}|m=" + ",".join(map(str, least))
+
+
+def test_canonical_chord_equals_the_brute_force_least_image():
+    for points in (2, 4, 6, 8, 10):
+        for match in match_arrays(points):
+            for sym in (ROT, DIH):
+                least, _ = least_circle_image(match, reflections=sym is DIH)
+                assert canonical_chord(ChordDiagram(points // 2, match), sym) == \
+                    _oracle_code("cd1", least, sym)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_canonical_colored_equals_the_brute_force_least_image(g, rng):
+    # a random dihedral image of every coloring of every base, so that most
+    # inputs are not their class's least image
+    for base in enumerate_bases(g):
+        for ids in _green_subsets(base.chords(), g):
+            colors = tuple(GREEN if i in ids else RED for i in range(base.n))
+            pcol = ColoredChordDiagram(base, colors).point_colors()
+            p = rng.choice(circle_maps(base.points, reflections=True))
+            match, moved = circle_image(base.match, p, pcol)
+            image = ChordDiagram(base.n, match)
+            ccd = ColoredChordDiagram(image, tuple(moved[a] for a, _ in image.chords()))
+            for sym in (ROT, DIH):
+                least, least_pcol = least_circle_image(match, moved, reflections=sym is DIH)
+                cols = "".join("g" if c == GREEN else "r" for c in least_pcol)
+                assert canonical_colored(ccd, sym) == \
+                    _oracle_code("ccd1", least, sym) + "|c=" + cols
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +182,25 @@ def test_enumeration_matches_burnside(g):
 
 @pytest.mark.parametrize("points", [2, 3, 4, 8, 12])
 def test_one_face_generator_matches_filtered_matchings(points):
-    expected = [m for m in all_matchings(points)
+    expected = [m for m in match_arrays(points)
                 if face_count(ChordDiagram(points // 2, m)) == 1]
     assert list(one_face_matchings(points)) == expected
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_bases_are_the_least_images_of_one_face_matchings(g):
-    one_face = [m for m in all_matchings(4 * g) if face_count(ChordDiagram(2 * g, m)) == 1]
+    one_face = [m for m in match_arrays(4 * g) if face_count(ChordDiagram(2 * g, m)) == 1]
     for sym in (ROT, DIH):
-        expected = sorted({canonical_match(m, sym) for m in one_face})
+        expected = sorted({least_circle_image(m, reflections=sym is DIH)[0]
+                           for m in one_face})
         assert enumerate_bases(g, sym) == [ChordDiagram(2 * g, m) for m in expected]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_orbit_sizes_sum_to_harer_zagier_count(g):
     for sym in (ROT, DIH):
-        orbits = [{_apply(b.match, p) for p in _point_maps(b.points, sym)}
+        orbits = [{circle_image(b.match, p)[0]
+                   for p in circle_maps(b.points, reflections=sym is DIH)}
                   for b in enumerate_bases(g, sym)]
         assert sum(map(len, orbits)) == (1, 21, 1485)[g - 1]
 

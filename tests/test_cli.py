@@ -192,16 +192,29 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
         obj["labels"][0]["edge"] = edge
         path = tmp_path / f"label_edge_{edge}.json"
         path.write_text(json.dumps(obj))
-        bad_edges.append((path, edge))
+        bad_edges.append((path, repr(edge)))
+    # a float permutation entry and null holes, named by their JSON path
+    bad_fields = []
+    for field, needle in (("alpha", "alpha[0] must be an int, not 1.0"),
+                          ("holes", "holes must be a list of ints, not None")):
+        with open(fixture_path("solid_torus.json")) as fh:
+            obj = json.load(fh)
+        if field == "alpha":
+            obj["alpha"][0] = 1.0
+        else:
+            obj["holes"] = None
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps(obj))
+        bad_fields.append((path, needle))
     good = fixture_path("solid_torus.json")
-    for bad, field in [(no_darts, "darts"), (no_closed, "closed")] + bad_edges:
+    for bad, needle in [(no_darts, "'darts'"), (no_closed, "'closed'")] + bad_edges + bad_fields:
         for argv in (("validate", str(bad)), ("census", str(bad)),
                      ("boundary", str(bad)), ("iso", good, str(bad)),
                      ("iso", str(bad), good)):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""
-            assert err.startswith(f"error: {bad}: ") and repr(field) in err, err
+            assert err.startswith(f"error: {bad}: ") and needle in err, err
     chord = tmp_path / "no_match.json"
     chord.write_text(json.dumps({"n": 2, "colors": ["green", "red"]}))
     code, out, err = run(capsys, "convert", "--to", "pr", str(chord))

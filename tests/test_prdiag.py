@@ -278,25 +278,48 @@ def test_equivalent_requires_valid_inputs():
 
 def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
     # one validity analysis per public call: one side reduction per color,
-    # and one analysis per argument of equivalent
+    # and one analysis per argument of equivalent; the only cuts are those
+    # of the side reductions, one per cycle and arc of the side's color
+    import morsediag.combmap as cmb
     import morsediag.prdiag as pr
 
-    calls = []
+    events = []
     reduce_side = pr._side_reduction
+    cut = cmb._WorkMap.cut
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        events.append(args[3])
         return reduce_side(*args, **kwargs)
 
+    def counted_cut(*args, **kwargs):
+        events.append("cut")
+        return cut(*args, **kwargs)
+
+    def reductions(d):
+        # every cycle of the diagrams below is one closed U or V curve
+        out = []
+        for green, cycles, arcs in ((True, d.u_cycles, d.u_arcs),
+                                    (False, d.v_cycles, d.v_arcs)):
+            out += [green] + ["cut"] * (len(cycles) + len(arcs))
+        return out
+
     monkeypatch.setattr(pr, "_side_reduction", counted)
+    monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
     d = next(from_colored_chord(ccd) for g, ccd in all_colored_classes(3) if g == 3)
+    assert reductions(d) == [True, "cut", "cut", "cut", False, "cut", "cut", "cut"]
     for op in (validate, census, morse_checks, boundary_restriction, to_colored_chord):
-        calls.clear()
+        events.clear()
         op(d)
-        assert calls == [True, False], op.__name__
-    calls.clear()
+        assert events == reductions(d), op.__name__
+    events.clear()
     assert equivalent(d, relabel_diagram(d, rng))
-    assert calls == [True, False, True, False]
+    assert events == reductions(d) * 2
+    # a closed green cycle is one more cut of the green side
+    four_b = cat.load_fixture("d3_four_b.json")
+    for op in (validate, census, boundary_restriction):
+        events.clear()
+        op(four_b)
+        assert events == reductions(four_b), op.__name__
 
 
 # ---------------------------------------------------------------------------
