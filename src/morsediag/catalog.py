@@ -95,7 +95,13 @@ _ENTRY_FIELDS = {"schema_version", "code", "kind", "genus", "flags", "source",
                  "tool_version"}
 
 
-def _entry_from_json(obj: dict, lineno: int) -> CatalogEntry:
+_KIND_NAMES = {k: k for k in _KINDS}
+
+
+def _entry_from_json(obj: dict, lineno: int, strings: dict) -> CatalogEntry:
+    """The entry of one parsed catalog line.  Its kind is the module's own
+    string, and its source and tool_version strings are shared through
+    `strings` with the entries loaded before it."""
     for key in _ENTRY_FIELDS:
         if key not in obj:
             raise SchemaViolation(f"line {lineno}: missing field {key!r}")
@@ -103,28 +109,66 @@ def _entry_from_json(obj: dict, lineno: int) -> CatalogEntry:
         raise SchemaViolation(
             f"line {lineno}: field 'schema_version' is {obj['schema_version']!r},"
             f" expected {SCHEMA_VERSION}")
-    if obj["kind"] not in _KINDS:
+    kind = _KIND_NAMES.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if kind is None:
         raise SchemaViolation(f"line {lineno}: field 'kind' is {obj['kind']!r}")
     if not isinstance(obj["code"], str) or not obj["code"]:
         raise SchemaViolation(f"line {lineno}: field 'code' must be a non-empty string")
     if not isinstance(obj["genus"], int):
         raise SchemaViolation(f"line {lineno}: field 'genus' must be an integer")
-    return CatalogEntry(obj["code"], obj["kind"], obj["genus"],
-                        dict(obj["flags"]), obj["source"], obj["tool_version"])
+    source, tool_version = obj["source"], obj["tool_version"]
+    if type(source) is str:
+        source = strings.setdefault(source, source)
+    if type(tool_version) is str:
+        tool_version = strings.setdefault(tool_version, tool_version)
+    return CatalogEntry(obj["code"], kind, obj["genus"],
+                        dict(obj["flags"]), source, tool_version)
+
+
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _tail_key(e: CatalogEntry):
+    """The fields after "code" with their types, under which entries share
+    one encoded tail; None when a value of another type could compare equal
+    to one that encodes differently (1.0 == 1, 0.0 == -0.0)."""
+    values = (e.kind, e.genus, e.source, e.tool_version,
+              *e.flags.keys(), *e.flags.values())
+    types = tuple(map(type, values))
+    return (types, values) if _PLAIN_TYPES.issuperset(types) else None
 
 
 def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
-    """Write entries as sorted JSONL; duplicate codes are rejected."""
+    """Write entries as sorted JSONL; duplicate codes are rejected.
+
+    Each line is json.dumps(entry.to_json(), sort_keys=True) + "\\n".  Its
+    first key is "code", so a line is the encoded code followed by a tail of
+    the other fields, and one tail is encoded for all the entries with equal
+    kind, genus, flags, source and tool_version.  The lines are streamed to
+    the file, never held together."""
     items = sorted(entries, key=lambda e: e.code)
     seen = set()
     for e in items:
         if e.code in seen:
             raise SchemaViolation(f"duplicate code {e.code!r}")
         seen.add(e.code)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    tails = {}
+
+    def line(e: CatalogEntry) -> str:
+        key = _tail_key(e)
+        tail = tails.get(key)
+        if tail is None:
+            rest = e.to_json()
+            del rest["code"]
+            tail = ", " + encode(rest)[1:] + "\n"
+            if key is not None:
+                tails[key] = tail
+        return '{"code": ' + encode(e.code) + tail
+
     try:
         with open(path, "w", encoding="ascii") as fh:
-            for e in items:
-                fh.write(json.dumps(e.to_json(), sort_keys=True) + "\n")
+            fh.writelines(map(line, items))
     except OSError as exc:
         raise IoFailure(f"cannot write catalog {path}: {exc}") from exc
 
@@ -132,6 +176,7 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
 def load_catalog(path) -> list[CatalogEntry]:
     entries = []
     seen = {}
+    strings = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
             # one line at a time, numbered as str.splitlines numbers the whole text
@@ -143,7 +188,7 @@ def load_catalog(path) -> list[CatalogEntry]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
-                entry = _entry_from_json(obj, lineno)
+                entry = _entry_from_json(obj, lineno, strings)
                 if entry.code in seen:
                     raise SchemaViolation(
                         f"line {lineno}: field 'code' duplicates line {seen[entry.code]}")

@@ -164,13 +164,18 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
     """The lexicographically least image of a matching under the symmetry
     maps, and the list of maps that give it.
 
-    This is the least-image test of isomorph-free generation (McKay,
-    J. Algorithms 26, 1998) and the one place where symmetry maps are
-    applied to a matching: every chord and colored class code comes from
-    it.  A map p with p[q] == 0 gives an image starting with p[match[q]]:
-    that is (match[q] - q) % pts for the rotation and (q - match[q]) % pts
-    for the reflection.  Full images are built only for the maps whose first
-    entry is the least one."""
+    Every chord and colored class code comes from it, and colorings are
+    reduced under the maps it returns.  A map p with p[q] == 0 gives an
+    image starting with p[match[q]]: that is (match[q] - q) % pts for the
+    rotation and (q - match[q]) % pts for the reflection.  Full images are
+    built only for the maps whose first entry is the least one.
+
+    Enumeration does not call it: orderly generation (McKay, J. Algorithms
+    26, 1998) only asks whether a matching is its own least image, which
+    _stabiliser_if_least answers without building an image.  Here the least
+    image is not known in advance, so the tied images are built and compared
+    whole; comparing each one against a running best entry by entry instead
+    measured no faster than these tuple comparisons."""
     pts = len(match)
     maps = _symmetry_maps(pts, sym)
     spans = list(map(getitem, _span_table(pts), match))
@@ -181,6 +186,58 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
     images = [_apply(match, p) for p in tied]
     least = min(images)
     return least, [p for p, image in zip(tied, images) if image == least]
+
+
+def _stabiliser_if_least(match: Sequence[int], sym: SymmetryConvention
+                         ) -> Optional[list[tuple[int, ...]]]:
+    """The maps that fix a matching, in _least_image's order, if the
+    matching is its own least image under the symmetry maps; else None.
+
+    The self-test of orderly generation (McKay, J. Algorithms 26, 1998).
+    It relies on match[0] being the least short span of the matching's
+    chords, as _one_face(points, True) guarantees, so that match[0] is the
+    least first entry of any image and only the maps whose image starts
+    with it can tie.  Each such map's image is compared with the matching
+    entry by entry, without being built: entry k is
+    (match[(k + q) % pts] - q) % pts for the rotation taking q to 0 and
+    (q - match[(q - k) % pts]) % pts for the reflection i -> q - i.  The
+    first smaller entry rejects the matching (one that is not its class's
+    representative usually loses within a few entries), the first larger
+    one drops the map, and a map whose image equals the matching joins the
+    stabiliser: rotations first, then reflections, each by q."""
+    pts = len(match)
+    first = match[0]
+    maps = _symmetry_maps(pts, sym)
+    spans = list(map(getitem, _span_table(pts), match))
+    twice = tuple(match) * 2
+    stabiliser = [maps[0]]
+    for q in range(1, pts):
+        if spans[q] != first:
+            continue
+        for k in range(1, pts):
+            x = (twice[k + q] - q) % pts
+            y = match[k]
+            if x != y:
+                if x < y:
+                    return None
+                break
+        else:
+            stabiliser.append(maps[pts - q])
+    if sym is SymmetryConvention.DIHEDRAL:
+        last = pts - first
+        for q in range(pts):
+            if spans[q] != last:
+                continue
+            for k in range(1, pts):
+                x = (q - twice[q - k + pts]) % pts
+                y = match[k]
+                if x != y:
+                    if x < y:
+                        return None
+                    break
+            else:
+                stabiliser.append(maps[pts + q])
+    return stabiliser
 
 
 def _code(kind: str, n: int, least: Sequence[int], sym: SymmetryConvention) -> str:
@@ -293,7 +350,9 @@ def _harer_zagier_count(g: int) -> int:
 def _canonical_bases(g: int, sym: SymmetryConvention
                      ) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """(representative, stabiliser) of every base class, sorted by
-    representative; see enumerate_bases."""
+    representative; see enumerate_bases.  Generation places only matchings
+    whose match[0] is their least short span, which is the precondition of
+    the self-test _stabiliser_if_least."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     pts = 4 * g
@@ -301,8 +360,8 @@ def _canonical_bases(g: int, sym: SymmetryConvention
     reps = []
     labeled = 0
     for match in _one_face(pts, True):
-        least, stabiliser = _least_image(match, sym)
-        if least == match:
+        stabiliser = _stabiliser_if_least(match, sym)
+        if stabiliser is not None:
             reps.append((match, stabiliser))
             labeled += group // len(stabiliser)
     expected = _harer_zagier_count(g)
@@ -323,12 +382,15 @@ def enumerate_bases(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[
     maps, so no set of classes seen is kept.  Every image starts with a
     chord's short span min(b - a, 4g - (b - a)), so a representative's chord
     (0, b) has the least short span of all its chords: generation places
-    only such matchings (25,508 of the 225,225 at genus 4) before the
-    least-image test.  The maps that fix a representative form its
-    stabiliser, and its class holds len(maps) // len(stabiliser) labeled
-    matchings; these must sum to the Harer-Zagier count
-    (4g)! / (4^g (2g+1)!), or RuntimeError is raised.  Generation runs in
-    lexicographic order, so the representatives come out sorted."""
+    only such matchings (25,508 of the 225,225 at genus 4).  The self-test
+    then compares the matching with its images under the maps whose image
+    also starts with that span, entry by entry without building the images,
+    and rejects it at the first smaller entry.  The maps that fix a
+    representative form its stabiliser, and its class holds
+    len(maps) // len(stabiliser) labeled matchings; these must sum to the
+    Harer-Zagier count (4g)! / (4^g (2g+1)!), or RuntimeError is raised.
+    Generation runs in lexicographic order, so the representatives come out
+    sorted."""
     return [ChordDiagram(2 * g, match) for match, _ in _canonical_bases(g, sym)]
 
 
@@ -511,7 +573,7 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY,
 
     Base enumeration (enumerate_bases: span-pruned orderly generation and
     the Harer-Zagier check) runs in this process and gives each base with
-    its stabiliser, which the per-base jobs carry, so no least image is
+    its stabiliser, which the per-base jobs carry, so no stabiliser is
     computed twice.  Each job computes the base's coloring classes, with the
     orbit-stabiliser check on colorings, and runs the river test on the
     point colors; workers > 1 runs the jobs in a pool of that many

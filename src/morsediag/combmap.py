@@ -675,6 +675,25 @@ def _int_list(value, field: str) -> Sequence[int]:
     return value
 
 
+def _json_objects(value, field: str) -> Sequence[dict]:
+    """``value`` if it is a list of JSON objects, else MapError naming the
+    field."""
+    if not isinstance(value, (list, tuple)):
+        raise MapError(f"{field} must be a list of objects, not {value!r}")
+    for i, x in enumerate(value):
+        if not isinstance(x, dict):
+            raise MapError(f"{field}[{i}] must be an object, not {x!r}")
+    return value
+
+
+def _label_index(value, field: str) -> Optional[int]:
+    """``value`` if it is an int or None (JSON null), else MapError naming
+    the field."""
+    if value is not None and type(value) is not int:
+        raise MapError(f"{field} must be an int or null, not {value!r}")
+    return value
+
+
 def map_from_json(obj: dict, allow_disconnected: bool = False) -> CombMap:
     n = obj["darts"]
     if type(n) is not int:
@@ -683,9 +702,12 @@ def map_from_json(obj: dict, allow_disconnected: bool = False) -> CombMap:
     sigma = _int_list(obj["sigma"], "sigma")
     holes = _int_list(obj.get("holes", []), "holes")
     lab = {}
-    for item in obj.get("labels", []):
-        kind = _KIND_BY_JSON.get(item["kind"])
+    for k, item in enumerate(_json_objects(obj.get("labels", []), "labels")):
+        kind = _KIND_BY_JSON.get(item["kind"]) if isinstance(item["kind"], str) else None
         if kind is None:
             raise MapError(f"unknown label kind {item['kind']!r}")
-        lab[item["edge"]] = CurveLabel(kind, item.get("index"))
+        edge = item["edge"]
+        if type(edge) is not int:
+            raise MapError(f"labels[{k}].edge must be an int, not {edge!r}")
+        lab[edge] = CurveLabel(kind, _label_index(item.get("index"), f"labels[{k}].index"))
     return build_map(n, alpha, sigma, lab, holes, allow_disconnected=allow_disconnected)

@@ -959,13 +959,16 @@ def pr_to_json(d: PrDiagram) -> dict:
 def pr_from_json(obj: dict) -> PrDiagram:
     m = map_from_json(obj)
     curves = []
-    for k, item in enumerate(obj.get("curves", ())):
-        kind = _FAMILY_KIND.get(item["family"])
+    for k, item in enumerate(cmb._json_objects(obj.get("curves", ()), "curves")):
+        kind = _FAMILY_KIND.get(item["family"]) if isinstance(item["family"], str) else None
         if kind is None:
             raise MapError(f"unknown curve family {item['family']!r}")
-        lb = CurveLabel(kind, item.get("index"))
+        lb = CurveLabel(kind, cmb._label_index(item.get("index"), f"curves[{k}].index"))
         edges = item["edges"]
         if not isinstance(edges, (list, tuple)) or any(type(e) is not int for e in edges):
             raise MapError(f"curves[{k}].edges must be a list of edge ids, not {edges!r}")
-        curves.append(EmbeddedCurve(tuple(edges), bool(item["closed"]), lb))
+        closed = item["closed"]
+        if type(closed) is not bool:
+            raise MapError(f"curves[{k}].closed must be a bool, not {closed!r}")
+        curves.append(EmbeddedCurve(tuple(edges), closed, lb))
     return PrDiagram(m, tuple(curves))

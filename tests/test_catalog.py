@@ -54,12 +54,65 @@ def test_schema_violations_carry_line_and_field(tmp_path):
         cat.load_catalog(path)
     assert "line 2" in str(exc.value) and "genus" in str(exc.value)
 
+    for kind in ("chartreuse", ["base_chord"]):
+        bad = dict(good)
+        bad["kind"] = kind
+        path.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(cat.SchemaViolation) as exc:
+            cat.load_catalog(path)
+        assert str(exc.value) == f"line 1: field 'kind' is {kind!r}"
+
     bad = dict(good)
     bad["schema_version"] = 99
     path.write_text(json.dumps(bad) + "\n")
     with pytest.raises(cat.SchemaViolation) as exc:
         cat.load_catalog(path)
     assert "schema_version" in str(exc.value)
+
+
+def _dumped(entries) -> bytes:
+    """The catalog bytes of json.dumps on each entry, sorted by code."""
+    return "".join(json.dumps(e.to_json(), sort_keys=True) + "\n"
+                   for e in sorted(entries, key=lambda e: e.code)).encode("ascii")
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_saved_lines_are_json_dumps_of_each_entry(g, tmp_path):
+    entries = cat.report_entries(classify(g), tool_version=__version__)
+    path = tmp_path / f"g{g}.jsonl"
+    cat.save_catalog(entries, path)
+    assert path.read_bytes() == _dumped(entries)
+    loaded = cat.load_catalog(path)
+    assert loaded == sorted(entries, key=lambda e: e.code)
+    # one string object per distinct kind, source and tool_version
+    assert {id(e.kind) for e in loaded} <= {id(k) for k in cat._KINDS}
+    assert len({id(e.source) for e in loaded}) == 1
+    assert len({id(e.tool_version) for e in loaded}) == 1
+
+
+def test_saved_lines_of_hand_built_entries(tmp_path):
+    Entry = cat.CatalogEntry
+    entries = [
+        Entry("pr1|g=2|x", cat.KIND_PR, 2, {"valid": True, "census": "1,0,2,2,0,1"},
+              "fixture", "0.1+d\u00e9v"),
+        Entry('cd1|quote"back\\slash', cat.KIND_BASE, 1, {"one_face": True},
+              "enumerated", "\u00e9"),
+        # equal flags inserted in two orders, neither sorted
+        Entry("ccd-a", cat.KIND_COLORED, 2, {"river": False, "optimal": True, "one_face": True}),
+        Entry("ccd-b", cat.KIND_COLORED, 2, {"optimal": True, "river": False, "one_face": True}),
+        # values that compare equal but encode differently share no line tail
+        Entry("eq-1", cat.KIND_BASE, 1, {"x": 1}),
+        Entry("eq-true", cat.KIND_BASE, 1, {"x": True}),
+        Entry("eq-float", cat.KIND_BASE, 1, {"x": 1.0}),
+        Entry("eq-zero", cat.KIND_BASE, 1, {"w": 0.0}),
+        Entry("eq-minus-zero", cat.KIND_BASE, 1, {"w": -0.0}),
+        Entry("nested", cat.KIND_PR, 3, {"b": [1, {"z": None, "a": "\u00fc"}], "a": {}}),
+        Entry("no-flags", cat.KIND_COLORED, 4),
+    ]
+    path = tmp_path / "mixed.jsonl"
+    cat.save_catalog(entries, path)
+    assert path.read_bytes() == _dumped(entries)
+    assert cat.load_catalog(path) == sorted(entries, key=lambda e: e.code)
 
 
 def test_io_failure(tmp_path):

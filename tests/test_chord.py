@@ -232,6 +232,23 @@ def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
     # its first entry is the least of its images' first entries
     expected = [m for m in least_span_16 if _least_image(m, DIH)[0] == m]
     assert enumerate_bases(4) == [ChordDiagram(8, m) for m in expected]
+    assert chord._canonical_bases(4, DIH) == [(m, _least_image(m, DIH)[1]) for m in expected]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_self_test_keeps_exactly_the_own_least_images(g):
+    # the self-test builds no image: on every candidate of the rooted
+    # generator it must agree with the package-free brute force, and give
+    # the maps fixing a representative in _least_image's order
+    for sym in (ROT, DIH):
+        maps = circle_maps(4 * g, reflections=sym is DIH)
+        for m in chord._one_face(4 * g, True):
+            stabiliser = chord._stabiliser_if_least(m, sym)
+            if least_circle_image(m, reflections=sym is DIH)[0] != m:
+                assert stabiliser is None, (sym, m)
+                continue
+            assert stabiliser == _least_image(m, sym)[1], (sym, m)
+            assert sorted(stabiliser) == sorted(p for p in maps if circle_image(m, p)[0] == m)
 
 
 def test_missing_class_fails_the_run_time_check(monkeypatch):

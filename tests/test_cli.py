@@ -193,17 +193,27 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
         path = tmp_path / f"label_edge_{edge}.json"
         path.write_text(json.dumps(obj))
         bad_edges.append((path, repr(edge)))
-    # a float permutation entry and null holes, named by their JSON path
+    # fields of the wrong type, named by their JSON path; a bool() of
+    # "no" or a list index must not pass for a value and read as a verdict
     bad_fields = []
-    for field, needle in (("alpha", "alpha[0] must be an int, not 1.0"),
-                          ("holes", "holes must be a list of ints, not None")):
+    for i, (keys, value, needle) in enumerate((
+            (("alpha", 0), 1.0, "alpha[0] must be an int, not 1.0"),
+            (("holes",), None, "holes must be a list of ints, not None"),
+            (("curves", 0, "closed"), "no", "curves[0].closed must be a bool, not 'no'"),
+            (("labels", 0, "index"), [1], "labels[0].index must be an int or null, not [1]"),
+            (("labels",), None, "labels must be a list of objects, not None"),
+            (("curves",), None, "curves must be a list of objects, not None"),
+            (("labels", 0, "edge"), 8.0, "labels[0].edge must be an int, not 8.0"),
+            (("curves", 0), [1], "curves[0] must be an object, not [1]"),
+            (("labels", 0, "kind"), ["u"], "unknown label kind ['u']"),
+            (("curves", 0, "family"), ["u"], "unknown curve family ['u']"))):
         with open(fixture_path("solid_torus.json")) as fh:
             obj = json.load(fh)
-        if field == "alpha":
-            obj["alpha"][0] = 1.0
-        else:
-            obj["holes"] = None
-        path = tmp_path / f"bad_{field}.json"
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / f"bad_field_{i}.json"
         path.write_text(json.dumps(obj))
         bad_fields.append((path, needle))
     good = fixture_path("solid_torus.json")
