@@ -639,8 +639,15 @@ def colored_to_json(ccd: ColoredChordDiagram) -> dict:
 
 
 def chord_from_json(obj: dict):
-    """ChordDiagram, or ColoredChordDiagram when colors are present."""
-    cd = ChordDiagram(obj["n"], tuple(obj["match"]))
-    if "colors" in obj and obj["colors"] is not None:
-        return ColoredChordDiagram(cd, tuple(obj["colors"]))
-    return cd
+    """ChordDiagram, or ColoredChordDiagram when colors are present; a field
+    of the wrong type is a ValueError naming the field."""
+    n, match, colors = obj["n"], obj["match"], obj.get("colors")
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, not {n!r}")
+    if not isinstance(match, list) or any(type(x) is not int for x in match):
+        raise ValueError(f"match must be a list of ints, not {match!r}")
+    if colors is not None and (not isinstance(colors, list)
+                               or any(type(c) is not str for c in colors)):
+        raise ValueError(f"colors must be a list of strings or null, not {colors!r}")
+    cd = ChordDiagram(n, tuple(match))
+    return cd if colors is None else ColoredChordDiagram(cd, tuple(colors))

@@ -17,13 +17,15 @@ from . import __version__, catalog
 from .chord import (
     DEFAULT_SYMMETRY,
     GREEN,
+    RED,
     ColoredChordDiagram,
     SymmetryConvention,
     chord_from_json,
+    chord_to_json,
     classify,
     colored_to_json,
 )
-from .combmap import CurveKind, MapError, vertex_table
+from .combmap import CurveKind, vertex_table
 from .prdiag import (
     InvalidColoring,
     InvalidDiagram,
@@ -53,9 +55,12 @@ def _emit(obj: dict, summary: str) -> None:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
+    if not isinstance(obj, dict):
+        raise SystemExit(_usage_error(f"{path}: the top-level JSON value is not an object"))
+    return obj
 
 
 def _usage_error(msg: str) -> int:
@@ -70,7 +75,7 @@ def _parse(path: str, obj: dict, parse):
         return parse(obj)
     except KeyError as exc:
         msg = f"missing field {exc.args[0]!r}"
-    except (TypeError, MapError) as exc:
+    except (TypeError, ValueError) as exc:
         msg = f"bad field: {exc}"
     raise SystemExit(_usage_error(f"{path}: {msg}"))
 
@@ -253,31 +258,20 @@ def _cmd_export(args) -> int:
     try:
         if args.format == "json":
             if is_pr:
-                out_text = json.dumps(pr_to_json(loaded), indent=1,
-                                      sort_keys=True) + "\n"
+                payload = pr_to_json(loaded)
+            elif isinstance(loaded, ColoredChordDiagram):
+                payload = colored_to_json(loaded)
             else:
-                cd = loaded
-                ccd = cd if isinstance(cd, ColoredChordDiagram) else None
-                payload = colored_to_json(ccd) if ccd else {"n": cd.n, "match": list(cd.match)}
-                out_text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        elif args.format == "svg":
-            if is_pr:
-                d = loaded
-                ccd = to_colored_chord(d)
-            else:
-                cd = loaded
-                if not isinstance(cd, ColoredChordDiagram):
-                    cd = ColoredChordDiagram(cd, tuple("red" for _ in range(cd.n)))
-                ccd = cd
-            out_text = _chord_svg(ccd)
+                payload = chord_to_json(loaded)
+            out_text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        elif is_pr:
+            out_text = (_chord_svg(to_colored_chord(loaded)) if args.format == "svg"
+                        else _pr_dot(loaded))
         else:
-            if is_pr:
-                out_text = _pr_dot(loaded)
-            else:
-                cd = loaded
-                if not isinstance(cd, ColoredChordDiagram):
-                    cd = ColoredChordDiagram(cd, tuple("red" for _ in range(cd.n)))
-                out_text = _chord_dot(cd)
+            # an uncolored chord diagram is drawn all red
+            ccd = (loaded if isinstance(loaded, ColoredChordDiagram)
+                   else ColoredChordDiagram(loaded, (RED,) * loaded.n))
+            out_text = _chord_svg(ccd) if args.format == "svg" else _chord_dot(ccd)
     except (InvalidDiagram, NotOptimal, InvalidColoring) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, f"cannot export: {exc}")
         return NEGATIVE

@@ -116,10 +116,7 @@ class CombMap:
         return min(dart, self.alpha[dart])
 
     def edge_ids(self) -> list[int]:
-        return sorted(d for d in range(self.n_darts) if d < self.alpha[d])
-
-    def label_of_edge(self, edge: int) -> CurveLabel:
-        return self.labels[edge]
+        return [d for d in range(self.n_darts) if d < self.alpha[d]]
 
 
 def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
@@ -163,9 +160,14 @@ def _orbit_ids(perm: Sequence[int]) -> list[int]:
     return ids
 
 
+def _face_ids(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
+    """dart -> face id (smallest dart of its orbit under sigma∘alpha)."""
+    return _orbit_ids([sigma[a] for a in alpha])
+
+
 def face_table(m: CombMap) -> dict[int, int]:
     """dart -> face id (smallest dart of its face orbit)."""
-    return dict(enumerate(_orbit_ids([m.sigma[a] for a in m.alpha])))
+    return dict(enumerate(_face_ids(m.alpha, m.sigma)))
 
 
 def vertex_table(m: CombMap) -> dict[int, int]:
@@ -204,13 +206,25 @@ def _single_corner(corners: list[int]) -> Optional[int]:
 
 
 def hole_corner_dart(m: CombMap, vertex_darts: Sequence[int],
-                     ftab: Optional[dict[int, int]] = None) -> Optional[int]:
+                     fid: Sequence[int]) -> Optional[int]:
     """The dart x at this vertex whose corner (x -> sigma(x)) lies in a hole
-    face, or None.  The corner between x and sigma(x) belongs to the face
-    orbit containing sigma(x)."""
-    if ftab is None:
-        ftab = face_table(m)
-    return _single_corner([x for x in vertex_darts if ftab[m.sigma[x]] in m.holes])
+    face, or None; ``fid`` is the map's dart -> face id.  The corner between
+    x and sigma(x) belongs to the face orbit containing sigma(x)."""
+    return _single_corner([x for x in vertex_darts if fid[m.sigma[x]] in m.holes])
+
+
+def _boundary_vertices(m: CombMap, vid: Sequence[int], fid: Sequence[int]) -> list[bool]:
+    """vertex id -> whether the vertex has a corner in a hole face, from the
+    map's vertex and face ids.  A vertex with two such corners would pinch
+    the surface: MapError names its two smallest corner darts."""
+    corner = [-1] * m.n_darts
+    for x, s in enumerate(m.sigma):
+        if fid[s] in m.holes:
+            v = vid[x]
+            if corner[v] >= 0:
+                _single_corner([corner[v], x])  # raises: a second corner
+            corner[v] = x
+    return [c >= 0 for c in corner]
 
 
 def build_map(dart_count: int,
@@ -258,17 +272,14 @@ def build_map(dart_count: int,
 
     m = CombMap(tuple(alpha), tuple(sigma), lab, frozenset(hole_faces),
                 allow_disconnected)
-    ftab = face_table(m)
-    valid_fids = set(ftab.values())
+    fid = _face_ids(alpha, sigma)
     for h in m.holes:
-        if h not in valid_fids:
+        if not (0 <= h < dart_count and fid[h] == h):
             raise MapError(f"hole id {h} is not a face id")
     for d in range(dart_count):
-        if ftab[d] in m.holes and lab[d].kind is not CurveKind.BDY:
+        if fid[d] in m.holes and lab[d].kind is not CurveKind.BDY:
             raise LabelMismatch(f"edge bounding a hole is not labeled bdy at dart {d}")
-    # A vertex lying on two boundary circles would pinch the surface.
-    for vcyc in vertices(m):
-        hole_corner_dart(m, vcyc, ftab)
+    _boundary_vertices(m, _orbit_ids(sigma), fid)
     return m
 
 
@@ -282,34 +293,31 @@ def components(m: CombMap, comp: Optional[Sequence[int]] = None) -> list[CombMap
     ncomp = max(comp, default=0) + 1
     if ncomp <= 1:
         return [m]
-    ftab = face_table(m)
+    new_id = [0] * n
     out = []
     for c in range(ncomp):
         darts = [d for d in range(n) if comp[d] == c]
-        new_id = {d: i for i, d in enumerate(darts)}
+        for i, d in enumerate(darts):
+            new_id[d] = i
         alpha = tuple(new_id[m.alpha[d]] for d in darts)
         sigma = tuple(new_id[m.sigma[d]] for d in darts)
-        labels = tuple(m.labels[d] for d in darts)
-        sub = CombMap(alpha, sigma, labels, frozenset(), False)
-        subftab = face_table(sub)
-        subholes = frozenset(subftab[new_id[d]] for d in darts if ftab[d] in m.holes)
-        out.append(CombMap(alpha, sigma, labels, subholes, False))
+        fid = _face_ids(alpha, sigma)
+        holes = frozenset(fid[new_id[h]] for h in m.holes if comp[h] == c)
+        out.append(CombMap(alpha, sigma, tuple(m.labels[d] for d in darts), holes, False))
     return out
 
 
-def euler_genus(m: CombMap, vtab: Optional[dict[int, int]] = None,
-                ftab: Optional[dict[int, int]] = None) -> tuple[int, int, int]:
+def euler_genus(m: CombMap) -> tuple[int, int, int]:
     """(chi, genus, boundary_count) of a connected map.
 
     chi = V - E + interior faces; boundary circles are the hole faces;
-    genus from chi = 2 - 2g - b.  ``vtab`` and ``ftab`` are the map's vertex
-    and face tables when the caller has them.
+    genus from chi = 2 - 2g - b.
     """
     if not _is_connected(m.alpha, m.sigma):
         raise MapError("euler_genus requires a connected map")
-    v = len(set(vtab.values())) if vtab is not None else len(vertices(m))
+    v = len(vertices(m))
     e = m.n_darts // 2
-    f_int = (len(set(ftab.values())) if ftab is not None else len(faces(m))) - len(m.holes)
+    f_int = len(faces(m)) - len(m.holes)
     chi = v - e + f_int
     b = len(m.holes)
     twog = 2 - b - chi
@@ -332,10 +340,11 @@ class EmbeddedCurve:
 
 
 def curve_dart_walk(m: CombMap, curve: EmbeddedCurve,
-                    vtab: Optional[dict[int, int]] = None) -> list[int]:
+                    vtab: Optional[Sequence[int]] = None) -> list[int]:
     """Oriented dart sequence t_1..t_k traversing the curve.
 
-    t_i is the dart of edge i at the vertex where the traversal enters it.
+    t_i is the dart of edge i at the vertex where the traversal enters it;
+    ``vtab`` is the map's dart -> vertex id when the caller has it.
     Deterministic orientation: the walk starts with the smallest admissible
     dart.  Raises CurveNotEmbedded for non-paths and non-simple curves.
     """
@@ -343,7 +352,7 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve,
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
     if vtab is None:
-        vtab = vertex_table(m)
+        vtab = _orbit_ids(m.sigma)
     for e in edges:
         if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
             raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
@@ -424,19 +433,19 @@ class _WorkMap:
     """A map that a sequence of cuts rewrites in place.
 
     ``alpha``, ``sigma`` and ``labels`` are lists; ``in_hole[d]`` says whether
-    dart d lies in a hole face.  A cut recomputes that flag only on the faces
-    through its curve darts and their new copies, which are all the faces it
+    dart d lies in a hole face, read at the start from ``fid``, the map's
+    dart -> face id.  A cut recomputes that flag only on the faces through
+    its curve darts and their new copies, which are all the faces it
     changes, so faces and components are found once, by ``finish``."""
 
-    def __init__(self, m: CombMap, ftab: Optional[dict[int, int]] = None):
+    def __init__(self, m: CombMap, fid: Sequence[int]):
         self.alpha = list(m.alpha)
         self.sigma = list(m.sigma)
         self.labels = list(m.labels)
-        fid = self.face_ids() if ftab is None else ftab
-        self.in_hole = [fid[d] in m.holes for d in range(m.n_darts)]
+        self.in_hole = [f in m.holes for f in fid]
 
     def face_ids(self) -> list[int]:
-        return _orbit_ids([self.sigma[a] for a in self.alpha])
+        return _face_ids(self.alpha, self.sigma)
 
     def _rotation_at(self, d: int) -> list[int]:
         rot = [d]
@@ -505,25 +514,22 @@ class _WorkMap:
         for start in copy_q.keys() | copy_q.values():
             if start in done:
                 continue
-            face = [start]
-            d = sigma[alpha[start]]
-            while d != start:
+            face = []
+            hole = False
+            d = start
+            while d not in done:
+                done.add(d)
                 face.append(d)
+                if not hole:
+                    hole = d in marked if d in copy_q or d >= n else in_hole[d]
                 d = sigma[alpha[d]]
-            done.update(face)
-            hole = any(x in marked if x in copy_q or x >= n else in_hole[x] for x in face)
             for x in face:
                 in_hole[x] = hole
         return copy_p, copy_q, slits
 
-    def finish(self, fid: Optional[list[int]] = None,
-               comp: Optional[list[int]] = None) -> CombMap:
-        """The map as it stands; ``fid`` (from ``face_ids``) and ``comp``
-        (from ``_component_index``) when the caller has them."""
-        if fid is None:
-            fid = self.face_ids()
-        if comp is None:
-            comp = _component_index(self.alpha, self.sigma)
+    def finish(self, fid: list[int], comp: list[int]) -> CombMap:
+        """The map as it stands, from its ``face_ids`` and its
+        ``_component_index``."""
         holes = frozenset(f for f, h in zip(fid, self.in_hole) if h)
         return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels),
                        holes, allow_disconnected=max(comp, default=0) > 0)
@@ -538,13 +544,14 @@ def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
     darts strictly sigma-between arrival and departure.  label_p / label_q
     replace the copies' labels (None keeps the original curve label).
     """
-    work = _WorkMap(m)
+    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
     copy_p, copy_q, slits = work.cut(walk, closed, label_p, label_q, slits_are_holes)
     fid = work.face_ids()
     # Slit corners: on P the corner (departure -> arrival) lies in the face
     # of the arrival copy; on Q in the face of the departure copy.
     slit_p, slit_q = (fid[s] for s in slits) if closed else (None, None)
-    return CutResult(work.finish(fid), copy_p, copy_q, slit_p, slit_q)
+    comp = _component_index(work.alpha, work.sigma)
+    return CutResult(work.finish(fid, comp), copy_p, copy_q, slit_p, slit_q)
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -570,14 +577,12 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
 
 def mirror_map(m: CombMap) -> CombMap:
     """The same surface with reversed orientation (sigma inverted)."""
-    n = m.n_darts
-    inv = [0] * n
-    for d in range(n):
-        inv[m.sigma[d]] = d
-    mm = CombMap(m.alpha, tuple(inv), m.labels, frozenset(), m.allow_disconnected)
-    ftab_old = face_table(m)
-    ftab_new = face_table(mm)
-    holes = frozenset(ftab_new[m.alpha[d]] for d in range(n) if ftab_old[d] in m.holes)
+    inv = [0] * m.n_darts
+    for d, s in enumerate(m.sigma):
+        inv[s] = d
+    # alpha takes each face of m onto a face of the mirror, reversed
+    fid = _face_ids(m.alpha, inv)
+    holes = frozenset(fid[m.alpha[h]] for h in m.holes)
     return CombMap(m.alpha, tuple(inv), m.labels, holes, m.allow_disconnected)
 
 
@@ -632,9 +637,8 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     variants = [m] + ([mirror_map(m)] if mirror else [])
     best = None
     for mv in variants:
-        ftab = face_table(mv)
-        tail = [(_KIND_ORD[mv.labels[d].kind], 1 if ftab[d] in mv.holes else 0)
-                for d in range(mv.n_darts)]
+        tail = [(_KIND_ORD[lb.kind], 1 if f in mv.holes else 0)
+                for lb, f in zip(mv.labels, _face_ids(mv.alpha, mv.sigma))]
         for root in range(mv.n_darts):
             tr = _trace_from(mv, root, tail, best)
             if tr is not None:

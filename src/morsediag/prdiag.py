@@ -34,11 +34,8 @@ from .combmap import (
     canonical_code,
     curve_dart_walk,
     euler_genus,
-    face_table,
-    hole_corner_dart,
     map_from_json,
     map_to_json,
-    vertex_table,
 )
 from .chord import (
     DEFAULT_SYMMETRY,
@@ -247,18 +244,18 @@ class _Walks:
     inner_verts: dict[int, set[int]]      # arcs: vertices minus endpoints
 
 
-def _curve_walks(d: PrDiagram, vtab: dict[int, int]) -> _Walks:
+def _curve_walks(d: PrDiagram, vid: list[int]) -> _Walks:
     m = d.surface
     walk, end_verts, verts, inner = {}, {}, {}, {}
     for ci, c in enumerate(d.curves):
-        w = curve_dart_walk(m, c, vtab)
+        w = curve_dart_walk(m, c, vid)
         walk[ci] = w
-        vs = {vtab[w[0]]}
+        vs = {vid[w[0]]}
         for t in w:
-            vs.add(vtab[m.alpha[t]])
+            vs.add(vid[m.alpha[t]])
         verts[ci] = vs
         if not c.closed:
-            a, b = vtab[w[0]], vtab[m.alpha[w[-1]]]
+            a, b = vid[w[0]], vid[m.alpha[w[-1]]]
             end_verts[ci] = (a, b)
             inner[ci] = vs - {a, b}
         else:
@@ -372,16 +369,16 @@ class _SideReduction:
 
 
 def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
-                    green: bool, ftab: dict[int, int]) -> _SideReduction:
+                    green: bool, fid: list[int]) -> _SideReduction:
     """Surger every assembled cycle (corner-side copy erased, the other copy
     keeps curve labels), then cut every arc of the family, all on one working
-    map started from the surface's face table ``ftab``; components, faces and
+    map started from the surface's face ids ``fid``; components, faces and
     vertices are counted once, at the end."""
     arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
     arc_ids = sorted(ci for ci, c in enumerate(d.curves)
                      if c.label.kind is arc_kind)
     arc_walks = {ci: list(walks.walk[ci]) for ci in arc_ids}
-    work = cmb._WorkMap(d.surface, ftab)
+    work = cmb._WorkMap(d.surface, fid)
     cap_darts = []
     for wk in sorted(cycles, key=min):
         _, copy_q, _ = work.cut(wk, True, _BDY, None, slits_are_holes=False)
@@ -432,12 +429,9 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
 @dataclass
 class _Analysis:
     """One validity analysis of a diagram: the report and, for a valid
-    diagram, the surface's vertex and face tables, the curve walks and both
-    side reductions."""
+    diagram, the curve walks and both side reductions."""
 
     report: ValidityReport
-    vtab: Optional[dict[int, int]] = None
-    ftab: Optional[dict[int, int]] = None
     walks: Optional[_Walks] = None
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
@@ -461,36 +455,25 @@ def validate(d: PrDiagram) -> ValidityReport:
 
 
 def _analyse(d: PrDiagram) -> _Analysis:
-    verdicts = []
-    err = _structure_errors(d)
-    if err is not None:
-        verdicts.append(PropertyVerdict("p1_placement", False, err))
-        for name in ("p2_cycle_endpoints", "p3_disjointness",
-                     "p4_left_turn_cycles", "p5_disk_reduction"):
-            verdicts.append(PropertyVerdict(name, False, "prerequisite failed"))
-        return _Analysis(ValidityReport(tuple(verdicts)))
-
     m = d.surface
-    vtab = vertex_table(m)
-    try:
-        walks = _curve_walks(d, vtab)
-    except MapError as exc:
-        verdicts.append(PropertyVerdict("p1_placement", False, str(exc)))
-        for name in ("p2_cycle_endpoints", "p3_disjointness",
-                     "p4_left_turn_cycles", "p5_disk_reduction"):
-            verdicts.append(PropertyVerdict(name, False, "prerequisite failed"))
-        return _Analysis(ValidityReport(tuple(verdicts)))
-
-    ftab = face_table(m)
-    vert_darts: dict[int, list[int]] = {}
-    for dart in range(m.n_darts):
-        vert_darts.setdefault(vtab[dart], []).append(dart)
-    boundary_vertex = {
-        v: hole_corner_dart(m, darts, ftab) is not None
-        for v, darts in vert_darts.items()
-    }
+    vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
+    fid = cmb._face_ids(m.alpha, m.sigma)
+    err = _structure_errors(d)
+    if err is None:
+        try:
+            walks = _curve_walks(d, vid)
+            boundary_vertex = cmb._boundary_vertices(m, vid, fid)
+        except MapError as exc:
+            err = str(exc)
+    if err is not None:
+        rest = ("p2_cycle_endpoints", "p3_disjointness", "p4_left_turn_cycles",
+                "p5_disk_reduction")
+        return _Analysis(ValidityReport(
+            (PropertyVerdict("p1_placement", False, err),)
+            + tuple(PropertyVerdict(name, False, "prerequisite failed") for name in rest)))
 
     # Property 1
+    verdicts = []
     p1_witness = ""
     for ci, c in enumerate(d.curves):
         if c.label.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
@@ -503,19 +486,17 @@ def _analyse(d: PrDiagram) -> _Analysis:
                 break
         bad = [v for v in walks.inner_verts[ci] if boundary_vertex[v]]
         if bad:
-            p1_witness = f"curve {ci}: interior touches boundary vertex (dart {min(vert_darts[bad[0]])})"
+            p1_witness = f"curve {ci}: interior touches boundary vertex (dart {bad[0]})"
             break
     verdicts.append(PropertyVerdict("p1_placement", not p1_witness, p1_witness))
 
-    # Property 2
-    u_ends = set()
+    # Property 2; an arc flagged closed, a p1 failure, has no endpoints
+    u_ends, v_ends = set(), set()
     for ci, c in enumerate(d.curves):
         if c.label.kind is CurveKind.U_GREEN_ARC:
-            u_ends.update(walks.end_verts[ci])
-    v_ends = set()
-    for ci, c in enumerate(d.curves):
-        if c.label.kind is CurveKind.V_RED_ARC:
-            v_ends.update(walks.end_verts[ci])
+            u_ends.update(walks.end_verts.get(ci, ()))
+        elif c.label.kind is CurveKind.V_RED_ARC:
+            v_ends.update(walks.end_verts.get(ci, ()))
     p2_witness = ""
     for ci, c in enumerate(d.curves):
         if c.closed:
@@ -528,7 +509,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
             continue
         for v in walks.end_verts[ci]:
             if v not in allowed:
-                p2_witness = f"curve {ci}: endpoint (dart {min(vert_darts[v])}) is not an arc endpoint"
+                p2_witness = f"curve {ci}: endpoint (dart {v}) is not an arc endpoint"
                 break
         if p2_witness:
             break
@@ -547,7 +528,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
                 shared = walks.verts[ids[i]] & walks.verts[ids[j]]
                 if shared:
                     p3_witness = (f"curves {ids[i]} and {ids[j]} ({kind.value}) share "
-                                  f"vertex (dart {min(vert_darts[min(shared)])})")
+                                  f"vertex (dart {min(shared)})")
                     break
             if p3_witness:
                 break
@@ -557,7 +538,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
         for arc_kind, cyc_kind in ((CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
                                    (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)):
             for ai in fam(arc_kind):
-                a_end = set(walks.end_verts[ai])
+                a_end = set(walks.end_verts.get(ai, ()))
                 for bi in fam(cyc_kind):
                     b_end = set(walks.end_verts.get(bi, ()))
                     shared = walks.verts[ai] & walks.verts[bi]
@@ -571,7 +552,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
                 break
     if not p3_witness and (u_ends & v_ends):
         v0 = min(u_ends & v_ends)
-        p3_witness = f"u and v arcs share endpoint (dart {min(vert_darts[v0])})"
+        p3_witness = f"u and v arcs share endpoint (dart {v0})"
     verdicts.append(PropertyVerdict("p3_disjointness", not p3_witness, p3_witness))
 
     # Property 4
@@ -588,7 +569,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
     sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
-            side = _side_reduction(d, walks, cycles, green, ftab)
+            side = _side_reduction(d, walks, cycles, green, fid)
         except MapError as exc:
             p5_witness = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
@@ -600,7 +581,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
                           f"is not a disk (chi, genus, boundary) = {shape}")
             break
     verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
-    return _Analysis(ValidityReport(tuple(verdicts)), vtab, ftab, walks, *sides)
+    return _Analysis(ValidityReport(tuple(verdicts)), walks, *sides)
 
 
 def _require_valid(d: PrDiagram) -> _Analysis:
@@ -629,7 +610,7 @@ def _census(d: PrDiagram, analysis: _Analysis) -> Census:
     n6 = red.n_components - n5
     n3 = len(d.u_arcs)
     n4 = len(d.v_arcs)
-    chi_f = euler_genus(d.surface, analysis.vtab, analysis.ftab)[0]
+    chi_f = euler_genus(d.surface)[0]
     chi_boundary = 2 * chi_f + 2 * n2 + 2 * n5
     if chi_boundary % 2 != 0 or chi_boundary > 2:
         raise InvalidDiagram(f"boundary Euler characteristic {chi_boundary}")
@@ -855,13 +836,10 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
         labels[e] = lb
         curves.append(EmbeddedCurve((e,), False, lb))
 
+    fid = cmb._face_ids(alpha, sigma)
     m = CombMap(tuple(alpha), tuple(sigma),
-                tuple(labels.get(min(dd, alpha[dd]), CurveLabel(CurveKind.BDY))
-                      for dd in range(n)),
-                frozenset())
-    ftab = face_table(m)
-    holes = frozenset(ftab[arc[p][0]] for p in range(pts))
-    m = CombMap(m.alpha, m.sigma, m.labels, holes)
+                tuple(labels.get(min(dd, alpha[dd]), _BDY) for dd in range(n)),
+                frozenset(fid[arc[p][0]] for p in range(pts)))
     return PrDiagram(m, tuple(curves))
 
 

@@ -230,6 +230,30 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
     code, out, err = run(capsys, "convert", "--to", "pr", str(chord))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {chord}: ") and "'match'" in err
+    # chord fields of the wrong type, and values the constructors refuse
+    for i, (field, value, needle) in enumerate((
+            ("n", 2.0, "n must be an int, not 2.0"),
+            ("n", "2", "n must be an int, not '2'"),
+            ("match", "2301", "match must be a list of ints, not '2301'"),
+            ("colors", "gr", "colors must be a list of strings or null, not 'gr'"),
+            ("colors", ["blue", "red"], "bad color 'blue'"),
+            ("match", [1, 1, 3, 2], "match is not a fixed-point-free involution"))):
+        obj = {"n": 2, "match": [2, 3, 0, 1], "colors": ["green", "red"], field: value}
+        chord = tmp_path / f"bad_chord_{i}.json"
+        chord.write_text(json.dumps(obj))
+        for argv in (("convert", "--to", "pr", str(chord)), ("export", "--format", "svg", str(chord))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: {chord}: ") and needle in err, err
+    # a top-level value that is not an object, even a string holding "curves"
+    for i, value in enumerate(("curves", ["curves"], 3)):
+        bad = tmp_path / f"not_object_{i}.json"
+        bad.write_text(json.dumps(value))
+        for argv in (("validate", str(bad)), ("export", "--format", "dot", str(bad)),
+                     ("convert", "--to", "chord", str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: {bad}: ") and "not an object" in err, err
 
 
 def test_malformed_curve_edges_exit_two_naming_the_field(tmp_path, capsys):

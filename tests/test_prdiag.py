@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import morsediag.catalog as cat
@@ -17,9 +20,8 @@ from morsediag.combmap import (
     EmbeddedCurve,
     MapError,
     build_map,
-    face_table,
-    vertex_table,
 )
+import morsediag.combmap as cmb
 import morsediag.prdiag as pr
 from morsediag.prdiag import (
     FIXED_POINT_TYPES,
@@ -127,6 +129,26 @@ def test_registry_label_mismatch_is_reported():
     rep = validate(broken)
     assert not rep.valid
     assert "belongs to no curve" in rep.properties[0].witness
+
+
+def test_vertex_on_two_boundary_circles_is_reported():
+    # one vertex whose corners lie in two hole faces: build_map refuses the
+    # map, and validate reports it where it used to raise
+    bdy = CurveLabel(CurveKind.BDY)
+    m = CombMap((1, 0, 3, 2), (1, 2, 3, 0), (bdy,) * 4, frozenset({0, 1}))
+    with pytest.raises(MapError, match=r"^vertex has two boundary corners \(darts 0 and 1\)$"):
+        build_map(4, m.alpha, m.sigma, m.labels, m.holes)
+    assert validate(PrDiagram(m, ())).to_json() == {
+        "valid": False,
+        "properties": {
+            "p1_placement": {"passed": False,
+                             "witness": "vertex has two boundary corners (darts 0 and 1)"},
+            "p2_cycle_endpoints": {"passed": False, "witness": "prerequisite failed"},
+            "p3_disjointness": {"passed": False, "witness": "prerequisite failed"},
+            "p4_left_turn_cycles": {"passed": False, "witness": "prerequisite failed"},
+            "p5_disk_reduction": {"passed": False, "witness": "prerequisite failed"},
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +302,6 @@ def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
     # one validity analysis per public call: one side reduction per color,
     # and one analysis per argument of equivalent; the only cuts are those
     # of the side reductions, one per cycle and arc of the side's color
-    import morsediag.combmap as cmb
     import morsediag.prdiag as pr
 
     events = []
@@ -461,9 +482,74 @@ def test_census_of_a_disconnected_surface_raises_like_euler_genus():
 
 def test_side_reduction_matches_cut_by_cut_reference():
     for d in analysis_corpus():
-        walks = pr._curve_walks(d, vertex_table(d.surface))
-        ftab = face_table(d.surface)
+        m = d.surface
+        walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
+        fid = cmb._face_ids(m.alpha, m.sigma)
         for green in (True, False):
             cycles, _ = pr._assemble_cycles(d, walks, green)
-            assert pr._side_reduction(d, walks, cycles, green, ftab) == \
+            assert pr._side_reduction(d, walks, cycles, green, fid) == \
                 reference_side_reduction(d, walks, cycles, green)
+
+
+def _outcome(call, *args) -> str:
+    """A call's JSON-ready result as text, or its exception type and message."""
+    try:
+        out = call(*args)
+    except ValueError as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    if hasattr(out, "to_json"):
+        out = out.to_json()
+    return json.dumps(out, sort_keys=True)
+
+
+def test_analysis_outputs_match_pinned_digest():
+    """Every analysis output on the corpus hashes to the value it had before
+    the analysis moved to dart-indexed lists."""
+    h = hashlib.sha256()
+    for d in analysis_corpus():
+        for text in (
+            json.dumps(validate(d).to_json(), sort_keys=True),
+            _outcome(census, d),
+            _outcome(morse_checks, d),
+            _outcome(boundary_restriction, d),
+            _outcome(lambda x: canonical_colored(to_colored_chord(x)), d),
+            _outcome(lambda x: pr_canonical_code(x, True).decode(), d),
+            _outcome(lambda x: pr_canonical_code(x, False).decode(), d),
+        ):
+            h.update(text.encode() + b"\n")
+    assert len(analysis_corpus()) == 416
+    assert h.hexdigest() == \
+        "3ef3a14d05be3411a7c475b0e0041d1ac3c8cd3ac209e11709f7540ffe31cb79"
+
+
+def _family_swaps(d):
+    """Copies of d with one curve moved to another family, on the map labels
+    too: mostly invalid diagrams, whose witnesses name curves and darts."""
+    m = d.surface
+    for ci, c in enumerate(d.curves):
+        for kind in (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE,
+                     CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE):
+            if kind is c.label.kind:
+                continue
+            lb = CurveLabel(kind, c.label.index)
+            labels = list(m.labels)
+            for e in c.edges:
+                labels[e] = labels[m.alpha[e]] = lb
+            curves = d.curves[:ci] + (EmbeddedCurve(c.edges, c.closed, lb),) + d.curves[ci + 1:]
+            yield PrDiagram(CombMap(m.alpha, m.sigma, tuple(labels), m.holes,
+                                    m.allow_disconnected), curves)
+
+
+def test_witnesses_of_broken_diagrams_match_pinned_digest():
+    """validate reports on the family swaps of the corpus diagrams with at
+    most four curves.  Every witness kind of p2-p5 occurs, and p1's closed
+    arc: four swaps turn a closed cycle into a closed u or v arc, which
+    validate reports under p1 (it used to raise KeyError)."""
+    h = hashlib.sha256()
+    reports = [validate(v) for d in analysis_corpus() if len(d.curves) <= 4
+               for v in _family_swaps(d)]
+    for rep in reports:
+        h.update(json.dumps(rep.to_json(), sort_keys=True).encode() + b"\n")
+    assert (len(reports), sum(rep.valid for rep in reports)) == (312, 2)
+    assert h.hexdigest() == \
+        "e6aa4873e9d7f47d6603e974da8c862afc2ebe2755c81244813d792e15c7e886"
