@@ -348,8 +348,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except catalog.IoFailure as exc:
-        return _usage_error(str(exc))
     except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
 

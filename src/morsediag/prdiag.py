@@ -22,6 +22,7 @@ Green data encodes types 1-3 (sources and u-saddles), red data types 4-6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import combmap as cmb
@@ -429,12 +430,17 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
 @dataclass
 class _Analysis:
     """One validity analysis of a diagram: the report and, for a valid
-    diagram, the curve walks and both side reductions."""
+    diagram, the curve walks, both side reductions and the surface's Euler
+    characteristic (None if the surface is disconnected).
+
+    An analysis is shared by every call on an equal diagram (``_analyse``
+    keeps the last two), so no caller may change it."""
 
     report: ValidityReport
     walks: Optional[_Walks] = None
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
+    chi: Optional[int] = None
 
 
 def validate(d: PrDiagram) -> ValidityReport:
@@ -454,6 +460,9 @@ def validate(d: PrDiagram) -> ValidityReport:
     return _analyse(d).report
 
 
+# Diagrams are frozen values, so the analyses of the last two are reused by
+# later calls on equal diagrams; two is the arity of equivalent(a, b).
+@lru_cache(maxsize=2)
 def _analyse(d: PrDiagram) -> _Analysis:
     m = d.surface
     vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
@@ -581,7 +590,12 @@ def _analyse(d: PrDiagram) -> _Analysis:
                           f"is not a disk (chi, genus, boundary) = {shape}")
             break
     verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
-    return _Analysis(ValidityReport(tuple(verdicts)), walks, *sides)
+    report = ValidityReport(tuple(verdicts))
+    if p5_witness or not cmb._is_connected(m.alpha, m.sigma):
+        return _Analysis(report, walks, *sides)
+    # chi = V - E + interior faces, from the ids the analysis began with
+    chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)
+    return _Analysis(report, walks, *sides, chi=chi)
 
 
 def _require_valid(d: PrDiagram) -> _Analysis:
@@ -610,8 +624,9 @@ def _census(d: PrDiagram, analysis: _Analysis) -> Census:
     n6 = red.n_components - n5
     n3 = len(d.u_arcs)
     n4 = len(d.v_arcs)
-    chi_f = euler_genus(d.surface)[0]
-    chi_boundary = 2 * chi_f + 2 * n2 + 2 * n5
+    if analysis.chi is None:   # as euler_genus refuses it
+        raise MapError("euler_genus requires a connected map")
+    chi_boundary = 2 * analysis.chi + 2 * n2 + 2 * n5
     if chi_boundary % 2 != 0 or chi_boundary > 2:
         raise InvalidDiagram(f"boundary Euler characteristic {chi_boundary}")
     return Census(n1, n2, n3, n4, n5, n6, (2 - chi_boundary) // 2)
@@ -682,7 +697,12 @@ def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
 def pr_canonical_code(d: PrDiagram, mirror: bool = True) -> bytes:
     """Canonical code of the labeled surface map (label kinds only, so curves
     of one family are interchangeable, matching diagram isomorphism)."""
-    return canonical_code(d.surface, mirror=mirror)
+    return _surface_code(d.surface, mirror)
+
+
+@lru_cache(maxsize=2)   # like _analyse: the codes of the last two surfaces
+def _surface_code(m: CombMap, mirror: bool) -> bytes:
+    return canonical_code(m, mirror=mirror)
 
 
 def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:

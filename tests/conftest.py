@@ -549,6 +549,20 @@ def analysis_corpus() -> tuple:
     return tuple(out + [relabel_diagram(d, rng) for d in out])
 
 
+def clear_analysis_caches():
+    """Forget the analyses and codes prdiag keeps of the last two diagrams."""
+    import morsediag.prdiag as pr
+
+    pr._analyse.cache_clear()
+    pr._surface_code.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_analysis_caches():
+    """No test depends on what an earlier test analysed."""
+    clear_analysis_caches()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

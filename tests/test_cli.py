@@ -33,6 +33,15 @@ def test_classify_writes_reproducible_catalog(tmp_path, capsys):
     assert len(cat.load_catalog(p1)) == 9
 
 
+def test_classify_to_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.jsonl"
+    code, stdout, err = run(capsys, "classify", "--genus", "1", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write catalog {out}: ")
+    assert not out.parent.exists()
+
+
 def test_classify_workers_flag(capsys):
     code, out, _ = run(capsys, "classify", "--genus", "2", "--workers", "2")
     assert code == 0

@@ -45,6 +45,7 @@ from morsediag.prdiag import (
 
 from conftest import (
     analysis_corpus,
+    clear_analysis_caches,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
     make_solid_torus_diagram,
@@ -298,15 +299,15 @@ def test_equivalent_requires_valid_inputs():
         equivalent(broken, st)
 
 
-def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
-    # one validity analysis per public call: one side reduction per color,
-    # and one analysis per argument of equivalent; the only cuts are those
-    # of the side reductions, one per cycle and arc of the side's color
-    import morsediag.prdiag as pr
-
+def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
+    # the first public call on a diagram runs its one validity analysis: one
+    # side reduction per color, whose cuts are the only ones (one per cycle
+    # and arc of the side's color); later calls on an equal diagram run none,
+    # and equivalent analyses and codes each of its arguments at most once
     events = []
     reduce_side = pr._side_reduction
     cut = cmb._WorkMap.cut
+    code = pr.canonical_code
 
     def counted(*args, **kwargs):
         events.append(args[3])
@@ -316,6 +317,10 @@ def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
         events.append("cut")
         return cut(*args, **kwargs)
 
+    def counted_code(*args, **kwargs):
+        events.append("code")
+        return code(*args, **kwargs)
+
     def reductions(d):
         # every cycle of the diagrams below is one closed U or V curve
         out = []
@@ -324,23 +329,51 @@ def test_each_public_call_analyses_its_input_once(monkeypatch, rng):
             out += [green] + ["cut"] * (len(cycles) + len(arcs))
         return out
 
+    def cold():
+        clear_analysis_caches()
+        events.clear()
+
     monkeypatch.setattr(pr, "_side_reduction", counted)
     monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
-    d = next(from_colored_chord(ccd) for g, ccd in all_colored_classes(3) if g == 3)
+    monkeypatch.setattr(pr, "canonical_code", counted_code)
+    ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
+    d = from_colored_chord(ccd)
     assert reductions(d) == [True, "cut", "cut", "cut", False, "cut", "cut", "cut"]
-    for op in (validate, census, morse_checks, boundary_restriction, to_colored_chord):
+    ops = (validate, census, morse_checks, boundary_restriction, to_colored_chord)
+    for first in ops:
+        cold()
+        first(d)
+        assert events == reductions(d), first.__name__
         events.clear()
-        op(d)
-        assert events == reductions(d), op.__name__
+        for op in ops:
+            op(from_colored_chord(ccd))   # an equal diagram, built anew
+        assert events == [], first.__name__
+    other = relabel_diagram(d, rng)
+    cold()
+    assert equivalent(d, other)
+    assert events == reductions(d) + reductions(other) + ["code", "code"]
     events.clear()
-    assert equivalent(d, relabel_diagram(d, rng))
-    assert events == reductions(d) * 2
+    assert equivalent(other, d)
+    assert pr_canonical_code(d) == pr_canonical_code(other)
+    for op in ops:
+        op(d)
+        op(other)
+    assert events == []
+    cold()
+    validate(d)
+    assert equivalent(d, d)
+    assert events == reductions(d) + ["code"]
     # a closed green cycle is one more cut of the green side
     four_b = cat.load_fixture("d3_four_b.json")
-    for op in (validate, census, boundary_restriction):
+    assert reductions(four_b) == [True, "cut", False, "cut"]
+    for first in (validate, census, boundary_restriction):
+        cold()
+        first(four_b)
+        assert events == reductions(four_b), first.__name__
         events.clear()
-        op(four_b)
-        assert events == reductions(four_b), op.__name__
+        for op in (validate, census, boundary_restriction):
+            op(four_b)
+        assert events == [], first.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -502,20 +535,35 @@ def _outcome(call, *args) -> str:
     return json.dumps(out, sort_keys=True)
 
 
+_OUTPUTS = {
+    "validate": lambda d: json.dumps(validate(d).to_json(), sort_keys=True),
+    "census": lambda d: _outcome(census, d),
+    "morse_checks": lambda d: _outcome(morse_checks, d),
+    "boundary_restriction": lambda d: _outcome(boundary_restriction, d),
+    "to_colored_chord": lambda d: _outcome(lambda x: canonical_colored(to_colored_chord(x)), d),
+    "code": lambda d: _outcome(lambda x: pr_canonical_code(x, True).decode(), d),
+    "code_no_mirror": lambda d: _outcome(lambda x: pr_canonical_code(x, False).decode(), d),
+}
+
+
 def test_analysis_outputs_match_pinned_digest():
     """Every analysis output on the corpus hashes to the value it had before
-    the analysis moved to dart-indexed lists."""
+    the analysis moved to dart-indexed lists.  Each diagram's outputs are
+    made three ways, which must agree: in call order from cold caches, then
+    in reverse order on the analysis and codes the first pass left cached,
+    and each after clearing the caches (so a call that changed a shared
+    analysis would show)."""
     h = hashlib.sha256()
     for d in analysis_corpus():
-        for text in (
-            json.dumps(validate(d).to_json(), sort_keys=True),
-            _outcome(census, d),
-            _outcome(morse_checks, d),
-            _outcome(boundary_restriction, d),
-            _outcome(lambda x: canonical_colored(to_colored_chord(x)), d),
-            _outcome(lambda x: pr_canonical_code(x, True).decode(), d),
-            _outcome(lambda x: pr_canonical_code(x, False).decode(), d),
-        ):
+        clear_analysis_caches()
+        forward = {name: out(d) for name, out in _OUTPUTS.items()}
+        backward = {name: out(d) for name, out in reversed(_OUTPUTS.items())}
+        fresh = {}
+        for name, out in _OUTPUTS.items():
+            clear_analysis_caches()
+            fresh[name] = out(d)
+        assert forward == backward == fresh
+        for text in forward.values():
             h.update(text.encode() + b"\n")
     assert len(analysis_corpus()) == 416
     assert h.hexdigest() == \
@@ -544,10 +592,22 @@ def test_witnesses_of_broken_diagrams_match_pinned_digest():
     """validate reports on the family swaps of the corpus diagrams with at
     most four curves.  Every witness kind of p2-p5 occurs, and p1's closed
     arc: four swaps turn a closed cycle into a closed u or v arc, which
-    validate reports under p1 (it used to raise KeyError)."""
+    validate reports under p1 (it used to raise KeyError).  Each swap is
+    validated with its source diagram and the swap before it cached, whose
+    maps differ from it only in labels, and again from cold caches."""
     h = hashlib.sha256()
-    reports = [validate(v) for d in analysis_corpus() if len(d.curves) <= 4
-               for v in _family_swaps(d)]
+    reports, warm = [], []
+    for d in analysis_corpus():
+        if len(d.curves) > 4:
+            continue
+        variants = list(_family_swaps(d))
+        for v in variants:
+            validate(d)
+            warm.append(validate(v).to_json())
+        for v in variants:
+            clear_analysis_caches()
+            reports.append(validate(v))
+    assert warm == [rep.to_json() for rep in reports]
     for rep in reports:
         h.update(json.dumps(rep.to_json(), sort_keys=True).encode() + b"\n")
     assert (len(reports), sum(rep.valid for rep in reports)) == (312, 2)
