@@ -25,6 +25,8 @@ from math import factorial
 from operator import getitem
 from typing import Iterator, Optional, Sequence
 
+from ._formats import CHORD, check
+
 
 class NotOneFace(ValueError):
     pass
@@ -107,11 +109,6 @@ def crossing(cd: ChordDiagram, a: int, b: int) -> bool:
     chords = cd.chords()
     (p, q), (r, s) = chords[a], chords[b]
     return (p < r < q < s) or (r < p < s < q)
-
-
-def _pairs_cross(p: tuple[int, int], r: tuple[int, int]) -> bool:
-    (a, b), (c, d) = sorted(p), sorted(r)
-    return (a < c < b < d) or (c < a < d < b)
 
 
 def face_count(cd: ChordDiagram) -> int:
@@ -500,40 +497,34 @@ def enumerate_colorings(base: ChordDiagram, g: int,
             for _, green_ids, _ in classes]
 
 
+def _crossing_within(crossed: Sequence[int], colors: Sequence[str], color: str) -> bool:
+    """Do two chords of one color cross?  ``crossed`` holds the chords'
+    crossing masks (_crossing_masks) and ``colors`` their colors."""
+    chords = sum(1 << i for i, c in enumerate(colors) if c == color)
+    return any(chords >> i & 1 and mask & chords for i, mask in enumerate(crossed))
+
+
 def is_river(ccd: ColoredChordDiagram) -> bool:
     """River criterion: equal color counts, same-color chords pairwise
     non-crossing, and some run of g consecutive circle positions consists of
-    one end from each red chord (no other chord ends between them)."""
-    greens = ccd.green_chords()
-    reds = ccd.red_chords()
-    if len(greens) != len(reds):
+    one end from each red chord (no other chord ends between them), as
+    _river tests it.  The empty diagram is no river."""
+    match, colors = ccd.base.match, ccd.colors
+    if not colors or 2 * colors.count(GREEN) != len(colors):
         return False
-    for fam in (greens, reds):
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                if _pairs_cross(fam[i], fam[j]):
-                    return False
-    g = len(reds)
-    pts = ccd.base.points
-    red_id = {}
-    for idx, (a, b) in enumerate(reds):
-        red_id[a] = idx
-        red_id[b] = idx
-    for start in range(pts):
-        window = [(start + k) % pts for k in range(g)]
-        ids = [red_id.get(p) for p in window]
-        if None in ids:
-            continue
-        if len(set(ids)) == g:
-            return True
-    return False
+    crossed = _crossing_masks(match)
+    if _crossing_within(crossed, colors, GREEN):
+        return False
+    red = sum(1 << i for i, c in enumerate(colors) if c == RED)
+    pcol = "".join("g" if c == GREEN else "r" for c in ccd.point_colors())
+    return _river(match, pcol, crossed, red)
 
 
 def _river(match: Sequence[int], pcol: str, crossed: Sequence[int], red: int) -> bool:
-    """is_river of a coloring of a one-face base with g = len(match) // 4
-    pairwise non-crossing green chords, from its point colors pcol ("g" and
-    "r"), the bitmask `red` of its red chords and the chords' crossing masks
-    (chords in ChordDiagram.chords() order)."""
+    """is_river of a coloring with g = len(match) // 4 >= 1 chords of each
+    color, the green ones pairwise non-crossing, from its point colors pcol
+    ("g" and "r"), the bitmask `red` of its red chords and the chords'
+    crossing masks (chords in ChordDiagram.chords() order)."""
     for i, mask in enumerate(crossed):
         if red >> i & 1 and mask & red:
             return False
@@ -566,8 +557,11 @@ def _classify_base(job):
     return _code("cd1", 2 * g, match, sym), colorings
 
 
-def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY,
-             workers: int = 1, max_genus: int = 4):
+#: The largest genus that classify enumerates.
+_MAX_GENUS = 4
+
+
+def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 1):
     """Full classification at one genus: base classes, colored classes,
     river classes, and all canonical codes.  Returns a CatalogReport.
 
@@ -580,8 +574,8 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY,
     processes."""
     from .catalog import CatalogReport
 
-    if g > max_genus:
-        raise ValueError(f"genus {g} above configured bound {max_genus}")
+    if g > _MAX_GENUS:
+        raise ValueError(f"genus {g} above configured bound {_MAX_GENUS}")
     t0 = time.perf_counter()
     jobs = [(match, g, sym.value, stabiliser)
             for match, stabiliser in _canonical_bases(g, sym)]
@@ -639,15 +633,9 @@ def colored_to_json(ccd: ColoredChordDiagram) -> dict:
 
 
 def chord_from_json(obj: dict):
-    """ChordDiagram, or ColoredChordDiagram when colors are present; a field
-    of the wrong type is a ValueError naming the field."""
-    n, match, colors = obj["n"], obj["match"], obj.get("colors")
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, not {n!r}")
-    if not isinstance(match, list) or any(type(x) is not int for x in match):
-        raise ValueError(f"match must be a list of ints, not {match!r}")
-    if colors is not None and (not isinstance(colors, list)
-                               or any(type(c) is not str for c in colors)):
-        raise ValueError(f"colors must be a list of strings or null, not {colors!r}")
-    cd = ChordDiagram(n, tuple(match))
+    """ChordDiagram, or ColoredChordDiagram when colors are present; a
+    missing or mistyped field is a ValueError naming its path."""
+    check(obj, CHORD)
+    cd = ChordDiagram(obj["n"], tuple(obj["match"]))
+    colors = obj.get("colors")
     return cd if colors is None else ColoredChordDiagram(cd, tuple(colors))

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import __version__, catalog
+from ._formats import FLOW_FILE, check
 from .chord import (
     DEFAULT_SYMMETRY,
     GREEN,
@@ -52,48 +53,30 @@ def _emit(obj: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
-    if not isinstance(obj, dict):
-        raise SystemExit(_usage_error(f"{path}: the top-level JSON value is not an object"))
-    return obj
-
-
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE_ERROR
 
 
-def _parse(path: str, obj: dict, parse):
-    """``parse(obj)``; a missing or malformed field is a usage error naming
-    the file and the field, never a traceback or a negative verdict."""
+def _load(path: str, reader):
+    """``reader`` of the JSON value in the file at ``path``.  A file that
+    cannot be read, is not ASCII JSON or that the reader refuses (a
+    ValueError, with the field's path) is a usage error naming the file,
+    never a traceback or a negative verdict."""
     try:
-        return parse(obj)
-    except KeyError as exc:
-        msg = f"missing field {exc.args[0]!r}"
-    except (TypeError, ValueError) as exc:
-        msg = f"bad field: {exc}"
-    raise SystemExit(_usage_error(f"{path}: {msg}"))
+        with open(path, "r", encoding="ascii") as fh:
+            return reader(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(_usage_error(f"{path}: {exc}"))
 
 
 def _load_diagram(path: str) -> PrDiagram:
-    obj = _read_json(path)
-    if "curves" not in obj:
-        raise SystemExit(_usage_error(f"{path} is not a flow-diagram file"))
-    return _parse(path, obj, pr_from_json)
-
-
-def _symmetry(name: str) -> SymmetryConvention:
-    return (SymmetryConvention.ROTATION_ONLY if name == "rotation"
-            else SymmetryConvention.DIHEDRAL)
+    """The diagram in a flow-diagram file, which lists its curves."""
+    return _load(path, lambda obj: pr_from_json(check(obj, FLOW_FILE)))
 
 
 def _cmd_classify(args) -> int:
-    sym = _symmetry(args.symmetry)
+    sym = SymmetryConvention(args.symmetry)
     workers = args.workers or int(os.environ.get("MORSEDIAG_WORKERS", "1"))
     report = classify(args.genus, sym, workers=workers)
     if args.out:
@@ -139,18 +122,16 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    obj = _read_json(args.file)
+    loaded = _load(args.file, pr_from_json if args.to == "chord" else chord_from_json)
     try:
         if args.to == "chord":
-            d = _parse(args.file, obj, pr_from_json)
-            ccd = to_colored_chord(d)
+            ccd = to_colored_chord(loaded)
             out = colored_to_json(ccd)
             summary = f"colored chord diagram with {ccd.base.n} chords"
         else:
-            cd = _parse(args.file, obj, chord_from_json)
-            if not isinstance(cd, ColoredChordDiagram):
+            if not isinstance(loaded, ColoredChordDiagram):
                 raise InvalidColoring("chord file must carry colors")
-            d = from_colored_chord(cd)
+            d = from_colored_chord(loaded)
             out = pr_to_json(d)
             summary = f"flow diagram with {d.surface.n_darts} darts"
     except (InvalidDiagram, NotOptimal, InvalidColoring) as exc:
@@ -251,10 +232,17 @@ def _chord_dot(ccd: ColoredChordDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flow_or_chord(obj):
+    """A flow diagram, or a chord diagram when ``obj`` has no curves and
+    either has a match or has no darts."""
+    if isinstance(obj, dict) and "curves" not in obj and ("match" in obj or "darts" not in obj):
+        return chord_from_json(obj)
+    return pr_from_json(obj)
+
+
 def _cmd_export(args) -> int:
-    obj = _read_json(args.file)
-    is_pr = "curves" in obj or ("darts" in obj and "match" not in obj)
-    loaded = _parse(args.file, obj, pr_from_json if is_pr else chord_from_json)
+    loaded = _load(args.file, _flow_or_chord)
+    is_pr = isinstance(loaded, PrDiagram)
     try:
         if args.format == "json":
             if is_pr:

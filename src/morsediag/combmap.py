@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from ._formats import MAP, check
+
 
 class MapError(ValueError):
     """Base class for structural errors in combinatorial maps."""
@@ -669,49 +671,16 @@ def map_to_json(m: CombMap) -> dict:
     }
 
 
-def _int_list(value, field: str) -> Sequence[int]:
-    """``value`` if it is a list of ints, else MapError naming the field."""
-    if not isinstance(value, (list, tuple)):
-        raise MapError(f"{field} must be a list of ints, not {value!r}")
-    for i, x in enumerate(value):
-        if type(x) is not int:
-            raise MapError(f"{field}[{i}] must be an int, not {x!r}")
-    return value
-
-
-def _json_objects(value, field: str) -> Sequence[dict]:
-    """``value`` if it is a list of JSON objects, else MapError naming the
-    field."""
-    if not isinstance(value, (list, tuple)):
-        raise MapError(f"{field} must be a list of objects, not {value!r}")
-    for i, x in enumerate(value):
-        if not isinstance(x, dict):
-            raise MapError(f"{field}[{i}] must be an object, not {x!r}")
-    return value
-
-
-def _label_index(value, field: str) -> Optional[int]:
-    """``value`` if it is an int or None (JSON null), else MapError naming
-    the field."""
-    if value is not None and type(value) is not int:
-        raise MapError(f"{field} must be an int or null, not {value!r}")
-    return value
-
-
-def map_from_json(obj: dict, allow_disconnected: bool = False) -> CombMap:
-    n = obj["darts"]
-    if type(n) is not int:
-        raise MapError(f"darts must be an int, not {n!r}")
-    alpha = _int_list(obj["alpha"], "alpha")
-    sigma = _int_list(obj["sigma"], "sigma")
-    holes = _int_list(obj.get("holes", []), "holes")
+def map_from_json(obj: dict) -> CombMap:
+    """The map of a JSON object in the map format.  A missing or mistyped
+    field is a ValueError naming its path (``_formats.check``); an unknown
+    label kind, or a map that build_map refuses, is a MapError."""
+    check(obj, MAP)
     lab = {}
-    for k, item in enumerate(_json_objects(obj.get("labels", []), "labels")):
-        kind = _KIND_BY_JSON.get(item["kind"]) if isinstance(item["kind"], str) else None
-        if kind is None:
-            raise MapError(f"unknown label kind {item['kind']!r}")
-        edge = item["edge"]
-        if type(edge) is not int:
-            raise MapError(f"labels[{k}].edge must be an int, not {edge!r}")
-        lab[edge] = CurveLabel(kind, _label_index(item.get("index"), f"labels[{k}].index"))
-    return build_map(n, alpha, sigma, lab, holes, allow_disconnected=allow_disconnected)
+    for k, item in enumerate(obj.get("labels", ())):
+        kind = item["kind"]
+        label_kind = _KIND_BY_JSON.get(kind) if type(kind) is str else None
+        if label_kind is None:
+            raise MapError(f"labels[{k}].kind: unknown label kind {kind!r}")
+        lab[item["edge"]] = CurveLabel(label_kind, item.get("index"))
+    return build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()))

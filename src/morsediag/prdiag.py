@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import combmap as cmb
+from ._formats import FLOW, check
 from .combmap import (
     CombMap,
     CurveKind,
@@ -44,8 +45,9 @@ from .chord import (
     RED,
     ColoredChordDiagram,
     SymmetryConvention,
+    _crossing_masks,
+    _crossing_within,
     _least_colored,
-    _pairs_cross,
     colored_from_point_colors,
     face_count,
 )
@@ -795,19 +797,10 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
     reds = ccd.red_chords()
     if len(greens) != g or len(reds) != g:
         raise InvalidColoring(f"expected {g} chords of each color")
-    for i in range(len(greens)):
-        for j in range(i + 1, len(greens)):
-            if _pairs_cross(greens[i], greens[j]):
-                raise InvalidColoring("green chords must be pairwise non-crossing")
+    if _crossing_within(_crossing_masks(base.match), ccd.colors, GREEN):
+        raise InvalidColoring("green chords must be pairwise non-crossing")
     if face_count(base) != 1:
         raise InvalidColoring("base diagram must have one face")
-
-    color_at = {}
-    pair_of = {}
-    for (a, b), col in zip(base.chords(), ccd.colors):
-        color_at[a] = color_at[b] = col
-        pair_of[a] = (a, b)
-        pair_of[b] = (a, b)
 
     n = 0
     def fresh():
@@ -832,11 +825,10 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
             sigma[dart] = rot[(i + 1) % len(rot)]
 
     # out of point p: arc[p][0]; into point p: arc[p-1][1]
-    for p in range(pts):
-        if color_at[p] == GREEN:
-            a, b = pair_of[p]
-            u = green_edge[(a, b)]
-            ud = u[0] if p == a else u[1]
+    for p, col in enumerate(ccd.point_colors()):
+        if col == GREEN:
+            q = base.match[p]
+            ud = green_edge[min(p, q), max(p, q)][0 if p < q else 1]
             setrot([arc[p][0], ud, arc[(p - 1) % pts][1]])
     for (a, b), e in seam.items():
         # merged endpoints: (a-, b+) and (a+, b-)
@@ -955,18 +947,18 @@ def pr_to_json(d: PrDiagram) -> dict:
 
 
 def pr_from_json(obj: dict) -> PrDiagram:
+    """The diagram of a JSON object in the flow-diagram format: a map
+    (map_from_json) with an optional curve registry.  A missing or mistyped
+    field is a ValueError naming its path; an unknown curve family is a
+    MapError."""
     m = map_from_json(obj)
+    check(obj, FLOW)
     curves = []
-    for k, item in enumerate(cmb._json_objects(obj.get("curves", ()), "curves")):
-        kind = _FAMILY_KIND.get(item["family"]) if isinstance(item["family"], str) else None
+    for k, item in enumerate(obj.get("curves", ())):
+        family = item["family"]
+        kind = _FAMILY_KIND.get(family) if type(family) is str else None
         if kind is None:
-            raise MapError(f"unknown curve family {item['family']!r}")
-        lb = CurveLabel(kind, cmb._label_index(item.get("index"), f"curves[{k}].index"))
-        edges = item["edges"]
-        if not isinstance(edges, (list, tuple)) or any(type(e) is not int for e in edges):
-            raise MapError(f"curves[{k}].edges must be a list of edge ids, not {edges!r}")
-        closed = item["closed"]
-        if type(closed) is not bool:
-            raise MapError(f"curves[{k}].closed must be a bool, not {closed!r}")
-        curves.append(EmbeddedCurve(tuple(edges), closed, lb))
+            raise MapError(f"curves[{k}].family: unknown curve family {family!r}")
+        curves.append(EmbeddedCurve(tuple(item["edges"]), item["closed"],
+                                    CurveLabel(kind, item.get("index"))))
     return PrDiagram(m, tuple(curves))

@@ -225,8 +225,18 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
         path = tmp_path / f"bad_field_{i}.json"
         path.write_text(json.dumps(obj))
         bad_fields.append((path, needle))
+    # a file that is not ASCII: a UTF-8 e-acute in a label kind, or a byte-order mark
+    with open(fixture_path("solid_torus.json"), "rb") as fh:
+        text = fh.read()
+    not_ascii = []
+    for name, data in (("utf8", text.replace(b'"u"', '"\u00e9"'.encode(), 1)),
+                       ("bom", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        not_ascii.append((path, "'ascii' codec can't decode"))
     good = fixture_path("solid_torus.json")
-    for bad, needle in [(no_darts, "'darts'"), (no_closed, "'closed'")] + bad_edges + bad_fields:
+    for bad, needle in ([(no_darts, "'darts'"), (no_closed, "'closed'")] + bad_edges + bad_fields
+                        + not_ascii):
         for argv in (("validate", str(bad)), ("census", str(bad)),
                      ("boundary", str(bad)), ("iso", good, str(bad)),
                      ("iso", str(bad), good)):
@@ -254,6 +264,11 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert err.startswith(f"error: {chord}: ") and needle in err, err
+    for bad, _ in not_ascii:
+        for argv in (("convert", "--to", "chord", str(bad)), ("export", "--format", "json", str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: {bad}: ") and "'ascii' codec" in err, err
     # a top-level value that is not an object, even a string holding "curves"
     for i, value in enumerate(("curves", ["curves"], 3)):
         bad = tmp_path / f"not_object_{i}.json"
@@ -284,3 +299,122 @@ def test_workers_env_var(monkeypatch, capsys):
     code, out, _ = run(capsys, "classify", "--genus", "1")
     assert code == 0
     assert json.loads(out)["colored"] == 1
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside a JSON value, by dict keys and list
+    indices, outermost first."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+def _path_name(path) -> str:
+    """A path as messages name it: curves[1].closed."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+
+
+_SWAPPED = (None, True, 1.5, "x", [], {}, [0], 7)
+
+
+def _mutant(obj, rng):
+    """A copy of a JSON object with one fault, and how a reader names it.
+    The fault is one of: a dict key dropped, named by the whole message if
+    the field is required, (True, "curves[1]: missing field 'closed'"); a
+    value swapped for one of another type, named by the path that starts
+    the message, (False, "curves[1].closed"); or, named by None, a list
+    item dropped or an int in a list (a permutation or match entry, an edge
+    or hole id) shifted."""
+    obj = json.loads(json.dumps(obj))
+    paths = list(_json_paths(obj))[1:]
+    shiftable = [p for p in paths if type(p[-1]) is int]
+    how = rng.randrange(3)
+    path = rng.choice(shiftable if how == 2 and shiftable else paths)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    del parent[key]
+    if how == 0 and type(key) is str:
+        where = _path_name(path[:-1])
+        return obj, (True, f"{where + ': ' if where else ''}missing field {key!r}")
+    if how == 0:
+        return obj, None
+    if how == 2 and type(key) is int and type(value) is int:
+        parent.insert(key, value + rng.choice((-1, 1, len(parent) + 1)))
+        return obj, None
+    swapped = rng.choice([v for v in _SWAPPED if type(v) is not type(value)])
+    if type(key) is int:
+        parent.insert(key, swapped)
+    else:
+        parent[key] = swapped
+    return obj, (False, _path_name(path))
+
+
+def test_fuzzed_files_exit_zero_one_or_two_naming_the_file(tmp_path, capsys, rng):
+    # every fixture, rebuilt genus-3 diagrams and chord files, each with one
+    # seeded fault, through every subcommand that reads a file: no
+    # traceback; exit 2 exactly when the subcommand's reader refuses the
+    # file, naming the file, and the faulty field by its path where the
+    # file is read in its own format; so exit 1 (a negative verdict) only
+    # for a file that its format's reader accepts
+    from morsediag.chord import (chord_from_json, chord_to_json, colored_to_json,
+                                 enumerate_bases, enumerate_colorings)
+    from morsediag.prdiag import from_colored_chord, pr_from_json, pr_to_json
+
+    def flow_file(obj):
+        # validate, census, boundary and iso read flow diagrams that list their curves
+        if isinstance(obj, dict) and "curves" not in obj:
+            raise ValueError("missing field 'curves'")
+        return pr_from_json(obj)
+
+    def refuses(reader, obj) -> bool:
+        try:
+            reader(obj)
+        except ValueError:
+            return True
+        return False
+
+    sources = []
+    for name in cat.fixture_names():
+        with open(fixture_path(name)) as fh:
+            sources.append((json.load(fh), pr_from_json))
+    colorings = [ccd for base in enumerate_bases(3) for ccd in enumerate_colorings(base, 3)]
+    for ccd in rng.sample(colorings, 2):
+        sources += [(pr_to_json(from_colored_chord(ccd)), pr_from_json),
+                    (colored_to_json(ccd), chord_from_json),
+                    (chord_to_json(ccd.base), chord_from_json)]
+    good = fixture_path("solid_torus.json")
+    codes = set()
+    for i, (obj, own) in enumerate(sources):
+        for j, (mutant, fault) in enumerate([(obj, None)] + [_mutant(obj, rng) for _ in range(4)]):
+            path = tmp_path / f"fuzz_{i}_{j}.json"
+            path.write_text(json.dumps(mutant))
+            f = str(path)
+            # each subcommand with its reader and the format that reader reads
+            for argv, reader, fmt in (
+                    (("validate", f), flow_file, pr_from_json),
+                    (("census", f), flow_file, pr_from_json),
+                    (("boundary", f), flow_file, pr_from_json),
+                    (("iso", good, f), flow_file, pr_from_json),
+                    (("convert", "--to", "chord", f), pr_from_json, pr_from_json),
+                    (("convert", "--to", "pr", f), chord_from_json, chord_from_json),
+                    (("export", "--format", "json", f), own, own),
+                    (("export", "--format", "dot", f), own, own),
+                    (("export", "--format", "svg", f), own, own)):
+                code, out, err = run(capsys, *argv)
+                codes.add(code)
+                assert code in (0, 1, 2), (argv, mutant)
+                assert (code == 2) == refuses(reader, mutant), (argv, mutant, err)
+                if code == 2:
+                    assert out == "" and err.startswith(f"error: {f}: "), (argv, err)
+                    if fault and fmt is own:
+                        dropped, name = fault
+                        if not dropped:
+                            assert err.startswith(f"error: {f}: {name}"), (argv, err)
+                        elif "missing field" in err:
+                            assert err == f"error: {f}: {name}\n", (argv, err)
+    assert codes == {0, 1, 2}
