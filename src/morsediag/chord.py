@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import factorial
-from operator import getitem
+from itertools import accumulate, compress
+from operator import eq, getitem, xor
 from typing import Iterator, Optional, Sequence
 
 from ._formats import CHORD, check
@@ -202,39 +203,52 @@ def _stabiliser_if_least(match: Sequence[int], sym: SymmetryConvention
     representative usually loses within a few entries), the first larger
     one drops the map, and a map whose image equals the matching joins the
     stabiliser: rotations first, then reflections, each by q."""
-    pts = len(match)
-    first = match[0]
+    return _self_test(len(match), sym)(match)
+
+
+@cache
+def _self_test(pts: int, sym: SymmetryConvention):
+    """_stabiliser_if_least for the matchings of pts points, with the
+    tables it reads bound once: a map's image starts with match[0] = s iff
+    match[q] == rotations[s][q] for the rotation taking q to 0, and iff
+    match[q] == reflections[s][q] for the reflection i -> q - i, so one
+    C-level pass over the matching finds the maps that can tie.  Entry 0 of
+    a rotation row is -1, which no partner equals: the identity is no
+    candidate."""
     maps = _symmetry_maps(pts, sym)
-    spans = list(map(getitem, _span_table(pts), match))
-    twice = tuple(match) * 2
-    stabiliser = [maps[0]]
-    for q in range(1, pts):
-        if spans[q] != first:
-            continue
-        for k in range(1, pts):
-            x = (twice[k + q] - q) % pts
-            y = match[k]
-            if x != y:
-                if x < y:
-                    return None
-                break
-        else:
-            stabiliser.append(maps[pts - q])
-    if sym is SymmetryConvention.DIHEDRAL:
-        last = pts - first
-        for q in range(pts):
-            if spans[q] != last:
-                continue
+    rotations = tuple((-1,) + tuple((q + s) % pts for q in range(1, pts)) for s in range(pts))
+    reflections = tuple(tuple((q - s) % pts for q in range(pts)) for s in range(pts))
+    dihedral = sym is SymmetryConvention.DIHEDRAL
+    points = range(pts)
+
+    def stabiliser_if_least(match: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
+        first = match[0]
+        twice = tuple(match) * 2
+        fixing = [maps[0]]
+        for q in compress(points, map(eq, match, rotations[first])):
             for k in range(1, pts):
-                x = (q - twice[q - k + pts]) % pts
+                x = (twice[k + q] - q) % pts
                 y = match[k]
                 if x != y:
                     if x < y:
                         return None
                     break
             else:
-                stabiliser.append(maps[pts + q])
-    return stabiliser
+                fixing.append(maps[pts - q])
+        if dihedral:
+            for q in compress(points, map(eq, match, reflections[first])):
+                for k in range(1, pts):
+                    x = (q - twice[q - k + pts]) % pts
+                    y = match[k]
+                    if x != y:
+                        if x < y:
+                            return None
+                        break
+                else:
+                    fixing.append(maps[pts + q])
+        return fixing
+
+    return stabiliser_if_least
 
 
 def _code(kind: str, n: int, least: Sequence[int], sym: SymmetryConvention) -> str:
@@ -295,9 +309,23 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
 
     Every chord a-b is placed with span <= b - a <= points - span.  The span
     is 1 without least_first; with it, the first chord (0, b) takes
-    b <= points // 2, so that b is its short span, and sets span = b."""
+    b <= points // 2, so that b is its short span, and sets span = b.  The
+    last chord is forced, so a plain call places it (`last`), not one more
+    generator per matching."""
     match = [-1] * points
     end = list(range(points))
+
+    def last(a: int, span: int) -> Optional[tuple[int, ...]]:
+        # the one chord left joins a to the other unmatched point b; unless
+        # it breaks the span bounds or a -> b+1 closes a cycle, b -> a+1
+        # closes the one cycle of all points
+        b = match.index(-1, a + 1)
+        if not span <= b - a <= points - span or end[a] == (b + 1) % points:
+            return None
+        match[a], match[b] = b, a
+        done = tuple(match)
+        match[a] = match[b] = -1
+        return done
 
     def rec(a: int, left: int, span: int) -> Iterator[tuple[int, ...]]:
         a1 = a + 1
@@ -313,22 +341,24 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
             tail = end[b1]
             end[head], end[tail] = tail, head
             match[a], match[b] = b, a
-            if left == 1:        # b -> a+1 closes the one cycle of all points
-                yield tuple(match)
-            else:
-                head2 = end[b]
-                if head2 != a1:  # else the step b -> a+1 closes a cycle
-                    tail2 = end[a1]
-                    end[head2], end[tail2] = tail2, head2
-                    nxt = a1
-                    while match[nxt] >= 0:
-                        nxt += 1
+            head2 = end[b]
+            if head2 != a1:      # else the step b -> a+1 closes a cycle
+                tail2 = end[a1]
+                end[head2], end[tail2] = tail2, head2
+                nxt = a1
+                while match[nxt] >= 0:
+                    nxt += 1
+                if left > 2:
                     yield from rec(nxt, left - 1, b if root else span)
-                    end[head2], end[tail2] = b, a1
+                else:
+                    done = last(nxt, b if root else span)
+                    if done is not None:
+                        yield done
+                end[head2], end[tail2] = b, a1
             match[a] = match[b] = -1
             end[head], end[tail] = a, b1
 
-    if points % 2 == 0:
+    if points % 2 == 0 and points >= 4:
         yield from rec(0, points // 2, 1)
 
 
@@ -354,10 +384,11 @@ def _canonical_bases(g: int, sym: SymmetryConvention
         raise ValueError("genus must be at least 1")
     pts = 4 * g
     group = len(_symmetry_maps(pts, sym))
+    self_test = _self_test(pts, sym)
     reps = []
     labeled = 0
     for match in _one_face(pts, True):
-        stabiliser = _stabiliser_if_least(match, sym)
+        stabiliser = self_test(match)
         if stabiliser is not None:
             reps.append((match, stabiliser))
             labeled += group // len(stabiliser)
@@ -396,79 +427,93 @@ def _crossing_masks(match: Sequence[int]) -> list[int]:
     ChordDiagram.chords() order.  Chord (a, b) crosses the chords with one
     end strictly between a and b, so its mask is the XOR of the chord bits
     of those points: a difference of prefix XORs."""
-    ids = [0] * len(match)
-    prefix = [0]
-    k = 0
+    bits = [0] * len(match)
+    bit = 1
     for a, b in enumerate(match):
         if a < b:
-            ids[a] = k
-            k += 1
-        else:
-            ids[a] = ids[b]
-        prefix.append(prefix[-1] ^ 1 << ids[a])
+            bits[a] = bits[b] = bit
+            bit <<= 1
+    prefix = [0, *accumulate(bits, xor)]
     return [prefix[b] ^ prefix[a + 1] for a, b in enumerate(match) if a < b]
 
 
 def _noncrossing_subsets(crossed: Sequence[int], size: int) -> list[tuple[int, ...]]:
     """Index tuples of `size` pairwise non-crossing chords, in lexicographic
-    order, given the chords' crossing masks (_crossing_masks)."""
-    n = len(crossed)
+    order, given the chords' crossing masks (_crossing_masks).
+
+    A partial subset keeps the chords that may still join it as a bitmask,
+    `free`: those after its last chord that cross none of its chords.  It
+    takes them lowest first, and is extended only while that mask holds
+    enough chords to complete it."""
     out = []
 
-    def rec(start: int, chosen: tuple[int, ...], blocked: int) -> None:
-        if len(chosen) == size:
-            out.append(chosen)
-            return
-        for i in range(start, n - size + len(chosen) + 1):
-            if not blocked >> i & 1:
-                rec(i + 1, chosen + (i,), blocked | crossed[i])
+    def rec(free: int, chosen: tuple[int, ...], need: int) -> None:
+        while free.bit_count() >= need:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            if need == 1:
+                out.append(chosen + (i,))
+            else:
+                rest = free & ~crossed[i]
+                if rest.bit_count() >= need - 1:
+                    rec(rest, chosen + (i,), need - 1)
 
-    rec(0, (), 0)
+    if size == 0:
+        return [()]
+    rec((1 << len(crossed)) - 1, (), size)
     return out
+
+
+#: Binary digits to point colors: a green point's bit is set.
+_POINT_COLORS = str.maketrans("01", "rg")
 
 
 def _coloring_classes(match: Sequence[int], g: int,
                       readers: Optional[Sequence[Sequence[int]]]):
-    """The coloring classes of a one-face base as (key, green chord indices,
+    """The coloring classes of a one-face base as (key, green chord mask,
     point colors) triples sorted by key, and the chords' crossing masks.
 
-    A coloring's point colors are a string of "g" and "r" per point.  Its
-    images under the maps that take the base to its least image have the
-    colors it shows when read through the maps' inverses, `readers`; its key
-    is the least of these strings.  `readers` None stands for the identity
-    alone (a canonical base with a trivial stabiliser, 6,830 of the 7,258
-    at genus 4), where each coloring is its own key.  A class keeps the
-    first coloring in the order of the non-crossing green subsets.
+    A coloring's point colors are a string of "g" and "r" per point: the
+    binary digits of the OR of its green chords' point masks, where point p
+    is bit pts - 1 - p so that the digits come in point order.  Its images
+    under the maps that take the base to its least image have the colors it
+    shows when read through the maps' inverses, `readers`; its key is the
+    least of these strings.  `readers` None stands for the identity alone (a
+    canonical base with a trivial stabiliser, 6,830 of the 7,258 at
+    genus 4), where distinct green subsets color distinct points, so each
+    coloring is its own class and key.  Otherwise a class keeps the first
+    coloring in the order of the non-crossing green subsets.
 
     Run-time check: a class's orbit holds len(readers) / (the readers giving
     its key) colorings, by orbit-stabiliser; the orbits must sum to the
     green subsets tried, or RuntimeError is raised."""
     pts = len(match)
-    chords = [(a, b) for a, b in enumerate(match) if a < b]
     crossed = _crossing_masks(match)
-    first_seen = {}
-    tried = held = 0
+    ends = [1 << pts - 1 - a | 1 << pts - 1 - b for a, b in enumerate(match) if a < b]
+    digits = f"0{pts}b"
+    colorings = []
     for green_ids in _noncrossing_subsets(crossed, g):
-        tried += 1
-        pcol = ["r"] * pts
+        points = green = 0
         for i in green_ids:
-            a, b = chords[i]
-            pcol[a] = pcol[b] = "g"
-        if readers is None:
-            key = "".join(pcol)
-            if key not in first_seen:
-                first_seen[key] = (green_ids, key)
-                held += 1
-        else:
-            images = ["".join([pcol[i] for i in r]) for r in readers]
-            key = min(images)
-            if key not in first_seen:
-                first_seen[key] = (green_ids, "".join(pcol))
-                held += len(readers) // images.count(key)
-    if held != tried:
+            points |= ends[i]
+            green |= 1 << i
+        colorings.append((format(points, digits).translate(_POINT_COLORS), green))
+    if readers is None:
+        colorings.sort()
+        return [(pcol, green, pcol) for pcol, green in colorings], crossed
+    first_seen = {}
+    held = 0
+    for pcol, green in colorings:
+        images = ["".join([pcol[i] for i in r]) for r in readers]
+        key = min(images)
+        if key not in first_seen:
+            first_seen[key] = (green, pcol)
+            held += len(readers) // images.count(key)
+    if held != len(colorings):
         raise RuntimeError(
             f"genus {g}: base {','.join(map(str, match))}: the {len(first_seen)} "
-            f"coloring classes hold {held} colorings, not the {tried} "
+            f"coloring classes hold {held} colorings, not the {len(colorings)} "
             f"non-crossing green subsets tried")
     return [(key, *first_seen[key]) for key in sorted(first_seen)], crossed
 
@@ -492,9 +537,9 @@ def enumerate_colorings(base: ChordDiagram, g: int,
     _, maps = _least_image(base.match, sym)
     readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
     classes, _ = _coloring_classes(base.match, g, readers)
-    return [ColoredChordDiagram(base, tuple(GREEN if i in green_ids else RED
+    return [ColoredChordDiagram(base, tuple(GREEN if green >> i & 1 else RED
                                             for i in range(base.n)))
-            for _, green_ids, _ in classes]
+            for _, green, _ in classes]
 
 
 def _crossing_within(crossed: Sequence[int], colors: Sequence[str], color: str) -> bool:
@@ -542,19 +587,18 @@ def _river(match: Sequence[int], pcol: str, crossed: Sequence[int], red: int) ->
 
 
 def _classify_base(job):
-    """The code of one canonical base, and (code, river?) for each of its
-    coloring classes; job is (match, g, symmetry value, stabiliser)."""
-    match, g, sym_value, stabiliser = job
-    sym = SymmetryConvention(sym_value)
+    """The code of one canonical base, the codes of its coloring classes and
+    those of its river classes; job is (match, g, symmetry, stabiliser)."""
+    match, g, sym, stabiliser = job
     # a stabiliser is a group, so its maps read the same strings as their inverses
     classes, crossed = _coloring_classes(match, g, stabiliser if len(stabiliser) > 1 else None)
-    prefix = _code("ccd1", 2 * g, match, sym) + "|c="
+    code = _code("", 2 * g, match, sym)     # what follows "cd1" and "ccd1"
+    prefix = "ccd1" + code + "|c="
     every_chord = (1 << 2 * g) - 1
-    colorings = []
-    for key, green_ids, pcol in classes:
-        red = every_chord - sum(1 << i for i in green_ids)
-        colorings.append((prefix + key, _river(match, pcol, crossed, red)))
-    return _code("cd1", 2 * g, match, sym), colorings
+    colored = [prefix + key for key, _, _ in classes]
+    river = [c for c, (_, green, pcol) in zip(colored, classes)
+             if _river(match, pcol, crossed, every_chord ^ green)]
+    return "cd1" + code, colored, river
 
 
 #: The largest genus that classify enumerates.
@@ -577,30 +621,26 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     if g > _MAX_GENUS:
         raise ValueError(f"genus {g} above configured bound {_MAX_GENUS}")
     t0 = time.perf_counter()
-    jobs = [(match, g, sym.value, stabiliser)
-            for match, stabiliser in _canonical_bases(g, sym)]
+    jobs = ((match, g, sym, stabiliser) for match, stabiliser in _canonical_bases(g, sym))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_classify_base, jobs)
     else:
-        results = [_classify_base(j) for j in jobs]
+        results = map(_classify_base, jobs)
 
     base_codes = []
     colored_codes = []
     river_codes = []
     river_bases = 0
-    for base_code, colorings in sorted(results):
+    for base_code, colored, river in results:
         base_codes.append(base_code)
-        any_river = False
-        for code, river in colorings:
-            colored_codes.append(code)
-            if river:
-                river_codes.append(code)
-                any_river = True
-        if any_river:
+        colored_codes += colored
+        if river:
+            river_codes += river
             river_bases += 1
+    base_codes.sort()
     colored_codes.sort()
     river_codes.sort()
     return CatalogReport(

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__, catalog
 from ._formats import FLOW_FILE, check
@@ -273,7 +274,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and building it costs more than most calls."""
     ap = argparse.ArgumentParser(
         prog="morsediag",
         description="Classify, validate and convert combinatorial invariants of "

@@ -309,6 +309,18 @@ def test_colorings_match_reference(g):
                 assert enumerate_colorings(base, g, sym) == _reference_colorings(base, g, sym)
 
 
+def test_noncrossing_subsets_match_combinations(rng):
+    # every subset size, on all genus 1-3 bases and a seeded genus-4 sample,
+    # against pairwise crossing tests over itertools.combinations
+    bases = [b for g in (1, 2, 3) for b in enumerate_bases(g)]
+    bases += rng.sample(enumerate_bases(4), 60)
+    for base in bases:
+        crossed = _crossing_masks(base.match)
+        for size in range(base.n + 2):
+            assert _noncrossing_subsets(crossed, size) == \
+                _green_subsets(base.chords(), size), (base.match, size)
+
+
 def test_coloring_counts():
     (g1,) = enumerate_bases(1)
     assert len(enumerate_colorings(g1, 1)) == 1
@@ -357,6 +369,11 @@ def test_river_rejects_crossing_reds():
     ccd = ColoredChordDiagram(base, tuple(colors))
     assert ccd.red_chords() == [(1, 4), (3, 6)]
     assert not is_river(ccd)
+
+
+def test_river_needs_chords():
+    # g = 0: no run of red points to find, and no river
+    assert not is_river(ColoredChordDiagram(ChordDiagram(0, ()), ()))
 
 
 def test_river_counts_genus2():
