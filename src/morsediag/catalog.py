@@ -140,6 +140,8 @@ def _entry_from_json(obj: dict, lineno: int, strings: dict) -> CatalogEntry:
         raise SchemaViolation(f"line {lineno}: field 'code' must be a non-empty string")
     if type(obj["genus"]) is not int:
         raise SchemaViolation(f"line {lineno}: field 'genus' must be an integer")
+    if type(obj["flags"]) is not dict:
+        raise SchemaViolation(f"line {lineno}: field 'flags' must be an object")
     source, tool_version = obj["source"], obj["tool_version"]
     if type(source) is str:
         source = strings.setdefault(source, source)

@@ -14,7 +14,7 @@ systems live directly on the map and canonical forms are label-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -71,20 +71,43 @@ class CurveKind(Enum):
         return self in (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)
 
 
-# Fixed ordinal used in canonical codes; indices are deliberately excluded so
-# that isomorphism permutes curves within a family (curves of the same type
-# map to curves of the same type).
-_KIND_ORD = {
-    CurveKind.BDY: 0,
-    CurveKind.U_GREEN_ARC: 1,
-    CurveKind.U_GREEN_CYCLE: 2,
-    CurveKind.V_RED_ARC: 3,
-    CurveKind.V_RED_CYCLE: 4,
-}
+# Fixed ordinal used in canonical codes, keyed by the kind's JSON value; indices
+# are deliberately excluded so that isomorphism permutes curves within a family
+# (curves of the same type map to curves of the same type).  The key is
+# ``kind._value_`` because a str hashes in C, where ``Enum.__hash__`` is a
+# Python call per dart.
+_KIND_ORD = {"bdy": 0, "u": 1, "U": 2, "v": 3, "V": 4}
 
 _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 
+def _keeps_hash(cls):
+    """Class decorator for a frozen dataclass that is hashed often (every
+    analysis cache lookup hashes its diagram): the hash of the field tuple,
+    the value the generated ``__hash__`` gives, is computed on the first call
+    and kept on the instance.  It never leaves the process, because string
+    hashes are salted per process: pickles and copies leave it behind."""
+    names = [f.name for f in fields(cls)]
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_keeps_hash
 @dataclass(frozen=True)
 class CurveLabel:
     kind: CurveKind
@@ -94,6 +117,7 @@ class CurveLabel:
 _BDY = CurveLabel(CurveKind.BDY)
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class CombMap:
     """Immutable labeled combinatorial map.
@@ -188,10 +212,14 @@ def _component_index(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
         comp[start] = ncomp
         while stack:
             d = stack.pop()
-            for nxt in (alpha[d], sigma[d]):
-                if comp[nxt] < 0:
-                    comp[nxt] = ncomp
-                    stack.append(nxt)
+            a = alpha[d]
+            if comp[a] < 0:
+                comp[a] = ncomp
+                stack.append(a)
+            s = sigma[d]
+            if comp[s] < 0:
+                comp[s] = ncomp
+                stack.append(s)
         ncomp += 1
     return comp
 
@@ -460,15 +488,14 @@ class _WorkMap:
     def cut(self, walk: Sequence[int], closed: bool,
             label_p: Optional[CurveLabel], label_q: Optional[CurveLabel],
             slits_are_holes: bool):
-        """Cut along an oriented dart walk; returns (copy_p, copy_q, slit
-        darts), the slit darts lying in the P and Q slit faces of a closed
-        curve (empty for an arc).  See ``_cut_walk``."""
+        """Cut along an oriented dart walk; returns (copy_q, slit darts), the
+        slit darts lying in the P and Q slit faces of a closed curve (empty
+        for an arc).  See ``_cut_walk``."""
         alpha, sigma, labels, in_hole = self.alpha, self.sigma, self.labels, self.in_hole
         n, k = len(alpha), len(walk)
         copy_q = {}
         for i, t in enumerate(walk):
             copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
-        copy_p = {d: d for d in copy_q}
 
         # Read every rotation and boundary corner before writing anything.
         arrivals = [alpha[t] for t in walk]
@@ -503,36 +530,43 @@ class _WorkMap:
             labels += [lab if label_q is None else label_q] * 2
             labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
         sigma += [0] * (2 * k)
-        in_hole += [False] * (2 * k)
         for rot in rotations:
             for x, y in zip(rot, rot[1:] + rot[:1]):
                 sigma[x] = y
 
         # A face is a hole if it keeps a dart of a hole face that is not on
-        # the curve, or if it is a slit face and slits become holes.
+        # the curve, or if it is a slit face and slits become holes: the
+        # curve darts and their copies count as holes only as slit darts.
+        for d in copy_q:
+            in_hole[d] = False
+        in_hole += [False] * (2 * k)
         slits = (arrivals[0], copy_q[walk[0]]) if closed else ()
-        marked = set(slits) if slits_are_holes else set()
+        if slits_are_holes:
+            for d in slits:
+                in_hole[d] = True
         done = set()
-        for start in copy_q.keys() | copy_q.values():
+        for start in (*copy_q, *copy_q.values()):
             if start in done:
                 continue
             face = []
             hole = False
             d = start
-            while d not in done:
-                done.add(d)
+            while True:
                 face.append(d)
                 if not hole:
-                    hole = d in marked if d in copy_q or d >= n else in_hole[d]
+                    hole = in_hole[d]
                 d = sigma[alpha[d]]
+                if d == start:
+                    break
+            done.update(face)
             for x in face:
                 in_hole[x] = hole
-        return copy_p, copy_q, slits
+        return copy_q, slits
 
     def finish(self, fid: list[int], comp: list[int]) -> CombMap:
         """The map as it stands, from its ``face_ids`` and its
         ``_component_index``."""
-        holes = frozenset(f for f, h in zip(fid, self.in_hole) if h)
+        holes = frozenset(f for f in set(fid) if self.in_hole[f])
         return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels),
                        holes, allow_disconnected=max(comp, default=0) > 0)
 
@@ -547,13 +581,13 @@ def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
     replace the copies' labels (None keeps the original curve label).
     """
     work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    copy_p, copy_q, slits = work.cut(walk, closed, label_p, label_q, slits_are_holes)
+    copy_q, slits = work.cut(walk, closed, label_p, label_q, slits_are_holes)
     fid = work.face_ids()
     # Slit corners: on P the corner (departure -> arrival) lies in the face
     # of the arrival copy; on Q in the face of the departure copy.
     slit_p, slit_q = (fid[s] for s in slits) if closed else (None, None)
     comp = _component_index(work.alpha, work.sigma)
-    return CutResult(work.finish(fid, comp), copy_p, copy_q, slit_p, slit_q)
+    return CutResult(work.finish(fid, comp), {d: d for d in copy_q}, copy_q, slit_p, slit_q)
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -588,21 +622,26 @@ def mirror_map(m: CombMap) -> CombMap:
     return CombMap(m.alpha, tuple(inv), m.labels, holes, m.allow_disconnected)
 
 
-def _trace_from(m: CombMap, root: int, tail: Sequence[tuple[int, int]],
-                best: Optional[list]) -> Optional[list]:
+# The last two cm1 fields of an atom, by the atom's tail (2·kind + hole).
+_TAIL_TEXT = [f"{t >> 1},{t & 1}" for t in range(10)]
+
+
+def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
+                tail: Sequence[int], best: Optional[list[int]]) -> Optional[list[int]]:
     """BFS relabeling trace from a root dart (visit sigma then alpha).
 
-    The atom of a dart is (id of its sigma image, id of its alpha image) +
-    ``tail[dart]``, the (kind ordinal, hole bit) pair; it is fixed as soon as
-    the dart is dequeued, so it is compared with ``best`` there.  Returns the
-    trace if it is lexicographically smaller than ``best`` (always when best
-    is None), else None, stopping at the first larger atom."""
-    sigma, alpha = m.sigma, m.alpha
-    new_id = [-1] * m.n_darts
+    The atom of a dart is the int ``(s·n + a)·10 + tail[dart]``, where s and
+    a are the ids of its sigma and alpha images and ``tail[dart]`` is twice
+    its kind ordinal plus its hole bit, so atoms order as the tuples
+    (s, a, kind, hole) do.  An atom is fixed as soon as its dart is dequeued,
+    so it is compared with ``best`` there.  Returns the trace if it is
+    lexicographically smaller than ``best`` (always when best is None), else
+    None, stopping at the first larger atom."""
+    n = len(sigma)
+    new_id = [-1] * n
     order = [root]
     new_id[root] = 0
-    out = []
-    undecided = best is not None
+    out = None if best is not None else []   # None while equal to best
     for head, d in enumerate(order):
         s = sigma[d]
         if new_id[s] < 0:
@@ -612,16 +651,15 @@ def _trace_from(m: CombMap, root: int, tail: Sequence[tuple[int, int]],
         if new_id[a] < 0:
             new_id[a] = len(order)
             order.append(a)
-        atom = (new_id[s], new_id[a]) + tail[d]
-        if undecided:
+        atom = (new_id[s] * n + new_id[a]) * 10 + tail[d]
+        if out is None:
             ref = best[head]
             if atom > ref:
                 return None
-            if atom < ref:
-                undecided = False
+            if atom == ref:
+                continue
+            out = best[:head]
         out.append(atom)
-    if undecided:
-        return None  # equal to the current best
     return out
 
 
@@ -633,21 +671,40 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     is serialized.  Codes are equal iff the maps are isomorphic through a
     label-kind-preserving homeomorphism (orientation-reversing ones allowed
     iff ``mirror``).
+
+    A root's first atom depends on its own darts only: (0, 1) if sigma fixes
+    it, (1, 1) if sigma and alpha agree on it, else (1, 2), then its tail.
+    Only the roots whose first atom is the least of all are traced; any
+    other root's trace is larger at its first atom.
     """
-    if m.n_darts == 0:
+    n = m.n_darts
+    if n == 0:
         return b"cm1|empty"
-    variants = [m] + ([mirror_map(m)] if mirror else [])
+    alpha, sigma = m.alpha, m.sigma
+    kind2 = [2 * _KIND_ORD[lb.kind._value_] for lb in m.labels]
+    in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
+    variants = [(sigma, [k + h for k, h in zip(kind2, in_hole)])]
+    if mirror:
+        inv = [0] * n
+        for d, s in enumerate(sigma):
+            inv[s] = d
+        # alpha takes each face of m onto a face of the mirror (mirror_map)
+        variants.append((inv, [k + in_hole[a] for k, a in zip(kind2, alpha)]))
+    first = [[t + (10 if s == r else 10 * n + (10 if s == a else 20))
+              for r, (s, a, t) in enumerate(zip(sg, alpha, tail))]
+             for sg, tail in variants]
+    least = min(min(atoms) for atoms in first)
     best = None
-    for mv in variants:
-        tail = [(_KIND_ORD[lb.kind], 1 if f in mv.holes else 0)
-                for lb, f in zip(mv.labels, _face_ids(mv.alpha, mv.sigma))]
-        for root in range(mv.n_darts):
-            tr = _trace_from(mv, root, tail, best)
-            if tr is not None:
-                best = tr
-    flat = ";".join(f"{s},{a},{k},{h}" for s, a, k, h in best)
+    for (sg, tail), atoms in zip(variants, first):
+        for root, atom in enumerate(atoms):
+            if atom == least:
+                tr = _trace_from(sg, alpha, root, tail, best)
+                if tr is not None:
+                    best = tr
+    n10 = 10 * n
+    flat = ";".join([f"{x // n10},{x // 10 % n},{_TAIL_TEXT[x % 10]}" for x in best])
     tag = "dih" if mirror else "rot"
-    return f"cm1[{tag}]|n={m.n_darts}|{flat}".encode("ascii")
+    return f"cm1[{tag}]|n={n}|{flat}".encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,7 @@ _KIND_FAMILY = {v: k for k, v in _FAMILY_KIND.items()}
 _BDY = CurveLabel(CurveKind.BDY)
 
 
+@cmb._keeps_hash
 @dataclass(frozen=True)
 class PrDiagram:
     """Surface map plus registry of embedded curves (grouped by label kind)."""
@@ -384,7 +385,7 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
     work = cmb._WorkMap(d.surface, fid)
     cap_darts = []
     for wk in sorted(cycles, key=min):
-        _, copy_q, _ = work.cut(wk, True, _BDY, None, slits_are_holes=False)
+        copy_q, _ = work.cut(wk, True, _BDY, None, slits_are_holes=False)
         # arcs embedded in this cycle survive as their label-keeping copies;
         # copy_q is keyed by exactly the darts of the cut cycle
         for ci in arc_ids:
@@ -393,22 +394,21 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
     arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
-        _, copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
+        copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
         arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     comp = cmb._component_index(work.alpha, work.sigma)
     fid = work.face_ids()
-    vid = cmb._orbit_ids(work.sigma)
     # per component: chi = V - E + interior faces, and the hole count
     ncomp = max(comp, default=0) + 1
-    chi = [0] * ncomp
+    chi = [-(comp.count(c) // 2) for c in range(ncomp)]
     holes = [0] * ncomp
-    for x, c in enumerate(comp):
-        chi[c] += (vid[x] == x) - (x < work.alpha[x])
-        if fid[x] == x:
-            if work.in_hole[x]:
-                holes[c] += 1
-            else:
-                chi[c] += 1
+    for v in set(cmb._orbit_ids(work.sigma)):
+        chi[comp[v]] += 1
+    for f in set(fid):
+        if work.in_hole[f]:
+            holes[comp[f]] += 1
+        else:
+            chi[comp[f]] += 1
     end_darts = {}
     for ci in arc_ids:
         w = walks.walk[ci]
@@ -527,13 +527,13 @@ def _analyse(d: PrDiagram) -> _Analysis:
     verdicts.append(PropertyVerdict("p2_cycle_endpoints", not p2_witness, p2_witness))
 
     # Property 3
-    def fam(kind):
-        return [ci for ci, c in enumerate(d.curves) if c.label.kind is kind]
-
+    fam = {kind: [] for kind in _KIND_FAMILY}   # kind -> its curve indices
+    for ci, c in enumerate(d.curves):
+        fam[c.label.kind].append(ci)
     p3_witness = ""
     for kind in (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE,
                  CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE):
-        ids = fam(kind)
+        ids = fam[kind]
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 shared = walks.verts[ids[i]] & walks.verts[ids[j]]
@@ -548,9 +548,9 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if not p3_witness:
         for arc_kind, cyc_kind in ((CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
                                    (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)):
-            for ai in fam(arc_kind):
+            for ai in fam[arc_kind]:
                 a_end = set(walks.end_verts.get(ai, ()))
-                for bi in fam(cyc_kind):
+                for bi in fam[cyc_kind]:
                     b_end = set(walks.end_verts.get(bi, ()))
                     shared = walks.verts[ai] & walks.verts[bi]
                     if shared - (a_end & b_end):
@@ -593,7 +593,10 @@ def _analyse(d: PrDiagram) -> _Analysis:
             break
     verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
     report = ValidityReport(tuple(verdicts))
-    if p5_witness or not cmb._is_connected(m.alpha, m.sigma):
+    # Cutting never joins components, so a side reduction in one piece shows
+    # the surface connected without a search.
+    if p5_witness or (min(side.n_components for side in sides) > 1
+                      and not cmb._is_connected(m.alpha, m.sigma)):
         return _Analysis(report, walks, *sides)
     # chi = V - E + interior faces, from the ids the analysis began with
     chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)

@@ -135,6 +135,56 @@ def relabel_map(m: CombMap, rng: random.Random,
                    m.allow_disconnected)
 
 
+def random_small_map(rng: random.Random, max_edges: int = 7) -> CombMap:
+    """A random connected map with 1..max_edges edges, random label kinds
+    and indices on its edges and random hole faces (built without build_map,
+    so a hole may border a curve edge).  Some vertices are forced to hold a
+    single dart (sigma fixes it) and some loops to fill consecutive corners
+    (sigma(d) == alpha(d)): the two cases where a trace's first atom is not
+    (1, 2)."""
+    n = 2 * rng.randint(1, max_edges)
+    darts = _shuffled_darts(n, rng)
+    alpha = [0] * n
+    for a, b in zip(darts[::2], darts[1::2]):
+        alpha[a], alpha[b] = b, a
+    rotations, rest = [], _shuffled_darts(n, rng)
+    while rest:
+        k = 1 if rng.random() < 0.3 else rng.randint(1, 4)
+        rotations.append(rest[:k])
+        rest = rest[k:]
+    for d in rng.sample(range(n), rng.randint(0, n // 2)):
+        # move alpha(d) into the corner after d
+        a = alpha[d]
+        for rot in rotations:
+            if a in rot:
+                rot.remove(a)
+        rotations = [rot for rot in rotations if rot]
+        rot = next(rot for rot in rotations if d in rot)
+        rot.insert(rot.index(d) + 1, a)
+    while True:
+        sigma = [0] * n
+        for rot in rotations:
+            for x, y in zip(rot, rot[1:] + rot[:1]):
+                sigma[x] = y
+        seen = _reached(alpha, sigma)
+        if len(seen) == n:
+            break
+        # join a vertex outside the component of dart 0 to one inside it
+        outside = next(rot for rot in rotations if rot[0] not in seen)
+        rotations.remove(outside)
+        next(rot for rot in rotations if rot[0] in seen).extend(outside)
+    labels = [None] * n
+    for d in range(n):
+        if d < alpha[d]:
+            kind = rng.choice(list(CurveKind))
+            index = None if kind is CurveKind.BDY else rng.randrange(3)
+            labels[d] = labels[alpha[d]] = CurveLabel(kind, index)
+    fids = set(face_table(CombMap(tuple(alpha), tuple(sigma), tuple(labels),
+                                  frozenset())).values())
+    holes = frozenset(f for f in sorted(fids) if rng.random() < 0.4)
+    return CombMap(tuple(alpha), tuple(sigma), tuple(labels), holes)
+
+
 def relabel_diagram(d, rng: random.Random):
     """Relabeled copy of a diagram (map darts renamed, curves re-indexed)."""
     from morsediag.prdiag import PrDiagram
@@ -372,7 +422,8 @@ def chord_orbit_counts(g: int, *, reflections: bool) -> ChordOrbitCounts:
 # Cut-by-cut reference for side reductions
 # ---------------------------------------------------------------------------
 
-def _connected(alpha, sigma) -> bool:
+def _reached(alpha, sigma) -> set:
+    """The darts connected to dart 0."""
     seen = {0} if alpha else set()
     stack = list(seen)
     while stack:
@@ -381,7 +432,11 @@ def _connected(alpha, sigma) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return len(seen) == len(alpha)
+    return seen
+
+
+def _connected(alpha, sigma) -> bool:
+    return len(_reached(alpha, sigma)) == len(alpha)
 
 
 def _rotation(sigma, d) -> list[int]:

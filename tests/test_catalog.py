@@ -120,7 +120,7 @@ def _outcome(path):
     """load_catalog's entries, or the type and message of what it raised."""
     try:
         return cat.load_catalog(path)
-    except (cat.SchemaViolation, TypeError) as exc:
+    except cat.SchemaViolation as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -173,6 +173,9 @@ def test_fast_and_whole_line_parsing_agree_on_schema_violations(tmp_path, monkey
             ("SchemaViolation", f"line 1: field 'kind' is {kind!r}")
     assert outcome(dict(good, schema_version=99)) == \
         ("SchemaViolation", "line 1: field 'schema_version' is 99, expected 1")
+    for flags in (5, [["one_face", True]]):
+        assert outcome(dict(good, flags=flags)) == \
+            ("SchemaViolation", "line 1: field 'flags' must be an object")
 
 
 def test_fast_and_whole_line_parsing_agree_on_hand_built_entries(tmp_path, monkeypatch):
@@ -238,9 +241,12 @@ def test_fast_and_whole_line_parsing_agree_on_odd_lines(tmp_path, monkeypatch):
                  '{"code": "cd1-b",}\n', '{"code": "cd1-b", }\n'):
         kind, message = outcome(text)
         assert kind == "SchemaViolation" and "invalid JSON" in message, text
-    # flags that are not an object
+    # flags that are not an object, first seen or after a good line
     for flags in ([["one_face", True]], 5):
-        outcome(_jsonl(dict(good, flags=flags)))
+        assert outcome(_jsonl(dict(good, flags=flags))) == \
+            ("SchemaViolation", "line 1: field 'flags' must be an object")
+        assert outcome(_jsonl(good, dict(other, flags=flags))) == \
+            ("SchemaViolation", "line 2: field 'flags' must be an object")
 
 
 def test_bools_are_not_integers(tmp_path, monkeypatch):

@@ -58,7 +58,7 @@ def test_validate_fixture(capsys):
 
 
 def test_validate_invalid_diagram_exits_one(tmp_path, capsys):
-    obj = json.loads(open(fixture_path("solid_torus.json")).read())
+    obj = json.loads((cat.fixture_dir() / "solid_torus.json").read_text())
     obj["curves"] = obj["curves"][:1]    # orphan the red edge
     bad = tmp_path / "broken.json"
     bad.write_text(json.dumps(obj))
@@ -190,7 +190,7 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
     # a crash must not read as a negative verdict (exit 1)
     no_darts = tmp_path / "no_darts.json"
     no_darts.write_text(json.dumps({"curves": []}))
-    obj = json.loads(open(fixture_path("solid_torus.json")).read())
+    obj = json.loads((cat.fixture_dir() / "solid_torus.json").read_text())
     del obj["curves"][0]["closed"]
     no_closed = tmp_path / "no_closed.json"
     no_closed.write_text(json.dumps(obj))

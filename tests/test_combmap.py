@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from morsediag.combmap import (
@@ -36,6 +38,7 @@ from conftest import (
     make_solid_torus_diagram,
     make_sphere,
     make_torus,
+    random_small_map,
     reference_canonical_code,
     reference_cut_walk,
     relabel_map,
@@ -383,9 +386,17 @@ def test_canonical_code_equals_full_trace_reference(rng):
              for ccd in enumerate_colorings(b, g)]
     assert len(maps) == 9 + 185
     maps += [relabel_map(m, rng) for m in maps]
-    for m in maps:
+    # Small random maps with degree-1 vertices and loops in consecutive
+    # corners, whose first atoms are (0, 1) and (1, 1): canonical_code traces
+    # only the roots with the least first atom.
+    small = [random_small_map(rng) for _ in range(400)]
+    first_atoms = Counter()
+    for m in maps + small:
         for mirror in (True, False):
-            assert canonical_code(m, mirror) == reference_canonical_code(m, mirror)
+            code = reference_canonical_code(m, mirror)
+            assert canonical_code(m, mirror) == code
+            first_atoms[code.split(b"|")[2][:4]] += 1
+    assert min(first_atoms[atom] for atom in (b"0,1,", b"1,1,", b"1,2,")) >= 100
 
 
 # ---------------------------------------------------------------------------

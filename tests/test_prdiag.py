@@ -1,5 +1,10 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +379,92 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         for op in (validate, census, boundary_restriction):
             op(four_b)
         assert events == [], first.__name__
+
+
+# ---------------------------------------------------------------------------
+# kept hashes
+# ---------------------------------------------------------------------------
+
+def _fresh_copy(d: PrDiagram) -> PrDiagram:
+    m = d.surface
+    return PrDiagram(CombMap(m.alpha, m.sigma, tuple(CurveLabel(lb.kind, lb.index)
+                                                     for lb in m.labels),
+                             m.holes, m.allow_disconnected),
+                     tuple(EmbeddedCurve(c.edges, c.closed, CurveLabel(c.label.kind, c.label.index))
+                           for c in d.curves))
+
+
+def test_kept_hash_is_the_field_tuple_hash_and_fields_stay_as_they_were():
+    d = cat.load_fixture("solid_torus.json")
+    m = d.surface
+    texts = (repr(d), repr(m), repr(m.labels[0]))
+    assert hash(d) == hash((m, d.curves))
+    assert hash(m) == hash((m.alpha, m.sigma, m.labels, m.holes, m.allow_disconnected))
+    assert hash(m.labels[0]) == hash((m.labels[0].kind, m.labels[0].index))
+    assert (repr(d), repr(m), repr(m.labels[0])) == texts
+    assert [f.name for f in dataclasses.fields(PrDiagram)] == ["surface", "curves"]
+    assert [f.name for f in dataclasses.fields(CombMap)] == \
+        ["alpha", "sigma", "labels", "holes", "allow_disconnected"]
+    assert [f.name for f in dataclasses.fields(CurveLabel)] == ["kind", "index"]
+    # a hashed diagram equals an unhashed copy, both ways, and hashes like it
+    fresh = _fresh_copy(d)
+    assert d == fresh and fresh == d and hash(fresh) == hash(d)
+    relabeled = PrDiagram(CombMap(m.alpha, m.sigma, m.labels[::-1], m.holes), d.curves)
+    assert relabeled != d and d != relabeled
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.curves = ()
+
+
+def test_replace_gives_a_copy_hashed_by_its_own_fields():
+    d = cat.load_fixture("solid_torus.json")
+    m = d.surface
+    hash(d)
+    fewer = dataclasses.replace(d, curves=d.curves[:1])
+    assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash((m, d.curves[:1]))
+    no_holes = dataclasses.replace(m, holes=frozenset())
+    assert hash(no_holes) == hash(CombMap(m.alpha, m.sigma, m.labels, frozenset()))
+    assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
+
+
+_PICKLE_IN = """
+import pickle, sys
+import morsediag.catalog as cat
+import morsediag.prdiag as pr
+d = cat.load_fixture("solid_torus.json")
+pr.validate(d)   # hashes the diagram, its surface and its labels
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(d, fh)
+"""
+
+_LOAD_IN = """
+import pickle, sys
+import morsediag.catalog as cat
+import morsediag.prdiag as pr
+with open(sys.argv[1], "rb") as fh:
+    loaded = pickle.load(fh)
+fresh = cat.load_fixture("solid_torus.json")
+assert loaded == fresh
+assert hash(loaded) == hash(fresh)
+assert hash(loaded.surface) == hash(fresh.surface)
+assert [hash(lb) for lb in loaded.surface.labels] == [hash(lb) for lb in fresh.surface.labels]
+report = pr.validate(fresh)
+info = pr._analyse.cache_info()
+assert pr.validate(loaded) is report
+assert pr._analyse.cache_info().hits == info.hits + 1
+print("ok")
+"""
+
+
+def test_a_pickled_diagram_hashes_like_a_fresh_one_in_another_process(tmp_path):
+    # string hashes are salted per process, so a kept hash must not travel
+    path = str(tmp_path / "d.pickle")
+    src = str(Path(pr.__file__).resolve().parents[1])
+    for seed, script in (("1", _PICKLE_IN), ("2", _LOAD_IN)):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script, path], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 # ---------------------------------------------------------------------------
