@@ -193,7 +193,7 @@ def _stabiliser_if_least(match: Sequence[int], sym: SymmetryConvention
 
     The self-test of orderly generation (McKay, J. Algorithms 26, 1998).
     It relies on match[0] being the least short span of the matching's
-    chords, as _one_face(points, True) guarantees, so that match[0] is the
+    chords, as _one_face(points, sym) guarantees, so that match[0] is the
     least first entry of any image and only the maps whose image starts
     with it can tie.  Each such map's image is compared with the matching
     entry by entry, without being built: entry k is
@@ -251,16 +251,18 @@ def _self_test(pts: int, sym: SymmetryConvention):
     return stabiliser_if_least
 
 
-def _code(kind: str, n: int, least: Sequence[int], sym: SymmetryConvention) -> str:
-    """Code prefix shared by chord ("cd1") and colored ("ccd1") class codes."""
+@cache
+def _code_format(pts: int, sym: SymmetryConvention) -> str:
+    """The %-format, given a least image of pts points as a tuple, of what
+    follows "cd1" in a chord class code and "ccd1" in a colored one."""
     tag = "dih" if sym is SymmetryConvention.DIHEDRAL else "rot"
-    return f"{kind}[{tag}]|n={n}|m=" + ",".join(map(str, least))
+    return f"[{tag}]|n={pts // 2}|m=" + ",".join(["%d"] * pts)
 
 
 def canonical_chord(cd: ChordDiagram, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> str:
     """Class code: the least image of the matching (_least_image) over all
     rotations, and reflections when dihedral.  Equal codes iff same class."""
-    return _code("cd1", cd.n, _least_image(cd.match, sym)[0], sym)
+    return "cd1" + _code_format(cd.points, sym) % _least_image(cd.match, sym)[0]
 
 
 def _least_colored(match: Sequence[int], pcol: Sequence[str], sym: SymmetryConvention
@@ -286,7 +288,7 @@ def canonical_colored(ccd: ColoredChordDiagram,
     symmetry maps.  Equal codes iff same class."""
     match, pcol = _least_colored(ccd.base.match, ccd.point_colors(), sym)
     cols = "".join("g" if c == GREEN else "r" for c in pcol)
-    return _code("ccd1", ccd.base.n, match, sym) + "|c=" + cols
+    return "ccd1" + _code_format(len(match), sym) % match + "|c=" + cols
 
 
 def colored_from_point_colors(match: Sequence[int], pcol: Sequence[str]) -> ColoredChordDiagram:
@@ -295,10 +297,13 @@ def colored_from_point_colors(match: Sequence[int], pcol: Sequence[str]) -> Colo
     return ColoredChordDiagram(base, colors)
 
 
-def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
+def _one_face(points: int, sym: Optional[SymmetryConvention]) -> Iterator[tuple[int, ...]]:
     """The one-face perfect matchings of 0..points-1, in lexicographic
-    order; with least_first, only those whose chord at point 0 has
-    the least short span min(b - a, points - (b - a)) of all their chords.
+    order; with a convention sym, only the candidates for its class
+    representatives: those whose chord at point 0 has the least short span
+    s = min(b - a, points - (b - a)) of all their chords, and whose first
+    two entries (s, match[1]) are the least first two entries of their
+    images under sym's maps.
 
     A partial matching is extended only while its face permutation
     i -> (match[i] + 1) % points has no closed cycle: a cycle that closes
@@ -308,12 +313,46 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
     a-b, which adds the steps a -> b+1 and b -> a+1, is tested in O(1).
 
     Every chord a-b is placed with span <= b - a <= points - span.  The span
-    is 1 without least_first; with it, the first chord (0, b) takes
-    b <= points // 2, so that b is its short span, and sets span = b.  The
-    last chord is forced, so a plain call places it (`last`), not one more
-    generator per matching."""
+    is 1 without sym; with it, the first chord (0, b) takes b <= points // 2,
+    so that b is its short span, and sets span = s = b.  An image then
+    starts with s only under the rotation taking q to 0 where
+    match[q] == q + s, with entry 1 (match[q + 1] - q) % points, and, when
+    dihedral, under the reflection i -> q - i where match[q] == q - s, with
+    entry 1 (q - match[q - 1]) % points.  Once both points it reads are
+    placed, such an entry below match[1] beats every completion, so the
+    subtree is dropped (`beaten`).  The last chord is forced, so a plain
+    call places it (`last`), not one more generator per matching."""
     match = [-1] * points
     end = list(range(points))
+    prune = sym is not None
+    reflect = sym is SymmetryConvention.DIHEDRAL
+
+    def beaten(a: int, b: int, span: int) -> bool:
+        # chord a-b (a >= 1, every point below a placed) completes the
+        # readings of the rotations at a - 1, a, b - 1, b and the reflections
+        # at a, a + 1, b, b + 1; each is read only where it can start with
+        # span and go on below match[1].  Index q - points reads point q
+        second, gap = match[1], b - a
+        if gap == span:             # rotation at a, reflection at b
+            k, j = match[a + 1], match[b - 1]
+            if (k >= 0 and (k - a) % points < second
+                    or reflect and j >= 0 and (b - j) % points < second):
+                return True
+        if gap == points - span:    # rotation at b, reflection at a
+            k = match[b + 1 - points]
+            if (k >= 0 and (k - b) % points < second
+                    or reflect and (a - match[a - 1]) % points < second):
+                return True
+        # the rotation at a - 1 and the reflection at b + 1 read gap + 1; the
+        # latter needs b + 1's partner b + 1 - span placed, but it lies above
+        # a (or b + 1 = points and every chord is a diameter, beaten by none)
+        if gap + 1 < second and (match[a - 1] - a + 1) % points == span:
+            return True
+        if points + 1 - gap < second:   # rotation at b - 1, reflection at a + 1
+            j, k = match[b - 1], match[a + 1]
+            return (j >= 0 and (j - b + 1) % points == span
+                    or reflect and k >= 0 and (a + 1 - k) % points == span)
+        return False
 
     def last(a: int, span: int) -> Optional[tuple[int, ...]]:
         # the one chord left joins a to the other unmatched point b; unless
@@ -323,13 +362,14 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
         if not span <= b - a <= points - span or end[a] == (b + 1) % points:
             return None
         match[a], match[b] = b, a
-        done = tuple(match)
+        done = None if prune and beaten(a, b, span) else tuple(match)
         match[a] = match[b] = -1
         return done
 
     def rec(a: int, left: int, span: int) -> Iterator[tuple[int, ...]]:
         a1 = a + 1
-        root = least_first and a == 0
+        root = prune and a == 0
+        check = prune and a > 0
         stop = points // 2 + 1 if root else min(points, a + points + 1 - span)
         for b in range(a + span, stop):
             if match[b] >= 0:
@@ -342,7 +382,8 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
             end[head], end[tail] = tail, head
             match[a], match[b] = b, a
             head2 = end[b]
-            if head2 != a1:      # else the step b -> a+1 closes a cycle
+            # unless the step b -> a+1 closes a cycle or an image beats match[1]
+            if head2 != a1 and not (check and beaten(a, b, span)):
                 tail2 = end[a1]
                 end[head2], end[tail2] = tail2, head2
                 nxt = a1
@@ -365,7 +406,7 @@ def _one_face(points: int, least_first: bool) -> Iterator[tuple[int, ...]]:
 def one_face_matchings(points: int) -> Iterator[tuple[int, ...]]:
     """Every one-face perfect matching of 0..points-1, in lexicographic
     order."""
-    return _one_face(points, False)
+    return _one_face(points, None)
 
 
 def _harer_zagier_count(g: int) -> int:
@@ -387,7 +428,7 @@ def _canonical_bases(g: int, sym: SymmetryConvention
     self_test = _self_test(pts, sym)
     reps = []
     labeled = 0
-    for match in _one_face(pts, True):
+    for match in _one_face(pts, sym):
         stabiliser = self_test(match)
         if stabiliser is not None:
             reps.append((match, stabiliser))
@@ -409,16 +450,17 @@ def enumerate_bases(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[
     representative iff it is the least image of itself under the symmetry
     maps, so no set of classes seen is kept.  Every image starts with a
     chord's short span min(b - a, 4g - (b - a)), so a representative's chord
-    (0, b) has the least short span of all its chords: generation places
-    only such matchings (25,508 of the 225,225 at genus 4).  The self-test
-    then compares the matching with its images under the maps whose image
-    also starts with that span, entry by entry without building the images,
-    and rejects it at the first smaller entry.  The maps that fix a
-    representative form its stabiliser, and its class holds
-    len(maps) // len(stabiliser) labeled matchings; these must sum to the
-    Harer-Zagier count (4g)! / (4^g (2g+1)!), or RuntimeError is raised.
-    Generation runs in lexicographic order, so the representatives come out
-    sorted."""
+    (0, b) has the least short span of all its chords, and no image that
+    starts with that span has a smaller entry 1.  Generation places only
+    such matchings (_one_face: 9,353 of the 225,225 at genus 4, 25,508 by
+    the span alone).  The self-test then compares each with its images
+    under the maps whose image also starts with that span, entry by entry
+    without building the images, and rejects it at the first smaller
+    entry.  The maps that fix a representative form its stabiliser, and
+    its class holds len(maps) // len(stabiliser) labeled matchings; these
+    must sum to the Harer-Zagier count (4g)! / (4^g (2g+1)!), or
+    RuntimeError is raised.  Generation runs in lexicographic order, so the
+    representatives come out sorted."""
     return [ChordDiagram(2 * g, match) for match, _ in _canonical_bases(g, sym)]
 
 
@@ -469,55 +511,6 @@ def _noncrossing_subsets(crossed: Sequence[int], size: int) -> list[tuple[int, .
 _POINT_COLORS = str.maketrans("01", "rg")
 
 
-def _coloring_classes(match: Sequence[int], g: int,
-                      readers: Optional[Sequence[Sequence[int]]]):
-    """The coloring classes of a one-face base as (key, green chord mask,
-    point colors) triples sorted by key, and the chords' crossing masks.
-
-    A coloring's point colors are a string of "g" and "r" per point: the
-    binary digits of the OR of its green chords' point masks, where point p
-    is bit pts - 1 - p so that the digits come in point order.  Its images
-    under the maps that take the base to its least image have the colors it
-    shows when read through the maps' inverses, `readers`; its key is the
-    least of these strings.  `readers` None stands for the identity alone (a
-    canonical base with a trivial stabiliser, 6,830 of the 7,258 at
-    genus 4), where distinct green subsets color distinct points, so each
-    coloring is its own class and key.  Otherwise a class keeps the first
-    coloring in the order of the non-crossing green subsets.
-
-    Run-time check: a class's orbit holds len(readers) / (the readers giving
-    its key) colorings, by orbit-stabiliser; the orbits must sum to the
-    green subsets tried, or RuntimeError is raised."""
-    pts = len(match)
-    crossed = _crossing_masks(match)
-    ends = [1 << pts - 1 - a | 1 << pts - 1 - b for a, b in enumerate(match) if a < b]
-    digits = f"0{pts}b"
-    colorings = []
-    for green_ids in _noncrossing_subsets(crossed, g):
-        points = green = 0
-        for i in green_ids:
-            points |= ends[i]
-            green |= 1 << i
-        colorings.append((format(points, digits).translate(_POINT_COLORS), green))
-    if readers is None:
-        colorings.sort()
-        return [(pcol, green, pcol) for pcol, green in colorings], crossed
-    first_seen = {}
-    held = 0
-    for pcol, green in colorings:
-        images = ["".join([pcol[i] for i in r]) for r in readers]
-        key = min(images)
-        if key not in first_seen:
-            first_seen[key] = (green, pcol)
-            held += len(readers) // images.count(key)
-    if held != len(colorings):
-        raise RuntimeError(
-            f"genus {g}: base {','.join(map(str, match))}: the {len(first_seen)} "
-            f"coloring classes hold {held} colorings, not the {len(colorings)} "
-            f"non-crossing green subsets tried")
-    return [(key, *first_seen[key]) for key in sorted(first_seen)], crossed
-
-
 def enumerate_colorings(base: ChordDiagram, g: int,
                         sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[ColoredChordDiagram]:
     """All colorings of a one-face base with exactly g pairwise non-crossing
@@ -527,7 +520,8 @@ def enumerate_colorings(base: ChordDiagram, g: int,
     The maps that take the base to its least image are computed once; a
     coloring's class is told by its least color string under those maps
     alone (for a canonical base, its stabiliser), which is what
-    canonical_colored gives.  The representative of a class is its first
+    canonical_colored gives.  The classes come from _classify_base, as in
+    classify, sorted here.  The representative of a class is its first
     coloring in the order of the non-crossing green subsets.  The orbit
     sizes of the classes must sum to the subsets tried (RuntimeError)."""
     if base.n != 2 * g:
@@ -536,10 +530,9 @@ def enumerate_colorings(base: ChordDiagram, g: int,
         raise NotOneFace("colorings are defined for one-face diagrams")
     _, maps = _least_image(base.match, sym)
     readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
-    classes, _ = _coloring_classes(base.match, g, readers)
-    return [ColoredChordDiagram(base, tuple(GREEN if green >> i & 1 else RED
-                                            for i in range(base.n)))
-            for _, green, _ in classes]
+    _, colored, _, greens = _classify_base((tuple(base.match), g, sym, readers))
+    return [ColoredChordDiagram(base, tuple(GREEN if i in ids else RED for i in range(base.n)))
+            for _, ids in sorted(zip(colored, greens))]
 
 
 def _crossing_within(crossed: Sequence[int], colors: Sequence[str], color: str) -> bool:
@@ -587,18 +580,67 @@ def _river(match: Sequence[int], pcol: str, crossed: Sequence[int], red: int) ->
 
 
 def _classify_base(job):
-    """The code of one canonical base, the codes of its coloring classes and
-    those of its river classes; job is (match, g, symmetry, stabiliser)."""
-    match, g, sym, stabiliser = job
-    # a stabiliser is a group, so its maps read the same strings as their inverses
-    classes, crossed = _coloring_classes(match, g, stabiliser if len(stabiliser) > 1 else None)
-    code = _code("", 2 * g, match, sym)     # what follows "cd1" and "ccd1"
+    """The code of one one-face base, the colored codes of its coloring
+    classes, those of its river classes and the green chord indices of each
+    class's representative, in one pass over the non-crossing green
+    subsets; job is (match as a tuple, g, symmetry, readers).
+
+    A coloring's point colors are a string of "g" and "r" per point: the
+    binary digits of the OR of its green chords' point masks, where point p
+    is bit pts - 1 - p so that the digits come in point order.  Its images
+    under the maps that take the base to its least image have the colors it
+    shows when read through the maps' inverses, `readers`; its key, which
+    ends its colored code, is the least of these strings.  `readers` None
+    stands for the identity alone (a canonical base with a trivial
+    stabiliser, 6,830 of the 7,258 at genus 4): distinct green subsets color
+    distinct points, so each coloring is its own class and key.  Otherwise a
+    class keeps its first coloring.  A class is a river class if _river,
+    asked only when g red points stand in a row, holds for its
+    representative.  The codes come unsorted, in the order of the subsets;
+    for a base that is not its own least image (from enumerate_colorings),
+    their shared prefix is the base's, not its class's.
+
+    Run-time check: a class's orbit holds len(readers) / (the readers giving
+    its key) colorings, by orbit-stabiliser; the orbits must sum to the
+    green subsets tried, or RuntimeError is raised."""
+    match, g, sym, readers = job
+    pts = len(match)
+    crossed = _crossing_masks(match)
+    ends = [1 << pts - 1 - a | 1 << pts - 1 - b for a, b in enumerate(match) if a < b]
+    code = _code_format(pts, sym) % match
     prefix = "ccd1" + code + "|c="
-    every_chord = (1 << 2 * g) - 1
-    colored = [prefix + key for key, _, _ in classes]
-    river = [c for c, (_, green, pcol) in zip(colored, classes)
-             if _river(match, pcol, crossed, every_chord ^ green)]
-    return "cd1" + code, colored, river
+    digits = f"0{pts}b"
+    run = "r" * g
+    subsets = _noncrossing_subsets(crossed, g)
+    colored, greens, river = [], [], []
+    first_seen = set()
+    held = 0
+    for ids in subsets:
+        points = 0
+        for i in ids:
+            points |= ends[i]
+        pcol = format(points, digits).translate(_POINT_COLORS)
+        if readers is None:
+            key = pcol
+        else:
+            images = ["".join([pcol[i] for i in r]) for r in readers]
+            key = min(images)
+            if key in first_seen:
+                continue
+            first_seen.add(key)
+            held += len(readers) // images.count(key)
+        colored.append(prefix + key)
+        greens.append(ids)
+        # a river needs g red points in a row, most colorings have none
+        if run in pcol + pcol[:g - 1] and _river(
+                match, pcol, crossed, (1 << 2 * g) - 1 - sum(1 << i for i in ids)):
+            river.append(colored[-1])
+    if readers is not None and held != len(subsets):
+        raise RuntimeError(
+            f"genus {g}: base {','.join(map(str, match))}: the {len(colored)} "
+            f"coloring classes hold {held} colorings, not the {len(subsets)} "
+            f"non-crossing green subsets tried")
+    return "cd1" + code, colored, river, greens
 
 
 #: The largest genus that classify enumerates.
@@ -612,16 +654,21 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     Base enumeration (enumerate_bases: span-pruned orderly generation and
     the Harer-Zagier check) runs in this process and gives each base with
     its stabiliser, which the per-base jobs carry, so no stabiliser is
-    computed twice.  Each job computes the base's coloring classes, with the
-    orbit-stabiliser check on colorings, and runs the river test on the
-    point colors; workers > 1 runs the jobs in a pool of that many
-    processes."""
+    computed twice.  Each job makes the base's coloring classes and their
+    codes in one pass (_classify_base), with the orbit-stabiliser check on
+    colorings and the river test on the point colors; the codes are sorted
+    once, here.  workers > 1 runs the jobs in a pool of that many processes,
+    which is no faster than one worker: at genus 4 the pool's start-up and
+    the pickling of the 7,258 jobs and their results cost more than the
+    second process saves."""
     from .catalog import CatalogReport
 
     if g > _MAX_GENUS:
         raise ValueError(f"genus {g} above configured bound {_MAX_GENUS}")
     t0 = time.perf_counter()
-    jobs = ((match, g, sym, stabiliser) for match, stabiliser in _canonical_bases(g, sym))
+    # a stabiliser is a group, so its maps read the same strings as their inverses
+    jobs = ((match, g, sym, stabiliser if len(stabiliser) > 1 else None)
+            for match, stabiliser in _canonical_bases(g, sym))
     if workers > 1:
         import multiprocessing
 
@@ -634,7 +681,7 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     colored_codes = []
     river_codes = []
     river_bases = 0
-    for base_code, colored, river in results:
+    for base_code, colored, river, _ in results:
         base_codes.append(base_code)
         colored_codes += colored
         if river:

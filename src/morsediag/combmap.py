@@ -664,7 +664,7 @@ def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
 
 
 def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
-    """Label-aware canonical form of a connected map.
+    """Label-aware canonical form of a map.
 
     BFS relabeling from every root dart, on the map and (when ``mirror``)
     also on the orientation-reversed map; the lexicographically least trace
@@ -676,6 +676,12 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     it, (1, 1) if sigma and alpha agree on it, else (1, 2), then its tail.
     Only the roots whose first atom is the least of all are traced; any
     other root's trace is larger at its first atom.
+
+    A trace covers its root's component, so the least trace is shorter than
+    the map exactly when the map is disconnected.  Then the code lists the
+    codes of all its components, sorted, after the dart count; with
+    ``mirror`` each component may be mirrored on its own, as a
+    homeomorphism of a disconnected surface may.
     """
     n = m.n_darts
     if n == 0:
@@ -701,9 +707,12 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
                 tr = _trace_from(sg, alpha, root, tail, best)
                 if tr is not None:
                     best = tr
+    tag = "dih" if mirror else "rot"
+    if len(best) < n:
+        parts = sorted(canonical_code(c, mirror) for c in components(m))
+        return f"cm1[{tag}]|n={n}|".encode("ascii") + b" ".join(parts)
     n10 = 10 * n
     flat = ";".join([f"{x // n10},{x // 10 % n},{_TAIL_TEXT[x % 10]}" for x in best])
-    tag = "dih" if mirror else "rot"
     return f"cm1[{tag}]|n={n}|{flat}".encode("ascii")
 
 

@@ -219,12 +219,28 @@ def least_span_16():
     return _least_span_first(16, one_face_matchings(16))
 
 
+def _least_two_entries(points, matchings, reflections):
+    """The matchings whose first two entries are the least first two entries
+    of their images under the circle's maps; entry k of an image under the
+    map p is p[match[i]] for the point i that p takes to k."""
+    heads = [(p, p.index(0), p.index(1)) for p in circle_maps(points, reflections)]
+    return [m for m in matchings if min((p[m[i]], p[m[j]]) for p, i, j in heads) == m[:2]]
+
+
 @pytest.mark.parametrize("points", [4, 8, 12, 16])
 def test_rooted_generator_yields_the_least_span_matchings(points, least_span_16):
-    expected = (least_span_16 if points == 16
-                else _least_span_first(points, one_face_matchings(points)))
-    assert expected
-    assert list(chord._one_face(points, True)) == expected
+    # the generator drops a prefix once an image beats its first two
+    # entries: it yields the least-span matchings that no image beats there,
+    # in order, and so every least image (at 16 points, see the next test)
+    one_face = None if points == 16 else list(one_face_matchings(points))
+    least_span = least_span_16 if one_face is None else _least_span_first(points, one_face)
+    for sym in (ROT, DIH):
+        rooted = list(chord._one_face(points, sym))
+        assert rooted == _least_two_entries(points, least_span, sym is DIH)
+        kept = set(rooted)
+        assert rooted == [m for m in least_span if m in kept]
+        if one_face is not None:
+            assert {least_circle_image(m, reflections=sym is DIH)[0] for m in one_face} <= kept
 
 
 def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
@@ -237,12 +253,13 @@ def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_self_test_keeps_exactly_the_own_least_images(g):
-    # the self-test builds no image: on every candidate of the rooted
-    # generator it must agree with the package-free brute force, and give
+    # the self-test builds no image: on every matching that meets its
+    # precondition it must agree with the package-free brute force, and give
     # the maps fixing a representative in _least_image's order
+    least_span = _least_span_first(4 * g, one_face_matchings(4 * g))
     for sym in (ROT, DIH):
         maps = circle_maps(4 * g, reflections=sym is DIH)
-        for m in chord._one_face(4 * g, True):
+        for m in least_span:
             stabiliser = chord._stabiliser_if_least(m, sym)
             if least_circle_image(m, reflections=sym is DIH)[0] != m:
                 assert stabiliser is None, (sym, m)
@@ -254,8 +271,8 @@ def test_self_test_keeps_exactly_the_own_least_images(g):
 def test_missing_class_fails_the_run_time_check(monkeypatch):
     generate = chord._one_face
 
-    def drop_first(points, least_first):
-        matchings = generate(points, least_first)
+    def drop_first(points, sym):
+        matchings = generate(points, sym)
         next(matchings)
         yield from matchings
 
@@ -482,6 +499,22 @@ def test_river_brute_force_agreement_sampled_genus4(rng):
             checked += 1
             if checked >= 40:
                 break
+
+
+def test_genus4_river_classes_agree_with_the_selection_oracle():
+    # every colored class of genus 4, decoded from its code, through the
+    # package-free end-selection test: 29 river classes on 29 bases
+    report = classify(4)
+    river = []
+    for code in report.colored_codes:
+        head, pcol = code.split("|c=")
+        base = ChordDiagram(8, tuple(map(int, head.split("|m=")[1].split(","))))
+        colors = tuple(GREEN if pcol[a] == "g" else RED for a, _ in base.chords())
+        if _river_by_selection(ColoredChordDiagram(base, colors)):
+            river.append(code)
+    assert tuple(river) == report.river_codes
+    assert len(river) == report.river_colored == 29
+    assert len({code.split("|c=")[0] for code in river}) == report.river_bases == 29
 
 
 def _river_by_selection(ccd):

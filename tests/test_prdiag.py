@@ -595,6 +595,27 @@ def test_disk_reduction_witness_names_the_component():
         "green reduction component 2 is not a disk (chi, genus, boundary) = (0, 1, 0)")
 
 
+def test_disconnected_surfaces_are_compared_component_by_component(rng):
+    # the 2-dart disk A beside either of two non-isomorphic 4-dart disks X,
+    # Y: a trace covers its root's component only, so A + X and A + Y once
+    # shared the code of A
+    disk = build_map(2, (1, 0), (1, 0), hole_faces=(1,))
+    x = build_map(4, (1, 0, 3, 2), (1, 2, 3, 0), hole_faces=(1,))
+    y = build_map(4, (1, 0, 3, 2), (2, 3, 0, 1), hole_faces=(0,))
+    ax, ay, xa = (PrDiagram(_disjoint_union(p, q), ())
+                  for p, q in ((disk, x), (disk, y), (x, disk)))
+    assert all(validate(d).valid for d in (ax, ay, xa))
+    for mirror in (True, False):
+        assert not equivalent(PrDiagram(x, ()), PrDiagram(y, ()), mirror)
+        assert not equivalent(ax, ay, mirror)
+        assert equivalent(ax, xa, mirror)
+        assert equivalent(ax, relabel_diagram(ax, rng), mirror)
+    # the code lists the components' codes, and a connected code is unchanged
+    assert pr_canonical_code(ax) == b"cm1[dih]|n=6|" + b" ".join(
+        sorted([cmb.canonical_code(disk), cmb.canonical_code(x)]))
+    assert cmb.canonical_code(x) == b"cm1[dih]|n=4|1,1,0,0;2,0,0,0;3,3,0,0;0,2,0,1"
+
+
 def test_census_of_a_disconnected_surface_raises_like_euler_genus():
     four_a = cat.load_fixture("d3_four_a.json")
     disk = cat.load_fixture("d3_trivial.json").surface
