@@ -49,6 +49,8 @@ DEFAULT_SYMMETRY = SymmetryConvention.DIHEDRAL
 
 GREEN = "green"
 RED = "red"
+#: Binary digits to point colors: a green chord's bit is set.
+_POINT_COLORS = str.maketrans("01", "rg")
 
 
 @dataclass(frozen=True)
@@ -479,36 +481,33 @@ def _crossing_masks(match: Sequence[int]) -> list[int]:
     return [prefix[b] ^ prefix[a + 1] for a, b in enumerate(match) if a < b]
 
 
-def _noncrossing_subsets(crossed: Sequence[int], size: int) -> list[tuple[int, ...]]:
-    """Index tuples of `size` pairwise non-crossing chords, in lexicographic
-    order, given the chords' crossing masks (_crossing_masks).
-
-    A partial subset keeps the chords that may still join it as a bitmask,
-    `free`: those after its last chord that cross none of its chords.  It
-    takes them lowest first, and is extended only while that mask holds
-    enough chords to complete it."""
+def _noncrossing_subsets(crossed: Sequence[int], size: int) -> list[int]:
+    """Bitmasks (bit i for chord i) of the sets of `size` pairwise
+    non-crossing chords, in the lexicographic order of their index tuples,
+    given the chords' crossing masks (_crossing_masks).  The sets grow by a
+    chord per level, each taking the chords that may join it, `free` (after
+    its last chord, crossing none of its chords), lowest first while `free`
+    holds enough to complete it."""
+    if size == 0:
+        return [0]
+    level = [(0, (1 << len(crossed)) - 1)]
+    for need in range(size, 1, -1):
+        grown = []
+        for chosen, free in level:
+            while free.bit_count() >= need:
+                low = free & -free
+                free ^= low
+                rest = free & ~crossed[low.bit_length() - 1]
+                if rest.bit_count() >= need - 1:
+                    grown.append((chosen | low, rest))
+        level = grown
     out = []
-
-    def rec(free: int, chosen: tuple[int, ...], need: int) -> None:
-        while free.bit_count() >= need:
+    for chosen, free in level:
+        while free:
             low = free & -free
             free ^= low
-            i = low.bit_length() - 1
-            if need == 1:
-                out.append(chosen + (i,))
-            else:
-                rest = free & ~crossed[i]
-                if rest.bit_count() >= need - 1:
-                    rec(rest, chosen + (i,), need - 1)
-
-    if size == 0:
-        return [()]
-    rec((1 << len(crossed)) - 1, (), size)
+            out.append(chosen | low)
     return out
-
-
-#: Binary digits to point colors: a green point's bit is set.
-_POINT_COLORS = str.maketrans("01", "rg")
 
 
 def enumerate_colorings(base: ChordDiagram, g: int,
@@ -531,8 +530,8 @@ def enumerate_colorings(base: ChordDiagram, g: int,
     _, maps = _least_image(base.match, sym)
     readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
     _, colored, _, greens = _classify_base((tuple(base.match), g, sym, readers))
-    return [ColoredChordDiagram(base, tuple(GREEN if i in ids else RED for i in range(base.n)))
-            for _, ids in sorted(zip(colored, greens))]
+    return [ColoredChordDiagram(base, tuple(GREEN if mask >> i & 1 else RED for i in range(base.n)))
+            for _, mask in sorted(zip(colored, greens))]
 
 
 def _crossing_within(crossed: Sequence[int], colors: Sequence[str], color: str) -> bool:
@@ -581,59 +580,60 @@ def _river(match: Sequence[int], pcol: str, crossed: Sequence[int], red: int) ->
 
 def _classify_base(job):
     """The code of one one-face base, the colored codes of its coloring
-    classes, those of its river classes and the green chord indices of each
-    class's representative, in one pass over the non-crossing green
-    subsets; job is (match as a tuple, g, symmetry, readers).
+    classes, those of its river classes and the green chord mask of each
+    class's representative; job is (match as a tuple, g, symmetry, readers).
 
-    A coloring's point colors are a string of "g" and "r" per point: the
-    binary digits of the OR of its green chords' point masks, where point p
-    is bit pts - 1 - p so that the digits come in point order.  Its images
-    under the maps that take the base to its least image have the colors it
-    shows when read through the maps' inverses, `readers`; its key, which
-    ends its colored code, is the least of these strings.  `readers` None
-    stands for the identity alone (a canonical base with a trivial
-    stabiliser, 6,830 of the 7,258 at genus 4): distinct green subsets color
-    distinct points, so each coloring is its own class and key.  Otherwise a
-    class keeps its first coloring.  A class is a river class if _river,
-    asked only when g red points stand in a row, holds for its
-    representative.  The codes come unsorted, in the order of the subsets;
-    for a base that is not its own least image (from enumerate_colorings),
-    their shared prefix is the base's, not its class's.
+    One loop over the points gives the chords' crossing masks and `lab`,
+    with chr(n + 2 - k) at the points of chord k, the index of bit k's digit
+    in bin(1 << n | mask).  Those digits, as "g" and "r", paint a coloring
+    with one lab.translate, and its images under the maps taking the base to
+    its least image with `lab` read through their inverses, `readers` (None:
+    the identity alone).  Its key, ending its colored code, is the least
+    image.  A class keeps its first coloring.  The codes come unsorted; for
+    a base that is not its own least image their prefix is the base's, and
+    readers[0] is not the identity.
 
     Run-time check: a class's orbit holds len(readers) / (the readers giving
     its key) colorings, by orbit-stabiliser; the orbits must sum to the
     green subsets tried, or RuntimeError is raised."""
     match, g, sym, readers = job
     pts = len(match)
-    crossed = _crossing_masks(match)
-    ends = [1 << pts - 1 - a | 1 << pts - 1 - b for a, b in enumerate(match) if a < b]
-    code = _code_format(pts, sym) % match
-    prefix = "ccd1" + code + "|c="
-    digits = f"0{pts}b"
-    run = "r" * g
-    subsets = _noncrossing_subsets(crossed, g)
-    colored, greens, river = [], [], []
-    first_seen = set()
-    held = 0
-    for ids in subsets:
-        points = 0
-        for i in ids:
-            points |= ends[i]
-        pcol = format(points, digits).translate(_POINT_COLORS)
-        if readers is None:
-            key = pcol
+    n = pts // 2
+    # opened_after at a chord's far end: the chords open just after its near end
+    crossed, letters, opened_after = [0] * n, [""] * pts, [0] * pts
+    opened = k = 0
+    for p, q in enumerate(match):
+        if p < q:
+            letters[p] = letters[q] = chr(n + 2 - k)
+            opened_after[q] = opened = opened ^ 1 << k
+            k += 1
         else:
-            images = ["".join([pcol[i] for i in r]) for r in readers]
+            j = n + 2 - ord(letters[p])
+            crossed[j] = opened ^ opened_after[p]
+            opened ^= 1 << j
+    code = _code_format(pts, sym) % match
+    subsets = _noncrossing_subsets(crossed, g)
+    if not subsets:
+        return "cd1" + code, [], [], []
+    lab = "".join(letters)
+    prefix = "ccd1" + code + "|c="
+    top = 1 << n
+    image_labs = ["".join([lab[i] for i in r]) for r in readers or ()]
+    colored, greens, river, first_seen, held = [], [], [], set(), 0
+    for mask in subsets:
+        table = bin(top | mask).translate(_POINT_COLORS)
+        key = pcol = lab.translate(table)
+        if readers is not None:
+            images = [image.translate(table) for image in image_labs]
             key = min(images)
             if key in first_seen:
                 continue
             first_seen.add(key)
             held += len(readers) // images.count(key)
         colored.append(prefix + key)
-        greens.append(ids)
-        # a river needs g red points in a row, most colorings have none
-        if run in pcol + pcol[:g - 1] and _river(
-                match, pcol, crossed, (1 << 2 * g) - 1 - sum(1 << i for i in ids)):
+        greens.append(mask)
+        # a river's g red chords are pairwise non-crossing: one of the subsets
+        if (red := (top - 1) ^ mask) in subsets and _river(match, pcol, crossed, red):
             river.append(colored[-1])
     if readers is not None and held != len(subsets):
         raise RuntimeError(

@@ -78,7 +78,13 @@ def _load_diagram(path: str) -> PrDiagram:
 
 def _cmd_classify(args) -> int:
     sym = SymmetryConvention(args.symmetry)
-    workers = args.workers or int(os.environ.get("MORSEDIAG_WORKERS", "1"))
+    workers = args.workers
+    if not workers:
+        value = os.environ.get("MORSEDIAG_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            return _usage_error(f"MORSEDIAG_WORKERS must be an integer, not {value!r}")
     report = classify(args.genus, sym, workers=workers)
     if args.out:
         entries = catalog.report_entries(report, tool_version=__version__)

@@ -621,3 +621,11 @@ def _cold_analysis_caches():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def genus4_report():
+    """classify(4), made once for the tests that read its codes."""
+    from morsediag.chord import classify
+
+    return classify(4)

@@ -42,6 +42,7 @@ from conftest import (
     match_arrays,
     thickened_boundary_walk_faces,
 )
+from g4_round_trip import decode
 
 ROT = SymmetryConvention.ROTATION_ONLY
 DIH = SymmetryConvention.DIHEDRAL
@@ -294,6 +295,11 @@ def test_missing_coloring_fails_the_coloring_check(monkeypatch):
         enumerate_colorings(ChordDiagram(2, (2, 3, 0, 1)), 1)
 
 
+def _chord_ids(mask):
+    """The chord indices of a green chord mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _green_subsets(chords, g):
     """Green chord index sets in lexicographic order, by a test of their own."""
     def interleave(p, q):
@@ -313,17 +319,59 @@ def _reference_colorings(base, g, sym):
     return [first_seen[code] for code in sorted(first_seen)]
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
-def test_colorings_match_reference(g):
-    # canonical bases, and rotated copies that are not their class's least image
+def _copies(b):
+    """A base, its rotation by one step and its reflection i -> -i, which
+    are seldom their class's least image, so their readers[0] is seldom the
+    identity."""
+    rotate = tuple((i + 1) % b.points for i in range(b.points))
+    reflect = tuple(-i % b.points for i in range(b.points))
+    return [b] + [ChordDiagram(b.n, _apply(b.match, p)) for p in (rotate, reflect)]
+
+
+def _river_classes_agree(base, g, sym):
+    """The river classes the coloring pass reports for a base are the
+    classes whose representative is_river holds for."""
+    _, maps = _least_image(base.match, sym)
+    readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
+    _, colored, river, greens = chord._classify_base((base.match, g, sym, readers))
+    reps = [ColoredChordDiagram(base, tuple(GREEN if mask >> i & 1 else RED
+                                            for i in range(base.n))) for mask in greens]
+    return river == [code for code, ccd in zip(colored, reps) if is_river(ccd)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_colorings_match_reference(g, rng):
+    # every base up to genus 3 and a seeded sample of 40 at genus 4, each
+    # with its rotated and reflected copies
     for sym in (ROT, DIH):
-        for b in enumerate_bases(g, sym):
-            step = tuple((i + 1) % b.points for i in range(b.points))
-            for base in (b, ChordDiagram(b.n, _apply(b.match, step))):
-                chords = base.chords()
-                assert _noncrossing_subsets(_crossing_masks(base.match), g) == \
-                    _green_subsets(chords, g)
+        bases = enumerate_bases(g, sym)
+        for b in rng.sample(bases, 40) if g == 4 else bases:
+            for base in _copies(b):
+                masks = _noncrossing_subsets(_crossing_masks(base.match), g)
+                assert list(map(_chord_ids, masks)) == _green_subsets(base.chords(), g)
                 assert enumerate_colorings(base, g, sym) == _reference_colorings(base, g, sym)
+                assert _river_classes_agree(base, g, sym)
+
+
+def test_colorings_of_bases_above_the_classified_genus(rng):
+    # nothing in the coloring pass is sized by genus: a genus-5 base and a
+    # seeded random one-face base with 12 chords, which has colorings
+    bases = [ChordDiagram(10, next(chord._one_face(20, DIH)))]
+    while len(bases) < 2:
+        points = list(range(24))
+        rng.shuffle(points)
+        match = [0] * 24
+        for a, b in zip(points[::2], points[1::2]):
+            match[a], match[b] = b, a
+        base = ChordDiagram(12, tuple(match))
+        if is_one_face(base) and _green_subsets(base.chords(), 6):
+            bases.append(base)
+    for base in bases:
+        g = base.n // 2
+        assert g > chord._MAX_GENUS
+        for sym in (ROT, DIH):
+            colorings = enumerate_colorings(base, g, sym)
+            assert colorings and colorings == _reference_colorings(base, g, sym)
 
 
 def test_noncrossing_subsets_match_combinations(rng):
@@ -334,7 +382,8 @@ def test_noncrossing_subsets_match_combinations(rng):
     for base in bases:
         crossed = _crossing_masks(base.match)
         for size in range(base.n + 2):
-            assert _noncrossing_subsets(crossed, size) == \
+            masks = _noncrossing_subsets(crossed, size)
+            assert list(map(_chord_ids, masks)) == \
                 _green_subsets(base.chords(), size), (base.match, size)
 
 
@@ -492,8 +541,12 @@ def test_river_brute_force_agreement_sampled_genus4(rng):
         cd = ChordDiagram(8, tuple(match))
         if face_count(cd) != 1:
             continue
-        for ids in _noncrossing_subsets(_crossing_masks(match), 4):
-            colors = tuple(GREEN if i in ids else RED for i in range(8))
+        crossed = _crossing_masks(match)
+        for size in range(10):
+            assert list(map(_chord_ids, _noncrossing_subsets(crossed, size))) == \
+                _green_subsets(cd.chords(), size)
+        for mask in _noncrossing_subsets(crossed, 4):
+            colors = tuple(GREEN if mask >> i & 1 else RED for i in range(8))
             ccd = ColoredChordDiagram(cd, colors)
             assert is_river(ccd) == _river_by_selection(ccd)
             checked += 1
@@ -501,17 +554,11 @@ def test_river_brute_force_agreement_sampled_genus4(rng):
                 break
 
 
-def test_genus4_river_classes_agree_with_the_selection_oracle():
+def test_genus4_river_classes_agree_with_the_selection_oracle(genus4_report):
     # every colored class of genus 4, decoded from its code, through the
     # package-free end-selection test: 29 river classes on 29 bases
-    report = classify(4)
-    river = []
-    for code in report.colored_codes:
-        head, pcol = code.split("|c=")
-        base = ChordDiagram(8, tuple(map(int, head.split("|m=")[1].split(","))))
-        colors = tuple(GREEN if pcol[a] == "g" else RED for a, _ in base.chords())
-        if _river_by_selection(ColoredChordDiagram(base, colors)):
-            river.append(code)
+    report = genus4_report
+    river = [code for code in report.colored_codes if _river_by_selection(decode(code))]
     assert tuple(river) == report.river_codes
     assert len(river) == report.river_colored == 29
     assert len({code.split("|c=")[0] for code in river}) == report.river_bases == 29

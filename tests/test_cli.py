@@ -301,6 +301,14 @@ def test_workers_env_var(monkeypatch, capsys):
     assert json.loads(out)["colored"] == 1
 
 
+def test_workers_env_var_that_is_no_integer_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("MORSEDIAG_WORKERS", "two")
+    code, out, err = run(capsys, "classify", "--genus", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MORSEDIAG_WORKERS must be an integer, not 'two'\n"
+
+
 def _json_paths(value, path=()):
     """The path of every value inside a JSON value, by dict keys and list
     indices, outermost first."""

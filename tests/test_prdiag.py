@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ from conftest import (
     reference_side_reduction,
     relabel_diagram,
 )
+from g4_round_trip import round_trip
 
 G1_COLORED = ColoredChordDiagram(ChordDiagram(2, (2, 3, 0, 1)), (GREEN, RED))
 
@@ -264,6 +266,14 @@ def test_roundtrip_small_genus():
         assert canonical_colored(back) == canonical_colored(ccd)
         again = from_colored_chord(back)
         assert equivalent(d, again)
+
+
+def test_genus4_sample_round_trips_through_flow_diagrams(genus4_report):
+    # a seeded sample of the genus-4 colored classes: each rebuilds to a valid
+    # flow diagram with census (1,0,4,4,0,1) that reads back as its own class,
+    # and no two share a surface code; tests/g4_round_trip.py checks them all
+    sample = random.Random(4).sample(genus4_report.colored_codes, 1000)
+    assert len(set(map(round_trip, sample))) == len(sample)
 
 
 def test_genus1_conversion_equals_hand_fixture():
