@@ -131,7 +131,6 @@ class CombMap:
     sigma: tuple[int, ...]
     labels: tuple[CurveLabel, ...]
     holes: frozenset[int]
-    allow_disconnected: bool = False
 
     @property
     def n_darts(self) -> int:
@@ -267,7 +266,8 @@ def build_map(dart_count: int,
 
     ``labels`` may be None (all edges boundary-plain), per-dart, or per-edge
     keyed by edge id via a dict.  ``hole_faces`` holds face ids (smallest dart
-    of the orbit).
+    of the orbit).  A disconnected map is refused unless
+    ``allow_disconnected``; the map does not keep the flag.
     """
     if len(alpha) != dart_count or len(sigma) != dart_count:
         raise MapError("alpha/sigma size does not match dart count")
@@ -300,8 +300,7 @@ def build_map(dart_count: int,
             if lab[d] != lab[alpha[d]]:
                 raise LabelMismatch(f"darts of one edge carry different labels at dart {d}")
 
-    m = CombMap(tuple(alpha), tuple(sigma), lab, frozenset(hole_faces),
-                allow_disconnected)
+    m = CombMap(tuple(alpha), tuple(sigma), lab, frozenset(hole_faces))
     fid = _face_ids(alpha, sigma)
     for h in m.holes:
         if not (0 <= h < dart_count and fid[h] == h):
@@ -333,7 +332,7 @@ def components(m: CombMap, comp: Optional[Sequence[int]] = None) -> list[CombMap
         sigma = tuple(new_id[m.sigma[d]] for d in darts)
         fid = _face_ids(alpha, sigma)
         holes = frozenset(fid[new_id[h]] for h in m.holes if comp[h] == c)
-        out.append(CombMap(alpha, sigma, tuple(m.labels[d] for d in darts), holes, False))
+        out.append(CombMap(alpha, sigma, tuple(m.labels[d] for d in darts), holes))
     return out
 
 
@@ -563,12 +562,10 @@ class _WorkMap:
                 in_hole[x] = hole
         return copy_q, slits
 
-    def finish(self, fid: list[int], comp: list[int]) -> CombMap:
-        """The map as it stands, from its ``face_ids`` and its
-        ``_component_index``."""
+    def finish(self, fid: list[int]) -> CombMap:
+        """The map as it stands, from its ``face_ids``."""
         holes = frozenset(f for f in set(fid) if self.in_hole[f])
-        return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels),
-                       holes, allow_disconnected=max(comp, default=0) > 0)
+        return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels), holes)
 
 
 def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
@@ -586,8 +583,7 @@ def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
     # Slit corners: on P the corner (departure -> arrival) lies in the face
     # of the arrival copy; on Q in the face of the departure copy.
     slit_p, slit_q = (fid[s] for s in slits) if closed else (None, None)
-    comp = _component_index(work.alpha, work.sigma)
-    return CutResult(work.finish(fid, comp), {d: d for d in copy_q}, copy_q, slit_p, slit_q)
+    return CutResult(work.finish(fid), {d: d for d in copy_q}, copy_q, slit_p, slit_q)
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -619,7 +615,7 @@ def mirror_map(m: CombMap) -> CombMap:
     # alpha takes each face of m onto a face of the mirror, reversed
     fid = _face_ids(m.alpha, inv)
     holes = frozenset(fid[m.alpha[h]] for h in m.holes)
-    return CombMap(m.alpha, tuple(inv), m.labels, holes, m.allow_disconnected)
+    return CombMap(m.alpha, tuple(inv), m.labels, holes)
 
 
 # The last two cm1 fields of an atom, by the atom's tail (2·kind + hole).
@@ -749,4 +745,5 @@ def map_from_json(obj: dict) -> CombMap:
         if label_kind is None:
             raise MapError(f"labels[{k}].kind: unknown label kind {kind!r}")
         lab[item["edge"]] = CurveLabel(label_kind, item.get("index"))
-    return build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()))
+    return build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()),
+                     allow_disconnected=True)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import combinations, product
+from typing import NamedTuple, Optional
 
 from . import combmap as cmb
 from ._formats import FLOW, check
@@ -92,6 +93,10 @@ _FAMILY_KIND = {
     "V": CurveKind.V_RED_CYCLE,
 }
 _KIND_FAMILY = {v: k for k, v in _FAMILY_KIND.items()}
+_SIDE = {   # green or not -> (arc kind, cycle kind) of that color
+    True: (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
+    False: (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE),
+}
 _BDY = CurveLabel(CurveKind.BDY)
 
 
@@ -238,120 +243,83 @@ def _structure_errors(d: PrDiagram) -> Optional[str]:
     return None
 
 
-@dataclass
-class _Walks:
-    """Oriented dart walks of every curve, plus vertex incidence tables."""
+class _Walk(NamedTuple):
+    """One curve's oriented dart walk and the vertex ids it visits: all of
+    them, its two ends (none for a closed curve) and the rest."""
 
-    walk: dict[int, list[int]]            # curve index -> dart walk
-    end_verts: dict[int, tuple[int, int]]  # arcs: (start vertex, end vertex)
-    verts: dict[int, set[int]]            # curve index -> all vertices
-    inner_verts: dict[int, set[int]]      # arcs: vertices minus endpoints
+    darts: list[int]
+    verts: set[int]
+    ends: tuple[int, ...]
+    inner: set[int]
 
 
-def _curve_walks(d: PrDiagram, vid: list[int]) -> _Walks:
+def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[_Walk, ...]:
+    """The walk record of every curve, in registry order."""
     m = d.surface
-    walk, end_verts, verts, inner = {}, {}, {}, {}
-    for ci, c in enumerate(d.curves):
+    out = []
+    for c in d.curves:
         w = curve_dart_walk(m, c, vid)
-        walk[ci] = w
-        vs = {vid[w[0]]}
+        verts = {vid[w[0]]}
         for t in w:
-            vs.add(vid[m.alpha[t]])
-        verts[ci] = vs
-        if not c.closed:
-            a, b = vid[w[0]], vid[m.alpha[w[-1]]]
-            end_verts[ci] = (a, b)
-            inner[ci] = vs - {a, b}
-        else:
-            inner[ci] = vs
-    return _Walks(walk, end_verts, verts, inner)
+            verts.add(vid[m.alpha[t]])
+        ends = () if c.closed else (vid[w[0]], vid[m.alpha[w[-1]]])
+        out.append(_Walk(w, verts, ends, verts - set(ends)))
+    return tuple(out)
 
 
-def _assemble_cycles(d: PrDiagram, walks: _Walks, green: bool):
+def _left_turn_trail(m: CombMap, start: dict, first: int, used: set[int]):
+    """The trail that leaves ``first`` along a cycle-arc and then takes, at
+    each arrival, the sigma-successor: an arc, a cycle-arc, and so on, until
+    an arc's successor is ``first`` again.  ``start`` maps the first dart of
+    an open piece, either way round, to (curve, its darts, whether an arc).
+    Returns the trail's darts, adding its pieces to ``used``, or None.
+
+    The successor of an oriented piece is one-to-one (sigma∘alpha is a
+    bijection), so a trail can meet one of its pieces, or a piece of an
+    earlier trail, only the other way round; both checks below are needed
+    (test_left_turn_walk_refuses_a_piece_taken_the_other_way)."""
+    trail, pieces, dart = [], [], first
+    while True:
+        for want_arc in (False, True):
+            ci, walk, is_arc = start.get(dart, (None, None, None))
+            if ci is None or is_arc is not want_arc or ci in pieces or ci in used:
+                return None
+            pieces.append(ci)
+            trail += walk
+            dart = m.sigma[m.alpha[walk[-1]]]
+        if dart == first:
+            used.update(pieces)
+            return trail
+
+
+def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
     """Maximal cycles alternating arcs and cycle-arcs via the left-turn rule
     (sigma-successor at shared vertices), plus closed cycle components.
 
     Returns (cycle dart walks, witness or None).
     """
     m = d.surface
-    arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
-    cyc_kind = CurveKind.U_GREEN_CYCLE if green else CurveKind.V_RED_CYCLE
+    arc_kind, cyc_kind = _SIDE[green]
     cycles: list[list[int]] = []
-    open_cycle_arcs = []
-    arc_ids = []
+    start = {}
+    for ci, (c, w) in enumerate(zip(d.curves, walks)):
+        kind = c.label.kind
+        if kind is cyc_kind and c.closed:
+            cycles.append(w.darts)
+        elif kind is arc_kind or kind is cyc_kind:
+            back = [m.alpha[t] for t in reversed(w.darts)]
+            start[w.darts[0]] = (ci, w.darts, kind is arc_kind)
+            start[back[0]] = (ci, back, kind is arc_kind)
+    used: set[int] = set()
     for ci, c in enumerate(d.curves):
-        if c.label.kind is cyc_kind:
-            if c.closed:
-                cycles.append(walks.walk[ci])
-            else:
-                open_cycle_arcs.append(ci)
-        elif c.label.kind is arc_kind:
-            arc_ids.append(ci)
-
-    # start-dart lookup for both orientations of every open component
-    def oriented(ci):
-        w = walks.walk[ci]
-        return [(w[0], w), (m.alpha[w[-1]], [m.alpha[t] for t in reversed(w)])]
-
-    big_start = {}
-    for ci in open_cycle_arcs:
-        for s, w in oriented(ci):
-            big_start[s] = (ci, w)
-    arc_start = {}
-    for ci in arc_ids:
-        for s, w in oriented(ci):
-            arc_start[s] = (ci, w)
-
-    used_big = set()
-    used_arc = set()
-    for ci in sorted(open_cycle_arcs):
-        if ci in used_big:
+        if c.label.kind is not cyc_kind or c.closed or ci in used:
             continue
-        attempt = None
-        for start_dart, start_walk in oriented(ci):
-            trail = list(start_walk)
-            seen_big = {ci}
-            seen_arc = set()
-            cur_walk = start_walk
-            ok = True
-            while True:
-                # a cycle-arc just ended; the left turn must enter an arc
-                arrival = m.alpha[cur_walk[-1]]
-                nxt = m.sigma[arrival]
-                if nxt not in arc_start:
-                    ok = False
-                    break
-                aj, aw = arc_start[nxt]
-                if aj in seen_arc or aj in used_arc:
-                    ok = False
-                    break
-                seen_arc.add(aj)
-                trail += aw
-                cur_walk = aw
-                # the arc ended; close onto the start or enter a cycle-arc
-                arrival = m.alpha[cur_walk[-1]]
-                nxt = m.sigma[arrival]
-                if nxt == start_dart:
-                    break
-                if nxt not in big_start:
-                    ok = False
-                    break
-                bj, bw = big_start[nxt]
-                if bj in seen_big or bj in used_big:
-                    ok = False
-                    break
-                seen_big.add(bj)
-                trail += bw
-                cur_walk = bw
-            if ok:
-                attempt = (trail, seen_big, seen_arc)
-                break
-        if attempt is None:
+        w = walks[ci].darts
+        trail = (_left_turn_trail(m, start, w[0], used)
+                 or _left_turn_trail(m, start, m.alpha[w[-1]], used))
+        if trail is None:
             return None, (f"open {cyc_kind.value!r} component {ci} does not close "
                           f"into an alternating left-turn cycle")
-        trail, seen_big, seen_arc = attempt
-        used_big |= seen_big
-        used_arc |= seen_arc
         cycles.append(trail)
     return cycles, None
 
@@ -372,16 +340,15 @@ class _SideReduction:
     arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
+def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]],
                     green: bool, fid: list[int]) -> _SideReduction:
     """Surger every assembled cycle (corner-side copy erased, the other copy
     keeps curve labels), then cut every arc of the family, all on one working
     map started from the surface's face ids ``fid``; components, faces and
     vertices are counted once, at the end."""
-    arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
-    arc_ids = sorted(ci for ci, c in enumerate(d.curves)
-                     if c.label.kind is arc_kind)
-    arc_walks = {ci: list(walks.walk[ci]) for ci in arc_ids}
+    arc_kind = _SIDE[green][0]
+    arc_ids = [ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind]
+    arc_walks = {ci: walks[ci].darts for ci in arc_ids}
     work = cmb._WorkMap(d.surface, fid)
     cap_darts = []
     for wk in sorted(cycles, key=min):
@@ -409,19 +376,16 @@ def _side_reduction(d: PrDiagram, walks: _Walks, cycles: list[list[int]],
             holes[comp[f]] += 1
         else:
             chi[comp[f]] += 1
-    end_darts = {}
-    for ci in arc_ids:
-        w = walks.walk[ci]
-        end_darts[ci] = (w[0], d.surface.alpha[w[-1]])
     return _SideReduction(
-        final=work.finish(fid, comp),
+        final=work.finish(fid),
         comp_of_dart=comp,
         n_components=ncomp,
         non_disk=next((k for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
         n_cycles=len(cycles),
         cap_comp=[comp[cd] for cd in cap_darts],
         arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
-        arc_end_darts=end_darts,
+        arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
+                       for ci in arc_ids},
         arc_copies=arc_copies,
     )
 
@@ -439,7 +403,7 @@ class _Analysis:
     keeps the last two), so no caller may change it."""
 
     report: ValidityReport
-    walks: Optional[_Walks] = None
+    walks: tuple[_Walk, ...] = ()
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
     chi: Optional[int] = None
@@ -462,6 +426,54 @@ def validate(d: PrDiagram) -> ValidityReport:
     return _analyse(d).report
 
 
+_PROPERTIES = ("p1_placement", "p2_cycle_endpoints", "p3_disjointness",
+               "p4_left_turn_cycles", "p5_disk_reduction")
+
+
+def _report(*witnesses: str) -> ValidityReport:
+    """The report of the five properties' witnesses, "" for a pass."""
+    return ValidityReport(tuple(PropertyVerdict(name, not w, w)
+                                for name, w in zip(_PROPERTIES, witnesses)))
+
+
+def _placement_witness(d: PrDiagram, walks: tuple[_Walk, ...],
+                       on_boundary: list[bool]) -> str:
+    """Property 1: the first curve that is an arc flagged closed, an arc with
+    an end off the boundary, or a curve whose interior touches it; or ""."""
+    for ci, (c, w) in enumerate(zip(d.curves, walks)):
+        if c.label.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
+            if c.closed:
+                return f"curve {ci}: arcs must be open"
+            if not all(on_boundary[v] for v in w.ends):
+                return f"curve {ci}: endpoint not on the boundary"
+        bad = [v for v in w.inner if on_boundary[v]]
+        if bad:
+            return f"curve {ci}: interior touches boundary vertex (dart {bad[0]})"
+    return ""
+
+
+def _disjointness_witness(d: PrDiagram, walks: tuple[_Walk, ...],
+                          u_ends: set[int], v_ends: set[int]) -> str:
+    """Property 3: the first two curves of one family (u, U, v, V) that share
+    a vertex, then the first arc and cycle of one color that meet away from
+    their common ends, then a vertex that ends both a u and a v arc; or ""."""
+    fam = {kind: [] for kind in _KIND_FAMILY}   # kind -> its curve indices
+    for ci, c in enumerate(d.curves):
+        fam[c.label.kind].append(ci)
+    for kind, ids in fam.items():
+        for i, j in combinations(ids, 2):
+            shared = walks[i].verts & walks[j].verts
+            if shared:
+                return f"curves {i} and {j} ({kind.value}) share vertex (dart {min(shared)})"
+    for arc_kind, cyc_kind in _SIDE.values():
+        for i, j in product(fam[arc_kind], fam[cyc_kind]):
+            a, b = walks[i], walks[j]
+            if (a.verts & b.verts) - (set(a.ends) & set(b.ends)):
+                return f"curves {i} and {j} meet away from shared endpoints"
+    shared = u_ends & v_ends
+    return f"u and v arcs share endpoint (dart {min(shared)})" if shared else ""
+
+
 # Diagrams are frozen values, so the analyses of the last two are reused by
 # later calls on equal diagrams; two is the arity of equivalent(a, b).
 @lru_cache(maxsize=2)
@@ -473,129 +485,47 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if err is None:
         try:
             walks = _curve_walks(d, vid)
-            boundary_vertex = cmb._boundary_vertices(m, vid, fid)
+            on_boundary = cmb._boundary_vertices(m, vid, fid)
         except MapError as exc:
             err = str(exc)
     if err is not None:
-        rest = ("p2_cycle_endpoints", "p3_disjointness", "p4_left_turn_cycles",
-                "p5_disk_reduction")
-        return _Analysis(ValidityReport(
-            (PropertyVerdict("p1_placement", False, err),)
-            + tuple(PropertyVerdict(name, False, "prerequisite failed") for name in rest)))
+        return _Analysis(_report(err, *["prerequisite failed"] * 4))
 
-    # Property 1
-    verdicts = []
-    p1_witness = ""
-    for ci, c in enumerate(d.curves):
-        if c.label.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
-            if c.closed:
-                p1_witness = f"curve {ci}: arcs must be open"
-                break
-            a, b = walks.end_verts[ci]
-            if not (boundary_vertex[a] and boundary_vertex[b]):
-                p1_witness = f"curve {ci}: endpoint not on the boundary"
-                break
-        bad = [v for v in walks.inner_verts[ci] if boundary_vertex[v]]
-        if bad:
-            p1_witness = f"curve {ci}: interior touches boundary vertex (dart {bad[0]})"
-            break
-    verdicts.append(PropertyVerdict("p1_placement", not p1_witness, p1_witness))
-
-    # Property 2; an arc flagged closed, a p1 failure, has no endpoints
-    u_ends, v_ends = set(), set()
-    for ci, c in enumerate(d.curves):
-        if c.label.kind is CurveKind.U_GREEN_ARC:
-            u_ends.update(walks.end_verts.get(ci, ()))
-        elif c.label.kind is CurveKind.V_RED_ARC:
-            v_ends.update(walks.end_verts.get(ci, ()))
-    p2_witness = ""
-    for ci, c in enumerate(d.curves):
-        if c.closed:
-            continue
-        if c.label.kind is CurveKind.U_GREEN_CYCLE:
-            allowed = u_ends
-        elif c.label.kind is CurveKind.V_RED_CYCLE:
-            allowed = v_ends
-        else:
-            continue
-        for v in walks.end_verts[ci]:
-            if v not in allowed:
-                p2_witness = f"curve {ci}: endpoint (dart {v}) is not an arc endpoint"
-                break
-        if p2_witness:
-            break
-    verdicts.append(PropertyVerdict("p2_cycle_endpoints", not p2_witness, p2_witness))
-
-    # Property 3
-    fam = {kind: [] for kind in _KIND_FAMILY}   # kind -> its curve indices
-    for ci, c in enumerate(d.curves):
-        fam[c.label.kind].append(ci)
-    p3_witness = ""
-    for kind in (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE,
-                 CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE):
-        ids = fam[kind]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                shared = walks.verts[ids[i]] & walks.verts[ids[j]]
-                if shared:
-                    p3_witness = (f"curves {ids[i]} and {ids[j]} ({kind.value}) share "
-                                  f"vertex (dart {min(shared)})")
-                    break
-            if p3_witness:
-                break
-        if p3_witness:
-            break
-    if not p3_witness:
-        for arc_kind, cyc_kind in ((CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
-                                   (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)):
-            for ai in fam[arc_kind]:
-                a_end = set(walks.end_verts.get(ai, ()))
-                for bi in fam[cyc_kind]:
-                    b_end = set(walks.end_verts.get(bi, ()))
-                    shared = walks.verts[ai] & walks.verts[bi]
-                    if shared - (a_end & b_end):
-                        p3_witness = (f"curves {ai} and {bi} meet away from shared "
-                                      f"endpoints")
-                        break
-                if p3_witness:
-                    break
-            if p3_witness:
-                break
-    if not p3_witness and (u_ends & v_ends):
-        v0 = min(u_ends & v_ends)
-        p3_witness = f"u and v arcs share endpoint (dart {v0})"
-    verdicts.append(PropertyVerdict("p3_disjointness", not p3_witness, p3_witness))
-
-    # Property 4
+    p1 = _placement_witness(d, walks, on_boundary)
+    # Property 2; an arc flagged closed, a p1 failure, has no ends
+    arc_ends = {cyc_kind: {v for c, w in zip(d.curves, walks)
+                           if c.label.kind is arc_kind for v in w.ends}
+                for arc_kind, cyc_kind in _SIDE.values()}   # by cycle kind
+    p2 = next((f"curve {ci}: endpoint (dart {v}) is not an arc endpoint"
+               for ci, (c, w) in enumerate(zip(d.curves, walks))
+               if c.label.kind in arc_ends
+               for v in w.ends if v not in arc_ends[c.label.kind]), "")
+    p3 = _disjointness_witness(d, walks, *arc_ends.values())
     green_cycles, gwit = _assemble_cycles(d, walks, green=True)
     red_cycles, rwit = _assemble_cycles(d, walks, green=False)
-    p4_witness = gwit or rwit or ""
-    verdicts.append(PropertyVerdict("p4_left_turn_cycles", not p4_witness, p4_witness))
+    p4 = gwit or rwit or ""
+    if p1 or p3 or p4:
+        return _Analysis(_report(p1, p2, p3, p4, "prerequisite failed"))
 
-    # Property 5
-    if p4_witness or p1_witness or p3_witness:
-        verdicts.append(PropertyVerdict("p5_disk_reduction", False, "prerequisite failed"))
-        return _Analysis(ValidityReport(tuple(verdicts)))
-    p5_witness = ""
+    p5 = ""
     sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
             side = _side_reduction(d, walks, cycles, green, fid)
         except MapError as exc:
-            p5_witness = f"{'green' if green else 'red'} reduction failed: {exc}"
+            p5 = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
         sides.append(side)
         k = side.non_disk
         if k is not None:
             shape = euler_genus(cmb.components(side.final, side.comp_of_dart)[k])
-            p5_witness = (f"{'green' if green else 'red'} reduction component {k} "
-                          f"is not a disk (chi, genus, boundary) = {shape}")
+            p5 = (f"{'green' if green else 'red'} reduction component {k} "
+                  f"is not a disk (chi, genus, boundary) = {shape}")
             break
-    verdicts.append(PropertyVerdict("p5_disk_reduction", not p5_witness, p5_witness))
-    report = ValidityReport(tuple(verdicts))
+    report = _report(p1, p2, p3, p4, p5)
     # Cutting never joins components, so a side reduction in one piece shows
     # the surface connected without a search.
-    if p5_witness or (min(side.n_components for side in sides) > 1
+    if p5 or (min(side.n_components for side in sides) > 1
                       and not cmb._is_connected(m.alpha, m.sigma)):
         return _Analysis(report, walks, *sides)
     # chi = V - E + interior faces, from the ids the analysis began with
@@ -684,15 +614,9 @@ def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
     if _census(d, analysis).as_tuple() != (1, 0, g, g, 0, 1):
         return False
     walks = analysis.walks
-    u_ids = [ci for ci, cv in enumerate(d.curves)
-             if cv.label.kind is CurveKind.U_GREEN_ARC]
-    v_ids = [ci for ci, cv in enumerate(d.curves)
-             if cv.label.kind is CurveKind.V_RED_ARC]
-    for ui in u_ids:
-        for vi in v_ids:
-            if walks.verts[ui] & walks.verts[vi]:
-                return False
-    return True
+    u_ids, v_ids = ([ci for ci, c in enumerate(d.curves) if c.label.kind is kind]
+                    for kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC))
+    return not any(walks[i].verts & walks[j].verts for i, j in product(u_ids, v_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple, Optional
 
@@ -126,13 +126,42 @@ def relabel_map(m: CombMap, rng: random.Random,
         alpha[perm[d]] = perm[m.alpha[d]]
         sigma[perm[d]] = perm[m.sigma[d]]
         labels[perm[d]] = m.labels[d]
-    shuffled = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(),
-                       m.allow_disconnected)
+    shuffled = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset())
     ftab_old = face_table(m)
     ftab_new = face_table(shuffled)
     holes = frozenset(ftab_new[perm[d]] for d in range(n) if ftab_old[d] in m.holes)
-    return CombMap(tuple(alpha), tuple(sigma), tuple(labels), holes,
-                   m.allow_disconnected)
+    return CombMap(tuple(alpha), tuple(sigma), tuple(labels), holes)
+
+
+def disjoint_union(a: CombMap, b: CombMap) -> CombMap:
+    """Both maps side by side, the darts of ``b`` numbered after those of ``a``."""
+    n = a.n_darts
+    return CombMap(a.alpha + tuple(x + n for x in b.alpha),
+                   a.sigma + tuple(x + n for x in b.sigma),
+                   a.labels + b.labels,
+                   a.holes | {h + n for h in b.holes})
+
+
+@cache
+def small_disks() -> tuple[CombMap, ...]:
+    """The 23 disks of 2 and 4 darts with alpha pairing 2i and 2i + 1: every
+    rotation and hole face that build_map accepts and that validates as a
+    diagram without curves."""
+    from morsediag.combmap import MapError, _face_ids
+    from morsediag.prdiag import PrDiagram, validate
+
+    out = []
+    for n in (2, 4):
+        alpha = tuple(d ^ 1 for d in range(n))
+        for sigma in permutations(range(n)):
+            for hole in sorted(set(_face_ids(alpha, sigma))):
+                try:
+                    m = build_map(n, alpha, sigma, hole_faces=(hole,))
+                except MapError:
+                    continue
+                if validate(PrDiagram(m, ())).valid:
+                    out.append(m)
+    return tuple(out)
 
 
 def random_small_map(rng: random.Random, max_edges: int = 7) -> CombMap:
@@ -435,10 +464,6 @@ def _reached(alpha, sigma) -> set:
     return seen
 
 
-def _connected(alpha, sigma) -> bool:
-    return len(_reached(alpha, sigma)) == len(alpha)
-
-
 def _rotation(sigma, d) -> list[int]:
     rot = [d]
     while sigma[rot[-1]] != d:
@@ -449,8 +474,8 @@ def _rotation(sigma, d) -> list[int]:
 def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
                        slits_are_holes: bool) -> CutResult:
     """combmap._cut_walk as a fresh map per cut: rewire copies of alpha,
-    sigma and labels, then rebuild the face table, the holes and the
-    connectivity flag of the result from scratch."""
+    sigma and labels, then rebuild the face table and the holes of the
+    result from scratch."""
     n = m.n_darts
     k = len(walk)
     ftab = face_table(m)
@@ -495,8 +520,7 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
             set_cycle([d] + p_side)
             set_cycle([copy_q[d]] + q_side)
 
-    flag = not _connected(alpha, sigma)
-    bare = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(), flag)
+    bare = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset())
     new_ftab = face_table(bare)
     holes = {new_ftab[d] for d in range(n)
              if d not in curve_darts and ftab[d] in m.holes}
@@ -505,7 +529,7 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
         slit_p, slit_q = new_ftab[arrivals[0]], new_ftab[copy_q[walk[0]]]
         if slits_are_holes:
             holes |= {slit_p, slit_q}
-    return CutResult(CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes), flag),
+    return CutResult(CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)),
                      copy_p, copy_q, slit_p, slit_q)
 
 
@@ -517,7 +541,7 @@ def reference_side_reduction(d, walks, cycles, green: bool):
     bdy = CurveLabel(CurveKind.BDY)
     arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
     arc_ids = sorted(ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind)
-    arc_walks = {ci: list(walks.walk[ci]) for ci in arc_ids}
+    arc_walks = {ci: list(walks[ci].darts) for ci in arc_ids}
     m = d.surface
     cap_darts = []
     for wk in sorted(cycles, key=min):
@@ -555,7 +579,7 @@ def reference_side_reduction(d, walks, cycles, green: bool):
         n_cycles=len(cycles),
         cap_comp=[comp[cd] for cd in cap_darts],
         arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
-        arc_end_darts={ci: (walks.walk[ci][0], d.surface.alpha[walks.walk[ci][-1]])
+        arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
                        for ci in arc_ids},
         arc_copies=arc_copies,
     )

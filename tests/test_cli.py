@@ -1,7 +1,12 @@
 import json
+from itertools import product
 
 from morsediag.cli import main
+from morsediag.combmap import build_map
+from morsediag.prdiag import PrDiagram, equivalent, pr_to_json
 import morsediag.catalog as cat
+
+from conftest import disjoint_union, small_disks
 
 
 def fixture_path(name: str) -> str:
@@ -48,6 +53,14 @@ def test_classify_workers_flag(capsys):
     assert json.loads(out)["colored"] == 5
 
 
+def test_classify_workers_flag_below_one_exits_two(monkeypatch, capsys):
+    # the flag wins over the variable, and 0 no longer means "unset"
+    monkeypatch.setenv("MORSEDIAG_WORKERS", "2")
+    for value in ("-3", "0"):
+        code, out, err = run(capsys, "classify", "--genus", "1", "--workers", value)
+        assert (code, out, err) == (2, "", f"error: --workers must be at least 1, not {value}\n")
+
+
 def test_validate_fixture(capsys):
     code, out, _ = run(capsys, "validate", fixture_path("solid_torus.json"))
     assert code == 0
@@ -76,6 +89,40 @@ def test_iso_fixture_pair(capsys):
                        fixture_path("solid_torus.json"))
     assert code == 0
     assert json.loads(out) == {"equivalent": True}
+
+
+def _write(path, d: PrDiagram) -> str:
+    path.write_text(json.dumps(pr_to_json(d)))
+    return str(path)
+
+
+def test_iso_on_disconnected_surfaces_agrees_with_equivalent(tmp_path, capsys):
+    # the 2-dart disk A beside each small disk X: the CLI once refused every
+    # A + X file (exit 2) while the library compared them
+    disk = build_map(2, (1, 0), (1, 0), hole_faces=(1,))
+    unions = [PrDiagram(disjoint_union(disk, x), ()) for x in small_disks()]
+    files = [_write(tmp_path / f"ax{i}.json", d) for i, d in enumerate(unions)]
+    for (a, fa), (b, fb) in product(zip(unions, files), repeat=2):
+        eq = equivalent(a, b)
+        code, out, _ = run(capsys, "iso", fa, fb)
+        assert (code, json.loads(out)) == (0 if eq else 1, {"equivalent": eq})
+    # the pair whose codes were once both the code of A
+    x = build_map(4, (1, 0, 3, 2), (1, 2, 3, 0), hole_faces=(1,))
+    y = build_map(4, (1, 0, 3, 2), (2, 3, 0, 1), hole_faces=(0,))
+    ax, ay = (_write(tmp_path / f"{name}.json", PrDiagram(disjoint_union(disk, z), ()))
+              for name, z in (("ax", x), ("ay", y)))
+    code, out, _ = run(capsys, "iso", ax, ay)
+    assert (code, json.loads(out)) == (1, {"equivalent": False})
+
+
+def test_census_of_a_disconnected_diagram_exits_two(tmp_path, capsys):
+    four_a = cat.load_fixture("d3_four_a.json")
+    disk = cat.load_fixture("d3_trivial.json").surface
+    path = _write(tmp_path / "two.json",
+                  PrDiagram(disjoint_union(four_a.surface, disk), four_a.curves))
+    assert run(capsys, "validate", path)[0] == 0
+    code, out, err = run(capsys, "census", path)
+    assert (code, out, err) == (2, "", "error: euler_genus requires a connected map\n")
 
 
 def test_census_command(monkeypatch, capsys):
@@ -302,11 +349,13 @@ def test_workers_env_var(monkeypatch, capsys):
 
 
 def test_workers_env_var_that_is_no_integer_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("MORSEDIAG_WORKERS", "two")
-    code, out, err = run(capsys, "classify", "--genus", "1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: MORSEDIAG_WORKERS must be an integer, not 'two'\n"
+    # a count below one is refused like a word, not run on one worker
+    for value, msg in (("two", "must be an integer, not 'two'"),
+                       ("-2", "must be at least 1, not -2"),
+                       ("0", "must be at least 1, not 0")):
+        monkeypatch.setenv("MORSEDIAG_WORKERS", value)
+        code, out, err = run(capsys, "classify", "--genus", "1")
+        assert (code, out, err) == (2, "", f"error: MORSEDIAG_WORKERS {msg}\n"), value
 
 
 def _json_paths(value, path=()):

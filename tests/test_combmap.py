@@ -175,7 +175,6 @@ def test_surger_torus_gives_sphere():
 
 def test_surger_sphere_equator_gives_two_spheres():
     m = surger(make_sphere(), EmbeddedCurve((0, 2), True, BDY))
-    assert m.allow_disconnected
     assert [euler_genus(c) for c in components(m)] == [(2, 0, 0), (2, 0, 0)]
 
 

@@ -16,6 +16,9 @@ from morsediag.chord import (
     ChordDiagram,
     ColoredChordDiagram,
     canonical_colored,
+    chord_from_json,
+    chord_to_json,
+    colored_to_json,
     enumerate_bases,
     enumerate_colorings,
 )
@@ -52,12 +55,14 @@ from morsediag.prdiag import (
 from conftest import (
     analysis_corpus,
     clear_analysis_caches,
+    disjoint_union,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
     make_solid_torus_diagram,
     make_torus,
     reference_side_reduction,
     relabel_diagram,
+    small_disks,
 )
 from g4_round_trip import round_trip
 
@@ -399,7 +404,7 @@ def _fresh_copy(d: PrDiagram) -> PrDiagram:
     m = d.surface
     return PrDiagram(CombMap(m.alpha, m.sigma, tuple(CurveLabel(lb.kind, lb.index)
                                                      for lb in m.labels),
-                             m.holes, m.allow_disconnected),
+                             m.holes),
                      tuple(EmbeddedCurve(c.edges, c.closed, CurveLabel(c.label.kind, c.label.index))
                            for c in d.curves))
 
@@ -409,12 +414,12 @@ def test_kept_hash_is_the_field_tuple_hash_and_fields_stay_as_they_were():
     m = d.surface
     texts = (repr(d), repr(m), repr(m.labels[0]))
     assert hash(d) == hash((m, d.curves))
-    assert hash(m) == hash((m.alpha, m.sigma, m.labels, m.holes, m.allow_disconnected))
+    assert hash(m) == hash((m.alpha, m.sigma, m.labels, m.holes))
     assert hash(m.labels[0]) == hash((m.labels[0].kind, m.labels[0].index))
     assert (repr(d), repr(m), repr(m.labels[0])) == texts
     assert [f.name for f in dataclasses.fields(PrDiagram)] == ["surface", "curves"]
     assert [f.name for f in dataclasses.fields(CombMap)] == \
-        ["alpha", "sigma", "labels", "holes", "allow_disconnected"]
+        ["alpha", "sigma", "labels", "holes"]
     assert [f.name for f in dataclasses.fields(CurveLabel)] == ["kind", "index"]
     # a hashed diagram equals an unhashed copy, both ways, and hashes like it
     fresh = _fresh_copy(d)
@@ -585,20 +590,35 @@ def test_pinched_cycle_fails_disk_reduction():
         "green reduction component 2 is not a disk (chi, genus, boundary) = (2, 0, 0)")
 
 
-def _disjoint_union(a: CombMap, b: CombMap) -> CombMap:
-    """Both maps side by side, the darts of ``b`` numbered after those of ``a``."""
-    n = a.n_darts
-    return CombMap(a.alpha + tuple(x + n for x in b.alpha),
-                   a.sigma + tuple(x + n for x in b.sigma),
-                   a.labels + b.labels,
-                   a.holes | {h + n for h in b.holes}, allow_disconnected=True)
+def _curves_only(sigma, kinds) -> PrDiagram:
+    """A map with no boundary whose edge i (darts 2i, 2i + 1) is the open
+    curve i of ``kinds[i]``: p1 fails, but p4 still walks every piece."""
+    labels = {2 * i: CurveLabel(kind, i) for i, kind in enumerate(kinds)}
+    m = build_map(len(sigma), [t ^ 1 for t in range(len(sigma))], sigma, labels)
+    return PrDiagram(m, tuple(EmbeddedCurve((e,), False, lb) for e, lb in labels.items()))
+
+
+def test_left_turn_walk_refuses_a_piece_taken_the_other_way():
+    U, u = CurveKind.U_GREEN_CYCLE, CurveKind.U_GREEN_ARC
+    witness = "open 'U' component 1 does not close into an alternating left-turn cycle"
+    # From U0 the walk takes u2 backwards, then U1, u4 and U3, then u2
+    # forwards: a piece of its own trail the other way round.  From U0
+    # backwards, (U0, u4) closes; from U1 either way round the walk then
+    # meets u4 or U0, pieces of that earlier trail.
+    own = _curves_only([8, 5, 10, 9, 2, 3, 4, 11, 7, 1, 6, 0], [U, U, u, U, u, u])
+    # (U0, u2) closes; from U1 the walk takes u2 backwards, a piece of an
+    # earlier trail.
+    earlier = _curves_only([3, 4, 1, 5, 2, 0], [U, U, u])
+    for d in (own, earlier):
+        p4 = validate(d).properties[3]
+        assert (p4.name, p4.passed, p4.witness) == ("p4_left_turn_cycles", False, witness)
 
 
 def test_disk_reduction_witness_names_the_component():
     # d3_four_a's u-arc cuts its disk into green components 0 and 1; a closed
     # torus beside it is component 2, and the witness gives that one's shape
     four_a = cat.load_fixture("d3_four_a.json")
-    d = PrDiagram(_disjoint_union(four_a.surface, make_torus()), four_a.curves)
+    d = PrDiagram(disjoint_union(four_a.surface, make_torus()), four_a.curves)
     analysis = pr._analyse(d)
     assert analysis.green.n_components == 3
     assert analysis.report.properties[-1].witness == (
@@ -612,7 +632,7 @@ def test_disconnected_surfaces_are_compared_component_by_component(rng):
     disk = build_map(2, (1, 0), (1, 0), hole_faces=(1,))
     x = build_map(4, (1, 0, 3, 2), (1, 2, 3, 0), hole_faces=(1,))
     y = build_map(4, (1, 0, 3, 2), (2, 3, 0, 1), hole_faces=(0,))
-    ax, ay, xa = (PrDiagram(_disjoint_union(p, q), ())
+    ax, ay, xa = (PrDiagram(disjoint_union(p, q), ())
                   for p, q in ((disk, x), (disk, y), (x, disk)))
     assert all(validate(d).valid for d in (ax, ay, xa))
     for mirror in (True, False):
@@ -629,10 +649,31 @@ def test_disconnected_surfaces_are_compared_component_by_component(rng):
 def test_census_of_a_disconnected_surface_raises_like_euler_genus():
     four_a = cat.load_fixture("d3_four_a.json")
     disk = cat.load_fixture("d3_trivial.json").surface
-    d = PrDiagram(_disjoint_union(four_a.surface, disk), four_a.curves)
+    d = PrDiagram(disjoint_union(four_a.surface, disk), four_a.curves)
     assert validate(d).valid
     with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
         census(d)
+
+
+def test_json_round_trip_is_the_identity():
+    # through JSON text and back: maps and flow diagrams of the fixtures, the
+    # corpus and disconnected surfaces (map_from_json once refused those),
+    # and chord diagrams with and without colors
+    def via_text(obj):
+        return json.loads(json.dumps(obj))
+
+    disks = small_disks()
+    diagrams = list(analysis_corpus())
+    diagrams += [PrDiagram(disjoint_union(a, b), ()) for a in disks for b in disks]
+    for name in cat.fixture_names():
+        d = cat.load_fixture(name)
+        diagrams += [d, PrDiagram(disjoint_union(d.surface, disks[-1]), d.curves)]
+    for d in diagrams:
+        assert cmb.map_from_json(via_text(cmb.map_to_json(d.surface))) == d.surface
+        assert pr_from_json(via_text(pr_to_json(d))) == d
+    for _, ccd in all_colored_classes(3):
+        assert chord_from_json(via_text(colored_to_json(ccd))) == ccd
+        assert chord_from_json(via_text(chord_to_json(ccd.base))) == ccd.base
 
 
 def test_side_reduction_matches_cut_by_cut_reference():
@@ -706,8 +747,7 @@ def _family_swaps(d):
             for e in c.edges:
                 labels[e] = labels[m.alpha[e]] = lb
             curves = d.curves[:ci] + (EmbeddedCurve(c.edges, c.closed, lb),) + d.curves[ci + 1:]
-            yield PrDiagram(CombMap(m.alpha, m.sigma, tuple(labels), m.holes,
-                                    m.allow_disconnected), curves)
+            yield PrDiagram(CombMap(m.alpha, m.sigma, tuple(labels), m.holes), curves)
 
 
 def test_witnesses_of_broken_diagrams_match_pinned_digest():
