@@ -234,14 +234,6 @@ def _single_corner(corners: list[int]) -> Optional[int]:
     return corners[0] if corners else None
 
 
-def hole_corner_dart(m: CombMap, vertex_darts: Sequence[int],
-                     fid: Sequence[int]) -> Optional[int]:
-    """The dart x at this vertex whose corner (x -> sigma(x)) lies in a hole
-    face, or None; ``fid`` is the map's dart -> face id.  The corner between
-    x and sigma(x) belongs to the face orbit containing sigma(x)."""
-    return _single_corner([x for x in vertex_darts if fid[m.sigma[x]] in m.holes])
-
-
 def _boundary_vertices(m: CombMap, vid: Sequence[int], fid: Sequence[int]) -> list[bool]:
     """vertex id -> whether the vertex has a corner in a hole face, from the
     map's vertex and face ids.  A vertex with two such corners would pinch
@@ -476,14 +468,6 @@ class _WorkMap:
     def face_ids(self) -> list[int]:
         return _face_ids(self.alpha, self.sigma)
 
-    def _rotation_at(self, d: int) -> list[int]:
-        rot = [d]
-        x = self.sigma[d]
-        while x != d:
-            rot.append(x)
-            x = self.sigma[x]
-        return rot
-
     def cut(self, walk: Sequence[int], closed: bool,
             label_p: Optional[CurveLabel], label_q: Optional[CurveLabel],
             slits_are_holes: bool):
@@ -496,32 +480,39 @@ class _WorkMap:
         for i, t in enumerate(walk):
             copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
 
-        # Read every rotation and boundary corner before writing anything.
         arrivals = [alpha[t] for t in walk]
-        if closed:
-            pairs = [(arrivals[i], walk[(i + 1) % k]) for i in range(k)]
-        else:
-            pairs = [(arrivals[i], walk[i + 1]) for i in range(k - 1)]
-        rotations = []
-        for a, dep in pairs:
-            # P: strictly between arrival and departure; Q: the rest
-            rot = self._rotation_at(a)
-            j = rot.index(dep)
-            rotations += [[a] + rot[1:j] + [dep],
-                          [copy_q[dep]] + rot[j + 1:] + [copy_q[a]]]
-        # At an arc's ends the slit runs out through the boundary corner; P
-        # is the side sigma-before the departure at the start and the side
-        # sigma-after the arrival at the end.
+        # (dart, new sigma image): at most four per split rotation, written
+        # once every rotation and boundary corner is read.  At arrival a and
+        # departure dep, P keeps the darts strictly between them and closes
+        # with dep -> a; Q is q(dep), sigma(dep) .. x, q(a), x preceding a.
+        writes = []
+        for a, dep in zip(arrivals, [*walk[1:], walk[0]] if closed else walk[1:]):
+            qa, qdep, x = copy_q[a], copy_q[dep], dep
+            while sigma[x] != a:
+                x = sigma[x]
+            if x == dep:   # nothing between them on the Q side: only copies change
+                writes += ((qdep, qa), (qa, qdep))
+            else:
+                writes += ((dep, a), (qdep, sigma[dep]), (x, qa), (qa, qdep))
+        # At an arc's ends the slit runs out through the boundary corner
+        # x -> sigma(x); P is the side sigma-before the departure at the start
+        # and the side sigma-after the arrival at the end.  One walk round the
+        # rotation finds x and leaves y at the predecessor of d.
         for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
-            rot = self._rotation_at(d)
-            x = _single_corner([y for y in rot if in_hole[sigma[y]]])
+            corners, y = [d] if in_hole[sigma[d]] else [], d
+            while sigma[y] != d:
+                y = sigma[y]
+                if in_hole[sigma[y]]:
+                    corners.append(y)
+            x = _single_corner(corners)
             if x is None:
                 raise ArcEndpointNotOnBoundary(
                     f"arc {end} vertex (dart {d}) is not on the boundary")
-            j = rot.index(x) + 1
-            before, after = rot[j:], rot[1:j]
-            p_side, q_side = (before, after) if end == "start" else (after, before)
-            rotations += [[d] + p_side, [copy_q[d]] + q_side]
+            qd, sx = copy_q[d], sigma[x]
+            if end == "start":   # P: sigma(x) .. d; Q: q(d), sigma(d) .. x
+                writes += ((d, sx), (qd, sigma[d]), (x, qd)) if x != d else ((qd, qd),)
+            else:                # P: d .. x; Q: q(d), sigma(x) .. y
+                writes += ((x, d), (qd, sx), (y, qd)) if sx != d else ((x, d), (qd, qd))
 
         for t in walk:
             lab = labels[t]
@@ -529,9 +520,8 @@ class _WorkMap:
             labels += [lab if label_q is None else label_q] * 2
             labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
         sigma += [0] * (2 * k)
-        for rot in rotations:
-            for x, y in zip(rot, rot[1:] + rot[:1]):
-                sigma[x] = y
+        for x, y in writes:
+            sigma[x] = y
 
         # A face is a hole if it keeps a dart of a hole face that is not on
         # the curve, or if it is a slit face and slits become holes: the
@@ -631,8 +621,9 @@ def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
     its kind ordinal plus its hole bit, so atoms order as the tuples
     (s, a, kind, hole) do.  An atom is fixed as soon as its dart is dequeued,
     so it is compared with ``best`` there.  Returns the trace if it is
-    lexicographically smaller than ``best`` (always when best is None), else
-    None, stopping at the first larger atom."""
+    lexicographically smaller than ``best`` (always when best is None),
+    ``best`` itself if it is equal, else None, stopping at the first larger
+    atom."""
     n = len(sigma)
     new_id = [-1] * n
     order = [root]
@@ -656,32 +647,15 @@ def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
                 continue
             out = best[:head]
         out.append(atom)
-    return out
+    return best if out is None else out
 
 
-def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
-    """Label-aware canonical form of a map.
-
-    BFS relabeling from every root dart, on the map and (when ``mirror``)
-    also on the orientation-reversed map; the lexicographically least trace
-    is serialized.  Codes are equal iff the maps are isomorphic through a
-    label-kind-preserving homeomorphism (orientation-reversing ones allowed
-    iff ``mirror``).
-
-    A root's first atom depends on its own darts only: (0, 1) if sigma fixes
-    it, (1, 1) if sigma and alpha agree on it, else (1, 2), then its tail.
-    Only the roots whose first atom is the least of all are traced; any
-    other root's trace is larger at its first atom.
-
-    A trace covers its root's component, so the least trace is shorter than
-    the map exactly when the map is disconnected.  Then the code lists the
-    codes of all its components, sorted, after the dart count; with
-    ``mirror`` each component may be mirrored on its own, as a
-    homeomorphism of a disconnected surface may.
-    """
+def _least_roots(m: CombMap, mirror: bool) -> list[tuple]:
+    """(sigma, tail, root) of each root of the map and, with ``mirror``, its
+    mirror whose first atom is the least: (0, 1) if sigma fixes the root,
+    (1, 1) if sigma and alpha agree on it, else (1, 2), then its tail.  Any
+    other root's trace is larger there."""
     n = m.n_darts
-    if n == 0:
-        return b"cm1|empty"
     alpha, sigma = m.alpha, m.sigma
     kind2 = [2 * _KIND_ORD[lb.kind._value_] for lb in m.labels]
     in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
@@ -696,20 +670,61 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
               for r, (s, a, t) in enumerate(zip(sg, alpha, tail))]
              for sg, tail in variants]
     least = min(min(atoms) for atoms in first)
+    return [(sg, tail, root) for (sg, tail), atoms in zip(variants, first)
+            for root, atom in enumerate(atoms) if atom == least]
+
+
+def _canonical_key(m: CombMap, mirror: bool) -> list:
+    """What ``canonical_code`` serialises: the least trace of a connected map,
+    else the sorted codes of its components ([] if empty).  Keys are equal
+    iff codes are."""
     best = None
-    for (sg, tail), atoms in zip(variants, first):
-        for root, atom in enumerate(atoms):
-            if atom == least:
-                tr = _trace_from(sg, alpha, root, tail, best)
-                if tr is not None:
-                    best = tr
-    tag = "dih" if mirror else "rot"
-    if len(best) < n:
-        parts = sorted(canonical_code(c, mirror) for c in components(m))
-        return f"cm1[{tag}]|n={n}|".encode("ascii") + b" ".join(parts)
+    for sg, tail, root in _least_roots(m, mirror) if m.n_darts else ():
+        best = _trace_from(sg, m.alpha, root, tail, best) or best
+    if best is None or len(best) == m.n_darts:   # a trace covers one component
+        return best or []
+    return sorted(canonical_code(c, mirror) for c in components(m))
+
+
+def _has_key(m: CombMap, mirror: bool, key: list) -> bool:
+    """Whether a connected map has ``key``, a connected map's key, without
+    making its own: the roots that can be least are traced against ``key``
+    until one is smaller (False) or equal (True)."""
+    for sg, tail, root in _least_roots(m, mirror) if m.n_darts == len(key) else ():
+        tr = _trace_from(sg, m.alpha, root, tail, key)
+        if tr is not None:
+            return tr is key
+    return False
+
+
+def _key_code(key: list, n: int, mirror: bool) -> bytes:
+    """The cm1 code of the canonical key of a map with n darts."""
+    if not key:
+        return b"cm1|empty"
+    head = f"cm1[{'dih' if mirror else 'rot'}]|n={n}|".encode("ascii")
+    if len(key) < n:
+        return head + b" ".join(key)
     n10 = 10 * n
-    flat = ";".join([f"{x // n10},{x // 10 % n},{_TAIL_TEXT[x % 10]}" for x in best])
-    return f"cm1[{tag}]|n={n}|{flat}".encode("ascii")
+    return head + ";".join([f"{x // n10},{x // 10 % n},{_TAIL_TEXT[x % 10]}"
+                            for x in key]).encode("ascii")
+
+
+def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
+    """Label-aware canonical form of a map.
+
+    BFS relabeling from every root dart, on the map and (when ``mirror``)
+    also on the orientation-reversed map; the lexicographically least trace
+    is serialized.  Codes are equal iff the maps are isomorphic through a
+    label-kind-preserving homeomorphism (orientation-reversing ones allowed
+    iff ``mirror``).
+
+    A trace covers its root's component, so the least trace is shorter than
+    the map exactly when the map is disconnected.  Then the code lists the
+    codes of all its components, sorted, after the dart count; with
+    ``mirror`` each component may be mirrored on its own, as a
+    homeomorphism of a disconnected surface may.
+    """
+    return _key_code(_canonical_key(m, mirror), m.n_darts, mirror)
 
 
 # ---------------------------------------------------------------------------

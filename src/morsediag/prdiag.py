@@ -34,7 +34,6 @@ from .combmap import (
     CurveLabel,
     EmbeddedCurve,
     MapError,
-    canonical_code,
     curve_dart_walk,
     euler_genus,
     map_from_json,
@@ -605,13 +604,13 @@ def morse_checks(d: PrDiagram) -> MorseChecks:
 
 
 def is_optimal(d: PrDiagram, g: int) -> bool:
-    """Minimal singularity structure on the genus-g handlebody: census
-    (1,0,g,g,0,1) and green arcs disjoint from red arcs."""
+    """Minimal singularity structure on the genus-g handlebody: a connected
+    surface, census (1,0,g,g,0,1) and green arcs disjoint from red arcs."""
     return _is_optimal(d, g, _require_valid(d))
 
 
 def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
-    if _census(d, analysis).as_tuple() != (1, 0, g, g, 0, 1):
+    if analysis.chi is None or _census(d, analysis).as_tuple() != (1, 0, g, g, 0, 1):
         return False
     walks = analysis.walks
     u_ids, v_ids = ([ci for ci, c in enumerate(d.curves) if c.label.kind is kind]
@@ -626,20 +625,31 @@ def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
 def pr_canonical_code(d: PrDiagram, mirror: bool = True) -> bytes:
     """Canonical code of the labeled surface map (label kinds only, so curves
     of one family are interchangeable, matching diagram isomorphism)."""
-    return _surface_code(d.surface, mirror)
+    return cmb._key_code(_surface_key(d.surface, mirror), d.surface.n_darts, mirror)
 
 
-@lru_cache(maxsize=2)   # like _analyse: the codes of the last two surfaces
-def _surface_code(m: CombMap, mirror: bool) -> bytes:
-    return canonical_code(m, mirror=mirror)
+# (surface, mirror) -> canonical key of the last two, least recently used
+# first; not an lru_cache, because equivalent asks whether b's key is held.
+_keys: dict = {}
+
+
+def _surface_key(m: CombMap, mirror: bool) -> list:
+    key = _keys.pop((m, mirror), None)
+    _keys[m, mirror] = key = cmb._canonical_key(m, mirror) if key is None else key
+    if len(_keys) > 2:
+        del _keys[next(iter(_keys))]
+    return key
 
 
 def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
     """Topological equivalence of the recorded flows: label-preserving map
-    isomorphism, decided by canonical-code equality."""
-    _require_valid(a)
-    _require_valid(b)
-    return pr_canonical_code(a, mirror) == pr_canonical_code(b, mirror)
+    isomorphism, decided by canonical keys.  Unless b's key is held or a
+    surface is disconnected, b's roots are traced against a's key instead."""
+    chis = _require_valid(a).chi, _require_valid(b).chi   # None: disconnected
+    key = _surface_key(a.surface, mirror)
+    if (b.surface, mirror) in _keys or None in chis:
+        return key == _surface_key(b.surface, mirror)
+    return cmb._has_key(b.surface, mirror, key)
 
 
 # ---------------------------------------------------------------------------

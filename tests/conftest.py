@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from functools import cache
 from itertools import combinations, permutations, product
@@ -17,11 +18,11 @@ from morsediag.combmap import (
     CurveLabel,
     CutResult,
     EmbeddedCurve,
+    MapError,
     build_map,
     components,
     euler_genus,
     face_table,
-    hole_corner_dart,
     mirror_map,
 )
 
@@ -471,6 +472,17 @@ def _rotation(sigma, d) -> list[int]:
     return rot
 
 
+def _boundary_corner(corners: list, end: str, d: int) -> int:
+    """The one dart of an arc's ``end`` vertex (dart d) whose corner lies in
+    a hole, from the list of such darts in rotation order."""
+    if len(corners) > 1:
+        raise MapError(f"vertex has two boundary corners "
+                       f"(darts {corners[0]} and {corners[1]})")
+    if not corners:
+        raise ArcEndpointNotOnBoundary(f"arc {end} vertex (dart {d}) is not on the boundary")
+    return corners[0]
+
+
 def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
                        slits_are_holes: bool) -> CutResult:
     """combmap._cut_walk as a fresh map per cut: rewire copies of alpha,
@@ -510,10 +522,8 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
     if not closed:
         for end, d in (("start", walk[0]), ("end", arrivals[-1])):
             rot = _rotation(m.sigma, d)
-            x = hole_corner_dart(m, rot, ftab)
-            if x is None:
-                raise ArcEndpointNotOnBoundary(
-                    f"arc {end} vertex (dart {d}) is not on the boundary")
+            # the corner between x and sigma(x) lies in the face of sigma(x)
+            x = _boundary_corner([y for y in rot if ftab[m.sigma[y]] in m.holes], end, d)
             j = rot.index(x)
             p_side, q_side = (rot[j + 1:], rot[1:j + 1]) if end == "start" else \
                 (rot[1:j + 1], rot[j + 1:])
@@ -531,6 +541,92 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
             holes |= {slit_p, slit_q}
     return CutResult(CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)),
                      copy_p, copy_q, slit_p, slit_q)
+
+
+def reference_work_cut(work, walk, closed: bool, label_p, label_q, slits_are_holes: bool):
+    """combmap._WorkMap.cut with each split rotation rebuilt as two lists and
+    every dart in them rewired; hole flags are recomputed, as the cut does,
+    on the faces through the curve darts and their copies."""
+    alpha, sigma, labels, in_hole = work.alpha, work.sigma, work.labels, work.in_hole
+    n, k = len(alpha), len(walk)
+    copy_q = {}
+    for i, t in enumerate(walk):
+        copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
+    arrivals = [alpha[t] for t in walk]
+    if closed:
+        pairs = [(arrivals[i], walk[(i + 1) % k]) for i in range(k)]
+    else:
+        pairs = [(arrivals[i], walk[i + 1]) for i in range(k - 1)]
+    rotations = []
+    for a, dep in pairs:
+        rot = _rotation(sigma, a)
+        j = rot.index(dep)
+        rotations += [[a] + rot[1:j] + [dep], [copy_q[dep]] + rot[j + 1:] + [copy_q[a]]]
+    for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
+        rot = _rotation(sigma, d)
+        j = rot.index(_boundary_corner([y for y in rot if in_hole[sigma[y]]], end, d)) + 1
+        before, after = rot[j:], rot[1:j]
+        p_side, q_side = (before, after) if end == "start" else (after, before)
+        rotations += [[d] + p_side, [copy_q[d]] + q_side]
+    for t in walk:
+        lab = labels[t]
+        alpha += (len(alpha) + 1, len(alpha))
+        labels += [lab if label_q is None else label_q] * 2
+        labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
+    sigma += [0] * (2 * k)
+    for rot in rotations:
+        for x, y in zip(rot, rot[1:] + rot[:1]):
+            sigma[x] = y
+    # a face is a hole if it keeps a hole dart off the curve, or is a slit
+    # face whose slits become holes
+    for d in copy_q:
+        in_hole[d] = False
+    in_hole += [False] * (2 * k)
+    slits = (arrivals[0], copy_q[walk[0]]) if closed else ()
+    for d in slits if slits_are_holes else ():
+        in_hole[d] = True
+    for start in (*copy_q, *copy_q.values()):
+        face = _rotation([sigma[a] for a in alpha], start)
+        hole = any(in_hole[x] for x in face)
+        for x in face:
+            in_hole[x] = hole
+    return copy_q, slits
+
+
+_WORK_LISTS = ("alpha", "sigma", "labels", "in_hole")
+
+
+def check_cuts(monkeypatch) -> list:
+    """Make every combmap._WorkMap.cut run reference_work_cut on a copy of
+    the working map first: both must return, or raise, the same and leave
+    the same alpha, sigma, labels and in_hole.  Returns the list that
+    collects each cut's outcome, its result or its MapError."""
+    import morsediag.combmap as cmb
+
+    cut = cmb._WorkMap.cut
+    outcomes = []
+
+    def checked(work, *args, **kwargs):
+        ref = copy.copy(work)
+        for name in _WORK_LISTS:
+            setattr(ref, name, list(getattr(work, name)))
+        seen = []
+        for w, run in ((ref, reference_work_cut), (work, cut)):
+            try:
+                seen.append(run(w, *args, **kwargs))
+            except MapError as exc:
+                seen.append(exc)
+        expected, got = ((type(x), str(x)) if isinstance(x, MapError) else x for x in seen)
+        assert got == expected
+        assert [getattr(work, name) for name in _WORK_LISTS] == \
+            [getattr(ref, name) for name in _WORK_LISTS]
+        outcomes.append(seen[1])
+        if isinstance(seen[1], MapError):
+            raise seen[1]
+        return seen[1]
+
+    monkeypatch.setattr(cmb._WorkMap, "cut", checked)
+    return outcomes
 
 
 def reference_side_reduction(d, walks, cycles, green: bool):
@@ -629,11 +725,12 @@ def analysis_corpus() -> tuple:
 
 
 def clear_analysis_caches():
-    """Forget the analyses and codes prdiag keeps of the last two diagrams."""
+    """Forget the analyses and canonical keys prdiag keeps of the last two
+    diagrams."""
     import morsediag.prdiag as pr
 
     pr._analyse.cache_clear()
-    pr._surface_code.cache_clear()
+    pr._keys.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -125,6 +125,21 @@ def test_census_of_a_disconnected_diagram_exits_two(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: euler_genus requires a connected map\n")
 
 
+def test_chord_output_of_a_disconnected_diagram_exits_one(tmp_path, capsys):
+    # a handlebody's boundary is connected, so a valid diagram on a
+    # disconnected surface is not optimal (both commands once exited 2)
+    four_a = cat.load_fixture("d3_four_a.json")
+    disk = cat.load_fixture("d3_trivial.json").surface
+    path = _write(tmp_path / "two.json",
+                  PrDiagram(disjoint_union(four_a.surface, disk), four_a.curves))
+    detail = "chord conversion requires an optimal diagram"
+    for argv, verb in ((("convert", "--to", "chord", path), "convert"),
+                       (("export", "--format", "svg", path), "export")):
+        code, out, err = run(capsys, *argv)
+        assert (code, json.loads(out)) == (1, {"error": "NotOptimal", "detail": detail})
+        assert err == f"cannot {verb}: {detail}\n"
+
+
 def test_census_command(monkeypatch, capsys):
     # the Morse checks come from the census: one analysis, one side
     # reduction per color

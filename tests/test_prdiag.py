@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ from morsediag.combmap import (
     EmbeddedCurve,
     MapError,
     build_map,
+    cut_along,
+    surger,
 )
 import morsediag.combmap as cmb
 import morsediag.prdiag as pr
@@ -54,12 +57,14 @@ from morsediag.prdiag import (
 
 from conftest import (
     analysis_corpus,
+    check_cuts,
     clear_analysis_caches,
     disjoint_union,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
     make_solid_torus_diagram,
     make_torus,
+    random_small_map,
     reference_side_reduction,
     relabel_diagram,
     small_disks,
@@ -323,11 +328,12 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # the first public call on a diagram runs its one validity analysis: one
     # side reduction per color, whose cuts are the only ones (one per cycle
     # and arc of the side's color); later calls on an equal diagram run none,
-    # and equivalent analyses and codes each of its arguments at most once
+    # and equivalent analyses each of its arguments at most once and makes
+    # one canonical key, of its first argument, tracing the second against it
     events = []
     reduce_side = pr._side_reduction
     cut = cmb._WorkMap.cut
-    code = pr.canonical_code
+    key, has_key = cmb._canonical_key, cmb._has_key
 
     def counted(*args, **kwargs):
         events.append(args[3])
@@ -337,9 +343,13 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.append("cut")
         return cut(*args, **kwargs)
 
-    def counted_code(*args, **kwargs):
-        events.append("code")
-        return code(*args, **kwargs)
+    def counted_key(*args):
+        events.append("key")
+        return key(*args)
+
+    def counted_check(*args):
+        events.append("check")
+        return has_key(*args)
 
     def reductions(d):
         # every cycle of the diagrams below is one closed U or V curve
@@ -355,7 +365,8 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
 
     monkeypatch.setattr(pr, "_side_reduction", counted)
     monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
-    monkeypatch.setattr(pr, "canonical_code", counted_code)
+    monkeypatch.setattr(cmb, "_canonical_key", counted_key)
+    monkeypatch.setattr(cmb, "_has_key", counted_check)
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
     d = from_colored_chord(ccd)
     assert reductions(d) == [True, "cut", "cut", "cut", False, "cut", "cut", "cut"]
@@ -371,18 +382,19 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     other = relabel_diagram(d, rng)
     cold()
     assert equivalent(d, other)
-    assert events == reductions(d) + reductions(other) + ["code", "code"]
+    assert events == reductions(d) + reductions(other) + ["key", "check"]
     events.clear()
+    # d's key is held, so other's key is made and the keys compared
     assert equivalent(other, d)
     assert pr_canonical_code(d) == pr_canonical_code(other)
     for op in ops:
         op(d)
         op(other)
-    assert events == []
+    assert events == ["key"]
     cold()
     validate(d)
     assert equivalent(d, d)
-    assert events == reductions(d) + ["code"]
+    assert events == reductions(d) + ["key"]
     # a closed green cycle is one more cut of the green side
     four_b = cat.load_fixture("d3_four_b.json")
     assert reductions(four_b) == [True, "cut", False, "cut"]
@@ -653,6 +665,10 @@ def test_census_of_a_disconnected_surface_raises_like_euler_genus():
     assert validate(d).valid
     with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
         census(d)
+    # a handlebody's boundary is connected: the diagram is not optimal
+    assert not is_optimal(d, 1)
+    with pytest.raises(NotOptimal, match="^chord conversion requires an optimal diagram$"):
+        to_colored_chord(d)
 
 
 def test_json_round_trip_is_the_identity():
@@ -674,6 +690,59 @@ def test_json_round_trip_is_the_identity():
     for _, ccd in all_colored_classes(3):
         assert chord_from_json(via_text(colored_to_json(ccd))) == ccd
         assert chord_from_json(via_text(chord_to_json(ccd.base))) == ccd.base
+
+
+def test_equivalent_agrees_with_comparing_codes(rng):
+    # equivalent compares keys when b's is held or a surface is disconnected,
+    # and otherwise traces b's roots against a's key
+    pick = random.Random(18)
+    sample = pick.sample([d for d in analysis_corpus() if validate(d).valid], 10)
+    unions = pick.sample(list(product(small_disks(), repeat=2)), 3)
+    diagrams = sample + [relabel_diagram(d, rng) for d in sample]
+    diagrams += [PrDiagram(disjoint_union(*pair), ()) for x, y in unions
+                 for pair in ((x, y), (y, x))]
+    for mirror in (True, False):
+        codes = [pr_canonical_code(d, mirror) for d in diagrams]
+        same = 0
+        for held in (False, True):
+            for (a, code_a), (b, code_b) in product(zip(diagrams, codes), repeat=2):
+                clear_analysis_caches()
+                if held:
+                    pr_canonical_code(a, mirror)
+                    pr_canonical_code(b, mirror)
+                    assert (b.surface, mirror) in pr._keys
+                assert equivalent(a, b, mirror) == (code_a == code_b)
+                same += code_a == code_b
+        assert same > 2 * len(diagrams)   # a renamed copy is equivalent too
+
+
+def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
+    # every cut of both side reductions on the corpus and on the broken
+    # variants whose analysis reaches property 5; cut_along and surger on
+    # the corpus curves; and every edge of small random maps cut as an arc
+    # and as a loop, for the error paths (a vertex may have two boundary
+    # corners) and for splits with nothing on the Q side
+    outcomes = check_cuts(monkeypatch)
+    corpus = analysis_corpus()
+    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)]
+    reach = 0
+    for d in corpus + tuple(broken):
+        clear_analysis_caches()
+        reach += validate(d).properties[-1].witness != "prerequisite failed"
+    assert reach > len(corpus)
+    pick = random.Random(5)
+    curves = [(d.surface, c) for d in corpus for c in d.curves]
+    curves += [(m, EmbeddedCurve((e,), closed, m.labels[e]))
+               for m in (random_small_map(pick) for _ in range(300))
+               for e in m.edge_ids() for closed in (False, True)]
+    for m, curve in curves:
+        for op in (cut_along, surger) if curve.closed else (cut_along,):
+            try:
+                op(m, curve)
+            except MapError:
+                pass
+    raised = {str(x).split(" (")[0] for x in outcomes if isinstance(x, MapError)}
+    assert raised == {"arc start vertex", "arc end vertex", "vertex has two boundary corners"}
 
 
 def test_side_reduction_matches_cut_by_cut_reference():
