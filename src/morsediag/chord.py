@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import factorial
-from itertools import accumulate, compress
-from operator import eq, getitem, xor
+from itertools import compress
+from operator import eq, getitem
 from typing import Iterator, Optional, Sequence
 
 from ._formats import CHORD, check
@@ -107,6 +107,9 @@ class ColoredChordDiagram:
 
 def crossing(cd: ChordDiagram, a: int, b: int) -> bool:
     """Do chords a and b (indices into cd.chords()) interleave on the circle?"""
+    for i in (a, b):
+        if not 0 <= i < cd.n:
+            raise ValueError(f"chord index {i} is not in 0..{cd.n - 1}")
     if a == b:
         raise ValueError("crossing is defined for distinct chords")
     chords = cd.chords()
@@ -172,7 +175,7 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
 
     Enumeration does not call it: orderly generation (McKay, J. Algorithms
     26, 1998) only asks whether a matching is its own least image, which
-    _stabiliser_if_least answers without building an image.  Here the least
+    _self_test answers without building an image.  Here the least
     image is not known in advance, so the tied images are built and compared
     whole; comparing each one against a running best entry by entry instead
     measured no faster than these tuple comparisons."""
@@ -188,12 +191,13 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
     return least, [p for p, image in zip(tied, images) if image == least]
 
 
-def _stabiliser_if_least(match: Sequence[int], sym: SymmetryConvention
-                         ) -> Optional[list[tuple[int, ...]]]:
-    """The maps that fix a matching, in _least_image's order, if the
-    matching is its own least image under the symmetry maps; else None.
+@cache
+def _self_test(pts: int, sym: SymmetryConvention):
+    """The self-test of orderly generation (McKay, J. Algorithms 26, 1998)
+    for the matchings of pts points: a function giving the maps that fix a
+    matching, in _least_image's order, if the matching is its own least
+    image under the symmetry maps, else None.
 
-    The self-test of orderly generation (McKay, J. Algorithms 26, 1998).
     It relies on match[0] being the least short span of the matching's
     chords, as _one_face(points, sym) guarantees, so that match[0] is the
     least first entry of any image and only the maps whose image starts
@@ -204,19 +208,14 @@ def _stabiliser_if_least(match: Sequence[int], sym: SymmetryConvention
     first smaller entry rejects the matching (one that is not its class's
     representative usually loses within a few entries), the first larger
     one drops the map, and a map whose image equals the matching joins the
-    stabiliser: rotations first, then reflections, each by q."""
-    return _self_test(len(match), sym)(match)
+    stabiliser: rotations first, then reflections, each by q.
 
-
-@cache
-def _self_test(pts: int, sym: SymmetryConvention):
-    """_stabiliser_if_least for the matchings of pts points, with the
-    tables it reads bound once: a map's image starts with match[0] = s iff
-    match[q] == rotations[s][q] for the rotation taking q to 0, and iff
-    match[q] == reflections[s][q] for the reflection i -> q - i, so one
-    C-level pass over the matching finds the maps that can tie.  Entry 0 of
-    a rotation row is -1, which no partner equals: the identity is no
-    candidate."""
+    The tables it reads are bound once: a map's image starts with
+    match[0] = s iff match[q] == rotations[s][q] for the rotation taking q
+    to 0, and iff match[q] == reflections[s][q] for the reflection
+    i -> q - i, so one C-level pass over the matching finds the maps that
+    can tie.  Entry 0 of a rotation row is -1, which no partner equals: the
+    identity is no candidate."""
     maps = _symmetry_maps(pts, sym)
     rotations = tuple((-1,) + tuple((q + s) % pts for q in range(1, pts)) for s in range(pts))
     reflections = tuple(tuple((q - s) % pts for q in range(pts)) for s in range(pts))
@@ -422,7 +421,7 @@ def _canonical_bases(g: int, sym: SymmetryConvention
     """(representative, stabiliser) of every base class, sorted by
     representative; see enumerate_bases.  Generation places only matchings
     whose match[0] is their least short span, which is the precondition of
-    the self-test _stabiliser_if_least."""
+    _self_test."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     pts = 4 * g
@@ -466,19 +465,26 @@ def enumerate_bases(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[
     return [ChordDiagram(2 * g, match) for match, _ in _canonical_bases(g, sym)]
 
 
-def _crossing_masks(match: Sequence[int]) -> list[int]:
-    """Bit j of entry i is set iff chords i and j interleave, chords in
-    ChordDiagram.chords() order.  Chord (a, b) crosses the chords with one
-    end strictly between a and b, so its mask is the XOR of the chord bits
-    of those points: a difference of prefix XORs."""
-    bits = [0] * len(match)
-    bit = 1
-    for a, b in enumerate(match):
-        if a < b:
-            bits[a] = bits[b] = bit
-            bit <<= 1
-    prefix = [0, *accumulate(bits, xor)]
-    return [prefix[b] ^ prefix[a + 1] for a, b in enumerate(match) if a < b]
+def _crossing_masks(match: Sequence[int]) -> tuple[list[int], str]:
+    """The chords' crossing masks, bit j of entry i set iff chords i and j
+    interleave, and the letter string with chr(n + 2 - k) at the points of
+    chord k (chords in ChordDiagram.chords() order, n of them), in one pass
+    over the points.  Chord k crosses the chords with one end between its
+    ends: the XOR of those open just after its near end and just before its
+    far end."""
+    n = len(match) // 2
+    crossed, letters, opened_after = [0] * n, [""] * len(match), [0] * len(match)
+    opened = k = 0
+    for p, q in enumerate(match):
+        if p < q:
+            letters[p] = letters[q] = chr(n + 2 - k)
+            opened_after[q] = opened = opened ^ 1 << k
+            k += 1
+        else:
+            j = n + 2 - ord(letters[p])
+            crossed[j] = opened ^ opened_after[p]
+            opened ^= 1 << j
+    return crossed, "".join(letters)
 
 
 def _noncrossing_subsets(crossed: Sequence[int], size: int) -> list[int]:
@@ -549,7 +555,7 @@ def is_river(ccd: ColoredChordDiagram) -> bool:
     match, colors = ccd.base.match, ccd.colors
     if not colors or 2 * colors.count(GREEN) != len(colors):
         return False
-    crossed = _crossing_masks(match)
+    crossed, _ = _crossing_masks(match)
     if _crossing_within(crossed, colors, GREEN):
         return False
     red = sum(1 << i for i, c in enumerate(colors) if c == RED)
@@ -583,9 +589,9 @@ def _classify_base(job):
     classes, those of its river classes and the green chord mask of each
     class's representative; job is (match as a tuple, g, symmetry, readers).
 
-    One loop over the points gives the chords' crossing masks and `lab`,
-    with chr(n + 2 - k) at the points of chord k, the index of bit k's digit
-    in bin(1 << n | mask).  Those digits, as "g" and "r", paint a coloring
+    _crossing_masks gives the chords' crossing masks and `lab`, with
+    chr(n + 2 - k) at the points of chord k, the index of bit k's digit in
+    bin(1 << n | mask).  Those digits, as "g" and "r", paint a coloring
     with one lab.translate, and its images under the maps taking the base to
     its least image with `lab` read through their inverses, `readers` (None:
     the identity alone).  Its key, ending its colored code, is the least
@@ -597,27 +603,13 @@ def _classify_base(job):
     its key) colorings, by orbit-stabiliser; the orbits must sum to the
     green subsets tried, or RuntimeError is raised."""
     match, g, sym, readers = job
-    pts = len(match)
-    n = pts // 2
-    # opened_after at a chord's far end: the chords open just after its near end
-    crossed, letters, opened_after = [0] * n, [""] * pts, [0] * pts
-    opened = k = 0
-    for p, q in enumerate(match):
-        if p < q:
-            letters[p] = letters[q] = chr(n + 2 - k)
-            opened_after[q] = opened = opened ^ 1 << k
-            k += 1
-        else:
-            j = n + 2 - ord(letters[p])
-            crossed[j] = opened ^ opened_after[p]
-            opened ^= 1 << j
-    code = _code_format(pts, sym) % match
+    crossed, lab = _crossing_masks(match)
+    code = _code_format(len(match), sym) % match
     subsets = _noncrossing_subsets(crossed, g)
     if not subsets:
         return "cd1" + code, [], [], []
-    lab = "".join(letters)
     prefix = "ccd1" + code + "|c="
-    top = 1 << n
+    top = 1 << len(crossed)
     image_labs = ["".join([lab[i] for i in r]) for r in readers or ()]
     colored, greens, river, first_seen, held = [], [], [], set(), 0
     for mask in subsets:

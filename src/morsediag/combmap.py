@@ -304,13 +304,10 @@ def build_map(dart_count: int,
     return m
 
 
-def components(m: CombMap, comp: Optional[Sequence[int]] = None) -> list[CombMap]:
-    """Connected components as separate maps with renumbered darts.
-
-    ``comp`` is the map's dart -> component index when the caller has it."""
+def components(m: CombMap) -> list[CombMap]:
+    """Connected components as separate maps with renumbered darts."""
     n = m.n_darts
-    if comp is None:
-        comp = _component_index(m.alpha, m.sigma)
+    comp = _component_index(m.alpha, m.sigma)
     ncomp = max(comp, default=0) + 1
     if ncomp <= 1:
         return [m]
@@ -434,22 +431,6 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve,
     return walk
 
 
-@dataclass(frozen=True)
-class CutResult:
-    """Bookkeeping from cutting along a curve.
-
-    Darts not on the curve keep their ids.  Each curve dart d acquires two
-    copies: copy_p[d] == d (the corner side of the traversal) and copy_q[d]
-    (fresh id).  For closed curves the two slit faces are recorded.
-    """
-
-    map: CombMap
-    copy_p: dict[int, int]
-    copy_q: dict[int, int]
-    slit_p_face: Optional[int]
-    slit_q_face: Optional[int]
-
-
 class _WorkMap:
     """A map that a sequence of cuts rewrites in place.
 
@@ -468,12 +449,14 @@ class _WorkMap:
     def face_ids(self) -> list[int]:
         return _face_ids(self.alpha, self.sigma)
 
-    def cut(self, walk: Sequence[int], closed: bool,
-            label_p: Optional[CurveLabel], label_q: Optional[CurveLabel],
-            slits_are_holes: bool):
-        """Cut along an oriented dart walk; returns (copy_q, slit darts), the
-        slit darts lying in the P and Q slit faces of a closed curve (empty
-        for an arc).  See ``_cut_walk``."""
+    def cut(self, walk: Sequence[int], closed: bool, label_q: Optional[CurveLabel],
+            slits_are_holes: bool) -> dict[int, int]:
+        """Cut along an oriented dart walk; returns copy_q, each curve dart's
+        fresh Q copy.  Darts keep their ids, the curve darts on the P side:
+        the corner side, at each traversal vertex the darts strictly
+        sigma-between arrival and departure.  P's curve darts become
+        boundary, Q's take ``label_q`` (None keeps the curve label).  With
+        ``slits_are_holes`` both faces of a closed curve's slit are holes."""
         alpha, sigma, labels, in_hole = self.alpha, self.sigma, self.labels, self.in_hole
         n, k = len(alpha), len(walk)
         copy_q = {}
@@ -518,7 +501,7 @@ class _WorkMap:
             lab = labels[t]
             alpha += (len(alpha) + 1, len(alpha))
             labels += [lab if label_q is None else label_q] * 2
-            labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
+            labels[t] = labels[alpha[t]] = _BDY
         sigma += [0] * (2 * k)
         for x, y in writes:
             sigma[x] = y
@@ -529,10 +512,8 @@ class _WorkMap:
         for d in copy_q:
             in_hole[d] = False
         in_hole += [False] * (2 * k)
-        slits = (arrivals[0], copy_q[walk[0]]) if closed else ()
-        if slits_are_holes:
-            for d in slits:
-                in_hole[d] = True
+        if closed and slits_are_holes:   # the P and Q slit corners
+            in_hole[arrivals[0]] = in_hole[copy_q[walk[0]]] = True
         done = set()
         for start in (*copy_q, *copy_q.values()):
             if start in done:
@@ -550,30 +531,12 @@ class _WorkMap:
             done.update(face)
             for x in face:
                 in_hole[x] = hole
-        return copy_q, slits
+        return copy_q
 
     def finish(self, fid: list[int]) -> CombMap:
         """The map as it stands, from its ``face_ids``."""
         holes = frozenset(f for f in set(fid) if self.in_hole[f])
         return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels), holes)
-
-
-def _cut_walk(m: CombMap, walk: Sequence[int], closed: bool,
-              label_p: Optional[CurveLabel], label_q: Optional[CurveLabel],
-              slits_are_holes: bool) -> CutResult:
-    """Cut the map along an oriented dart walk.
-
-    The P side of the slit is the corner side: at each traversal vertex the
-    darts strictly sigma-between arrival and departure.  label_p / label_q
-    replace the copies' labels (None keeps the original curve label).
-    """
-    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    copy_q, slits = work.cut(walk, closed, label_p, label_q, slits_are_holes)
-    fid = work.face_ids()
-    # Slit corners: on P the corner (departure -> arrival) lies in the face
-    # of the arrival copy; on Q in the face of the departure copy.
-    slit_p, slit_q = (fid[s] for s in slits) if closed else (None, None)
-    return CutResult(work.finish(fid), {d: d for d in copy_q}, copy_q, slit_p, slit_q)
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -582,9 +545,9 @@ def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     The curve is doubled and both copies become boundary; chi grows by 1 for
     an arc with endpoints on the boundary and is unchanged for a closed curve.
     """
-    walk = curve_dart_walk(m, curve)
-    res = _cut_walk(m, walk, curve.closed, _BDY, _BDY, slits_are_holes=True)
-    return res.map
+    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
+    work.cut(curve_dart_walk(m, curve), curve.closed, _BDY, slits_are_holes=True)
+    return work.finish(work.face_ids())
 
 
 def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -592,9 +555,9 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     boundary circles with disks (chi += 2)."""
     if not curve.closed:
         raise CurveNotClosed("surgery requires a closed curve")
-    walk = curve_dart_walk(m, curve)
-    res = _cut_walk(m, walk, True, _BDY, _BDY, slits_are_holes=False)
-    return res.map
+    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
+    work.cut(curve_dart_walk(m, curve), True, _BDY, slits_are_holes=False)
+    return work.finish(work.face_ids())
 
 
 def mirror_map(m: CombMap) -> CombMap:
@@ -751,14 +714,22 @@ def map_to_json(m: CombMap) -> dict:
 def map_from_json(obj: dict) -> CombMap:
     """The map of a JSON object in the map format.  A missing or mistyped
     field is a ValueError naming its path (``_formats.check``); an unknown
-    label kind, or a map that build_map refuses, is a MapError."""
+    label kind, an edge labeled twice (by one dart or both), or a map that
+    build_map refuses, is a MapError."""
     check(obj, MAP)
+    items = obj.get("labels", ())
     lab = {}
-    for k, item in enumerate(obj.get("labels", ())):
+    for k, item in enumerate(items):
         kind = item["kind"]
         label_kind = _KIND_BY_JSON.get(kind) if type(kind) is str else None
         if label_kind is None:
             raise MapError(f"labels[{k}].kind: unknown label kind {kind!r}")
         lab[item["edge"]] = CurveLabel(label_kind, item.get("index"))
-    return build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()),
-                     allow_disconnected=True)
+    m = build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()),
+                  allow_disconnected=True)
+    first = {}   # edge id -> index of the first entry labeling it
+    for k, item in enumerate(items):
+        e = m.edge_of(item["edge"])
+        if first.setdefault(e, k) != k:
+            raise LabelMismatch(f"labels[{k}].edge: edge {e} is labeled twice")
+    return m

@@ -35,7 +35,6 @@ from .combmap import (
     EmbeddedCurve,
     MapError,
     curve_dart_walk,
-    euler_genus,
     map_from_json,
     map_to_json,
 )
@@ -330,10 +329,9 @@ class _SideReduction:
     final: CombMap
     comp_of_dart: list[int]
     n_components: int
-    non_disk: Optional[int]                   # first component that is not a disk
-    n_cycles: int
+    # the first component that is not a disk and its (chi, genus, boundary)
+    non_disk: Optional[tuple[int, tuple[int, int, int]]]
     cap_comp: list[int]                       # per cycle: component of its cap
-    arc_sides: dict[int, tuple[int, int]]     # arc curve idx -> (comp P, comp Q)
     arc_end_darts: dict[int, tuple[int, int]] # arc curve idx -> original end darts
     # arc curve idx -> (P-side darts, Q-side darts) of its cut, in walk order
     arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
@@ -351,7 +349,7 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
     work = cmb._WorkMap(d.surface, fid)
     cap_darts = []
     for wk in sorted(cycles, key=min):
-        copy_q, _ = work.cut(wk, True, _BDY, None, slits_are_holes=False)
+        copy_q = work.cut(wk, True, None, slits_are_holes=False)
         # arcs embedded in this cycle survive as their label-keeping copies;
         # copy_q is keyed by exactly the darts of the cut cycle
         for ci in arc_ids:
@@ -360,7 +358,7 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
     arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
-        copy_q, _ = work.cut(aw, False, _BDY, _BDY, slits_are_holes=True)
+        copy_q = work.cut(aw, False, _BDY, slits_are_holes=True)
         arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     comp = cmb._component_index(work.alpha, work.sigma)
     fid = work.face_ids()
@@ -379,10 +377,9 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
         final=work.finish(fid),
         comp_of_dart=comp,
         n_components=ncomp,
-        non_disk=next((k for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
-        n_cycles=len(cycles),
+        non_disk=next(((k, (chi[k], (2 - chi[k] - holes[k]) // 2, holes[k]))
+                       for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
         arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
                        for ci in arc_ids},
         arc_copies=arc_copies,
@@ -515,9 +512,8 @@ def _analyse(d: PrDiagram) -> _Analysis:
             p5 = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
         sides.append(side)
-        k = side.non_disk
-        if k is not None:
-            shape = euler_genus(cmb.components(side.final, side.comp_of_dart)[k])
+        if side.non_disk is not None:
+            k, shape = side.non_disk
             p5 = (f"{'green' if green else 'red'} reduction component {k} "
                   f"is not a disk (chi, genus, boundary) = {shape}")
             break
@@ -552,8 +548,8 @@ def census(d: PrDiagram) -> Census:
 
 def _census(d: PrDiagram, analysis: _Analysis) -> Census:
     green, red = analysis.green, analysis.red
-    n2 = green.n_cycles
-    n5 = red.n_cycles
+    n2 = len(green.cap_comp)
+    n5 = len(red.cap_comp)
     n1 = green.n_components - n2
     n6 = red.n_components - n5
     n3 = len(d.u_arcs)
@@ -734,7 +730,7 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
     reds = ccd.red_chords()
     if len(greens) != g or len(reds) != g:
         raise InvalidColoring(f"expected {g} chords of each color")
-    if _crossing_within(_crossing_masks(base.match), ccd.colors, GREEN):
+    if _crossing_within(_crossing_masks(base.match)[0], ccd.colors, GREEN):
         raise InvalidColoring("green chords must be pairwise non-crossing")
     if face_count(base) != 1:
         raise InvalidColoring("base diagram must have one face")
@@ -829,8 +825,8 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
         if comp not in green_source:
             green_source[comp] = add_vertex("source", 1)
 
-    u_ids = sorted(green.arc_sides)
-    v_ids = sorted(red.arc_sides)
+    u_ids = sorted(green.arc_copies)
+    v_ids = sorted(red.arc_copies)
     saddle_of = {}
     for ci in u_ids:
         saddle_of[ci] = add_vertex("saddle", 3)
@@ -849,8 +845,8 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     # into the red regions at the arc endpoints
     for ci in u_ids:
         sid = saddle_of[ci]
-        for comp in green.arc_sides[ci]:
-            edges.append((green_source[comp], sid))
+        for darts in green.arc_copies[ci]:   # P side, then Q side
+            edges.append((green_source[green.comp_of_dart[darts[0]]], sid))
         for dart in green.arc_end_darts[ci]:
             edges.append((sid, red_sink[red.comp_of_dart[dart]]))
     # red saddles: stable pair from the green regions at the endpoints,
@@ -859,8 +855,8 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
         sid = saddle_of[ci]
         for dart in red.arc_end_darts[ci]:
             edges.append((green_source[green.comp_of_dart[dart]], sid))
-        for comp in red.arc_sides[ci]:
-            edges.append((sid, red_sink[comp]))
+        for darts in red.arc_copies[ci]:
+            edges.append((sid, red_sink[red.comp_of_dart[darts[0]]]))
 
     return BoundaryFlowGraph(tuple(vertices), tuple(edges), c.boundary_genus)
 

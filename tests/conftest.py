@@ -16,7 +16,6 @@ from morsediag.combmap import (
     CombMap,
     CurveKind,
     CurveLabel,
-    CutResult,
     EmbeddedCurve,
     MapError,
     build_map,
@@ -483,17 +482,16 @@ def _boundary_corner(corners: list, end: str, d: int) -> int:
     return corners[0]
 
 
-def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
-                       slits_are_holes: bool) -> CutResult:
-    """combmap._cut_walk as a fresh map per cut: rewire copies of alpha,
-    sigma and labels, then rebuild the face table and the holes of the
-    result from scratch."""
+def reference_cut_walk(m: CombMap, walk, closed: bool, label_q,
+                       slits_are_holes: bool) -> tuple[CombMap, dict]:
+    """combmap._WorkMap.cut on a fresh map, as a fresh map per cut: rewire
+    copies of alpha, sigma and labels, then rebuild the face table and the
+    holes of the result from scratch.  Returns the cut map and copy_q."""
     n = m.n_darts
     k = len(walk)
     ftab = face_table(m)
     alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
     curve_darts = set(walk) | {m.alpha[t] for t in walk}
-    copy_p = {d: d for d in curve_darts}
     copy_q = {}
     for t in walk:
         for d in (t, m.alpha[t]):
@@ -505,7 +503,7 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
         qa, qb = copy_q[t], copy_q[m.alpha[t]]
         alpha[qa], alpha[qb] = qb, qa
         labels[qa] = labels[qb] = labels[t] if label_q is None else label_q
-        labels[t] = labels[m.alpha[t]] = labels[t] if label_p is None else label_p
+        labels[t] = labels[m.alpha[t]] = CurveLabel(CurveKind.BDY)
 
     def set_cycle(cyc):
         for i, d in enumerate(cyc):
@@ -534,16 +532,12 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_p, label_q,
     new_ftab = face_table(bare)
     holes = {new_ftab[d] for d in range(n)
              if d not in curve_darts and ftab[d] in m.holes}
-    slit_p = slit_q = None
-    if closed:
-        slit_p, slit_q = new_ftab[arrivals[0]], new_ftab[copy_q[walk[0]]]
-        if slits_are_holes:
-            holes |= {slit_p, slit_q}
-    return CutResult(CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)),
-                     copy_p, copy_q, slit_p, slit_q)
+    if closed and slits_are_holes:
+        holes |= {new_ftab[arrivals[0]], new_ftab[copy_q[walk[0]]]}
+    return CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)), copy_q
 
 
-def reference_work_cut(work, walk, closed: bool, label_p, label_q, slits_are_holes: bool):
+def reference_work_cut(work, walk, closed: bool, label_q, slits_are_holes: bool):
     """combmap._WorkMap.cut with each split rotation rebuilt as two lists and
     every dart in them rewired; hole flags are recomputed, as the cut does,
     on the faces through the curve darts and their copies."""
@@ -572,7 +566,7 @@ def reference_work_cut(work, walk, closed: bool, label_p, label_q, slits_are_hol
         lab = labels[t]
         alpha += (len(alpha) + 1, len(alpha))
         labels += [lab if label_q is None else label_q] * 2
-        labels[t] = labels[alpha[t]] = lab if label_p is None else label_p
+        labels[t] = labels[alpha[t]] = CurveLabel(CurveKind.BDY)
     sigma += [0] * (2 * k)
     for rot in rotations:
         for x, y in zip(rot, rot[1:] + rot[:1]):
@@ -590,7 +584,7 @@ def reference_work_cut(work, walk, closed: bool, label_p, label_q, slits_are_hol
         hole = any(in_hole[x] for x in face)
         for x in face:
             in_hole[x] = hole
-    return copy_q, slits
+    return copy_q
 
 
 _WORK_LISTS = ("alpha", "sigma", "labels", "in_hole")
@@ -631,7 +625,8 @@ def check_cuts(monkeypatch) -> list:
 
 def reference_side_reduction(d, walks, cycles, green: bool):
     """prdiag._side_reduction cut by cut: a CombMap and its face table after
-    every cut, then the components as separate maps and euler_genus of each."""
+    every cut, then the components as separate maps and euler_genus of each,
+    which gives the shape of the first one that is not a disk."""
     from morsediag import prdiag as pr
 
     bdy = CurveLabel(CurveKind.BDY)
@@ -641,17 +636,15 @@ def reference_side_reduction(d, walks, cycles, green: bool):
     m = d.surface
     cap_darts = []
     for wk in sorted(cycles, key=min):
-        res = reference_cut_walk(m, wk, True, bdy, None, slits_are_holes=False)
-        m = res.map
+        m, copy_q = reference_cut_walk(m, wk, True, None, slits_are_holes=False)
         for ci in arc_ids:
-            arc_walks[ci] = [res.copy_q.get(t, t) for t in arc_walks[ci]]
-        cap_darts.append(res.copy_q[wk[0]])
+            arc_walks[ci] = [copy_q.get(t, t) for t in arc_walks[ci]]
+        cap_darts.append(copy_q[wk[0]])
     arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
-        res = reference_cut_walk(m, aw, False, bdy, bdy, slits_are_holes=True)
-        m = res.map
-        arc_copies[ci] = (tuple(res.copy_p[t] for t in aw), tuple(res.copy_q[t] for t in aw))
+        m, copy_q = reference_cut_walk(m, aw, False, bdy, slits_are_holes=True)
+        arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     # component index: numbered in order of smallest dart
     comp = [-1] * m.n_darts
     for start in range(m.n_darts):
@@ -665,16 +658,13 @@ def reference_side_reduction(d, walks, cycles, green: bool):
                     if comp[nxt] < 0:
                         comp[nxt] = label
                         stack.append(nxt)
-    pieces = components(m, comp)
+    shapes = [euler_genus(p) for p in components(m)]
     return pr._SideReduction(
         final=m,
         comp_of_dart=comp,
-        n_components=len(pieces),
-        non_disk=next((k for k, p in enumerate(pieces)
-                       if euler_genus(p) != (1, 0, 1)), None),
-        n_cycles=len(cycles),
+        n_components=len(shapes),
+        non_disk=next(((k, s) for k, s in enumerate(shapes) if s != (1, 0, 1)), None),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_sides={ci: (comp[p[0]], comp[q[0]]) for ci, (p, q) in arc_copies.items()},
         arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
                        for ci in arc_ids},
         arc_copies=arc_copies,

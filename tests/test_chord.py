@@ -62,8 +62,12 @@ def test_crossing_basics():
     for a in range(4):
         for b in range(a + 1, 4):
             assert crossing(CD_ALLCROSS4, a, b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^crossing is defined for distinct chords$"):
         crossing(CD_CROSS, 1, 1)
+    # an index that is no chord: -2 would read chord 0, -1 the last chord
+    for a, b, bad in ((0, -2, -2), (-1, 0, -1), (0, 2, 2), (5, 1, 5)):
+        with pytest.raises(ValueError, match=rf"^chord index {bad} is not in 0\.\.1$"):
+            crossing(CD_CROSS, a, b)
 
 
 def test_face_counts():
@@ -261,7 +265,7 @@ def test_self_test_keeps_exactly_the_own_least_images(g):
     for sym in (ROT, DIH):
         maps = circle_maps(4 * g, reflections=sym is DIH)
         for m in least_span:
-            stabiliser = chord._stabiliser_if_least(m, sym)
+            stabiliser = chord._self_test(len(m), sym)(m)
             if least_circle_image(m, reflections=sym is DIH)[0] != m:
                 assert stabiliser is None, (sym, m)
                 continue
@@ -347,7 +351,7 @@ def test_colorings_match_reference(g, rng):
         bases = enumerate_bases(g, sym)
         for b in rng.sample(bases, 40) if g == 4 else bases:
             for base in _copies(b):
-                masks = _noncrossing_subsets(_crossing_masks(base.match), g)
+                masks = _noncrossing_subsets(_crossing_masks(base.match)[0], g)
                 assert list(map(_chord_ids, masks)) == _green_subsets(base.chords(), g)
                 assert enumerate_colorings(base, g, sym) == _reference_colorings(base, g, sym)
                 assert _river_classes_agree(base, g, sym)
@@ -380,7 +384,11 @@ def test_noncrossing_subsets_match_combinations(rng):
     bases = [b for g in (1, 2, 3) for b in enumerate_bases(g)]
     bases += rng.sample(enumerate_bases(4), 60)
     for base in bases:
-        crossed = _crossing_masks(base.match)
+        crossed, lab = _crossing_masks(base.match)
+        for k, (a, b) in enumerate(base.chords()):
+            assert lab[a] == lab[b] == chr(base.n + 2 - k)
+            assert crossed[k] == sum(1 << j for j in range(base.n)
+                                     if j != k and crossing(base, k, j))
         for size in range(base.n + 2):
             masks = _noncrossing_subsets(crossed, size)
             assert list(map(_chord_ids, masks)) == \
@@ -462,7 +470,7 @@ def test_river_agrees_with_selection_brute_force():
 def test_point_color_river_test_agrees_with_both_oracles(g):
     for sym in (ROT, DIH):
         for base in enumerate_bases(g, sym):
-            crossed = _crossing_masks(base.match)
+            crossed, _ = _crossing_masks(base.match)
             for ids in _green_subsets(base.chords(), g):
                 ccd = ColoredChordDiagram(base, tuple(GREEN if i in ids else RED
                                                       for i in range(base.n)))
@@ -541,7 +549,7 @@ def test_river_brute_force_agreement_sampled_genus4(rng):
         cd = ChordDiagram(8, tuple(match))
         if face_count(cd) != 1:
             continue
-        crossed = _crossing_masks(match)
+        crossed, _ = _crossing_masks(match)
         for size in range(10):
             assert list(map(_chord_ids, _noncrossing_subsets(crossed, size))) == \
                 _green_subsets(cd.chords(), size)

@@ -296,9 +296,19 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
         not_ascii.append((path, "'ascii' codec can't decode"))
+    # one edge labeled twice on the torus, by one dart or by both: the file
+    # would not round-trip, since map_to_json writes one entry per edge
+    twice = []
+    for second in (0, 2):
+        path = tmp_path / f"labeled_twice_{second}.json"
+        path.write_text(json.dumps({"darts": 4, "alpha": [2, 3, 0, 1], "sigma": [1, 2, 3, 0],
+                                    "labels": [{"edge": 0, "kind": "U"},
+                                               {"edge": second, "kind": "V"}],
+                                    "curves": []}))
+        twice.append((path, "labels[1].edge: edge 0 is labeled twice"))
     good = fixture_path("solid_torus.json")
     for bad, needle in ([(no_darts, "'darts'"), (no_closed, "'closed'")] + bad_edges + bad_fields
-                        + not_ascii):
+                        + not_ascii + twice):
         for argv in (("validate", str(bad)), ("census", str(bad)),
                      ("boundary", str(bad)), ("iso", good, str(bad)),
                      ("iso", str(bad), good)):

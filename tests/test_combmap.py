@@ -199,26 +199,40 @@ def test_surger_chi_plus_two_genus_never_up():
         assert all(euler_genus(p)[1] <= g0 for p in parts)
 
 
+def _work_cut(m: CombMap, walk, closed: bool, label_q, slits_are_holes: bool):
+    """One _WorkMap.cut on a fresh working map: the cut map and copy_q."""
+    work = cmb._WorkMap(m, cmb._face_ids(m.alpha, m.sigma))
+    copy_q = work.cut(walk, closed, label_q, slits_are_holes)
+    return work.finish(work.face_ids()), copy_q
+
+
 def test_cut_walk_matches_cut_by_cut_reference():
+    # cut_along and surger, and a cut keeping the curve labels on its copies
     for d in analysis_corpus():
         m = d.surface
         vtab = vertex_table(m)
         for curve in d.curves:
             walk = cmb.curve_dart_walk(m, curve, vtab)
+            assert cut_along(m, curve) == reference_cut_walk(m, walk, curve.closed, BDY, True)[0]
+            if curve.closed:
+                assert surger(m, curve) == reference_cut_walk(m, walk, True, BDY, False)[0]
             for slits_are_holes in (True, False):
-                args = (m, walk, curve.closed, BDY, None, slits_are_holes)
-                assert cmb._cut_walk(*args) == reference_cut_walk(*args)
+                args = (m, walk, curve.closed, None, slits_are_holes)
+                assert _work_cut(*args) == reference_cut_walk(*args)
 
 
 # ---------------------------------------------------------------------------
 # cut then reglue restores the map
 # ---------------------------------------------------------------------------
 
-def _reglue(orig: CombMap, res, walk, closed: bool) -> CombMap:
-    """Invert a cut using only the cut map and the copy bookkeeping."""
+def _reglue(orig: CombMap, cut: CombMap, copy_q: dict, walk, closed: bool) -> CombMap:
+    """Invert a cut using only the cut map and the copy bookkeeping: the
+    curve darts take back the labels their Q copies kept."""
     n = orig.n_darts
-    cut = res.map
     sigma = list(cut.sigma[:n])
+    labels = list(cut.labels[:n])
+    for d, q in copy_q.items():
+        labels[d] = cut.labels[q]
 
     def rotation(m, start):
         rot = [start]
@@ -239,27 +253,27 @@ def _reglue(orig: CombMap, res, walk, closed: bool) -> CombMap:
         pairs = [(arrivals[i], walk[i + 1]) for i in range(len(walk) - 1)]
     for a, dep in pairs:
         p_rot = rotation(cut, a)            # [a, X..., dep]
-        q_rot = rotation(cut, res.copy_q[dep])  # [dep_q, Y..., a_q]
+        q_rot = rotation(cut, copy_q[dep])  # [dep_q, Y..., a_q]
         x_side = p_rot[1:-1]
         y_side = q_rot[1:-1]
         assign([a] + x_side + [dep] + y_side)
     if not closed:
         t1 = walk[0]
         p_rot = rotation(cut, t1)               # [t1, P...]
-        q_rot = rotation(cut, res.copy_q[t1])   # [t1_q, Q...]
+        q_rot = rotation(cut, copy_q[t1])   # [t1_q, Q...]
         assign([t1] + q_rot[1:] + p_rot[1:])
         ak = orig.alpha[walk[-1]]
         p_rot = rotation(cut, ak)
-        q_rot = rotation(cut, res.copy_q[ak])
+        q_rot = rotation(cut, copy_q[ak])
         assign([ak] + p_rot[1:] + q_rot[1:])
 
-    glued = CombMap(orig.alpha, tuple(sigma), tuple(cut.labels[:n]), frozenset())
+    glued = CombMap(orig.alpha, tuple(sigma), tuple(labels), frozenset())
     ftab_orig = face_table(orig)
     ftab_new = face_table(glued)
     curve_darts = set(walk) | {orig.alpha[t] for t in walk}
     holes = frozenset(ftab_new[d] for d in range(n)
                       if d not in curve_darts and ftab_orig[d] in orig.holes)
-    return CombMap(orig.alpha, tuple(sigma), tuple(cut.labels[:n]), holes)
+    return CombMap(orig.alpha, tuple(sigma), tuple(labels), holes)
 
 
 @pytest.mark.parametrize("case", ["torus_loop", "solid_torus_u", "genus2_loop",
@@ -274,9 +288,8 @@ def test_cut_then_reglue_restores_code(case):
         m = d.surface
         curve = d.curves[0] if case.endswith("_u") else d.curves[1]
     walk = cmb.curve_dart_walk(m, curve)
-    res = cmb._cut_walk(m, walk, curve.closed, None, None,
-                        slits_are_holes=not curve.closed)
-    glued = _reglue(m, res, walk, curve.closed)
+    cut, copy_q = _work_cut(m, walk, curve.closed, None, slits_are_holes=not curve.closed)
+    glued = _reglue(m, cut, copy_q, walk, curve.closed)
     assert canonical_code(glued) == canonical_code(m)
 
 
