@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cache
 from math import factorial
 from itertools import compress
-from operator import eq, getitem
+from operator import eq
 from typing import Iterator, Optional, Sequence
 
 from ._formats import CHORD, check
@@ -148,13 +148,6 @@ def _symmetry_maps(pts: int, sym: SymmetryConvention) -> tuple[tuple[int, ...], 
     return tuple(maps)
 
 
-@cache
-def _span_table(pts: int) -> tuple[tuple[int, ...], ...]:
-    """table[q][j] == (j - q) % pts: the first entry of a matching's image
-    under the rotation taking q to 0, given the partner j of q."""
-    return tuple(tuple((j - q) % pts for j in range(pts)) for q in range(pts))
-
-
 def _apply(match: Sequence[int], p: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(match)
     for i, j in enumerate(match):
@@ -178,10 +171,13 @@ def _least_image(match: Sequence[int], sym: SymmetryConvention
     _self_test answers without building an image.  Here the least
     image is not known in advance, so the tied images are built and compared
     whole; comparing each one against a running best entry by entry instead
-    measured no faster than these tuple comparisons."""
+    measured no faster than these tuple comparisons.  The empty matching
+    is its own least image, under the empty map."""
     pts = len(match)
+    if not pts:
+        return (), [()]
     maps = _symmetry_maps(pts, sym)
-    spans = list(map(getitem, _span_table(pts), match))
+    spans = [(j - q) % pts for q, j in enumerate(match)]
     first = min(spans)
     tied = [maps[-q % pts] for q in range(pts) if spans[q] == first]
     if sym is SymmetryConvention.DIHEDRAL:

@@ -62,14 +62,6 @@ class CurveKind(Enum):
     V_RED_ARC = "v"
     V_RED_CYCLE = "V"
 
-    @property
-    def is_green(self) -> bool:
-        return self in (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE)
-
-    @property
-    def is_red(self) -> bool:
-        return self in (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)
-
 
 # Fixed ordinal used in canonical codes, keyed by the kind's JSON value; indices
 # are deliberately excluded so that isomorphism permutes curves within a family
@@ -257,8 +249,9 @@ def build_map(dart_count: int,
     """Validate and construct a CombMap.
 
     ``labels`` may be None (all edges boundary-plain), per-dart, or per-edge
-    keyed by edge id via a dict.  ``hole_faces`` holds face ids (smallest dart
-    of the orbit).  A disconnected map is refused unless
+    keyed by edge id via a dict, which names one dart of each labeled edge
+    (LabelMismatch if it names both).  ``hole_faces`` holds face ids
+    (smallest dart of the orbit).  A disconnected map is refused unless
     ``allow_disconnected``; the map does not keep the flag.
     """
     if len(alpha) != dart_count or len(sigma) != dart_count:
@@ -281,6 +274,8 @@ def build_map(dart_count: int,
         for edge, lb in labels.items():
             if not 0 <= edge < dart_count:
                 raise LabelMismatch(f"label edge {edge} is not a dart of the map")
+            if alpha[edge] in labels:
+                raise LabelMismatch(f"edge {min(edge, alpha[edge])} is labeled twice")
             full[edge] = lb
             full[alpha[edge]] = lb
         lab = tuple(full)
@@ -357,20 +352,17 @@ class EmbeddedCurve:
     label: CurveLabel
 
 
-def curve_dart_walk(m: CombMap, curve: EmbeddedCurve,
-                    vtab: Optional[Sequence[int]] = None) -> list[int]:
+def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> list[int]:
     """Oriented dart sequence t_1..t_k traversing the curve.
 
     t_i is the dart of edge i at the vertex where the traversal enters it;
-    ``vtab`` is the map's dart -> vertex id when the caller has it.
+    ``vtab`` is the map's dart -> vertex id (``_orbit_ids(m.sigma)``).
     Deterministic orientation: the walk starts with the smallest admissible
     dart.  Raises CurveNotEmbedded for non-paths and non-simple curves.
     """
     edges = list(curve.edges)
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
-    if vtab is None:
-        vtab = _orbit_ids(m.sigma)
     for e in edges:
         if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
             raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
@@ -546,7 +538,8 @@ def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     an arc with endpoints on the boundary and is unchanged for a closed curve.
     """
     work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    work.cut(curve_dart_walk(m, curve), curve.closed, _BDY, slits_are_holes=True)
+    walk = curve_dart_walk(m, curve, _orbit_ids(m.sigma))
+    work.cut(walk, curve.closed, _BDY, slits_are_holes=True)
     return work.finish(work.face_ids())
 
 
@@ -556,7 +549,8 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     if not curve.closed:
         raise CurveNotClosed("surgery requires a closed curve")
     work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    work.cut(curve_dart_walk(m, curve), True, _BDY, slits_are_holes=False)
+    walk = curve_dart_walk(m, curve, _orbit_ids(m.sigma))
+    work.cut(walk, True, _BDY, slits_are_holes=False)
     return work.finish(work.face_ids())
 
 
@@ -717,19 +711,18 @@ def map_from_json(obj: dict) -> CombMap:
     label kind, an edge labeled twice (by one dart or both), or a map that
     build_map refuses, is a MapError."""
     check(obj, MAP)
-    items = obj.get("labels", ())
+    alpha = obj["alpha"]
     lab = {}
-    for k, item in enumerate(items):
+    first = {}   # edge id -> index of the first entry labeling it
+    for k, item in enumerate(obj.get("labels", ())):
         kind = item["kind"]
         label_kind = _KIND_BY_JSON.get(kind) if type(kind) is str else None
         if label_kind is None:
             raise MapError(f"labels[{k}].kind: unknown label kind {kind!r}")
-        lab[item["edge"]] = CurveLabel(label_kind, item.get("index"))
-    m = build_map(obj["darts"], obj["alpha"], obj["sigma"], lab, obj.get("holes", ()),
-                  allow_disconnected=True)
-    first = {}   # edge id -> index of the first entry labeling it
-    for k, item in enumerate(items):
-        e = m.edge_of(item["edge"])
+        edge = item["edge"]
+        e = min(edge, alpha[edge]) if 0 <= edge < len(alpha) else edge
         if first.setdefault(e, k) != k:
             raise LabelMismatch(f"labels[{k}].edge: edge {e} is labeled twice")
-    return m
+        lab[edge] = CurveLabel(label_kind, item.get("index"))
+    return build_map(obj["darts"], alpha, obj["sigma"], lab, obj.get("holes", ()),
+                     allow_disconnected=True)

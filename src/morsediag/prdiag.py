@@ -84,13 +84,6 @@ FIXED_POINT_TYPES = {
     6: FixedPointType(6, (2, 1)),
 }
 
-_FAMILY_KIND = {
-    "u": CurveKind.U_GREEN_ARC,
-    "U": CurveKind.U_GREEN_CYCLE,
-    "v": CurveKind.V_RED_ARC,
-    "V": CurveKind.V_RED_CYCLE,
-}
-_KIND_FAMILY = {v: k for k, v in _FAMILY_KIND.items()}
 _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
     True: (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
     False: (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE),
@@ -101,29 +94,10 @@ _BDY = CurveLabel(CurveKind.BDY)
 @cmb._keeps_hash
 @dataclass(frozen=True)
 class PrDiagram:
-    """Surface map plus registry of embedded curves (grouped by label kind)."""
+    """Surface map plus registry of embedded curves."""
 
     surface: CombMap
     curves: tuple[EmbeddedCurve, ...]
-
-    def family(self, kind: CurveKind) -> list[EmbeddedCurve]:
-        return [c for c in self.curves if c.label.kind is kind]
-
-    @property
-    def u_arcs(self) -> list[EmbeddedCurve]:
-        return self.family(CurveKind.U_GREEN_ARC)
-
-    @property
-    def u_cycles(self) -> list[EmbeddedCurve]:
-        return self.family(CurveKind.U_GREEN_CYCLE)
-
-    @property
-    def v_arcs(self) -> list[EmbeddedCurve]:
-        return self.family(CurveKind.V_RED_ARC)
-
-    @property
-    def v_cycles(self) -> list[EmbeddedCurve]:
-        return self.family(CurveKind.V_RED_CYCLE)
 
 
 @dataclass(frozen=True)
@@ -171,9 +145,6 @@ class Census:
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
-
-    def count(self, type_id: int) -> int:
-        return self.as_tuple()[type_id - 1]
 
     def to_json(self) -> dict:
         out = {f"n{i}": v for i, v in enumerate(self.as_tuple(), start=1)}
@@ -453,7 +424,7 @@ def _disjointness_witness(d: PrDiagram, walks: tuple[_Walk, ...],
     """Property 3: the first two curves of one family (u, U, v, V) that share
     a vertex, then the first arc and cycle of one color that meet away from
     their common ends, then a vertex that ends both a u and a v arc; or ""."""
-    fam = {kind: [] for kind in _KIND_FAMILY}   # kind -> its curve indices
+    fam = {kind: [] for kind in CurveKind}   # kind -> its curve indices
     for ci, c in enumerate(d.curves):
         fam[c.label.kind].append(ci)
     for kind, ids in fam.items():
@@ -543,17 +514,17 @@ def census(d: PrDiagram) -> Census:
     """Fixed point counts: sources from the green reduction (one disk per
     source; each cycle's surgery cap accounts for one type-2 point), saddles
     from the arcs, sinks symmetrically from the red side."""
-    return _census(d, _require_valid(d))
+    return _census(_require_valid(d))
 
 
-def _census(d: PrDiagram, analysis: _Analysis) -> Census:
+def _census(analysis: _Analysis) -> Census:
     green, red = analysis.green, analysis.red
     n2 = len(green.cap_comp)
     n5 = len(red.cap_comp)
     n1 = green.n_components - n2
     n6 = red.n_components - n5
-    n3 = len(d.u_arcs)
-    n4 = len(d.v_arcs)
+    n3 = len(green.arc_copies)
+    n4 = len(red.arc_copies)
     if analysis.chi is None:   # as euler_genus refuses it
         raise MapError("euler_genus requires a connected map")
     chi_boundary = 2 * analysis.chi + 2 * n2 + 2 * n5
@@ -602,16 +573,15 @@ def morse_checks(d: PrDiagram) -> MorseChecks:
 def is_optimal(d: PrDiagram, g: int) -> bool:
     """Minimal singularity structure on the genus-g handlebody: a connected
     surface, census (1,0,g,g,0,1) and green arcs disjoint from red arcs."""
-    return _is_optimal(d, g, _require_valid(d))
+    return _is_optimal(g, _require_valid(d))
 
 
-def _is_optimal(d: PrDiagram, g: int, analysis: _Analysis) -> bool:
-    if analysis.chi is None or _census(d, analysis).as_tuple() != (1, 0, g, g, 0, 1):
+def _is_optimal(g: int, analysis: _Analysis) -> bool:
+    if analysis.chi is None or _census(analysis).as_tuple() != (1, 0, g, g, 0, 1):
         return False
     walks = analysis.walks
-    u_ids, v_ids = ([ci for ci, c in enumerate(d.curves) if c.label.kind is kind]
-                    for kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC))
-    return not any(walks[i].verts & walks[j].verts for i, j in product(u_ids, v_ids))
+    return not any(walks[i].verts & walks[j].verts
+                   for i, j in product(analysis.green.arc_copies, analysis.red.arc_copies))
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +630,9 @@ def to_colored_chord(d: PrDiagram,
 
     The cut surface is the analysis's red side reduction: an optimal diagram
     has no red cycles, so that reduction cuts the red arcs and nothing else."""
-    g = len(d.u_arcs)
     analysis = _require_valid(d)
-    if not _is_optimal(d, g, analysis):
+    g = len(analysis.green.arc_copies)
+    if not _is_optimal(g, analysis):
         raise NotOptimal("chord conversion requires an optimal diagram")
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
@@ -735,56 +705,38 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
     if face_count(base) != 1:
         raise InvalidColoring("base diagram must have one face")
 
-    n = 0
-    def fresh():
-        nonlocal n
-        n += 1
-        return n - 1
-
-    arc = {p: (fresh(), fresh()) for p in range(pts)}  # boundary arc p -> p+1
-    green_edge = {ch: (fresh(), fresh()) for ch in greens}
-    seam = {ch: (fresh(), fresh()) for ch in reds}
-
-    alpha = [0] * n
-    for p in range(pts):
-        d0, d1 = arc[p]
-        alpha[d0], alpha[d1] = d1, d0
-    for e in list(green_edge.values()) + list(seam.values()):
-        alpha[e[0]], alpha[e[1]] = e[1], e[0]
+    # Edge k is darts 2k and 2k + 1: boundary arc p -> p + 1 is edge p, then
+    # come the green chords and the red seams.  Dart 2p leaves point p.
+    edge = {ch: 2 * k for k, ch in enumerate(greens + reds, pts)}
+    n = 2 * pts + 4 * g
+    alpha = [d ^ 1 for d in range(n)]
+    into = [(2 * p - 1) % (2 * pts) for p in range(pts)]   # dart entering point p
 
     sigma = [0] * n
     def setrot(rot):
         for i, dart in enumerate(rot):
             sigma[dart] = rot[(i + 1) % len(rot)]
 
-    # out of point p: arc[p][0]; into point p: arc[p-1][1]
     for p, col in enumerate(ccd.point_colors()):
         if col == GREEN:
             q = base.match[p]
-            ud = green_edge[min(p, q), max(p, q)][0 if p < q else 1]
-            setrot([arc[p][0], ud, arc[(p - 1) % pts][1]])
-    for (a, b), e in seam.items():
+            setrot([2 * p, edge[min(p, q), max(p, q)] + (p > q), into[p]])
+    for a, b in reds:
         # merged endpoints: (a-, b+) and (a+, b-)
-        setrot([arc[b][0], e[0], arc[(a - 1) % pts][1]])
-        setrot([arc[a][0], e[1], arc[(b - 1) % pts][1]])
+        setrot([2 * b, edge[a, b], into[a]])
+        setrot([2 * a, edge[a, b] + 1, into[b]])
 
-    labels = {}
+    labels = [_BDY] * n
     curves = []
-    for i, ch in enumerate(greens):
-        e = min(green_edge[ch])
-        lb = CurveLabel(CurveKind.U_GREEN_ARC, i)
-        labels[e] = lb
-        curves.append(EmbeddedCurve((e,), False, lb))
-    for i, ch in enumerate(reds):
-        e = min(seam[ch])
-        lb = CurveLabel(CurveKind.V_RED_ARC, i)
-        labels[e] = lb
-        curves.append(EmbeddedCurve((e,), False, lb))
+    for kind, chords in ((CurveKind.U_GREEN_ARC, greens), (CurveKind.V_RED_ARC, reds)):
+        for i, ch in enumerate(chords):
+            e = edge[ch]
+            lb = CurveLabel(kind, i)
+            labels[e] = labels[e + 1] = lb
+            curves.append(EmbeddedCurve((e,), False, lb))
 
     fid = cmb._face_ids(alpha, sigma)
-    m = CombMap(tuple(alpha), tuple(sigma),
-                tuple(labels.get(min(dd, alpha[dd]), _BDY) for dd in range(n)),
-                frozenset(fid[arc[p][0]] for p in range(pts)))
+    m = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(fid[0:2 * pts:2]))
     return PrDiagram(m, tuple(curves))
 
 
@@ -805,45 +757,43 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     region-incidence degrees are contractual.
     """
     analysis = _require_valid(d)
-    c = _census(d, analysis)
+    c = _census(analysis)
     green, red = analysis.green, analysis.red
 
     vertices = []
     edges = []
 
-    def add_vertex(role, ptype):
+    def add_vertex(ptype):
         vid = len(vertices)
-        vertices.append(FlowVertex(vid, role, ptype))
+        vertices.append(FlowVertex(vid, FIXED_POINT_TYPES[ptype].role, ptype))
         return vid
 
     # one type-2 vertex per green cycle; capless regions get a type-1 source
     green_source = {}
     for comp in green.cap_comp:
-        vid = add_vertex("source", 2)
+        vid = add_vertex(2)
         green_source.setdefault(comp, vid)
     for comp in range(green.n_components):
         if comp not in green_source:
-            green_source[comp] = add_vertex("source", 1)
+            green_source[comp] = add_vertex(1)
 
-    u_ids = sorted(green.arc_copies)
-    v_ids = sorted(red.arc_copies)
     saddle_of = {}
-    for ci in u_ids:
-        saddle_of[ci] = add_vertex("saddle", 3)
-    for ci in v_ids:
-        saddle_of[ci] = add_vertex("saddle", 4)
+    for ci in green.arc_copies:
+        saddle_of[ci] = add_vertex(3)
+    for ci in red.arc_copies:
+        saddle_of[ci] = add_vertex(4)
 
     red_sink = {}
     for comp in red.cap_comp:
-        vid = add_vertex("sink", 5)
+        vid = add_vertex(5)
         red_sink.setdefault(comp, vid)
     for comp in range(red.n_components):
         if comp not in red_sink:
-            red_sink[comp] = add_vertex("sink", 6)
+            red_sink[comp] = add_vertex(6)
 
     # green saddles: stable pair from adjacent green regions, unstable pair
     # into the red regions at the arc endpoints
-    for ci in u_ids:
+    for ci in green.arc_copies:
         sid = saddle_of[ci]
         for darts in green.arc_copies[ci]:   # P side, then Q side
             edges.append((green_source[green.comp_of_dart[darts[0]]], sid))
@@ -851,7 +801,7 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
             edges.append((sid, red_sink[red.comp_of_dart[dart]]))
     # red saddles: stable pair from the green regions at the endpoints,
     # unstable pair into adjacent red regions
-    for ci in v_ids:
+    for ci in red.arc_copies:
         sid = saddle_of[ci]
         for dart in red.arc_end_darts[ci]:
             edges.append((green_source[green.comp_of_dart[dart]], sid))
@@ -869,7 +819,7 @@ def pr_to_json(d: PrDiagram) -> dict:
     out = map_to_json(d.surface)
     out["curves"] = [
         {
-            "family": _KIND_FAMILY[c.label.kind],
+            "family": c.label.kind.value,
             "index": c.label.index,
             "edges": list(c.edges),
             "closed": c.closed,
@@ -889,8 +839,8 @@ def pr_from_json(obj: dict) -> PrDiagram:
     curves = []
     for k, item in enumerate(obj.get("curves", ())):
         family = item["family"]
-        kind = _FAMILY_KIND.get(family) if type(family) is str else None
-        if kind is None:
+        kind = cmb._KIND_BY_JSON.get(family) if type(family) is str else None
+        if kind in (None, CurveKind.BDY):
             raise MapError(f"curves[{k}].family: unknown curve family {family!r}")
         curves.append(EmbeddedCurve(tuple(item["edges"]), item["closed"],
                                     CurveLabel(kind, item.get("index"))))

@@ -450,6 +450,16 @@ def test_river_needs_chords():
     assert not is_river(ColoredChordDiagram(ChordDiagram(0, ()), ()))
 
 
+def test_empty_diagram_has_a_class_code():
+    # like the empty map's "cm1|empty": zero chords is one class, with a code
+    empty = ChordDiagram(0, ())
+    for sym in SymmetryConvention:
+        tag = "dih" if sym is SymmetryConvention.DIHEDRAL else "rot"
+        assert canonical_chord(empty, sym) == f"cd1[{tag}]|n=0|m="
+        assert canonical_colored(ColoredChordDiagram(empty, ()), sym) == f"ccd1[{tag}]|n=0|m=|c="
+    assert canonical_chord(chord_from_json({"n": 0, "match": []})) == "cd1[dih]|n=0|m="
+
+
 def test_river_counts_genus2():
     rivers = []
     for b in enumerate_bases(2):

@@ -85,6 +85,16 @@ def test_label_mismatch_between_darts():
         build_map(4, (1, 0, 3, 2), (3, 2, 1, 0), labels)
 
 
+def test_edge_labeled_by_both_darts_is_refused():
+    # torus with edges 0 = {0, 2} and 1 = {1, 3}: a dict naming darts 0 and
+    # 2 labels edge 0 twice, where the later entry used to win silently
+    U, V = CurveLabel(CurveKind.U_GREEN_CYCLE), CurveLabel(CurveKind.V_RED_CYCLE)
+    for labels in ({0: U, 2: V}, {2: V, 0: U}):
+        with pytest.raises(LabelMismatch, match="^edge 0 is labeled twice$"):
+            build_map(4, (2, 3, 0, 1), (1, 2, 3, 0), labels)
+    assert build_map(4, (2, 3, 0, 1), (1, 2, 3, 0), {2: V, 1: U}).labels == (V, U, V, U)
+
+
 def test_hole_edge_must_be_boundary():
     labels = {0: CurveLabel(CurveKind.U_GREEN_ARC, 0)}
     with pytest.raises(LabelMismatch):
@@ -287,7 +297,7 @@ def test_cut_then_reglue_restores_code(case):
         d = make_solid_torus_diagram()
         m = d.surface
         curve = d.curves[0] if case.endswith("_u") else d.curves[1]
-    walk = cmb.curve_dart_walk(m, curve)
+    walk = cmb.curve_dart_walk(m, curve, cmb._orbit_ids(m.sigma))
     cut, copy_q = _work_cut(m, walk, curve.closed, None, slits_are_holes=not curve.closed)
     glued = _reglue(m, cut, copy_q, walk, curve.closed)
     assert canonical_code(glued) == canonical_code(m)

@@ -1,0 +1,64 @@
+"""No package definition goes unread.
+
+Every top-level function and class of src/morsediag/*.py, and every method
+or property of those classes that is not a dunder, must be used somewhere
+outside its own definition: as a loaded name, an attribute name or an
+imported name, in src/, tests/, bench/ or demos/.  A name that only its own
+body reads is dead code.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "morsediag"
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node) of each definition the check covers."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _DEFS) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _uses(node: ast.AST, inside: tuple, out: list) -> None:
+    """Append (name, ids of the definitions enclosing the use) for every
+    use below ``node``."""
+    if isinstance(node, _DEFS):
+        inside += (id(node),)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.append((node.id, inside))
+    elif isinstance(node, ast.Attribute):
+        out.append((node.attr, inside))
+    elif isinstance(node, ast.alias):
+        out += [(part, inside) for part in node.name.split(".")]
+    for child in ast.iter_child_nodes(node):
+        _uses(child, inside, out)
+
+
+def dead_names() -> list[str]:
+    package = {path: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    uses: list = []
+    for top in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = package.get(path) or ast.parse(path.read_text(), str(path))
+            _uses(tree, (), uses)
+    users: dict = {}
+    for name, inside in uses:
+        users.setdefault(name, []).append(inside)
+    return [f"{path.name}: {qualname}"
+            for path, tree in package.items()
+            for qualname, name, node in _definitions(tree)
+            if all(id(node) in inside for inside in users.get(name, ()))]
+
+
+def test_every_definition_is_used_outside_itself():
+    assert dead_names() == []

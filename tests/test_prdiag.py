@@ -354,9 +354,9 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     def reductions(d):
         # every cycle of the diagrams below is one closed U or V curve
         out = []
-        for green, cycles, arcs in ((True, d.u_cycles, d.u_arcs),
-                                    (False, d.v_cycles, d.v_arcs)):
-            out += [green] + ["cut"] * (len(cycles) + len(arcs))
+        for green, kinds in ((True, (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE)),
+                             (False, (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE))):
+            out += [green] + ["cut"] * sum(c.label.kind in kinds for c in d.curves)
         return out
 
     def cold():
@@ -861,3 +861,19 @@ def test_witnesses_of_broken_diagrams_match_pinned_digest():
     assert (len(reports), sum(rep.valid for rep in reports)) == (312, 2)
     assert h.hexdigest() == \
         "e6aa4873e9d7f47d6603e974da8c862afc2ebe2755c81244813d792e15c7e886"
+
+
+def test_rebuilt_diagrams_json_matches_pinned_digest():
+    """The JSON that from_colored_chord's diagrams write (as `convert --to
+    pr` does) for every colored class of genus 1-3, in enumeration order,
+    hashes to a pinned value.  Canonical codes ignore dart numbering, so
+    this is the test that pins it: boundary arcs, then green chords, then
+    red seams, each edge k as darts 2k and 2k + 1."""
+    h = hashlib.sha256()
+    count = 0
+    for _, ccd in all_colored_classes(3):
+        h.update((json.dumps(pr_to_json(from_colored_chord(ccd)), sort_keys=True) + "\n").encode())
+        count += 1
+    assert count == 185
+    assert h.hexdigest() == \
+        "b67969b12db590711c696e5f0d705b2ce4513f26df5b259a46d2f5802ed32ee4"
