@@ -218,7 +218,7 @@ def _tail_entry(tail: str, code: str, lineno: int, strings: dict):
         return None
     try:
         obj = json.loads("{" + tail[2:])
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return None
     flags = obj.get("flags")
     if "code" in obj or type(flags) is not dict or \
@@ -275,7 +275,7 @@ def load_catalog(path) -> list[CatalogEntry]:
                 if entry is None:
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except (json.JSONDecodeError, RecursionError) as exc:
                         raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
                     entry = _entry_from_json(obj, lineno, strings)
                 if entry.code in seen:

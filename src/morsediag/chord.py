@@ -647,8 +647,8 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     colorings and the river test on the point colors; the codes are sorted
     once, here.  workers > 1 runs the jobs in a pool of that many processes,
     which is no faster than one worker: at genus 4 the pool's start-up and
-    the pickling of the 7,258 jobs and their results cost more than the
-    second process saves."""
+    the pickling of the 7,258 jobs and their results cost about as much as
+    the second process saves."""
     from .catalog import CatalogReport
 
     if g > _MAX_GENUS:

@@ -27,7 +27,7 @@ from .chord import (
     classify,
     colored_to_json,
 )
-from .combmap import CurveKind, vertex_table
+from .combmap import CurveKind, _orbit_ids
 from .prdiag import (
     InvalidColoring,
     InvalidDiagram,
@@ -61,13 +61,13 @@ def _usage_error(msg: str) -> int:
 
 def _load(path: str, reader):
     """``reader`` of the JSON value in the file at ``path``.  A file that
-    cannot be read, is not ASCII JSON or that the reader refuses (a
-    ValueError, with the field's path) is a usage error naming the file,
-    never a traceback or a negative verdict."""
+    cannot be read, is not ASCII JSON, nests too deeply to parse or that the
+    reader refuses (a ValueError, with the field's path) is a usage error
+    naming the file, never a traceback or a negative verdict."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             return reader(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(_usage_error(f"{path}: {exc}"))
 
 
@@ -219,7 +219,7 @@ _DOT_COLORS = {
 
 def _pr_dot(d: PrDiagram) -> str:
     m = d.surface
-    vtab = vertex_table(m)
+    vtab = _orbit_ids(m.sigma)
     lines = ["graph flowdiagram {", "  layout=neato;", "  node [shape=point];"]
     for e in m.edge_ids():
         a, b = vtab[e], vtab[m.alpha[e]]

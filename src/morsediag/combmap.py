@@ -29,10 +29,6 @@ class NonInvolution(MapError):
     pass
 
 
-class DisconnectedUnlessFlagged(MapError):
-    pass
-
-
 class LabelMismatch(MapError):
     pass
 
@@ -187,11 +183,6 @@ def face_table(m: CombMap) -> dict[int, int]:
     return dict(enumerate(_face_ids(m.alpha, m.sigma)))
 
 
-def vertex_table(m: CombMap) -> dict[int, int]:
-    """dart -> vertex id (smallest dart of its sigma orbit)."""
-    return dict(enumerate(_orbit_ids(m.sigma)))
-
-
 def _component_index(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
     """dart -> connected component, numbered in order of smallest dart."""
     comp = [-1] * len(alpha)
@@ -244,15 +235,13 @@ def build_map(dart_count: int,
               alpha: Sequence[int],
               sigma: Sequence[int],
               labels: Optional[Sequence[CurveLabel]] = None,
-              hole_faces: Iterable[int] = (),
-              allow_disconnected: bool = False) -> CombMap:
+              hole_faces: Iterable[int] = ()) -> CombMap:
     """Validate and construct a CombMap.
 
     ``labels`` may be None (all edges boundary-plain), per-dart, or per-edge
     keyed by edge id via a dict, which names one dart of each labeled edge
     (LabelMismatch if it names both).  ``hole_faces`` holds face ids
-    (smallest dart of the orbit).  A disconnected map is refused unless
-    ``allow_disconnected``; the map does not keep the flag.
+    (smallest dart of the orbit).  The map may be disconnected.
     """
     if len(alpha) != dart_count or len(sigma) != dart_count:
         raise MapError("alpha/sigma size does not match dart count")
@@ -263,9 +252,6 @@ def build_map(dart_count: int,
     for d in range(dart_count):
         if alpha[d] == d or alpha[alpha[d]] != d:
             raise NonInvolution(f"alpha is not a fixed-point-free involution at dart {d}")
-    if not allow_disconnected and not _is_connected(alpha, sigma):
-        raise DisconnectedUnlessFlagged(
-            "map is disconnected and not flagged multi-component (dart 0)")
 
     if labels is None:
         lab = tuple(_BDY for _ in range(dart_count))
@@ -357,10 +343,11 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> li
 
     t_i is the dart of edge i at the vertex where the traversal enters it;
     ``vtab`` is the map's dart -> vertex id (``_orbit_ids(m.sigma)``).
-    Deterministic orientation: the walk starts with the smallest admissible
-    dart.  Raises CurveNotEmbedded for non-paths and non-simple curves.
+    Orientation: the first edge runs into the least vertex it shares with
+    the second, unless it is a loop; a loop or a one-edge curve starts at its
+    edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves.
     """
-    edges = list(curve.edges)
+    edges = curve.edges
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
     for e in edges:
@@ -369,47 +356,30 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> li
     if len(set(edges)) != len(edges):
         raise CurveNotEmbedded("curve repeats an edge")
 
-    def darts_of(e):
-        return (e, m.alpha[e])
-
+    alpha = m.alpha
+    e = edges[0]
+    walk = [e]   # an edge id is the smaller dart of its edge
     if len(edges) == 1:
-        e = edges[0]
-        d0, d1 = darts_of(e)
-        if curve.closed:
-            if vtab[d0] != vtab[d1]:
-                raise CurveNotClosed(f"single-edge curve flagged closed does not loop (edge {e})")
-            walk = [min(d0, d1)]
-        else:
-            if vtab[d0] == vtab[d1]:
-                raise CurveNotEmbedded(f"open curve on a loop edge {e}")
-            walk = [min(d0, d1)]
+        if curve.closed and vtab[e] != vtab[alpha[e]]:
+            raise CurveNotClosed(f"single-edge curve flagged closed does not loop (edge {e})")
+        if not curve.closed and vtab[e] == vtab[alpha[e]]:
+            raise CurveNotEmbedded(f"open curve on a loop edge {e}")
     else:
-        # Orient the first edge away from the vertex shared with the second.
-        shared01 = {vtab[d] for d in darts_of(edges[0])} & {vtab[d] for d in darts_of(edges[1])}
-        if not shared01:
+        shared = {vtab[e], vtab[alpha[e]]} & {vtab[edges[1]], vtab[alpha[edges[1]]]}
+        if not shared:
             raise CurveNotEmbedded("consecutive curve edges share no vertex")
-        walk = []
-        for i, e in enumerate(edges):
-            d0, d1 = darts_of(e)
-            if i == 0:
-                s = min(shared01)
-                if vtab[d1] == s and vtab[d0] != s:
-                    walk.append(d0)
-                elif vtab[d0] == s and vtab[d1] != s:
-                    walk.append(d1)
-                else:
-                    # loop edge or both ends shared: orient so the smaller dart leads
-                    walk.append(min(d0, d1))
+        if vtab[e] == min(shared) != vtab[alpha[e]]:
+            walk = [alpha[e]]
+        for prev, e in zip(edges, edges[1:]):
+            end = vtab[alpha[walk[-1]]]
+            if vtab[e] == end:
+                walk.append(e)
+            elif vtab[alpha[e]] == end:
+                walk.append(alpha[e])
             else:
-                prev_end = vtab[m.alpha[walk[-1]]]
-                if vtab[d0] == prev_end:
-                    walk.append(d0)
-                elif vtab[d1] == prev_end:
-                    walk.append(d1)
-                else:
-                    raise CurveNotEmbedded(f"curve edges {edges[i-1]} and {e} do not chain")
+                raise CurveNotEmbedded(f"curve edges {prev} and {e} do not chain")
     # Simplicity: traversal vertices must be distinct (up to closure).
-    vseq = [vtab[walk[0]]] + [vtab[m.alpha[t]] for t in walk]
+    vseq = [vtab[walk[0]]] + [vtab[alpha[t]] for t in walk]
     if curve.closed:
         if vseq[0] != vseq[-1]:
             raise CurveNotClosed("closed curve does not return to its start")
@@ -437,9 +407,6 @@ class _WorkMap:
         self.sigma = list(m.sigma)
         self.labels = list(m.labels)
         self.in_hole = [f in m.holes for f in fid]
-
-    def face_ids(self) -> list[int]:
-        return _face_ids(self.alpha, self.sigma)
 
     def cut(self, walk: Sequence[int], closed: bool, label_q: Optional[CurveLabel],
             slits_are_holes: bool) -> dict[int, int]:
@@ -526,9 +493,17 @@ class _WorkMap:
         return copy_q
 
     def finish(self, fid: list[int]) -> CombMap:
-        """The map as it stands, from its ``face_ids``."""
+        """The map as it stands, from its dart -> face id ``fid``."""
         holes = frozenset(f for f in set(fid) if self.in_hole[f])
         return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels), holes)
+
+
+def _cut_one(m: CombMap, curve: EmbeddedCurve, slits_are_holes: bool) -> CombMap:
+    """The map cut along one curve, both copies boundary (``_WorkMap.cut``)."""
+    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
+    work.cut(curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, _BDY,
+             slits_are_holes)
+    return work.finish(_face_ids(work.alpha, work.sigma))
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -537,10 +512,7 @@ def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     The curve is doubled and both copies become boundary; chi grows by 1 for
     an arc with endpoints on the boundary and is unchanged for a closed curve.
     """
-    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    walk = curve_dart_walk(m, curve, _orbit_ids(m.sigma))
-    work.cut(walk, curve.closed, _BDY, slits_are_holes=True)
-    return work.finish(work.face_ids())
+    return _cut_one(m, curve, slits_are_holes=True)
 
 
 def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
@@ -548,10 +520,7 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     boundary circles with disks (chi += 2)."""
     if not curve.closed:
         raise CurveNotClosed("surgery requires a closed curve")
-    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    walk = curve_dart_walk(m, curve, _orbit_ids(m.sigma))
-    work.cut(walk, True, _BDY, slits_are_holes=False)
-    return work.finish(work.face_ids())
+    return _cut_one(m, curve, slits_are_holes=False)
 
 
 def mirror_map(m: CombMap) -> CombMap:
@@ -724,5 +693,4 @@ def map_from_json(obj: dict) -> CombMap:
         if first.setdefault(e, k) != k:
             raise LabelMismatch(f"labels[{k}].edge: edge {e} is labeled twice")
         lab[edge] = CurveLabel(label_kind, item.get("index"))
-    return build_map(obj["darts"], alpha, obj["sigma"], lab, obj.get("holes", ()),
-                     allow_disconnected=True)
+    return build_map(obj["darts"], alpha, obj["sigma"], lab, obj.get("holes", ()))

@@ -303,7 +303,6 @@ class _SideReduction:
     # the first component that is not a disk and its (chi, genus, boundary)
     non_disk: Optional[tuple[int, tuple[int, int, int]]]
     cap_comp: list[int]                       # per cycle: component of its cap
-    arc_end_darts: dict[int, tuple[int, int]] # arc curve idx -> original end darts
     # arc curve idx -> (P-side darts, Q-side darts) of its cut, in walk order
     arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
@@ -332,7 +331,7 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
         copy_q = work.cut(aw, False, _BDY, slits_are_holes=True)
         arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     comp = cmb._component_index(work.alpha, work.sigma)
-    fid = work.face_ids()
+    fid = cmb._face_ids(work.alpha, work.sigma)
     # per component: chi = V - E + interior faces, and the hole count
     ncomp = max(comp, default=0) + 1
     chi = [-(comp.count(c) // 2) for c in range(ncomp)]
@@ -351,8 +350,6 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
         non_disk=next(((k, (chi[k], (2 - chi[k] - holes[k]) // 2, holes[k]))
                        for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
-                       for ci in arc_ids},
         arc_copies=arc_copies,
     )
 
@@ -506,6 +503,12 @@ def _require_valid(d: PrDiagram) -> _Analysis:
     return analysis
 
 
+def _arc_ends(d: PrDiagram, analysis: _Analysis, ci: int) -> tuple[int, int]:
+    """The darts at which arc curve ci leaves its two end vertices."""
+    walk = analysis.walks[ci].darts
+    return walk[0], d.surface.alpha[walk[-1]]
+
+
 # ---------------------------------------------------------------------------
 # Census and necessary conditions
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def _census(analysis: _Analysis) -> Census:
     if analysis.chi is None:   # as euler_genus refuses it
         raise MapError("euler_genus requires a connected map")
     chi_boundary = 2 * analysis.chi + 2 * n2 + 2 * n5
-    if chi_boundary % 2 != 0 or chi_boundary > 2:
+    if chi_boundary > 2:
         raise InvalidDiagram(f"boundary Euler characteristic {chi_boundary}")
     return Census(n1, n2, n3, n4, n5, n6, (2 - chi_boundary) // 2)
 
@@ -637,19 +640,15 @@ def to_colored_chord(d: PrDiagram,
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
     red = analysis.red
-    if red.n_components != 1:
-        raise NotOptimal("red cut did not produce a single disk")
-    m = red.final
-    if len(m.holes) != 1:
-        raise NotOptimal("cut surface has more than one boundary circle")
+    m = red.final   # one disk (census n6 = 1) with one hole (property 5)
     side_of = {}   # edge id -> (v curve, side)
     for ci, copies in red.arc_copies.items():
         for side, darts in enumerate(copies):
             for t in darts:
                 side_of[m.edge_of(t)] = (ci, side)
     vid = cmb._orbit_ids(m.sigma)
-    vert_u = {vid[t]: ci for ci, ends in analysis.green.arc_end_darts.items()
-              for t in ends}
+    vert_u = {vid[t]: ci for ci in analysis.green.arc_copies
+              for t in _arc_ends(d, analysis, ci)}
 
     # walk the boundary circle from its hole id, the face's smallest dart
     (start,) = m.holes
@@ -768,45 +767,29 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
         vertices.append(FlowVertex(vid, FIXED_POINT_TYPES[ptype].role, ptype))
         return vid
 
-    # one type-2 vertex per green cycle; capless regions get a type-1 source
-    green_source = {}
-    for comp in green.cap_comp:
-        vid = add_vertex(2)
-        green_source.setdefault(comp, vid)
-    for comp in range(green.n_components):
-        if comp not in green_source:
-            green_source[comp] = add_vertex(1)
+    def regions(side, cap_type, plain_type):
+        """Region -> point: a cap_type point per cap, a region's first cap
+        its point, and a plain_type point in each capless region."""
+        point = {}
+        for comp in side.cap_comp:
+            point.setdefault(comp, add_vertex(cap_type))
+        for comp in range(side.n_components):
+            if comp not in point:
+                point[comp] = add_vertex(plain_type)
+        return point
 
-    saddle_of = {}
-    for ci in green.arc_copies:
-        saddle_of[ci] = add_vertex(3)
-    for ci in red.arc_copies:
-        saddle_of[ci] = add_vertex(4)
+    source = regions(green, 2, 1)
+    saddle = {ci: add_vertex(3) for ci in green.arc_copies}
+    saddle.update((ci, add_vertex(4)) for ci in red.arc_copies)
+    sink = regions(red, 5, 6)
 
-    red_sink = {}
-    for comp in red.cap_comp:
-        vid = add_vertex(5)
-        red_sink.setdefault(comp, vid)
-    for comp in range(red.n_components):
-        if comp not in red_sink:
-            red_sink[comp] = add_vertex(6)
-
-    # green saddles: stable pair from adjacent green regions, unstable pair
-    # into the red regions at the arc endpoints
-    for ci in green.arc_copies:
-        sid = saddle_of[ci]
-        for darts in green.arc_copies[ci]:   # P side, then Q side
-            edges.append((green_source[green.comp_of_dart[darts[0]]], sid))
-        for dart in green.arc_end_darts[ci]:
-            edges.append((sid, red_sink[red.comp_of_dart[dart]]))
-    # red saddles: stable pair from the green regions at the endpoints,
-    # unstable pair into adjacent red regions
-    for ci in red.arc_copies:
-        sid = saddle_of[ci]
-        for dart in red.arc_end_darts[ci]:
-            edges.append((green_source[green.comp_of_dart[dart]], sid))
-        for darts in red.arc_copies[ci]:
-            edges.append((sid, red_sink[red.comp_of_dart[darts[0]]]))
+    for reduction in (green, red):
+        for ci, copies in reduction.arc_copies.items():
+            sides = [darts[0] for darts in copies]   # P side, then Q side
+            ends = _arc_ends(d, analysis, ci)
+            into, out = (sides, ends) if reduction is green else (ends, sides)
+            edges += [(source[green.comp_of_dart[t]], saddle[ci]) for t in into]
+            edges += [(saddle[ci], sink[red.comp_of_dart[t]]) for t in out]
 
     return BoundaryFlowGraph(tuple(vertices), tuple(edges), c.boundary_genus)
 

@@ -665,8 +665,6 @@ def reference_side_reduction(d, walks, cycles, green: bool):
         n_components=len(shapes),
         non_disk=next(((k, s) for k, s in enumerate(shapes) if s != (1, 0, 1)), None),
         cap_comp=[comp[cd] for cd in cap_darts],
-        arc_end_darts={ci: (walks[ci].darts[0], d.surface.alpha[walks[ci].darts[-1]])
-                       for ci in arc_ids},
         arc_copies=arc_copies,
     )
 

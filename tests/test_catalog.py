@@ -249,6 +249,18 @@ def test_fast_and_whole_line_parsing_agree_on_odd_lines(tmp_path, monkeypatch):
             ("SchemaViolation", "line 2: field 'flags' must be an object")
 
 
+def test_too_deeply_nested_line_is_invalid_json(tmp_path):
+    # json.loads raises RecursionError there, whose text differs between
+    # Python versions: a whole line, and a tail on the fast path
+    deep = "[" * 100_000 + "]" * 100_000
+    good = cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True}).to_json()
+    path = tmp_path / "deep.jsonl"
+    for line in (deep, '{"code": "cd1-b", "flags": ' + deep + "}"):
+        path.write_text(_jsonl(good) + line + "\n")
+        with pytest.raises(cat.SchemaViolation, match=r"^line 2: invalid JSON \("):
+            cat.load_catalog(path)
+
+
 def test_bools_are_not_integers(tmp_path, monkeypatch):
     good = _entries_g2()[0].to_json()
     path = tmp_path / "bool.jsonl"

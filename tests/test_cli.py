@@ -248,6 +248,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "validate", str(not_pr))[0] == 2
 
 
+def test_too_deeply_nested_json_exits_two_naming_the_file(tmp_path, capsys):
+    # json.load raises RecursionError, not ValueError, on such a file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("validate", str(deep)), ("iso", str(deep), str(deep))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {deep}: ")
+
+
 def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys):
     # a crash must not read as a negative verdict (exit 1)
     no_darts = tmp_path / "no_darts.json"

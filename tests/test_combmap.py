@@ -9,7 +9,6 @@ from morsediag.combmap import (
     CurveLabel,
     CurveNotClosed,
     CurveNotEmbedded,
-    DisconnectedUnlessFlagged,
     EmbeddedCurve,
     LabelMismatch,
     MapError,
@@ -25,7 +24,6 @@ from morsediag.combmap import (
     map_to_json,
     mirror_map,
     surger,
-    vertex_table,
     vertices,
 )
 from morsediag import combmap as cmb
@@ -70,12 +68,8 @@ def test_torus_rotation_system():
 
 
 def test_disconnected_needs_flag():
-    # two disjoint circles
-    alpha = (1, 0, 3, 2, 5, 4, 7, 6)
-    sigma = (3, 2, 1, 0, 7, 6, 5, 4)
-    with pytest.raises(DisconnectedUnlessFlagged):
-        build_map(8, alpha, sigma)
-    m = build_map(8, alpha, sigma, allow_disconnected=True)
+    # two disjoint circles: build_map no longer refuses a disconnected map
+    m = build_map(8, (1, 0, 3, 2, 5, 4, 7, 6), (3, 2, 1, 0, 7, 6, 5, 4))
     assert len(components(m)) == 2
 
 
@@ -178,6 +172,60 @@ def test_cut_rejects_bad_curves():
         surger(d.surface, d.curves[0])
 
 
+def _graph_map(ends) -> CombMap:
+    """A map whose edge i joins the vertices ends[i]: dart 2i at the first,
+    dart 2i + 1 at the second, each rotation in dart order."""
+    at = {}
+    for i, (a, b) in enumerate(ends):
+        at.setdefault(a, []).append(2 * i)
+        at.setdefault(b, []).append(2 * i + 1)
+    sigma = [0] * (2 * len(ends))
+    for darts in at.values():
+        for k, d in enumerate(darts):
+            sigma[d] = darts[(k + 1) % len(darts)]
+    return build_map(len(sigma), [d ^ 1 for d in range(len(sigma))], sigma)
+
+
+_PATH3 = [(0, 1), (1, 2), (2, 3)]
+_LOLLIPOP = [(0, 1), (1, 2), (2, 3), (3, 1)]
+_FIGURE8 = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+
+
+@pytest.mark.parametrize("ends, edges, closed, outcome", [
+    # walks: t_i is the dart of edge i where the traversal enters it
+    (_PATH3, (0, 2, 4), False, [0, 2, 4]),
+    ([(1, 0), (1, 2)], (0, 2), False, [1, 2]),          # starts at alpha[edges[0]]
+    ([(0, 1), (0, 1)], (0, 2), True, [1, 2]),           # two edges, one vertex pair
+    ([(0, 0)], (0,), True, [0]),
+    ([(0, 1)], (0,), False, [0]),
+    # every refusal, word for word
+    (_PATH3, (), False, "CurveNotEmbedded: curve has no edges"),
+    (_PATH3, (1,), False, "CurveNotEmbedded: edge id 1 is not an edge of the map"),
+    (_PATH3, (6,), False, "CurveNotEmbedded: edge id 6 is not an edge of the map"),
+    (_PATH3, (0, 0), False, "CurveNotEmbedded: curve repeats an edge"),
+    (_PATH3, (0,), True,
+     "CurveNotClosed: single-edge curve flagged closed does not loop (edge 0)"),
+    ([(0, 0)], (0,), False, "CurveNotEmbedded: open curve on a loop edge 0"),
+    (_PATH3, (0, 4), False, "CurveNotEmbedded: consecutive curve edges share no vertex"),
+    (_PATH3 + [(3, 4)], (0, 2, 6), False, "CurveNotEmbedded: curve edges 2 and 6 do not chain"),
+    (_PATH3, (0, 2), True, "CurveNotClosed: closed curve does not return to its start"),
+    ([(0, 1), (1, 2), (2, 0)], (0, 2, 4), False,
+     "CurveNotEmbedded: open curve returns to its start vertex"),
+    (_LOLLIPOP, (0, 2, 4, 6), False, "CurveNotEmbedded: curve visits a vertex twice"),
+    (_FIGURE8, (0, 2, 4, 6, 8, 10), True, "CurveNotEmbedded: curve visits a vertex twice"),
+    ([(0, 0), (0, 1)], (0, 2), False,   # a loop edge first
+     "CurveNotEmbedded: curve visits a vertex twice"),
+])
+def test_curve_dart_walk_walks_and_refusals(ends, edges, closed, outcome):
+    m = _graph_map(ends)
+    curve = EmbeddedCurve(edges, closed, BDY)
+    try:
+        got = cmb.curve_dart_walk(m, curve, cmb._orbit_ids(m.sigma))
+    except MapError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == outcome
+
+
 def test_surger_torus_gives_sphere():
     m = surger(make_torus(), EmbeddedCurve((0,), True, BDY))
     assert euler_genus(m) == (2, 0, 0)
@@ -213,14 +261,14 @@ def _work_cut(m: CombMap, walk, closed: bool, label_q, slits_are_holes: bool):
     """One _WorkMap.cut on a fresh working map: the cut map and copy_q."""
     work = cmb._WorkMap(m, cmb._face_ids(m.alpha, m.sigma))
     copy_q = work.cut(walk, closed, label_q, slits_are_holes)
-    return work.finish(work.face_ids()), copy_q
+    return work.finish(cmb._face_ids(work.alpha, work.sigma)), copy_q
 
 
 def test_cut_walk_matches_cut_by_cut_reference():
     # cut_along and surger, and a cut keeping the curve labels on its copies
     for d in analysis_corpus():
         m = d.surface
-        vtab = vertex_table(m)
+        vtab = cmb._orbit_ids(m.sigma)
         for curve in d.curves:
             walk = cmb.curve_dart_walk(m, curve, vtab)
             assert cut_along(m, curve) == reference_cut_walk(m, walk, curve.closed, BDY, True)[0]

@@ -531,6 +531,59 @@ def test_boundary_restriction_type2_source():
     assert bg.genus == 0
 
 
+_COLOUR_SWAP = {
+    CurveKind.BDY: CurveKind.BDY,
+    CurveKind.U_GREEN_ARC: CurveKind.V_RED_ARC,
+    CurveKind.U_GREEN_CYCLE: CurveKind.V_RED_CYCLE,
+    CurveKind.V_RED_ARC: CurveKind.U_GREEN_ARC,
+    CurveKind.V_RED_CYCLE: CurveKind.U_GREEN_CYCLE,
+}
+
+
+def _colour_swapped(d: PrDiagram) -> PrDiagram:
+    """d with u and v, and U and V, exchanged on the map labels and curves:
+    the diagram of the reversed flow."""
+    def swap(lb):
+        return CurveLabel(_COLOUR_SWAP[lb.kind], lb.index)
+
+    m = d.surface
+    labels = tuple(swap(lb) for lb in m.labels)
+    return PrDiagram(CombMap(m.alpha, m.sigma, labels, m.holes),
+                     tuple(EmbeddedCurve(c.edges, c.closed, swap(c.label)) for c in d.curves))
+
+
+def test_colour_swap_reverses_the_flow():
+    # sources and sinks mirror each other: validity is unchanged, the census
+    # comes out reversed, and each separatrix (type a -> type b) becomes one
+    # of type 7 - b -> 7 - a
+    valid = red_caps = 0
+    for d in analysis_corpus():
+        s = _colour_swapped(d)
+        assert validate(s).valid == validate(d).valid
+        if not validate(d).valid:
+            continue
+        valid += 1
+        assert census(s).as_tuple() == census(d).as_tuple()[::-1]
+        red_caps += census(s).n5 > 0
+        bd, bs = boundary_restriction(d), boundary_restriction(s)
+        assert bs.genus == bd.genus
+        tp = [v.point_type for v in bd.vertices]   # vertex ids are 0, 1, ...
+        ts = [v.point_type for v in bs.vertices]
+        assert sorted((7 - tp[b], 7 - tp[a]) for a, b in bd.edges) == \
+            sorted((ts[a], ts[b]) for a, b in bs.edges)
+    assert (valid, red_caps) == (414, 4)
+
+
+def test_colour_swapped_six_point_flow_is_pinned():
+    # the green cycle becomes a red one, whose cap is a type-5 sink
+    s = _colour_swapped(make_six_point_ball_flow())
+    assert census(s).as_tuple() == (1, 0, 1, 1, 1, 2)
+    bg = boundary_restriction(s)
+    assert [v.point_type for v in bg.vertices] == [1, 3, 4, 5, 6, 6]
+    assert [list(e) for e in bg.edges] == \
+        [[0, 1], [0, 1], [1, 4], [1, 5], [0, 2], [0, 2], [2, 3], [2, 4]]
+
+
 def test_boundary_euler_relation_over_catalog():
     for g, ccd in all_colored_classes(2):
         d = from_colored_chord(ccd)
