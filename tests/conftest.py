@@ -232,6 +232,34 @@ def relabel_diagram(d, rng: random.Random):
     return PrDiagram(m2, curves)
 
 
+def subdivide_curves(d, k: int):
+    """The diagram with every curve edge cut into k + 1 edges by k new
+    degree-2 vertices.  New edges keep the curve's label, each curve lists
+    its edges in path order, and every old dart keeps its id."""
+    from morsediag.combmap import _orbit_ids, curve_dart_walk
+    from morsediag.prdiag import PrDiagram
+
+    m = d.surface
+    alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
+    vid = _orbit_ids(m.sigma)
+    curves = []
+    for c in d.curves:
+        edges = []
+        for t in curve_dart_walk(m, c, vid):
+            end = alpha[t]
+            for _ in range(k):
+                p, q = len(alpha), len(alpha) + 1   # the new vertex's two darts
+                alpha += [t, end]
+                alpha[t], alpha[end] = p, q
+                sigma += [q, p]
+                labels += [c.label] * 2
+                edges.append(min(t, p))
+                t = q
+            edges.append(min(t, end))
+        curves.append(EmbeddedCurve(tuple(edges), c.closed, c.label))
+    return PrDiagram(build_map(len(alpha), alpha, sigma, labels, m.holes), tuple(curves))
+
+
 def brute_force_isomorphic(m1: CombMap, m2: CombMap, mirror: bool = True) -> bool:
     """Backtracking search for a dart bijection preserving sigma, alpha,
     label kinds and hole incidence.  Connected maps only: the image of one

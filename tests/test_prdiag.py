@@ -68,6 +68,7 @@ from conftest import (
     reference_side_reduction,
     relabel_diagram,
     small_disks,
+    subdivide_curves,
 )
 from g4_round_trip import round_trip
 
@@ -276,6 +277,22 @@ def test_roundtrip_small_genus():
         assert canonical_colored(back) == canonical_colored(ccd)
         again = from_colored_chord(back)
         assert equivalent(d, again)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_subdivided_renamed_optimal_diagrams_convert_back(k):
+    # every g1-3 class rebuilt, each curve edge cut into k + 1 edges, darts
+    # renamed: arcs of several edges, and hole faces whose smallest dart can
+    # fall inside a red side's run of darts (the boundary walk then starts
+    # part-way along a red side)
+    rng = random.Random(1000 + k)
+    for g, ccd in all_colored_classes(3):
+        d = relabel_diagram(subdivide_curves(from_colored_chord(ccd), k), rng)
+        assert validate(d).valid
+        c = census(d)
+        assert (c.as_tuple(), c.boundary_genus) == ((1, 0, g, g, 0, 1), g)
+        assert canonical_colored(to_colored_chord(d)) == canonical_colored(ccd)
+        assert boundary_restriction(d).role_counts() == {"source": 1, "saddle": 2 * g, "sink": 1}
 
 
 def test_genus4_sample_round_trips_through_flow_diagrams(genus4_report):
