@@ -94,8 +94,9 @@ class CatalogReport:
         return out
 
 
-_ENTRY_FIELDS = {"schema_version", "code", "kind", "genus", "flags", "source",
-                 "tool_version"}
+# In to_json() order: a set's order, so the first missing field, varies by process.
+_ENTRY_FIELDS = ("schema_version", "code", "kind", "genus", "flags", "source",
+                 "tool_version")
 
 
 _KIND_NAMES = {k: k for k in _KINDS}

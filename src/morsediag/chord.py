@@ -400,12 +400,6 @@ def _one_face(points: int, sym: Optional[SymmetryConvention]) -> Iterator[tuple[
         yield from rec(0, points // 2, 1)
 
 
-def one_face_matchings(points: int) -> Iterator[tuple[int, ...]]:
-    """Every one-face perfect matching of 0..points-1, in lexicographic
-    order."""
-    return _one_face(points, None)
-
-
 def _harer_zagier_count(g: int) -> int:
     """Harer-Zagier count of labeled one-face matchings with 2g chords:
     (4g)! / (4^g (2g+1)!), giving 1, 21, 1485, 225225 for g = 1..4."""

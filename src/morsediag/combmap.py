@@ -33,10 +33,6 @@ class LabelMismatch(MapError):
     pass
 
 
-class NonIntegerGenus(MapError):
-    pass
-
-
 class CurveNotEmbedded(MapError):
     pass
 
@@ -310,7 +306,7 @@ def euler_genus(m: CombMap) -> tuple[int, int, int]:
     """(chi, genus, boundary_count) of a connected map.
 
     chi = V - E + interior faces; boundary circles are the hole faces;
-    genus from chi = 2 - 2g - b.
+    genus from chi = 2 - 2g - b, which every connected map meets with g >= 0.
     """
     if not _is_connected(m.alpha, m.sigma):
         raise MapError("euler_genus requires a connected map")
@@ -319,10 +315,7 @@ def euler_genus(m: CombMap) -> tuple[int, int, int]:
     f_int = len(faces(m)) - len(m.holes)
     chi = v - e + f_int
     b = len(m.holes)
-    twog = 2 - b - chi
-    if twog < 0 or twog % 2 != 0:
-        raise NonIntegerGenus(f"chi={chi}, boundary={b} is not an orientable surface")
-    return chi, twog // 2, b
+    return chi, (2 - b - chi) // 2, b
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,6 @@ _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
     True: (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE),
     False: (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE),
 }
-_BDY = CurveLabel(CurveKind.BDY)
 
 
 @cmb._keeps_hash
@@ -203,11 +202,8 @@ def _structure_errors(d: PrDiagram) -> Optional[str]:
             if e in owned:
                 return f"edge {e} belongs to two curves"
             owned[e] = ci
-    for e in m.edge_ids():
-        if m.labels[e].kind is CurveKind.BDY:
-            if e in owned:
-                return f"bdy edge {e} inside a curve"
-        elif e not in owned:
+    for e in m.edge_ids():   # an owned edge has its curve's label, never bdy
+        if m.labels[e].kind is not CurveKind.BDY and e not in owned:
             return f"labeled edge {e} belongs to no curve"
     return None
 
@@ -328,7 +324,7 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
     arc_copies = {}
     for ci in arc_ids:
         aw = arc_walks[ci]
-        copy_q = work.cut(aw, False, _BDY, slits_are_holes=True)
+        copy_q = work.cut(aw, False, cmb._BDY, slits_are_holes=True)
         arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
     comp = cmb._component_index(work.alpha, work.sigma)
     fid = cmb._face_ids(work.alpha, work.sigma)
@@ -660,16 +656,13 @@ def to_colored_chord(d: PrDiagram,
             marks.append(("u", vert_u[v]))
         e = m.edge_of(dart)
         if e in side_of:
-            mk = ("v", side_of[e])
-            if not (marks and marks[-1] == mk):
-                marks.append(mk)
+            marks.append(("v", side_of[e]))
         dart = m.sigma[m.alpha[dart]]
         if dart == start:
             break
-    if len(marks) > 1 and marks[0] == marks[-1] and marks[0][0] == "v":
-        marks.pop()
-    if len(marks) != 4 * g:
-        raise NotOptimal(f"expected {4 * g} boundary marks, found {len(marks)}")
+    # A red side is one run of the circle, which the start may split: keep each
+    # run's last mark, read cyclically (a rotation, which _least_colored undoes).
+    marks = [mk for i, mk in enumerate(marks) if mk != marks[i - 1]]
 
     pts = len(marks)
     match = [-1] * pts
@@ -679,10 +672,7 @@ def to_colored_chord(d: PrDiagram,
         key = ("u", mk[1]) if mk[0] == "u" else ("v", mk[1][0])
         where.setdefault(key, []).append(pos)
         colors[pos] = GREEN if mk[0] == "u" else RED
-    for key, positions in where.items():
-        if len(positions) != 2:
-            raise NotOptimal(f"curve {key} meets the boundary circle {len(positions)} times")
-        a, b = positions
+    for a, b in where.values():
         match[a], match[b] = b, a
     return colored_from_point_colors(*_least_colored(match, colors, sym))
 
@@ -725,7 +715,7 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
         setrot([2 * b, edge[a, b], into[a]])
         setrot([2 * a, edge[a, b] + 1, into[b]])
 
-    labels = [_BDY] * n
+    labels = [cmb._BDY] * n
     curves = []
     for kind, chords in ((CurveKind.U_GREEN_ARC, greens), (CurveKind.V_RED_ARC, reds)):
         for i, ch in enumerate(chords):

@@ -60,6 +60,9 @@ MUTANTS = (
     Mutant("earlier-trail check of prdiag._left_turn_trail deleted", "prdiag.py",
            "or ci in pieces or ci in used:", "or ci in pieces:",
            ("tests/test_prdiag.py::test_left_turn_walk_refuses_a_piece_taken_the_other_way",)),
+    Mutant("red side split by the start of to_colored_chord's boundary walk read twice",
+           "prdiag.py", "if mk != marks[i - 1]]", "if i == 0 or mk != marks[i - 1]]",
+           ("tests/test_prdiag.py::test_subdivided_renamed_optimal_diagrams_convert_back",)),
 )
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,34 @@ def test_entries_stay_frozen(tmp_path):
 def test_io_failure(tmp_path):
     with pytest.raises(cat.IoFailure):
         cat.load_catalog(tmp_path / "missing.jsonl")
+    with pytest.raises(cat.IoFailure, match="^cannot read fixture missing.json: "):
+        cat.load_fixture("missing.json")
+
+
+_LOAD_LINE = """
+import sys
+import morsediag.catalog as cat
+try:
+    cat.load_catalog(sys.argv[1])
+except cat.SchemaViolation as exc:
+    print(exc)
+"""
+
+
+def test_missing_field_message_is_the_same_in_every_process(tmp_path):
+    # the line lacks six fields; the first in to_json() order is named,
+    # whatever order string hashing would give a set
+    path = tmp_path / "one.jsonl"
+    path.write_text('{"code": "x"}\n')
+    src = str(Path(cat.__file__).resolve().parents[1])
+    out = set()
+    for seed in ("1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _LOAD_LINE, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        out.add(done.stdout)
+    assert out == {"line 1: missing field 'schema_version'\n"}
 
 
 def test_catalog_bytes_reproducible(tmp_path):
@@ -339,6 +371,16 @@ def test_verify_fixtures_clean():
     rep = cat.verify_fixtures()
     assert rep.ok, rep.failures
     assert len(rep.checked) >= 20
+
+
+def test_verify_fixtures_reports_a_wrong_census_and_a_missing_fixture(monkeypatch):
+    monkeypatch.setitem(cat._EXPECTED_CENSUS, "solid_torus.json", (2, 0, 1, 1, 0, 1, 1))
+    monkeypatch.setitem(cat._EXPECTED_CENSUS, "gone.json", (1, 0, 0, 0, 0, 1, 0))
+    rep = cat.verify_fixtures()
+    assert not rep.ok
+    assert rep.failures == (
+        "solid_torus.json census: (1, 0, 1, 1, 0, 1, 1) != (2, 0, 1, 1, 0, 1, 1)",
+        "gone.json: fixture missing")
 
 
 def test_fixture_expectations_cover_all_files():

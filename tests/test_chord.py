@@ -30,7 +30,6 @@ from morsediag.chord import (
     face_count,
     is_one_face,
     is_river,
-    one_face_matchings,
 )
 from morsediag.combmap import build_map, faces
 
@@ -189,7 +188,7 @@ def test_enumeration_matches_burnside(g):
 def test_one_face_generator_matches_filtered_matchings(points):
     expected = [m for m in match_arrays(points)
                 if face_count(ChordDiagram(points // 2, m)) == 1]
-    assert list(one_face_matchings(points)) == expected
+    assert list(chord._one_face(points, None)) == expected
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -221,7 +220,7 @@ def _least_span_first(points, one_face):
 
 @pytest.fixture(scope="module")
 def least_span_16():
-    return _least_span_first(16, one_face_matchings(16))
+    return _least_span_first(16, chord._one_face(16, None))
 
 
 def _least_two_entries(points, matchings, reflections):
@@ -237,7 +236,7 @@ def test_rooted_generator_yields_the_least_span_matchings(points, least_span_16)
     # the generator drops a prefix once an image beats its first two
     # entries: it yields the least-span matchings that no image beats there,
     # in order, and so every least image (at 16 points, see the next test)
-    one_face = None if points == 16 else list(one_face_matchings(points))
+    one_face = None if points == 16 else list(chord._one_face(points, None))
     least_span = least_span_16 if one_face is None else _least_span_first(points, one_face)
     for sym in (ROT, DIH):
         rooted = list(chord._one_face(points, sym))
@@ -261,7 +260,7 @@ def test_self_test_keeps_exactly_the_own_least_images(g):
     # the self-test builds no image: on every matching that meets its
     # precondition it must agree with the package-free brute force, and give
     # the maps fixing a representative in _least_image's order
-    least_span = _least_span_first(4 * g, one_face_matchings(4 * g))
+    least_span = _least_span_first(4 * g, chord._one_face(4 * g, None))
     for sym in (ROT, DIH):
         maps = circle_maps(4 * g, reflections=sym is DIH)
         for m in least_span:
@@ -413,6 +412,8 @@ def test_coloring_errors():
         enumerate_colorings(CD_CROSS, 2)
     with pytest.raises(NotOneFace):
         enumerate_colorings(ChordDiagram(4, (1, 0, 3, 2, 5, 4, 7, 6)), 2)
+    with pytest.raises(ValueError, match="^one color per chord required$"):
+        ColoredChordDiagram(CD_CROSS, (GREEN,))
 
 
 def test_colorings_have_noncrossing_greens():
@@ -443,6 +444,20 @@ def test_river_rejects_crossing_reds():
     ccd = ColoredChordDiagram(base, tuple(colors))
     assert ccd.red_chords() == [(1, 4), (3, 6)]
     assert not is_river(ccd)
+    swapped = ColoredChordDiagram(base, tuple(GREEN if c == RED else RED for c in colors))
+    assert swapped.green_chords() == [(1, 4), (3, 6)]
+    assert not is_river(swapped)
+
+
+def test_river_window_search_passes_a_window_holding_one_chord():
+    # bases that are not one-face, whose first run of two red points is the
+    # red chord (0, 1): the search goes on to the next run, at 1 and at 4
+    river = ColoredChordDiagram(ChordDiagram(4, (1, 0, 7, 4, 3, 6, 5, 2)),
+                                (RED, RED, GREEN, GREEN))
+    assert river.red_chords() == [(0, 1), (2, 7)]
+    assert is_river(river)
+    assert not is_river(ColoredChordDiagram(ChordDiagram(4, (1, 0, 3, 2, 5, 4, 7, 6)),
+                                            (RED, GREEN, RED, GREEN)))
 
 
 def test_river_needs_chords():
@@ -507,6 +522,8 @@ def test_classify_reports():
 def test_classify_bound():
     with pytest.raises(ValueError):
         classify(5)
+    with pytest.raises(ValueError, match="^genus must be at least 1$"):
+        enumerate_bases(0)
 
 
 def test_classify_deterministic_and_parallel_merge():

@@ -198,10 +198,16 @@ def test_boundary_command(capsys):
     assert roles.count("source") == 1 and roles.count("saddle") == 2
 
 
-def test_fixtures_verify_command(capsys):
+def test_fixtures_verify_command(capsys, monkeypatch):
     code, out, _ = run(capsys, "fixtures", "verify")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    # a fixture regression is a negative verdict
+    monkeypatch.setitem(cat._EXPECTED_CENSUS, "gone.json", (1, 0, 0, 0, 0, 1, 0))
+    code, out, _ = run(capsys, "fixtures", "verify")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["ok"], payload["failures"]) == (False, ["gone.json: fixture missing"])
 
 
 def test_export_formats(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import pytest
@@ -67,10 +68,12 @@ def test_torus_rotation_system():
     assert euler_genus(m) == (0, 1, 0)
 
 
-def test_disconnected_needs_flag():
-    # two disjoint circles: build_map no longer refuses a disconnected map
+def test_disconnected_map_is_built():
+    # two disjoint circles: build_map builds the map, euler_genus refuses it
     m = build_map(8, (1, 0, 3, 2, 5, 4, 7, 6), (3, 2, 1, 0, 7, 6, 5, 4))
     assert len(components(m)) == 2
+    with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
+        euler_genus(m)
 
 
 def test_label_mismatch_between_darts():
@@ -93,6 +96,14 @@ def test_hole_edge_must_be_boundary():
     labels = {0: CurveLabel(CurveKind.U_GREEN_ARC, 0)}
     with pytest.raises(LabelMismatch):
         build_map(4, (1, 0, 3, 2), (3, 2, 1, 0), labels, hole_faces=(0,))
+
+
+def test_wrong_label_count_and_non_face_hole_are_refused():
+    with pytest.raises(LabelMismatch, match="^per-dart labels do not match dart count$"):
+        build_map(4, (1, 0, 3, 2), (3, 2, 1, 0), [BDY] * 3)
+    for hole in (2, 4):   # dart 2 lies on face 0; 4 is no dart
+        with pytest.raises(MapError, match=f"^hole id {hole} is not a face id$"):
+            build_map(4, (1, 0, 3, 2), (3, 2, 1, 0), hole_faces=(hole,))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +405,21 @@ def test_solid_torus_is_reversal_symmetric():
     m2 = _swap_colors(m)
     assert canonical_code(m2) == canonical_code(m)
     assert brute_force_isomorphic(m, m2)
+
+
+def test_empty_map_code():
+    for mirror in (True, False):
+        assert canonical_code(build_map(0, (), ()), mirror) == b"cm1|empty"
+
+
+def test_pickle_leaves_the_kept_hash_behind():
+    m = make_solid_torus_diagram().surface
+    hash(m)
+    hash(m.labels[0])
+    assert "_hash" in vars(m) and "_hash" in vars(m.labels[0])
+    loaded = pickle.loads(pickle.dumps(m))
+    assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.labels[0])
+    assert loaded == m and hash(loaded) == hash(m)
 
 
 def test_curve_index_does_not_enter_code():

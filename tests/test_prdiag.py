@@ -144,10 +144,30 @@ def test_two_region_disk_passes_property5():
 
 def test_registry_label_mismatch_is_reported():
     st = make_solid_torus_diagram()
-    broken = PrDiagram(st.surface, (st.curves[0],))   # red edge unowned
-    rep = validate(broken)
-    assert not rep.valid
-    assert "belongs to no curve" in rep.properties[0].witness
+    green, red = st.curves
+    bdy = EmbeddedCurve((0,), False, CurveLabel(CurveKind.BDY))
+    for curves, witness in [
+        ((green,), "labeled edge 10 belongs to no curve"),
+        ((green, red, bdy), "curve 2 labeled bdy"),
+        ((dataclasses.replace(green, edges=(9,)), red), "curve 0 references non-edge 9"),
+        ((green, green, red), "edge 8 belongs to two curves"),
+    ]:
+        rep = validate(PrDiagram(st.surface, curves))
+        assert [p.witness for p in rep.properties] == [witness] + ["prerequisite failed"] * 4
+
+
+def test_arc_through_a_boundary_vertex_is_reported():
+    # a disk whose boundary circle has vertices at darts 0, 1 and 3, and a
+    # two-edge green arc from 0's vertex through 1's to 3's
+    sigma = [0] * 10
+    for cyc in ((0, 5, 6), (1, 7, 8, 2), (3, 9, 4)):
+        for i, d in enumerate(cyc):
+            sigma[d] = cyc[(i + 1) % len(cyc)]
+    u = CurveLabel(CurveKind.U_GREEN_ARC, 0)
+    m = build_map(10, (1, 0, 3, 2, 5, 4, 7, 6, 9, 8), sigma, {6: u, 8: u}, hole_faces=(1,))
+    rep = validate(PrDiagram(m, (EmbeddedCurve((6, 8), False, u),)))
+    assert rep.first_failure() == \
+        "p1_placement: curve 0: interior touches boundary vertex (dart 1)"
 
 
 def test_vertex_on_two_boundary_circles_is_reported():
@@ -266,6 +286,9 @@ def test_from_colored_chord_rejects_bad_input():
     nested = ChordDiagram(2, (1, 0, 3, 2))     # three faces
     with pytest.raises(InvalidColoring):
         from_colored_chord(ColoredChordDiagram(nested, (GREEN, RED)))
+    six = ChordDiagram(3, (3, 4, 5, 0, 1, 2))  # 4g + 2 points
+    with pytest.raises(InvalidColoring, match="an optimal coloring has 4g points"):
+        from_colored_chord(ColoredChordDiagram(six, (GREEN, RED, RED)))
 
 
 def test_roundtrip_small_genus():
