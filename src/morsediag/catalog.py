@@ -98,9 +98,6 @@ class CatalogReport:
 _ENTRY_FIELDS = ("schema_version", "code", "kind", "genus", "flags", "source",
                  "tool_version")
 
-
-_KIND_NAMES = {k: k for k in _KINDS}
-
 _new_object = object.__new__
 _set_code, _set_kind, _set_genus, _set_flags, _set_source, _set_tool_version = (
     getattr(CatalogEntry, f.name).__set__ for f in fields(CatalogEntry))
@@ -122,10 +119,8 @@ def _entry(code: str, kind: str, genus: int, flags: dict, source: str,
     return e
 
 
-def _entry_from_json(obj: dict, lineno: int, strings: dict) -> CatalogEntry:
-    """The entry of one parsed catalog line.  Its kind is the module's own
-    string, and its source and tool_version strings are shared through
-    `strings` with the entries loaded before it.  A bool is not an int."""
+def _entry_from_json(obj: dict, lineno: int) -> CatalogEntry:
+    """The entry of one parsed catalog line.  A bool is not an int."""
     for key in _ENTRY_FIELDS:
         if key not in obj:
             raise SchemaViolation(f"line {lineno}: missing field {key!r}")
@@ -134,21 +129,17 @@ def _entry_from_json(obj: dict, lineno: int, strings: dict) -> CatalogEntry:
         raise SchemaViolation(
             f"line {lineno}: field 'schema_version' is {version!r},"
             f" expected {SCHEMA_VERSION}")
-    kind = _KIND_NAMES.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if kind is None:
-        raise SchemaViolation(f"line {lineno}: field 'kind' is {obj['kind']!r}")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaViolation(f"line {lineno}: field 'kind' is {kind!r}")
     if not isinstance(obj["code"], str) or not obj["code"]:
         raise SchemaViolation(f"line {lineno}: field 'code' must be a non-empty string")
     if type(obj["genus"]) is not int:
         raise SchemaViolation(f"line {lineno}: field 'genus' must be an integer")
     if type(obj["flags"]) is not dict:
         raise SchemaViolation(f"line {lineno}: field 'flags' must be an object")
-    source, tool_version = obj["source"], obj["tool_version"]
-    if type(source) is str:
-        source = strings.setdefault(source, source)
-    if type(tool_version) is str:
-        tool_version = strings.setdefault(tool_version, tool_version)
-    return _entry(obj["code"], kind, obj["genus"], dict(obj["flags"]), source, tool_version)
+    return _entry(obj["code"], kind, obj["genus"], dict(obj["flags"]), obj["source"],
+                  obj["tool_version"])
 
 
 _PLAIN_TYPES = frozenset({str, int, bool, type(None)})
@@ -209,7 +200,7 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
 _CODE_HEAD = '{"code": "'
 
 
-def _tail_entry(tail: str, code: str, lineno: int, strings: dict):
+def _tail_entry(tail: str, code: str, lineno: int):
     """The entry of the line `_CODE_HEAD` + the JSON string `code` + `tail`,
     from `tail` parsed alone, or None when the line must be parsed whole:
     its tail is not ', "' followed by the other members, it holds a second
@@ -226,7 +217,7 @@ def _tail_entry(tail: str, code: str, lineno: int, strings: dict):
             any(isinstance(v, (list, dict)) for v in flags.values()):
         return None
     obj["code"] = code
-    return _entry_from_json(obj, lineno, strings)
+    return _entry_from_json(obj, lineno)
 
 
 def load_catalog(path) -> list[CatalogEntry]:
@@ -243,7 +234,6 @@ def load_catalog(path) -> list[CatalogEntry]:
     _entry_from_json report it."""
     entries = []
     seen = {}
-    strings = {}
     tails = {}      # tail -> the entry of its first line, or None
     head = len(_CODE_HEAD)
     try:
@@ -272,13 +262,13 @@ def load_catalog(path) -> list[CatalogEntry]:
                                 entry = _entry(code, first.kind, first.genus, dict(first.flags),
                                                first.source, first.tool_version)
                         else:
-                            entry = tails[tail] = _tail_entry(tail, code, lineno, strings)
+                            entry = tails[tail] = _tail_entry(tail, code, lineno)
                 if entry is None:
                     try:
                         obj = json.loads(line)
                     except (json.JSONDecodeError, RecursionError) as exc:
                         raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
-                    entry = _entry_from_json(obj, lineno, strings)
+                    entry = _entry_from_json(obj, lineno)
                 if entry.code in seen:
                     raise SchemaViolation(
                         f"line {lineno}: field 'code' duplicates line {seen[entry.code]}")

@@ -546,21 +546,16 @@ def is_river(ccd: ColoredChordDiagram) -> bool:
     if not colors or 2 * colors.count(GREEN) != len(colors):
         return False
     crossed, _ = _crossing_masks(match)
-    if _crossing_within(crossed, colors, GREEN):
+    if any(_crossing_within(crossed, colors, color) for color in (GREEN, RED)):
         return False
-    red = sum(1 << i for i, c in enumerate(colors) if c == RED)
     pcol = "".join("g" if c == GREEN else "r" for c in ccd.point_colors())
-    return _river(match, pcol, crossed, red)
+    return _river(match, pcol)
 
 
-def _river(match: Sequence[int], pcol: str, crossed: Sequence[int], red: int) -> bool:
+def _river(match: Sequence[int], pcol: str) -> bool:
     """is_river of a coloring with g = len(match) // 4 >= 1 chords of each
-    color, the green ones pairwise non-crossing, from its point colors pcol
-    ("g" and "r"), the bitmask `red` of its red chords and the chords'
-    crossing masks (chords in ChordDiagram.chords() order)."""
-    for i, mask in enumerate(crossed):
-        if red >> i & 1 and mask & red:
-            return False
+    color, the chords of each color pairwise non-crossing, from its point
+    colors pcol ("g" and "r")."""
     pts = len(match)
     g = pts // 4
     run = "r" * g
@@ -614,8 +609,8 @@ def _classify_base(job):
             held += len(readers) // images.count(key)
         colored.append(prefix + key)
         greens.append(mask)
-        # a river's g red chords are pairwise non-crossing: one of the subsets
-        if (red := (top - 1) ^ mask) in subsets and _river(match, pcol, crossed, red):
+        # _river needs non-crossing reds, as a river's are: one of the subsets
+        if (top - 1) ^ mask in subsets and _river(match, pcol):
             river.append(colored[-1])
     if readers is not None and held != len(subsets):
         raise RuntimeError(

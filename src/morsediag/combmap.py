@@ -203,7 +203,7 @@ def _component_index(alpha: Sequence[int], sigma: Sequence[int]) -> list[int]:
 
 
 def _is_connected(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
-    return max(_component_index(alpha, sigma), default=0) == 0
+    return max(_component_index(alpha, sigma), default=-1) == 0
 
 
 def _single_corner(corners: list[int]) -> Optional[int]:
@@ -516,17 +516,6 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     return _cut_one(m, curve, slits_are_holes=False)
 
 
-def mirror_map(m: CombMap) -> CombMap:
-    """The same surface with reversed orientation (sigma inverted)."""
-    inv = [0] * m.n_darts
-    for d, s in enumerate(m.sigma):
-        inv[s] = d
-    # alpha takes each face of m onto a face of the mirror, reversed
-    fid = _face_ids(m.alpha, inv)
-    holes = frozenset(fid[m.alpha[h]] for h in m.holes)
-    return CombMap(m.alpha, tuple(inv), m.labels, holes)
-
-
 # The last two cm1 fields of an atom, by the atom's tail (2·kind + hole).
 _TAIL_TEXT = [f"{t >> 1},{t & 1}" for t in range(10)]
 
@@ -583,7 +572,7 @@ def _least_roots(m: CombMap, mirror: bool) -> list[tuple]:
         inv = [0] * n
         for d, s in enumerate(sigma):
             inv[s] = d
-        # alpha takes each face of m onto a face of the mirror (mirror_map)
+        # alpha takes each face of m onto a face of the mirror, reversed
         variants.append((inv, [k + in_hole[a] for k, a in zip(kind2, alpha)]))
     first = [[t + (10 if s == r else 10 * n + (10 if s == a else 20))
               for r, (s, a, t) in enumerate(zip(sg, alpha, tail))]

@@ -21,7 +21,7 @@ Green data encodes types 1-3 (sources and u-saddles), red data types 4-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Optional
@@ -188,8 +188,10 @@ class BoundaryFlowGraph:
 # ---------------------------------------------------------------------------
 
 def _structure_errors(d: PrDiagram) -> Optional[str]:
-    """Consistency of the curve registry with the map labels; None if clean."""
+    """Darts present, curve registry consistent with the map labels; None if clean."""
     m = d.surface
+    if not m.n_darts:
+        return "surface has no darts"
     owned = {}
     for ci, c in enumerate(d.curves):
         if c.label.kind is CurveKind.BDY:
@@ -360,13 +362,15 @@ class _Analysis:
     characteristic (None if the surface is disconnected).
 
     An analysis is shared by every call on an equal diagram (``_analyse``
-    keeps the last two), so no caller may change it."""
+    keeps the last two), so no caller may change it, except that
+    ``_surface_key`` fills ``keys`` (mirror -> canonical key) on demand."""
 
     report: ValidityReport
     walks: tuple[_Walk, ...] = ()
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
     chi: Optional[int] = None
+    keys: dict = field(default_factory=dict)
 
 
 def validate(d: PrDiagram) -> ValidityReport:
@@ -590,20 +594,14 @@ def _is_optimal(g: int, analysis: _Analysis) -> bool:
 def pr_canonical_code(d: PrDiagram, mirror: bool = True) -> bytes:
     """Canonical code of the labeled surface map (label kinds only, so curves
     of one family are interchangeable, matching diagram isomorphism)."""
-    return cmb._key_code(_surface_key(d.surface, mirror), d.surface.n_darts, mirror)
+    return cmb._key_code(_surface_key(d, mirror), d.surface.n_darts, mirror)
 
 
-# (surface, mirror) -> canonical key of the last two, least recently used
-# first; not an lru_cache, because equivalent asks whether b's key is held.
-_keys: dict = {}
-
-
-def _surface_key(m: CombMap, mirror: bool) -> list:
-    key = _keys.pop((m, mirror), None)
-    _keys[m, mirror] = key = cmb._canonical_key(m, mirror) if key is None else key
-    if len(_keys) > 2:
-        del _keys[next(iter(_keys))]
-    return key
+def _surface_key(d: PrDiagram, mirror: bool) -> list:
+    keys = _analyse(d).keys
+    if mirror not in keys:
+        keys[mirror] = cmb._canonical_key(d.surface, mirror)
+    return keys[mirror]
 
 
 def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
@@ -611,9 +609,9 @@ def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
     isomorphism, decided by canonical keys.  Unless b's key is held or a
     surface is disconnected, b's roots are traced against a's key instead."""
     chis = _require_valid(a).chi, _require_valid(b).chi   # None: disconnected
-    key = _surface_key(a.surface, mirror)
-    if (b.surface, mirror) in _keys or None in chis:
-        return key == _surface_key(b.surface, mirror)
+    key = _surface_key(a, mirror)
+    if mirror in _analyse(b).keys or None in chis:
+        return key == _surface_key(b, mirror)
     return cmb._has_key(b.surface, mirror, key)
 
 

@@ -22,7 +22,6 @@ from morsediag.combmap import (
     components,
     euler_genus,
     face_table,
-    mirror_map,
 )
 
 
@@ -131,6 +130,17 @@ def relabel_map(m: CombMap, rng: random.Random,
     ftab_new = face_table(shuffled)
     holes = frozenset(ftab_new[perm[d]] for d in range(n) if ftab_old[d] in m.holes)
     return CombMap(tuple(alpha), tuple(sigma), tuple(labels), holes)
+
+
+def mirror_map(m: CombMap) -> CombMap:
+    """The same surface with reversed orientation (sigma inverted)."""
+    inv = [0] * m.n_darts
+    for d, s in enumerate(m.sigma):
+        inv[s] = d
+    # alpha takes each face of m onto a face of the mirror, reversed
+    fid = face_table(CombMap(m.alpha, tuple(inv), m.labels, frozenset()))
+    holes = frozenset(fid[m.alpha[h]] for h in m.holes)
+    return CombMap(m.alpha, tuple(inv), m.labels, holes)
 
 
 def disjoint_union(a: CombMap, b: CombMap) -> CombMap:
@@ -741,12 +751,11 @@ def analysis_corpus() -> tuple:
 
 
 def clear_analysis_caches():
-    """Forget the analyses and canonical keys prdiag keeps of the last two
-    diagrams."""
+    """Forget the analyses, with their canonical keys, that prdiag keeps of
+    the last two diagrams."""
     import morsediag.prdiag as pr
 
     pr._analyse.cache_clear()
-    pr._keys.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -5,12 +5,15 @@ and the tests listed with it must fail on the broken copy.
 
 A mutant is a file under src/morsediag, an exact snippet that must occur
 once in it, its replacement and the pytest node ids expected to fail (a
-parametrised test fails if any of its cases does).  Each mutant is applied
-to a temporary copy of src/, never to the tree, and its tests run with
+parametrised test fails if any of its cases does).  An equivalent mutant,
+one that changes no result, is listed in SURVIVORS with the reason it
+changes none; its tests are expected to pass.  Each mutant is applied to a
+temporary copy of src/, never to the tree, and its tests run with
 PYTHONPATH pointing at the copy, one mutant at a time.  The listed tests
 must first pass on the unchanged copy.  The script exits 1, naming the
-mutant, if one survives or if its snippet no longer occurs exactly once.
-Stdlib only, besides the pytest that runs the tests.
+mutant, if a mutant survives, if a survivor's tests fail, or if a snippet
+no longer occurs exactly once.  Stdlib only, besides the pytest that runs
+the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ class Mutant(NamedTuple):
     file: str                # under src/morsediag
     snippet: str             # must occur exactly once in the file
     replacement: str
-    kills: tuple[str, ...]   # pytest node ids that must fail
+    tests: tuple[str, ...]   # pytest node ids that must fail (pass for a survivor)
+    survives: str = ""       # a survivor's reason: why it changes no result
 
 
 _DEEP_CATALOG = ("tests/test_catalog.py::test_too_deeply_nested_line_is_invalid_json",)
@@ -63,6 +67,57 @@ MUTANTS = (
     Mutant("red side split by the start of to_colored_chord's boundary walk read twice",
            "prdiag.py", "if mk != marks[i - 1]]", "if i == 0 or mk != marks[i - 1]]",
            ("tests/test_prdiag.py::test_subdivided_renamed_optimal_diagrams_convert_back",)),
+    Mutant("prdiag._surface_key returns the first held key whatever the mirror", "prdiag.py",
+           "return keys[mirror]", "return next(iter(keys.values()))",
+           ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",
+            "tests/test_prdiag.py::test_disconnected_surfaces_are_compared_component_by_component")),
+    Mutant("_classify_base calls _river on colorings whose red chords cross", "chord.py",
+           "if (top - 1) ^ mask in subsets and _river(match, pcol):", "if _river(match, pcol):",
+           ("tests/test_acceptance.py::test_criterion_02_genus2_counts",
+            "tests/test_acceptance.py::test_criterion_03_genus3_counts_and_convention",
+            "tests/test_chord.py::test_colorings_match_reference",
+            "tests/test_chord.py::test_genus4_river_classes_agree_with_the_selection_oracle")),
+    Mutant("is_river without its red crossing check", "chord.py",
+           "for color in (GREEN, RED)):", "for color in (GREEN,)):",
+           ("tests/test_chord.py::test_river_rejects_crossing_reds",
+            "tests/test_chord.py::test_river_agrees_with_selection_brute_force",
+            "tests/test_chord.py::test_point_color_river_test_agrees_with_both_oracles")),
+    Mutant("_noncrossing_subsets ignores the crossings of its chosen chord", "chord.py",
+           "rest = free & ~crossed[low.bit_length() - 1]", "rest = free",
+           ("tests/test_chord.py::test_noncrossing_subsets_match_combinations",
+            "tests/test_chord.py::test_colorings_have_noncrossing_greens",
+            "tests/test_acceptance.py::test_criterion_03_genus3_counts_and_convention")),
+    Mutant("coloring classes under the identity map only", "chord.py",
+           "    match, g, sym, readers = job\n", "    (match, g, sym, _), readers = job, None\n",
+           ("tests/test_chord.py::test_enumeration_matches_burnside",
+            "tests/test_chord.py::test_colorings_match_reference",
+            "tests/test_chord.py::test_missing_coloring_fails_the_coloring_check")),
+    Mutant("own-pieces check of prdiag._left_turn_trail deleted", "prdiag.py",
+           "or ci in pieces or ci in used:", "or ci in used:",
+           ("tests/test_prdiag.py::test_left_turn_walk_refuses_a_piece_taken_the_other_way",)),
+    Mutant("wrong genus in the non-disk shape of a side reduction", "prdiag.py",
+           "(2 - chi[k] - holes[k]) // 2", "(2 - chi[k] + holes[k]) // 2",
+           ("tests/test_prdiag.py::test_side_reduction_matches_cut_by_cut_reference",
+            "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest")),
+    # Costs only time on the classification, but the generator's candidates
+    # are pinned exactly, so it is no equivalent mutant.
+    Mutant("an entry-1 reject of chord._one_face loosened by one", "chord.py",
+           "if gap + 1 < second and", "if gap + 2 < second and",
+           ("tests/test_chord.py::test_rooted_generator_yields_the_least_span_matchings",)),
+)
+
+SURVIVORS = (
+    Mutant("_noncrossing_subsets without its count bound", "chord.py",
+           "while free.bit_count() >= need:", "while free:",
+           ("tests/test_chord.py::test_noncrossing_subsets_match_combinations",
+            "tests/test_chord.py::test_coloring_counts"),
+           survives="a chord taken with fewer than `need` free leaves `rest` fewer than "
+                    "`need - 1`, which the next test drops: the bound only saves time"),
+    Mutant("_river searches one start past the last", "chord.py",
+           "ring = pcol + pcol[:g - 1]", "ring = pcol + pcol[:g]",
+           ("tests/test_chord.py::test_river_agrees_with_selection_brute_force",
+            "tests/test_chord.py::test_point_color_river_test_agrees_with_both_oracles"),
+           survives="start len(pcol) reads the points of start 0 again"),
 )
 
 
@@ -87,12 +142,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="morsediag-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        all_ids = sorted({n for mt in MUTANTS for n in mt.kills})
+        all_ids = sorted({n for mt in MUTANTS + SURVIVORS for n in mt.tests})
         broken = _failed(src, all_ids)
         if broken:
             print(f"the listed tests must pass unmutated; failing: {sorted(broken)}")
             return 1
-        for mt in MUTANTS:
+        for mt in MUTANTS + SURVIVORS:
             path = src / "morsediag" / mt.file
             text = path.read_text()
             count = text.count(mt.snippet)
@@ -102,13 +157,17 @@ def main() -> int:
                 continue
             path.write_text(text.replace(mt.snippet, mt.replacement))
             try:
-                survived = sorted(set(mt.kills) - _failed(src, mt.kills))
+                failed = _failed(src, mt.tests)
             finally:
                 path.write_text(text)
-            if survived:
-                problems.append(f"{mt.name}: survived {', '.join(survived)}")
-            print(f"{'SURVIVED' if survived else 'killed':9} {mt.name}")
-    print(f"{len(MUTANTS)} mutants, {len(problems)} problems, "
+            if mt.survives:   # the tests that failed, or those that passed
+                wrong, expected, unexpected = sorted(failed), "survived", "KILLED"
+            else:
+                wrong, expected, unexpected = sorted(set(mt.tests) - failed), "killed", "SURVIVED"
+            if wrong:
+                problems.append(f"{mt.name}: {unexpected.lower()} ({', '.join(wrong)})")
+            print(f"{unexpected if wrong else expected:9} {mt.name}")
+    print(f"{len(MUTANTS)} mutants, {len(SURVIVORS)} survivors, {len(problems)} problems, "
           f"{time.perf_counter() - t0:.1f} s")
     for p in problems:
         print(f"error: {p}")

@@ -70,6 +70,19 @@ def test_validate_fixture(capsys):
     assert all(v["passed"] for v in payload["properties"].values())
 
 
+def test_empty_map_is_refused_as_having_no_darts(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"darts": 0, "alpha": [], "sigma": [], "curves": []}))
+    code, out, err = run(capsys, "validate", str(empty))
+    assert code == 1
+    assert json.loads(out)["properties"]["p1_placement"]["witness"] == "surface has no darts"
+    assert err == "invalid: p1_placement: surface has no darts\n"
+    for argv in (("census", str(empty)), ("iso", str(empty), str(empty))):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "p1_placement: surface has no darts"
+
+
 def test_validate_invalid_diagram_exits_one(tmp_path, capsys):
     obj = json.loads((cat.fixture_dir() / "solid_torus.json").read_text())
     obj["curves"] = obj["curves"][:1]    # orphan the red edge

@@ -23,7 +23,6 @@ from morsediag.combmap import (
     faces,
     map_from_json,
     map_to_json,
-    mirror_map,
     surger,
     vertices,
 )
@@ -37,6 +36,7 @@ from conftest import (
     make_solid_torus_diagram,
     make_sphere,
     make_torus,
+    mirror_map,
     random_small_map,
     reference_canonical_code,
     reference_cut_walk,
@@ -410,6 +410,12 @@ def test_solid_torus_is_reversal_symmetric():
 def test_empty_map_code():
     for mirror in (True, False):
         assert canonical_code(build_map(0, (), ()), mirror) == b"cm1|empty"
+
+
+def test_euler_genus_refuses_the_empty_map():
+    # no darts make no connected surface
+    with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
+        euler_genus(build_map(0, (), ()))
 
 
 def test_pickle_leaves_the_kept_hash_behind():

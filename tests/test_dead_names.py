@@ -1,10 +1,11 @@
-"""No package definition goes unread.
+"""No package definition goes unread, or is read by tests alone.
 
 Every top-level function and class of src/morsediag/*.py, and every method
 or property of those classes that is not a dunder, must be used somewhere
 outside its own definition: as a loaded name, an attribute name or an
-imported name, in src/, tests/, bench/ or demos/.  A name that only its own
-body reads is dead code.
+imported name, in src/, bench/ or demos/.  A name that only its own body
+reads is dead code; one that only tests read is reference code, which
+belongs in tests/.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ def _uses(node: ast.AST, inside: tuple, out: list) -> None:
         _uses(child, inside, out)
 
 
-def dead_names() -> list[str]:
+def dead_names(readers=("src", "tests", "bench", "demos")) -> list[str]:
+    """The package definitions that no code under ``readers`` uses."""
     package = {path: ast.parse(path.read_text(), str(path))
                for path in sorted(PACKAGE.glob("*.py"))}
     uses: list = []
-    for top in ("src", "tests", "bench", "demos"):
+    for top in readers:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = package.get(path) or ast.parse(path.read_text(), str(path))
             _uses(tree, (), uses)
@@ -62,3 +64,7 @@ def dead_names() -> list[str]:
 
 def test_every_definition_is_used_outside_itself():
     assert dead_names() == []
+
+
+def test_no_definition_is_read_by_tests_alone():
+    assert dead_names(("src", "bench", "demos")) == []

@@ -803,7 +803,7 @@ def test_equivalent_agrees_with_comparing_codes(rng):
                 if held:
                     pr_canonical_code(a, mirror)
                     pr_canonical_code(b, mirror)
-                    assert (b.surface, mirror) in pr._keys
+                    assert mirror in pr._analyse(b).keys
                 assert equivalent(a, b, mirror) == (code_a == code_b)
                 same += code_a == code_b
         assert same > 2 * len(diagrams)   # a renamed copy is equivalent too
