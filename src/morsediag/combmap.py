@@ -282,11 +282,12 @@ def build_map(dart_count: int,
 
 
 def components(m: CombMap) -> list[CombMap]:
-    """Connected components as separate maps with renumbered darts."""
+    """Connected components as separate maps with renumbered darts; the
+    empty map has none."""
     n = m.n_darts
     comp = _component_index(m.alpha, m.sigma)
-    ncomp = max(comp, default=0) + 1
-    if ncomp <= 1:
+    ncomp = max(comp, default=-1) + 1
+    if ncomp == 1:
         return [m]
     new_id = [0] * n
     out = []

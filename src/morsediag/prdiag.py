@@ -293,10 +293,13 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
 
 @dataclass
 class _SideReduction:
-    """Result of the cut-and-surger reduction of one color side."""
+    """One color side's reduction: its pieces, caps and arc copies, from the
+    cut-and-surger reduction or from ``_counted_side``.  A counted side has
+    no cut map (``final`` is None) and, in more than one piece, no
+    ``comp_of_dart``; ``_cut_side`` supplies both."""
 
-    final: CombMap
-    comp_of_dart: list[int]
+    final: Optional[CombMap]
+    comp_of_dart: Optional[list[int]]
     n_components: int
     # the first component that is not a disk and its (chi, genus, boundary)
     non_disk: Optional[tuple[int, tuple[int, int, int]]]
@@ -351,6 +354,55 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
         arc_copies=arc_copies,
     )
 
+
+def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list[int],
+                  chi: int) -> Optional[_SideReduction]:
+    """The reduction of a side without cycles, less its cut map, found on
+    the uncut surface of Euler characteristic ``chi`` (V - E + interior
+    faces); None where the count cannot pass it and the cut must decide.
+
+    Cutting the side's s arcs leaves as pieces the classes of interior faces
+    joined across the edges on no arc and no hole, unless an edge has a hole
+    on both sides (a piece without faces).  Each arc cut adds one to chi, and
+    a piece with a hole has chi <= 1, equal only for a disk: so the pieces
+    are disks iff each has a face next to a hole or an arc and there are
+    chi + s of them.  Arc copies are numbered as ``_WorkMap.cut`` does."""
+    m = d.surface
+    alpha, n = m.alpha, m.n_darts
+    hole = [f in m.holes for f in fid]
+    on_arc = [False] * n
+    arc_copies, top = {}, n   # top: the darts of the cut map so far
+    for ci, c in enumerate(d.curves):
+        if c.label.kind is _SIDE[green][0]:
+            aw = walks[ci].darts
+            arc_copies[ci] = (tuple(aw), tuple(range(top, top + 2 * len(aw), 2)))
+            top += 2 * len(aw)
+            for t in aw:
+                on_arc[t] = on_arc[alpha[t]] = True
+    parent = list(range(n))   # union-find over face ids
+
+    def find(f):
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
+
+    pieces = len(set(fid)) - len(m.holes)   # interior faces, less each join
+    holed = set()   # interior faces next to a hole or an arc
+    for x, a in enumerate(alpha):
+        if hole[x]:
+            if hole[a]:
+                return None
+        elif hole[a] or on_arc[x]:
+            holed.add(fid[x])
+        elif x < a:
+            f, g = find(fid[x]), find(fid[a])
+            if f != g:
+                parent[f] = g
+                pieces -= 1
+    if len({find(f) for f in holed}) != pieces or pieces != chi + len(arc_copies):
+        return None
+    return _SideReduction(None, [0] * top if pieces == 1 else None, pieces, None, [], arc_copies)
+
 # ---------------------------------------------------------------------------
 # Validation (the five-property criterion)
 # ---------------------------------------------------------------------------
@@ -359,11 +411,13 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
 class _Analysis:
     """One validity analysis of a diagram: the report and, for a valid
     diagram, the curve walks, both side reductions and the surface's Euler
-    characteristic (None if the surface is disconnected).
+    characteristic (None if the surface is disconnected).  A side without
+    cycles is counted, not cut, unless the count cannot pass it.
 
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that
-    ``_surface_key`` fills ``keys`` (mirror -> canonical key) on demand."""
+    ``_surface_key`` fills ``keys`` (mirror -> canonical key) on demand and
+    ``_cut_side`` puts a counted side's cut reduction in its place."""
 
     report: ValidityReport
     walks: tuple[_Walk, ...] = ()
@@ -471,11 +525,14 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if p1 or p3 or p4:
         return _Analysis(_report(p1, p2, p3, p4, "prerequisite failed"))
 
+    # chi = V - E + interior faces, from the ids the analysis began with
+    chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)
     p5 = ""
     sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
-            side = _side_reduction(d, walks, cycles, green, fid)
+            side = None if cycles else _counted_side(d, walks, green, fid, chi)
+            side = side or _side_reduction(d, walks, cycles, green, fid)
         except MapError as exc:
             p5 = f"{'green' if green else 'red'} reduction failed: {exc}"
             break
@@ -491,8 +548,6 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if p5 or (min(side.n_components for side in sides) > 1
                       and not cmb._is_connected(m.alpha, m.sigma)):
         return _Analysis(report, walks, *sides)
-    # chi = V - E + interior faces, from the ids the analysis began with
-    chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)
     return _Analysis(report, walks, *sides, chi=chi)
 
 
@@ -501,6 +556,18 @@ def _require_valid(d: PrDiagram) -> _Analysis:
     if not analysis.report.valid:
         raise InvalidDiagram(analysis.report.first_failure())
     return analysis
+
+
+def _cut_side(d: PrDiagram, analysis: _Analysis, green: bool) -> _SideReduction:
+    """A side's reduction with its cut map: the analysis's own if it was
+    cut, else cut now (a counted side has no cycles) and kept in its place."""
+    name = "green" if green else "red"
+    side = getattr(analysis, name)
+    if side.final is None:
+        m = d.surface
+        side = _side_reduction(d, analysis.walks, [], green, cmb._face_ids(m.alpha, m.sigma))
+        setattr(analysis, name, side)
+    return side
 
 
 def _arc_ends(d: PrDiagram, analysis: _Analysis, ci: int) -> tuple[int, int]:
@@ -633,7 +700,7 @@ def to_colored_chord(d: PrDiagram,
         raise NotOptimal("chord conversion requires an optimal diagram")
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
-    red = analysis.red
+    red = _cut_side(d, analysis, green=False)
     m = red.final   # one disk (census n6 = 1) with one hole (property 5)
     side_of = {}   # edge id -> (v curve, side)
     for ci, copies in red.arc_copies.items():
@@ -745,7 +812,9 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     """
     analysis = _require_valid(d)
     c = _census(analysis)
-    green, red = analysis.green, analysis.red
+    # a side in one piece has all its darts in piece 0 and needs no cut
+    green, red = (side if side.comp_of_dart else _cut_side(d, analysis, is_green)
+                  for is_green, side in ((True, analysis.green), (False, analysis.red)))
 
     vertices = []
     edges = []

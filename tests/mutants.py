@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 _DEEP_CATALOG = ("tests/test_catalog.py::test_too_deeply_nested_line_is_invalid_json",)
+_COUNTED = ("tests/test_prdiag.py::test_counted_sides_agree_with_the_cut_by_cut_reference",)
 
 MUTANTS = (
     Mutant("red cycle caps typed as plain sinks", "prdiag.py",
@@ -99,6 +100,15 @@ MUTANTS = (
            "(2 - chi[k] - holes[k]) // 2", "(2 - chi[k] + holes[k]) // 2",
            ("tests/test_prdiag.py::test_side_reduction_matches_cut_by_cut_reference",
             "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest")),
+    Mutant("prdiag._counted_side passes a piece without faces", "prdiag.py",
+           "if hole[a]:\n                return None\n", "pass\n",
+           _COUNTED),
+    Mutant("prdiag._counted_side passes a piece without a hole", "prdiag.py",
+           "len({find(f) for f in holed}) != pieces or ", "",
+           _COUNTED),
+    Mutant("prdiag._counted_side wants one piece more than chi + s", "prdiag.py",
+           "pieces != chi + len(arc_copies)", "pieces != chi + len(arc_copies) + 1",
+           _COUNTED),
     # Costs only time on the classification, but the generator's candidates
     # are pinned exactly, so it is no equivalent mutant.
     Mutant("an entry-1 reject of chord._one_face loosened by one", "chord.py",

@@ -154,17 +154,22 @@ def test_chord_output_of_a_disconnected_diagram_exits_one(tmp_path, capsys):
 
 
 def test_census_command(monkeypatch, capsys):
-    # the Morse checks come from the census: one analysis, one side
-    # reduction per color
+    # the Morse checks come from the census: one analysis, which counts
+    # each color side and cuts neither
     import morsediag.prdiag as pr
 
     calls = []
-    reduce_side = pr._side_reduction
+    count_side, reduce_side = pr._counted_side, pr._side_reduction
+
+    def counted_side(*args):
+        calls.append(("count", args[2]))
+        return count_side(*args)
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(("cut", args[3]))
         return reduce_side(*args)
 
+    monkeypatch.setattr(pr, "_counted_side", counted_side)
     monkeypatch.setattr(pr, "_side_reduction", counted)
     code, out, _ = run(capsys, "census", fixture_path("solid_torus.json"))
     assert code == 0
@@ -172,7 +177,7 @@ def test_census_command(monkeypatch, capsys):
     assert [payload[f"n{i}"] for i in range(1, 7)] == [1, 0, 1, 1, 0, 1]
     assert payload["boundary_genus"] == 1
     assert payload["morse_checks"]["passed"] is True
-    assert calls == [True, False]
+    assert calls == [("count", True), ("count", False)]
 
 
 def test_convert_both_ways(tmp_path, capsys):

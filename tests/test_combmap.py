@@ -31,6 +31,7 @@ from morsediag import combmap as cmb
 from conftest import (
     analysis_corpus,
     brute_force_isomorphic,
+    disjoint_union,
     make_circle,
     make_genus2,
     make_solid_torus_diagram,
@@ -74,6 +75,21 @@ def test_disconnected_map_is_built():
     assert len(components(m)) == 2
     with pytest.raises(MapError, match="^euler_genus requires a connected map$"):
         euler_genus(m)
+
+
+def test_components_and_is_connected_agree(rng):
+    # one component exactly when connected: the empty map has none and is
+    # not connected, a disjoint union has two
+    empty = build_map(0, (), ())
+    assert components(empty) == [] and not cmb._is_connected(empty.alpha, empty.sigma)
+    maps = [empty, make_torus(), make_solid_torus_diagram().surface]
+    maps += [random_small_map(rng) for _ in range(40)]
+    unions = [disjoint_union(a, b) for a, b in zip(maps[1:], maps[2:])]
+    for m in maps + unions:
+        parts = components(m)
+        assert (len(parts) == 1) == cmb._is_connected(m.alpha, m.sigma)
+        assert sum(c.n_darts for c in parts) == m.n_darts
+    assert all(len(components(m)) == 2 for m in unions)
 
 
 def test_label_mismatch_between_darts():

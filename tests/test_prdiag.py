@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -60,9 +62,11 @@ from conftest import (
     check_cuts,
     clear_analysis_caches,
     disjoint_union,
+    make_circle,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
     make_solid_torus_diagram,
+    make_sphere,
     make_torus,
     random_small_map,
     reference_side_reduction,
@@ -365,19 +369,24 @@ def test_equivalent_requires_valid_inputs():
 
 
 def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
-    # the first public call on a diagram runs its one validity analysis: one
-    # side reduction per color, whose cuts are the only ones (one per cycle
-    # and arc of the side's color); later calls on an equal diagram run none,
-    # and equivalent analyses each of its arguments at most once and makes
-    # one canonical key, of its first argument, tracing the second against it
+    # the first public call on a diagram runs its one validity analysis,
+    # which counts each side of an optimal diagram and cuts neither; the
+    # only cut reduction is to_colored_chord's, of the red side (one cut per
+    # red arc), made once.  Later calls on an equal diagram run none, and
+    # equivalent analyses each of its arguments at most once and makes one
+    # canonical key, of its first argument, tracing the second against it
     events = []
-    reduce_side = pr._side_reduction
+    count_side, reduce_side = pr._counted_side, pr._side_reduction
     cut = cmb._WorkMap.cut
     key, has_key = cmb._canonical_key, cmb._has_key
 
-    def counted(*args, **kwargs):
-        events.append(args[3])
-        return reduce_side(*args, **kwargs)
+    def counted_side(*args):
+        events.append(("count", args[2]))
+        return count_side(*args)
+
+    def counted(*args):
+        events.append(("cut", args[3]))
+        return reduce_side(*args)
 
     def counted_cut(*args, **kwargs):
         events.append("cut")
@@ -391,61 +400,76 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.append("check")
         return has_key(*args)
 
-    def reductions(d):
-        # every cycle of the diagrams below is one closed U or V curve
-        out = []
-        for green, kinds in ((True, (CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE)),
-                             (False, (CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE))):
-            out += [green] + ["cut"] * sum(c.label.kind in kinds for c in d.curves)
-        return out
-
     def cold():
         clear_analysis_caches()
         events.clear()
 
+    monkeypatch.setattr(pr, "_counted_side", counted_side)
     monkeypatch.setattr(pr, "_side_reduction", counted)
     monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
     monkeypatch.setattr(cmb, "_has_key", counted_check)
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
     d = from_colored_chord(ccd)
-    assert reductions(d) == [True, "cut", "cut", "cut", False, "cut", "cut", "cut"]
-    ops = (validate, census, morse_checks, boundary_restriction, to_colored_chord)
-    for first in ops:
+    counts = [("count", True), ("count", False)]
+    red_cut = [("cut", False), "cut", "cut", "cut"]
+    ops = {"validate": validate, "census": census, "morse_checks": morse_checks,
+           "is_optimal": lambda x: is_optimal(x, 3),
+           "boundary_restriction": boundary_restriction, "to_colored_chord": to_colored_chord}
+    for name, first in ops.items():
+        converts = name == "to_colored_chord"
         cold()
         first(d)
-        assert events == reductions(d), first.__name__
-        events.clear()
-        for op in ops:
-            op(from_colored_chord(ccd))   # an equal diagram, built anew
-        assert events == [], first.__name__
+        assert events == counts + (red_cut if converts else []), name
+        for expected in ([] if converts else red_cut, []):
+            events.clear()
+            for op in ops.values():
+                op(from_colored_chord(ccd))   # an equal diagram, built anew
+            assert events == expected, name
     other = relabel_diagram(d, rng)
     cold()
     assert equivalent(d, other)
-    assert events == reductions(d) + reductions(other) + ["key", "check"]
+    assert events == counts + counts + ["key", "check"]
     events.clear()
     # d's key is held, so other's key is made and the keys compared
     assert equivalent(other, d)
     assert pr_canonical_code(d) == pr_canonical_code(other)
-    for op in ops:
+    for op in ops.values():
         op(d)
         op(other)
-    assert events == ["key"]
+    assert events == ["key"] + red_cut + red_cut
     cold()
     validate(d)
     assert equivalent(d, d)
-    assert events == reductions(d) + ["key"]
-    # a closed green cycle is one more cut of the green side
+    assert events == counts + ["key"]
+    # one diagram-analysis benchmark operation: the calls on d, the codes of
+    # d and of a renamed copy, and d compared with that copy and with
+    # another class; the one side it cuts is d's red side
+    third = from_colored_chord(next(ccd for g, ccd in all_colored_classes(3) if g == 3
+                                    and from_colored_chord(ccd) != d))
+    cold()
+    for op in ops.values():
+        op(d)
+    pr_canonical_code(d)
+    pr_canonical_code(other)
+    assert equivalent(d, other) and not equivalent(d, third)
+    assert events == counts + red_cut + ["key"] + counts + ["key"] + counts + ["check"]
+    # a cycle is cut in the analysis; d3_four_b has a closed green one
     four_b = cat.load_fixture("d3_four_b.json")
-    assert reductions(four_b) == [True, "cut", False, "cut"]
-    for first in (validate, census, boundary_restriction):
-        cold()
-        first(four_b)
-        assert events == reductions(four_b), first.__name__
-        events.clear()
-        for op in (validate, census, boundary_restriction):
-            op(four_b)
-        assert events == [], first.__name__
+    # d3_four_a's u-arc leaves two green pieces, so its flow needs their darts
+    four_a = cat.load_fixture("d3_four_a.json")
+    for diagram, analysed, flow in (
+            (four_b, [("cut", True), "cut", ("count", False)], []),
+            (four_a, counts, [("cut", True), "cut"])):
+        for first in (validate, census, boundary_restriction):
+            cold()
+            first(diagram)
+            assert events == analysed + (flow if first is boundary_restriction else []), first
+            for expected in ([] if first is boundary_restriction else flow, []):
+                events.clear()
+                for op in (validate, census, boundary_restriction):
+                    op(diagram)
+                assert events == expected, first
 
 
 # ---------------------------------------------------------------------------
@@ -809,20 +833,37 @@ def test_equivalent_agrees_with_comparing_codes(rng):
         assert same > 2 * len(diagrams)   # a renamed copy is equivalent too
 
 
-def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
-    # every cut of both side reductions on the corpus and on the broken
-    # variants whose analysis reaches property 5; cut_along and surger on
-    # the corpus curves; and every edge of small random maps cut as an arc
-    # and as a loop, for the error paths (a vertex may have two boundary
-    # corners) and for splits with nothing on the Q side
-    outcomes = check_cuts(monkeypatch)
+@functools.cache
+def _sides_reaching_property5() -> tuple:
+    """(diagram, walks, cycles, green, face ids) of both color sides of the
+    corpus diagrams and of their family swaps whose analysis reaches
+    property 5."""
     corpus = analysis_corpus()
-    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)]
-    reach = 0
+    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)
+              if validate(v).properties[-1].witness != "prerequisite failed"]
+    out = []
     for d in corpus + tuple(broken):
-        clear_analysis_caches()
-        reach += validate(d).properties[-1].witness != "prerequisite failed"
-    assert reach > len(corpus)
+        m = d.surface
+        walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
+        fid = cmb._face_ids(m.alpha, m.sigma)
+        out += [(d, walks, pr._assemble_cycles(d, walks, green)[0], green, fid)
+                for green in (True, False)]
+    return tuple(out)
+
+
+def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
+    # every cut of the cut reduction of both sides of the corpus diagrams
+    # and of the broken variants whose analysis reaches property 5 (called
+    # directly: an analysis cuts only the sides it cannot count); cut_along
+    # and surger on the corpus curves; and every edge of small random maps
+    # cut as an arc and as a loop, for the error paths (a vertex may have
+    # two boundary corners) and for splits with nothing on the Q side
+    sides = _sides_reaching_property5()
+    outcomes = check_cuts(monkeypatch)
+    for side in sides:
+        _reduction(pr._side_reduction, *side)
+    assert len(outcomes) > len(sides)
+    corpus = analysis_corpus()
     pick = random.Random(5)
     curves = [(d.surface, c) for d in corpus for c in d.curves]
     curves += [(m, EmbeddedCurve((e,), closed, m.labels[e]))
@@ -847,23 +888,55 @@ def _reduction(reduce, *args):
 
 
 def test_side_reduction_matches_cut_by_cut_reference():
-    # the corpus and the family swaps whose analysis reaches property 5, so
-    # that the shape of a component that is not a disk, taken from the
+    # the shape of a component that is not a disk, taken from the
     # reduction's counts, is compared with euler_genus of its map
-    corpus = analysis_corpus()
-    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)
-              if validate(v).properties[-1].witness != "prerequisite failed"]
     non_disks = 0
-    for d in corpus + tuple(broken):
+    for d, walks, cycles, green, fid in _sides_reaching_property5():
+        got = _reduction(pr._side_reduction, d, walks, cycles, green, fid)
+        assert got == _reduction(reference_side_reduction, d, walks, cycles, green)
+        non_disks += getattr(got, "non_disk", None) is not None
+    assert non_disks > 0
+
+
+def _euler_characteristic(m: CombMap) -> int:
+    """V - E + interior faces of a map, connected or not."""
+    return len(cmb.vertices(m)) - m.n_darts // 2 + len(cmb.faces(m)) - len(m.holes)
+
+
+def test_counted_sides_agree_with_the_cut_by_cut_reference():
+    # every side without cycles, of the corpus, of its family swaps and of
+    # three surfaces in two pieces: a sphere or the 2-dart disk (a segment,
+    # a piece without faces) beside an annulus or a disk.  The count never
+    # passes a side that the reference fails; where it passes, it gives the
+    # reference's pieces, caps, arc copies and, in one piece, the dart
+    # components.  It declines 88 sides of family swaps, by their count of
+    # pieces; the sphere by its piece without a hole; and both segments by
+    # their edge with a hole on each side, the one beside a disk valid.
+    segment = next(m for m in small_disks() if m.n_darts == 2)
+    annulus = make_solid_torus_diagram().surface
+    annulus = dataclasses.replace(annulus, labels=(cmb._BDY,) * annulus.n_darts)
+    pairs = [(make_sphere(), annulus), (segment, annulus), (segment, make_circle())]
+    unions = [PrDiagram(disjoint_union(a, b), ()) for a, b in pairs]
+    sides = list(_sides_reaching_property5())
+    for d in unions:
         m = d.surface
-        walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
-        fid = cmb._face_ids(m.alpha, m.sigma)
-        for green in (True, False):
-            cycles, _ = pr._assemble_cycles(d, walks, green)
-            got = _reduction(pr._side_reduction, d, walks, cycles, green, fid)
-            assert got == _reduction(reference_side_reduction, d, walks, cycles, green)
-            non_disks += getattr(got, "non_disk", None) is not None
-    assert broken and non_disks > 0
+        sides.append((d, (), [], True, cmb._face_ids(m.alpha, m.sigma)))
+    decided = []   # per side without cycles: passed by the count, valid by the cut
+    for d, walks, cycles, green, fid in sides:
+        if cycles:
+            continue
+        ref = _reduction(reference_side_reduction, d, walks, cycles, green)
+        valid = isinstance(ref, pr._SideReduction) and ref.non_disk is None
+        got = pr._counted_side(d, walks, green, fid, _euler_characteristic(d.surface))
+        decided.append((got is not None, valid))
+        if got is not None:
+            assert valid
+            assert got == dataclasses.replace(ref, final=None, comp_of_dart=got.comp_of_dart)
+            assert got.comp_of_dart in (None, ref.comp_of_dart)
+            assert (got.comp_of_dart is None) == (got.n_components > 1)
+    assert Counter(decided[:-3]) == {(True, True): 918, (False, False): 88}
+    assert decided[-3:] == [(False, False), (False, False), (False, True)]
+    assert [validate(d).valid for d in unions] == [False, False, True]
 
 
 def _outcome(call, *args) -> str:
