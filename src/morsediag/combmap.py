@@ -394,7 +394,7 @@ class _WorkMap:
     dart d lies in a hole face, read at the start from ``fid``, the map's
     dart -> face id.  A cut recomputes that flag only on the faces through
     its curve darts and their new copies, which are all the faces it
-    changes, so faces and components are found once, by ``finish``."""
+    changes, so faces and components are found once, after the last cut."""
 
     def __init__(self, m: CombMap, fid: Sequence[int]):
         self.alpha = list(m.alpha)

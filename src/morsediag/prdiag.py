@@ -294,11 +294,9 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
 @dataclass
 class _SideReduction:
     """One color side's reduction: its pieces, caps and arc copies, from the
-    cut-and-surger reduction or from ``_counted_side``.  A counted side has
-    no cut map (``final`` is None) and, in more than one piece, no
-    ``comp_of_dart``; ``_cut_side`` supplies both."""
+    cut-and-surger reduction or from ``_counted_side``.  A counted side in
+    more than one piece has no ``comp_of_dart``; ``_cut_side`` supplies it."""
 
-    final: Optional[CombMap]
     comp_of_dart: Optional[list[int]]
     n_components: int
     # the first component that is not a disk and its (chi, genus, boundary)
@@ -345,7 +343,6 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
         else:
             chi[comp[f]] += 1
     return _SideReduction(
-        final=work.finish(fid),
         comp_of_dart=comp,
         n_components=ncomp,
         non_disk=next(((k, (chi[k], (2 - chi[k] - holes[k]) // 2, holes[k]))
@@ -357,9 +354,9 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
 
 def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list[int],
                   chi: int) -> Optional[_SideReduction]:
-    """The reduction of a side without cycles, less its cut map, found on
-    the uncut surface of Euler characteristic ``chi`` (V - E + interior
-    faces); None where the count cannot pass it and the cut must decide.
+    """The reduction of a side without cycles, found on the uncut surface
+    of Euler characteristic ``chi`` (V - E + interior faces); None where the
+    count cannot pass it and the cut must decide.
 
     Cutting the side's s arcs leaves as pieces the classes of interior faces
     joined across the edges on no arc and no hole, unless an edge has a hole
@@ -401,7 +398,7 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list
                 pieces -= 1
     if len({find(f) for f in holed}) != pieces or pieces != chi + len(arc_copies):
         return None
-    return _SideReduction(None, [0] * top if pieces == 1 else None, pieces, None, [], arc_copies)
+    return _SideReduction([0] * top if pieces == 1 else None, pieces, None, [], arc_copies)
 
 # ---------------------------------------------------------------------------
 # Validation (the five-property criterion)
@@ -417,7 +414,8 @@ class _Analysis:
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that
     ``_surface_key`` fills ``keys`` (mirror -> canonical key) on demand and
-    ``_cut_side`` puts a counted side's cut reduction in its place."""
+    ``_cut_side`` puts the cut reduction of a counted side in more than one
+    piece in its place, for ``boundary_restriction``."""
 
     report: ValidityReport
     walks: tuple[_Walk, ...] = ()
@@ -559,11 +557,12 @@ def _require_valid(d: PrDiagram) -> _Analysis:
 
 
 def _cut_side(d: PrDiagram, analysis: _Analysis, green: bool) -> _SideReduction:
-    """A side's reduction with its cut map: the analysis's own if it was
-    cut, else cut now (a counted side has no cycles) and kept in its place."""
+    """A side's reduction with the piece of every dart: the analysis's own
+    if it has them, else cut now (a counted side has no cycles) and kept in
+    its place."""
     name = "green" if green else "red"
     side = getattr(analysis, name)
-    if side.final is None:
+    if side.comp_of_dart is None:
         m = d.surface
         side = _side_reduction(d, analysis.walks, [], green, cmb._face_ids(m.alpha, m.sigma))
         setattr(analysis, name, side)
@@ -688,57 +687,56 @@ def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
 
 def to_colored_chord(d: PrDiagram,
                      sym: SymmetryConvention = DEFAULT_SYMMETRY) -> ColoredChordDiagram:
-    """Cut the surface along the red arcs; the disk boundary then carries the
-    green chord endpoints and one mark per red side, read off in circular
-    order.  The result is normalized to its canonical class representative.
+    """Read the circle of the disk left by cutting the red arcs: the green
+    chord endpoints and one mark per red arc side, in circular order.  The
+    result is normalized to its canonical class representative.
 
-    The cut surface is the analysis's red side reduction: an optimal diagram
-    has no red cycles, so that reduction cuts the red arcs and nothing else."""
+    The circle is read on the uncut surface.  Arcs end on distinct boundary
+    vertices, their interiors avoid the boundary, and the red side of an
+    optimal diagram is one disk; so the circle is the hole segments joined
+    by the two sides of each red arc.  The walk follows the hole faces and,
+    on reaching a red arc's end, runs along that arc and leaves its other end
+    by the hole."""
     analysis = _require_valid(d)
     g = len(analysis.green.arc_copies)
     if not _is_optimal(g, analysis):
         raise NotOptimal("chord conversion requires an optimal diagram")
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
-    red = _cut_side(d, analysis, green=False)
-    m = red.final   # one disk (census n6 = 1) with one hole (property 5)
-    side_of = {}   # edge id -> (v curve, side)
-    for ci, copies in red.arc_copies.items():
-        for side, darts in enumerate(copies):
-            for t in darts:
-                side_of[m.edge_of(t)] = (ci, side)
-    vid = cmb._orbit_ids(m.sigma)
-    vert_u = {vid[t]: ci for ci in analysis.green.arc_copies
-              for t in _arc_ends(d, analysis, ci)}
+    m = d.surface
+    alpha, sigma = m.alpha, m.sigma
+    on_hole = set()
+    for x in m.holes:
+        while x not in on_hole:
+            on_hole.add(x)
+            x = sigma[alpha[x]]
 
-    # walk the boundary circle from its hole id, the face's smallest dart
-    (start,) = m.holes
-    dart = start
-    marks = []
+    def hole_dart(t):   # the one hole dart at t's vertex, which leaves it
+        while t not in on_hole:
+            t = sigma[t]
+        return t
+
+    arc_end = {}   # an arc end's hole dart -> (color, arc, hole dart to leave by)
+    for color, side in ((GREEN, analysis.green), (RED, analysis.red)):
+        for ci in side.arc_copies:
+            ends = [hole_dart(t) for t in _arc_ends(d, analysis, ci)]
+            for x, leave in zip(ends, ends[::-1] if color == RED else ends):
+                arc_end[x] = (color, ci, leave)
+
+    start = x = min(m.holes)
+    colors, arcs = [], []
     while True:
-        v = vid[dart]
-        if v in vert_u:
-            marks.append(("u", vert_u[v]))
-        e = m.edge_of(dart)
-        if e in side_of:
-            marks.append(("v", side_of[e]))
-        dart = m.sigma[m.alpha[dart]]
-        if dart == start:
+        x = sigma[alpha[x]]   # the hole dart leaving the vertex reached
+        if x in arc_end:
+            color, ci, x = arc_end[x]
+            colors.append(color)
+            arcs.append(ci)
+        if x == start:
             break
-    # A red side is one run of the circle, which the start may split: keep each
-    # run's last mark, read cyclically (a rotation, which _least_colored undoes).
-    marks = [mk for i, mk in enumerate(marks) if mk != marks[i - 1]]
-
-    pts = len(marks)
-    match = [-1] * pts
-    colors = [""] * pts
-    where: dict[tuple, list[int]] = {}
-    for pos, mk in enumerate(marks):
-        key = ("u", mk[1]) if mk[0] == "u" else ("v", mk[1][0])
-        where.setdefault(key, []).append(pos)
-        colors[pos] = GREEN if mk[0] == "u" else RED
-    for a, b in where.values():
-        match[a], match[b] = b, a
+    where: dict[int, list[int]] = {}   # arc -> its two points
+    for pos, ci in enumerate(arcs):
+        where.setdefault(ci, []).append(pos)
+    match = [sum(where[ci]) - pos for pos, ci in enumerate(arcs)]
     return colored_from_point_colors(*_least_colored(match, colors, sym))
 
 
@@ -812,9 +810,8 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     """
     analysis = _require_valid(d)
     c = _census(analysis)
-    # a side in one piece has all its darts in piece 0 and needs no cut
-    green, red = (side if side.comp_of_dart else _cut_side(d, analysis, is_green)
-                  for is_green, side in ((True, analysis.green), (False, analysis.red)))
+    # a counted side in one piece has all its darts in piece 0 and needs no cut
+    green, red = (_cut_side(d, analysis, is_green) for is_green in (True, False))
 
     vertices = []
     edges = []

@@ -661,12 +661,10 @@ def check_cuts(monkeypatch) -> list:
     return outcomes
 
 
-def reference_side_reduction(d, walks, cycles, green: bool):
-    """prdiag._side_reduction cut by cut: a CombMap and its face table after
-    every cut, then the components as separate maps and euler_genus of each,
-    which gives the shape of the first one that is not a disk."""
-    from morsediag import prdiag as pr
-
+def reference_side_cut(d, walks, cycles, green: bool):
+    """The cuts of prdiag._side_reduction made one by one, a CombMap and its
+    face table after every cut: the cut map, the Q copy of each cycle's
+    first dart (its cap's side) and each arc's (P-side, Q-side) darts."""
     bdy = CurveLabel(CurveKind.BDY)
     arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
     arc_ids = sorted(ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind)
@@ -683,6 +681,16 @@ def reference_side_reduction(d, walks, cycles, green: bool):
         aw = arc_walks[ci]
         m, copy_q = reference_cut_walk(m, aw, False, bdy, slits_are_holes=True)
         arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
+    return m, cap_darts, arc_copies
+
+
+def reference_side_reduction(d, walks, cycles, green: bool):
+    """prdiag._side_reduction from reference_side_cut: the cut map's
+    components as separate maps and euler_genus of each, which gives the
+    shape of the first one that is not a disk."""
+    from morsediag import prdiag as pr
+
+    m, cap_darts, arc_copies = reference_side_cut(d, walks, cycles, green)
     # component index: numbered in order of smallest dart
     comp = [-1] * m.n_darts
     for start in range(m.n_darts):
@@ -698,7 +706,6 @@ def reference_side_reduction(d, walks, cycles, green: bool):
                         stack.append(nxt)
     shapes = [euler_genus(p) for p in components(m)]
     return pr._SideReduction(
-        final=m,
         comp_of_dart=comp,
         n_components=len(shapes),
         non_disk=next(((k, s) for k, s in enumerate(shapes) if s != (1, 0, 1)), None),

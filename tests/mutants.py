@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 
 _DEEP_CATALOG = ("tests/test_catalog.py::test_too_deeply_nested_line_is_invalid_json",)
 _COUNTED = ("tests/test_prdiag.py::test_counted_sides_agree_with_the_cut_by_cut_reference",)
+# both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
+_CIRCLE = ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
+           "tests/test_prdiag.py::test_rotation_only_classes_convert_back_and_count_as_the_surface_codes")
 
 MUTANTS = (
     Mutant("red cycle caps typed as plain sinks", "prdiag.py",
@@ -65,9 +68,13 @@ MUTANTS = (
     Mutant("earlier-trail check of prdiag._left_turn_trail deleted", "prdiag.py",
            "or ci in pieces or ci in used:", "or ci in pieces:",
            ("tests/test_prdiag.py::test_left_turn_walk_refuses_a_piece_taken_the_other_way",)),
-    Mutant("red side split by the start of to_colored_chord's boundary walk read twice",
-           "prdiag.py", "if mk != marks[i - 1]]", "if i == 0 or mk != marks[i - 1]]",
-           ("tests/test_prdiag.py::test_subdivided_renamed_optimal_diagrams_convert_back",)),
+    Mutant("to_colored_chord reads its circle in reverse order", "prdiag.py",
+           "_least_colored(match, colors, sym)",
+           "_least_colored([len(match) - 1 - p for p in match[::-1]], colors[::-1], sym)",
+           _CIRCLE),
+    Mutant("to_colored_chord's jump along a red arc lands on the end it left", "prdiag.py",
+           "zip(ends, ends[::-1] if color == RED else ends)", "zip(ends, ends)",
+           _CIRCLE),
     Mutant("prdiag._surface_key returns the first held key whatever the mirror", "prdiag.py",
            "return keys[mirror]", "return next(iter(keys.values()))",
            ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",

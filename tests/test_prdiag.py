@@ -18,6 +18,7 @@ from morsediag.chord import (
     RED,
     ChordDiagram,
     ColoredChordDiagram,
+    SymmetryConvention,
     canonical_colored,
     chord_from_json,
     chord_to_json,
@@ -60,8 +61,10 @@ from morsediag.prdiag import (
 from conftest import (
     analysis_corpus,
     check_cuts,
+    chord_orbit_counts,
     clear_analysis_caches,
     disjoint_union,
+    least_circle_image,
     make_circle,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
@@ -69,6 +72,7 @@ from conftest import (
     make_sphere,
     make_torus,
     random_small_map,
+    reference_side_cut,
     reference_side_reduction,
     relabel_diagram,
     small_disks,
@@ -77,6 +81,7 @@ from conftest import (
 from g4_round_trip import round_trip
 
 G1_COLORED = ColoredChordDiagram(ChordDiagram(2, (2, 3, 0, 1)), (GREEN, RED))
+ROT, DIH = SymmetryConvention.ROTATION_ONLY, SymmetryConvention.DIHEDRAL
 
 
 def all_colored_classes(max_genus):
@@ -309,9 +314,8 @@ def test_roundtrip_small_genus():
 @pytest.mark.parametrize("k", [1, 2])
 def test_subdivided_renamed_optimal_diagrams_convert_back(k):
     # every g1-3 class rebuilt, each curve edge cut into k + 1 edges, darts
-    # renamed: arcs of several edges, and hole faces whose smallest dart can
-    # fall inside a red side's run of darts (the boundary walk then starts
-    # part-way along a red side)
+    # renamed: arcs of several edges, whose interior vertices the chord
+    # circle's walk passes over when it jumps from one red arc end to the other
     rng = random.Random(1000 + k)
     for g, ccd in all_colored_classes(3):
         d = relabel_diagram(subdivide_curves(from_colored_chord(ccd), k), rng)
@@ -320,6 +324,83 @@ def test_subdivided_renamed_optimal_diagrams_convert_back(k):
         assert (c.as_tuple(), c.boundary_genus) == ((1, 0, g, g, 0, 1), g)
         assert canonical_colored(to_colored_chord(d)) == canonical_colored(ccd)
         assert boundary_restriction(d).role_counts() == {"source": 1, "saddle": 2 * g, "sink": 1}
+
+
+def _chord_off_the_red_cut(d: PrDiagram, sym: SymmetryConvention) -> tuple:
+    """The colored chord diagram of an optimal diagram read off the red cut
+    map of reference_side_cut: walk its one hole face, mark each vertex that
+    ends a u-arc and each edge on a side of a v-arc, and keep each run's last
+    mark (a red side of several edges is one run, which the start may split).
+    Returns the least (matching, point colors) image over the circle's
+    rotations and, under DIHEDRAL, its reflections."""
+    walks = pr._curve_walks(d, cmb._orbit_ids(d.surface.sigma))
+    m, _, arc_copies = reference_side_cut(d, walks, [], green=False)
+    side_of = {m.edge_of(t): (ci, side) for ci, copies in arc_copies.items()
+               for side, darts in enumerate(copies) for t in darts}
+    vid = cmb._orbit_ids(m.sigma)
+    vert_u = {vid[t]: ci for ci, (c, w) in enumerate(zip(d.curves, walks))
+              if c.label.kind is CurveKind.U_GREEN_ARC
+              for t in (w.darts[0], d.surface.alpha[w.darts[-1]])}
+    (start,) = m.holes
+    marks, x = [], start
+    while True:
+        if vid[x] in vert_u:
+            marks.append(("u", vert_u[vid[x]]))
+        if m.edge_of(x) in side_of:
+            marks.append(("v", side_of[m.edge_of(x)]))
+        x = m.sigma[m.alpha[x]]
+        if x == start:
+            break
+    marks = [mk for i, mk in enumerate(marks) if mk != marks[i - 1]]
+    arc = [ci if kind == "u" else ci[0] for kind, ci in marks]
+    match = [next(j for j, b in enumerate(arc) if b == a and j != i) for i, a in enumerate(arc)]
+    colors = [GREEN if kind == "u" else RED for kind, _ in marks]
+    return least_circle_image(match, colors, reflections=sym is DIH)
+
+
+def test_chord_circle_read_uncut_matches_the_red_cut_reference():
+    # to_colored_chord reads the circle on the uncut surface; the reference
+    # cuts the red arcs and walks the cut map's hole.  Every optimal corpus
+    # diagram, and copies with each curve edge cut into k + 1 edges and
+    # darts renamed, under both conventions
+    rng = random.Random(25)
+    optimal = []
+    for d in analysis_corpus():
+        g = sum(c.label.kind is CurveKind.U_GREEN_ARC for c in d.curves)
+        if g and validate(d).valid and is_optimal(d, g):
+            optimal.append(d)
+    diagrams = optimal + [relabel_diagram(subdivide_curves(d, k), rng)
+                          for k in (1, 2) for d in optimal]
+    for d in diagrams:
+        for sym in (ROT, DIH):
+            ccd = to_colored_chord(d, sym)
+            assert (ccd.base.match, ccd.point_colors()) == _chord_off_the_red_cut(d, sym)
+    assert len(diagrams) == 3 * 406
+
+
+def test_rotation_only_classes_convert_back_and_count_as_the_surface_codes():
+    # a circle read the wrong way round gives each chiral class its mirror,
+    # which only ROTATION_ONLY tells apart.  Every rotation-only class of
+    # genus 1-3 converts back as itself; rebuilt, the classes give as many
+    # distinct mirror-free surface codes as Burnside counts rotation-only
+    # classes, and as many mirror codes as it counts dihedral ones
+    counts = []
+    for g in (1, 2, 3):
+        diagrams = []
+        for base in enumerate_bases(g, ROT):
+            for ccd in enumerate_colorings(base, g, ROT):
+                d = from_colored_chord(ccd)
+                assert canonical_colored(to_colored_chord(d, ROT), ROT) == \
+                    canonical_colored(ccd, ROT)
+                diagrams.append(d)
+        codes = [len({pr_canonical_code(d, mirror) for d in diagrams})
+                 for mirror in (False, True)]
+        assert [len(diagrams), *codes] == [
+            chord_orbit_counts(g, reflections=False).colored,
+            chord_orbit_counts(g, reflections=False).colored,
+            chord_orbit_counts(g, reflections=True).colored]
+        counts.append(codes)
+    assert counts == [[1, 1], [8, 5], [342, 179]]
 
 
 def test_genus4_sample_round_trips_through_flow_diagrams(genus4_report):
@@ -370,11 +451,11 @@ def test_equivalent_requires_valid_inputs():
 
 def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # the first public call on a diagram runs its one validity analysis,
-    # which counts each side of an optimal diagram and cuts neither; the
-    # only cut reduction is to_colored_chord's, of the red side (one cut per
-    # red arc), made once.  Later calls on an equal diagram run none, and
-    # equivalent analyses each of its arguments at most once and makes one
-    # canonical key, of its first argument, tracing the second against it
+    # which counts each side of an optimal diagram and cuts neither; no call
+    # on an optimal diagram cuts, to_colored_chord included.  Later calls on
+    # an equal diagram run no analysis, and equivalent analyses each of its
+    # arguments at most once and makes one canonical key, of its first
+    # argument, tracing the second against it
     events = []
     count_side, reduce_side = pr._counted_side, pr._side_reduction
     cut = cmb._WorkMap.cut
@@ -412,20 +493,17 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
     d = from_colored_chord(ccd)
     counts = [("count", True), ("count", False)]
-    red_cut = [("cut", False), "cut", "cut", "cut"]
     ops = {"validate": validate, "census": census, "morse_checks": morse_checks,
            "is_optimal": lambda x: is_optimal(x, 3),
            "boundary_restriction": boundary_restriction, "to_colored_chord": to_colored_chord}
     for name, first in ops.items():
-        converts = name == "to_colored_chord"
         cold()
         first(d)
-        assert events == counts + (red_cut if converts else []), name
-        for expected in ([] if converts else red_cut, []):
-            events.clear()
-            for op in ops.values():
-                op(from_colored_chord(ccd))   # an equal diagram, built anew
-            assert events == expected, name
+        assert events == counts, name
+        events.clear()
+        for op in ops.values():
+            op(from_colored_chord(ccd))   # an equal diagram, built anew
+        assert events == [], name
     other = relabel_diagram(d, rng)
     cold()
     assert equivalent(d, other)
@@ -437,14 +515,14 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     for op in ops.values():
         op(d)
         op(other)
-    assert events == ["key"] + red_cut + red_cut
+    assert events == ["key"]
     cold()
     validate(d)
     assert equivalent(d, d)
     assert events == counts + ["key"]
     # one diagram-analysis benchmark operation: the calls on d, the codes of
     # d and of a renamed copy, and d compared with that copy and with
-    # another class; the one side it cuts is d's red side
+    # another class; it cuts nothing
     third = from_colored_chord(next(ccd for g, ccd in all_colored_classes(3) if g == 3
                                     and from_colored_chord(ccd) != d))
     cold()
@@ -453,7 +531,7 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     pr_canonical_code(d)
     pr_canonical_code(other)
     assert equivalent(d, other) and not equivalent(d, third)
-    assert events == counts + red_cut + ["key"] + counts + ["key"] + counts + ["check"]
+    assert events == counts + ["key"] + counts + ["key"] + counts + ["check"]
     # a cycle is cut in the analysis; d3_four_b has a closed green one
     four_b = cat.load_fixture("d3_four_b.json")
     # d3_four_a's u-arc leaves two green pieces, so its flow needs their darts
@@ -931,7 +1009,7 @@ def test_counted_sides_agree_with_the_cut_by_cut_reference():
         decided.append((got is not None, valid))
         if got is not None:
             assert valid
-            assert got == dataclasses.replace(ref, final=None, comp_of_dart=got.comp_of_dart)
+            assert got == dataclasses.replace(ref, comp_of_dart=got.comp_of_dart)
             assert got.comp_of_dart in (None, ref.comp_of_dart)
             assert (got.comp_of_dart is None) == (got.n_components > 1)
     assert Counter(decided[:-3]) == {(True, True): 918, (False, False): 88}
