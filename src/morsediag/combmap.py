@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import compress
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from ._formats import MAP, check
@@ -213,13 +215,14 @@ def _single_corner(corners: list[int]) -> Optional[int]:
     return corners[0] if corners else None
 
 
-def _boundary_vertices(m: CombMap, vid: Sequence[int], fid: Sequence[int]) -> list[bool]:
+def _boundary_vertices(m: CombMap, vid: Sequence[int], in_hole: Sequence[bool]) -> list[bool]:
     """vertex id -> whether the vertex has a corner in a hole face, from the
-    map's vertex and face ids.  A vertex with two such corners would pinch
-    the surface: MapError names its two smallest corner darts."""
+    map's dart -> vertex id and dart -> whether in a hole face.  A vertex
+    with two such corners would pinch the surface: MapError names its two
+    smallest corner darts."""
     corner = [-1] * m.n_darts
     for x, s in enumerate(m.sigma):
-        if fid[s] in m.holes:
+        if in_hole[s]:
             v = vid[x]
             if corner[v] >= 0:
                 _single_corner([corner[v], x])  # raises: a second corner
@@ -274,10 +277,11 @@ def build_map(dart_count: int,
     for h in m.holes:
         if not (0 <= h < dart_count and fid[h] == h):
             raise MapError(f"hole id {h} is not a face id")
+    in_hole = [f in m.holes for f in fid]
     for d in range(dart_count):
-        if fid[d] in m.holes and lab[d].kind is not CurveKind.BDY:
+        if in_hole[d] and lab[d].kind is not CurveKind.BDY:
             raise LabelMismatch(f"edge bounding a hole is not labeled bdy at dart {d}")
-    _boundary_vertices(m, _orbit_ids(sigma), fid)
+    _boundary_vertices(m, _orbit_ids(sigma), in_hole)
     return m
 
 
@@ -341,15 +345,22 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> li
     the second, unless it is a loop; a loop or a one-edge curve starts at its
     edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves.
     """
+    for e in curve.edges:
+        if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
+            raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
+    if len(set(curve.edges)) != len(curve.edges):
+        raise CurveNotEmbedded("curve repeats an edge")
+    return _dart_walk(m, curve, vtab)[0]
+
+
+def _dart_walk(m: CombMap, curve: EmbeddedCurve,
+               vtab: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``curve_dart_walk`` of a curve whose edges are distinct edge ids of
+    the map, and the vertex ids the walk visits in order (a closed curve's
+    start again at the end)."""
     edges = curve.edges
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
-    for e in edges:
-        if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
-            raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
-    if len(set(edges)) != len(edges):
-        raise CurveNotEmbedded("curve repeats an edge")
-
     alpha = m.alpha
     e = edges[0]
     walk = [e]   # an edge id is the smaller dart of its edge
@@ -384,7 +395,7 @@ def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> li
         inner = vseq
     if len(set(inner)) != len(inner):
         raise CurveNotEmbedded("curve visits a vertex twice")
-    return walk
+    return walk, vseq
 
 
 class _WorkMap:
@@ -559,47 +570,56 @@ def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
     return best if out is None else out
 
 
-def _least_roots(m: CombMap, mirror: bool) -> list[tuple]:
+def _least_roots(m: CombMap, mirror: bool, fid: Sequence[int]) -> list[tuple]:
     """(sigma, tail, root) of each root of the map and, with ``mirror``, its
-    mirror whose first atom is the least: (0, 1) if sigma fixes the root,
-    (1, 1) if sigma and alpha agree on it, else (1, 2), then its tail.  Any
-    other root's trace is larger there."""
+    mirror whose first atom is the least, from the map's dart -> face id
+    ``fid``.  The first atom orders roots by class, 0 if sigma fixes the
+    root ((0, 1) as ids), 1 if sigma and alpha agree on it ((1, 1)), else 2
+    ((1, 2)), then by tail: so the least class present in either variant
+    is found by C-level scans, and its roots of least tail are returned,
+    variant by variant in dart order.  Any other root's trace is larger at
+    its first atom."""
     n = m.n_darts
     alpha, sigma = m.alpha, m.sigma
-    kind2 = [2 * _KIND_ORD[lb.kind._value_] for lb in m.labels]
-    in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
-    variants = [(sigma, [k + h for k, h in zip(kind2, in_hole)])]
+    tail = [2 * _KIND_ORD[lb.kind._value_] + (f in m.holes) for lb, f in zip(m.labels, fid)]
+    variants = [(sigma, tail)]
     if mirror:
         inv = [0] * n
         for d, s in enumerate(sigma):
             inv[s] = d
-        # alpha takes each face of m onto a face of the mirror, reversed
-        variants.append((inv, [k + in_hole[a] for k, a in zip(kind2, alpha)]))
-    first = [[t + (10 if s == r else 10 * n + (10 if s == a else 20))
-              for r, (s, a, t) in enumerate(zip(sg, alpha, tail))]
-             for sg, tail in variants]
-    least = min(min(atoms) for atoms in first)
-    return [(sg, tail, root) for (sg, tail), atoms in zip(variants, first)
-            for root, atom in enumerate(atoms) if atom == least]
+        # alpha takes each face of m onto a face of the mirror, reversed, and
+        # both darts of an edge have one kind
+        variants.append((inv, list(map(tail.__getitem__, alpha))))
+    darts = range(n)
+    for image in (darts, alpha):   # class 0, then class 1
+        found = [(sg, tl, list(compress(darts, map(eq, sg, image)))) for sg, tl in variants]
+        if any(roots for _, _, roots in found):
+            break
+    else:   # every root is in class 2
+        found = [(sg, tl, darts) for sg, tl in variants]
+    least = min(min(map(tl.__getitem__, roots), default=10)   # a tail is below 10
+                for _, tl, roots in found)
+    return [(sg, tl, root) for sg, tl, roots in found for root in roots if tl[root] == least]
 
 
-def _canonical_key(m: CombMap, mirror: bool) -> list:
+def _canonical_key(m: CombMap, mirror: bool, fid: Sequence[int]) -> list:
     """What ``canonical_code`` serialises: the least trace of a connected map,
-    else the sorted codes of its components ([] if empty).  Keys are equal
-    iff codes are."""
+    else the sorted codes of its components ([] if empty), from the map's
+    dart -> face id ``fid``.  Keys are equal iff codes are."""
     best = None
-    for sg, tail, root in _least_roots(m, mirror) if m.n_darts else ():
+    for sg, tail, root in _least_roots(m, mirror, fid) if m.n_darts else ():
         best = _trace_from(sg, m.alpha, root, tail, best) or best
     if best is None or len(best) == m.n_darts:   # a trace covers one component
         return best or []
     return sorted(canonical_code(c, mirror) for c in components(m))
 
 
-def _has_key(m: CombMap, mirror: bool, key: list) -> bool:
-    """Whether a connected map has ``key``, a connected map's key, without
-    making its own: the roots that can be least are traced against ``key``
-    until one is smaller (False) or equal (True)."""
-    for sg, tail, root in _least_roots(m, mirror) if m.n_darts == len(key) else ():
+def _has_key(m: CombMap, mirror: bool, key: list, fid: Sequence[int]) -> bool:
+    """Whether a connected map, of dart -> face id ``fid``, has ``key``, a
+    connected map's key, without making its own: the roots that can be
+    least are traced against ``key`` until one is smaller (False) or equal
+    (True)."""
+    for sg, tail, root in _least_roots(m, mirror, fid) if m.n_darts == len(key) else ():
         tr = _trace_from(sg, m.alpha, root, tail, key)
         if tr is not None:
             return tr is key
@@ -633,7 +653,7 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     ``mirror`` each component may be mirrored on its own, as a
     homeomorphism of a disconnected surface may.
     """
-    return _key_code(_canonical_key(m, mirror), m.n_darts, mirror)
+    return _key_code(_canonical_key(m, mirror, _face_ids(m.alpha, m.sigma)), m.n_darts, mirror)
 
 
 # ---------------------------------------------------------------------------

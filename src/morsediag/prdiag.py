@@ -187,29 +187,6 @@ class BoundaryFlowGraph:
 # Structural analysis
 # ---------------------------------------------------------------------------
 
-def _structure_errors(d: PrDiagram) -> Optional[str]:
-    """Darts present, curve registry consistent with the map labels; None if clean."""
-    m = d.surface
-    if not m.n_darts:
-        return "surface has no darts"
-    owned = {}
-    for ci, c in enumerate(d.curves):
-        if c.label.kind is CurveKind.BDY:
-            return f"curve {ci} labeled bdy"
-        for e in c.edges:
-            if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
-                return f"curve {ci} references non-edge {e}"
-            if m.labels[e] != c.label:
-                return f"edge {e} label does not match curve {ci}"
-            if e in owned:
-                return f"edge {e} belongs to two curves"
-            owned[e] = ci
-    for e in m.edge_ids():   # an owned edge has its curve's label, never bdy
-        if m.labels[e].kind is not CurveKind.BDY and e not in owned:
-            return f"labeled edge {e} belongs to no curve"
-    return None
-
-
 class _Walk(NamedTuple):
     """One curve's oriented dart walk and the vertex ids it visits: all of
     them, its two ends (none for a closed curve) and the rest."""
@@ -220,18 +197,43 @@ class _Walk(NamedTuple):
     inner: set[int]
 
 
-def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[_Walk, ...]:
-    """The walk record of every curve, in registry order."""
+def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
+    """The first structural fault and, if there is none, the walk record of
+    every curve, in registry order, in one loop over each curve's edges.  A
+    fault is no darts, a curve registry inconsistent with the map labels
+    (which wins wherever it is), else the first curve that is not a simple
+    walk; "" if none."""
     m = d.surface
-    out = []
-    for c in d.curves:
-        w = curve_dart_walk(m, c, vid)
-        verts = {vid[w[0]]}
-        for t in w:
-            verts.add(vid[m.alpha[t]])
-        ends = () if c.closed else (vid[w[0]], vid[m.alpha[w[-1]]])
-        out.append(_Walk(w, verts, ends, verts - set(ends)))
-    return tuple(out)
+    if not m.n_darts:
+        return "surface has no darts", ()
+    n, alpha, labels = m.n_darts, m.alpha, m.labels
+    owned = {}
+    walks, err = [], ""
+    for ci, c in enumerate(d.curves):
+        label = c.label
+        if label.kind is CurveKind.BDY:
+            return f"curve {ci} labeled bdy", ()
+        for e in c.edges:
+            if not (0 <= e < n) or alpha[e] < e:
+                return f"curve {ci} references non-edge {e}", ()
+            if labels[e] is not label and labels[e] != label:
+                return f"edge {e} label does not match curve {ci}", ()
+            if e in owned:
+                return f"edge {e} belongs to two curves", ()
+            owned[e] = ci
+        if not err:   # the curve's edges are distinct edge ids
+            try:
+                w, vseq = cmb._dart_walk(m, c, vid)
+            except MapError as exc:
+                err = str(exc)
+                continue
+            verts = set(vseq)
+            ends = () if c.closed else (vseq[0], vseq[-1])
+            walks.append(_Walk(w, verts, ends, verts - set(ends)))
+    for e in m.edge_ids():   # an owned edge has its curve's label, never bdy
+        if labels[e].kind is not CurveKind.BDY and e not in owned:
+            return f"labeled edge {e} belongs to no curve", ()
+    return err, tuple(walks)
 
 
 def _left_turn_trail(m: CombMap, start: dict, first: int, used: set[int]):
@@ -267,6 +269,8 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
     """
     m = d.surface
     arc_kind, cyc_kind = _SIDE[green]
+    if all(c.label.kind is not cyc_kind for c in d.curves):
+        return [], None
     cycles: list[list[int]] = []
     start = {}
     for ci, (c, w) in enumerate(zip(d.curves, walks)):
@@ -353,9 +357,10 @@ def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[in
 
 
 def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list[int],
-                  chi: int) -> Optional[_SideReduction]:
+                  hole: list[bool], chi: int) -> Optional[_SideReduction]:
     """The reduction of a side without cycles, found on the uncut surface
-    of Euler characteristic ``chi`` (V - E + interior faces); None where the
+    of dart -> face id ``fid``, dart -> whether in a hole face ``hole`` and
+    Euler characteristic ``chi`` (V - E + interior faces); None where the
     count cannot pass it and the cut must decide.
 
     Cutting the side's s arcs leaves as pieces the classes of interior faces
@@ -366,7 +371,6 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list
     chi + s of them.  Arc copies are numbered as ``_WorkMap.cut`` does."""
     m = d.surface
     alpha, n = m.alpha, m.n_darts
-    hole = [f in m.holes for f in fid]
     on_arc = [False] * n
     arc_copies, top = {}, n   # top: the darts of the cut map so far
     for ci, c in enumerate(d.curves):
@@ -406,23 +410,31 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list
 
 @dataclass
 class _Analysis:
-    """One validity analysis of a diagram: the report and, for a valid
+    """One validity analysis of a diagram: the report, the surface's dart
+    tables (dart -> vertex id, dart -> face id, dart -> whether in a hole
+    face), which every analysis holds, valid or not, and, for a valid
     diagram, the curve walks, both side reductions and the surface's Euler
     characteristic (None if the surface is disconnected).  A side without
-    cycles is counted, not cut, unless the count cannot pass it.
+    cycles is counted, not cut, unless the count cannot pass it.  Later
+    readers of the diagram take its tables from here.
 
     An analysis is shared by every call on an equal diagram (``_analyse``
-    keeps the last two), so no caller may change it, except that
-    ``_surface_key`` fills ``keys`` (mirror -> canonical key) on demand and
-    ``_cut_side`` puts the cut reduction of a counted side in more than one
-    piece in its place, for ``boundary_restriction``."""
+    keeps the last two), so no caller may change it, except that a later
+    call may fill two fields on demand: ``_surface_key`` fills ``keys``
+    (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``.
+    Also, ``_cut_side`` puts the cut reduction of a counted side in more
+    than one piece in its place, for ``boundary_restriction``."""
 
     report: ValidityReport
+    vid: list[int]
+    fid: list[int]
+    hole: list[bool]
     walks: tuple[_Walk, ...] = ()
     green: Optional[_SideReduction] = None
     red: Optional[_SideReduction] = None
     chi: Optional[int] = None
     keys: dict = field(default_factory=dict)
+    invariant: Optional[list] = None
 
 
 def validate(d: PrDiagram) -> ValidityReport:
@@ -473,16 +485,18 @@ def _disjointness_witness(d: PrDiagram, walks: tuple[_Walk, ...],
     """Property 3: the first two curves of one family (u, U, v, V) that share
     a vertex, then the first arc and cycle of one color that meet away from
     their common ends, then a vertex that ends both a u and a v arc; or ""."""
-    fam = {kind: [] for kind in CurveKind}   # kind -> its curve indices
+    # kind's JSON value -> its curve indices, in CurveKind order; a str
+    # hashes in C, where Enum.__hash__ is a Python call
+    fam = {kind: [] for kind in cmb._KIND_ORD}
     for ci, c in enumerate(d.curves):
-        fam[c.label.kind].append(ci)
+        fam[c.label.kind._value_].append(ci)
     for kind, ids in fam.items():
         for i, j in combinations(ids, 2):
             shared = walks[i].verts & walks[j].verts
             if shared:
-                return f"curves {i} and {j} ({kind.value}) share vertex (dart {min(shared)})"
+                return f"curves {i} and {j} ({kind}) share vertex (dart {min(shared)})"
     for arc_kind, cyc_kind in _SIDE.values():
-        for i, j in product(fam[arc_kind], fam[cyc_kind]):
+        for i, j in product(fam[arc_kind._value_], fam[cyc_kind._value_]):
             a, b = walks[i], walks[j]
             if (a.verts & b.verts) - (set(a.ends) & set(b.ends)):
                 return f"curves {i} and {j} meet away from shared endpoints"
@@ -497,15 +511,16 @@ def _analyse(d: PrDiagram) -> _Analysis:
     m = d.surface
     vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
     fid = cmb._face_ids(m.alpha, m.sigma)
-    err = _structure_errors(d)
-    if err is None:
+    hole = [f in m.holes for f in fid]
+    tables = vid, fid, hole
+    err, walks = _curve_walks(d, vid)
+    if not err:
         try:
-            walks = _curve_walks(d, vid)
-            on_boundary = cmb._boundary_vertices(m, vid, fid)
+            on_boundary = cmb._boundary_vertices(m, vid, hole)
         except MapError as exc:
             err = str(exc)
-    if err is not None:
-        return _Analysis(_report(err, *["prerequisite failed"] * 4))
+    if err:
+        return _Analysis(_report(err, *["prerequisite failed"] * 4), *tables)
 
     p1 = _placement_witness(d, walks, on_boundary)
     # Property 2; an arc flagged closed, a p1 failure, has no ends
@@ -521,7 +536,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
     red_cycles, rwit = _assemble_cycles(d, walks, green=False)
     p4 = gwit or rwit or ""
     if p1 or p3 or p4:
-        return _Analysis(_report(p1, p2, p3, p4, "prerequisite failed"))
+        return _Analysis(_report(p1, p2, p3, p4, "prerequisite failed"), *tables)
 
     # chi = V - E + interior faces, from the ids the analysis began with
     chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)
@@ -529,7 +544,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
     sides = []
     for green, cycles in ((True, green_cycles), (False, red_cycles)):
         try:
-            side = None if cycles else _counted_side(d, walks, green, fid, chi)
+            side = None if cycles else _counted_side(d, walks, green, fid, hole, chi)
             side = side or _side_reduction(d, walks, cycles, green, fid)
         except MapError as exc:
             p5 = f"{'green' if green else 'red'} reduction failed: {exc}"
@@ -545,8 +560,8 @@ def _analyse(d: PrDiagram) -> _Analysis:
     # the surface connected without a search.
     if p5 or (min(side.n_components for side in sides) > 1
                       and not cmb._is_connected(m.alpha, m.sigma)):
-        return _Analysis(report, walks, *sides)
-    return _Analysis(report, walks, *sides, chi=chi)
+        return _Analysis(report, *tables, walks, *sides)
+    return _Analysis(report, *tables, walks, *sides, chi=chi)
 
 
 def _require_valid(d: PrDiagram) -> _Analysis:
@@ -563,8 +578,7 @@ def _cut_side(d: PrDiagram, analysis: _Analysis, green: bool) -> _SideReduction:
     name = "green" if green else "red"
     side = getattr(analysis, name)
     if side.comp_of_dart is None:
-        m = d.surface
-        side = _side_reduction(d, analysis.walks, [], green, cmb._face_ids(m.alpha, m.sigma))
+        side = _side_reduction(d, analysis.walks, [], green, analysis.fid)
         setattr(analysis, name, side)
     return side
 
@@ -664,21 +678,44 @@ def pr_canonical_code(d: PrDiagram, mirror: bool = True) -> bytes:
 
 
 def _surface_key(d: PrDiagram, mirror: bool) -> list:
-    keys = _analyse(d).keys
+    analysis = _analyse(d)
+    keys = analysis.keys
     if mirror not in keys:
-        keys[mirror] = cmb._canonical_key(d.surface, mirror)
+        keys[mirror] = cmb._canonical_key(d.surface, mirror, analysis.fid)
     return keys[mirror]
+
+
+def _face_invariant(d: PrDiagram, analysis: _Analysis) -> list:
+    """The (hole bit, sorted label kinds of its darts) of every face of the
+    surface, sorted; made from the analysis's face ids once asked for and
+    kept there.  Equal keys give equal invariants, with or without the
+    mirror: an isomorphism takes faces onto faces with their labels and
+    hole bits, and alpha takes each face onto a face of the mirror with the
+    same labels and hole bit.  The invariant is of the cells the key is made
+    of; if the key is ever made of another structure, it must move with it."""
+    if analysis.invariant is None:
+        kinds: dict[int, list[str]] = {}
+        for f, lb in zip(analysis.fid, d.surface.labels):
+            kinds.setdefault(f, []).append(lb.kind._value_)
+        analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])
+    return analysis.invariant
 
 
 def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
     """Topological equivalence of the recorded flows: label-preserving map
-    isomorphism, decided by canonical keys.  Unless b's key is held or a
-    surface is disconnected, b's roots are traced against a's key instead."""
-    chis = _require_valid(a).chi, _require_valid(b).chi   # None: disconnected
+    isomorphism, decided by canonical keys.  If b's key is held or a surface
+    is disconnected, the two keys are compared.  Otherwise the answer is
+    False, with no key made and no trace, when the face invariants differ;
+    else b's roots are traced against a's key."""
+    held_a, held_b = _require_valid(a), _require_valid(b)
+    compare = None in (held_a.chi, held_b.chi)   # None: disconnected
+    if not (compare or mirror in held_b.keys
+            or _face_invariant(a, held_a) == _face_invariant(b, held_b)):
+        return False
     key = _surface_key(a, mirror)
-    if mirror in _analyse(b).keys or None in chis:
+    if compare or mirror in held_b.keys:
         return key == _surface_key(b, mirror)
-    return cmb._has_key(b.surface, mirror, key)
+    return cmb._has_key(b.surface, mirror, key, held_b.fid)
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +741,10 @@ def to_colored_chord(d: PrDiagram,
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
     m = d.surface
-    alpha, sigma = m.alpha, m.sigma
-    on_hole = set()
-    for x in m.holes:
-        while x not in on_hole:
-            on_hole.add(x)
-            x = sigma[alpha[x]]
+    alpha, sigma, hole = m.alpha, m.sigma, analysis.hole
 
     def hole_dart(t):   # the one hole dart at t's vertex, which leaves it
-        while t not in on_hole:
+        while not hole[t]:
             t = sigma[t]
         return t
 

@@ -116,6 +116,14 @@ MUTANTS = (
     Mutant("prdiag._counted_side wants one piece more than chi + s", "prdiag.py",
            "pieces != chi + len(arc_copies)", "pieces != chi + len(arc_copies) + 1",
            _COUNTED),
+    Mutant("prdiag._face_invariant leaves the faces in face-id order", "prdiag.py",
+           "analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])",
+           "analysis.invariant = [(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()]",
+           ("tests/test_prdiag.py::test_equal_codes_have_equal_face_invariants",
+            "tests/test_prdiag.py::test_equivalent_agrees_with_comparing_codes")),
+    Mutant("combmap._least_roots skips class 1 (sigma and alpha agree)", "combmap.py",
+           "for image in (darts, alpha):", "for image in (darts,):",
+           ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),
     # Costs only time on the classification, but the generator's candidates
     # are pinned exactly, so it is no equivalent mutant.
     Mutant("an entry-1 reject of chord._one_face loosened by one", "chord.py",

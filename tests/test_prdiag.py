@@ -71,6 +71,7 @@ from conftest import (
     make_solid_torus_diagram,
     make_sphere,
     make_torus,
+    mirror_map,
     random_small_map,
     reference_side_cut,
     reference_side_reduction,
@@ -155,11 +156,15 @@ def test_registry_label_mismatch_is_reported():
     st = make_solid_torus_diagram()
     green, red = st.curves
     bdy = EmbeddedCurve((0,), False, CurveLabel(CurveKind.BDY))
+    closed = dataclasses.replace(green, closed=True)
     for curves, witness in [
         ((green,), "labeled edge 10 belongs to no curve"),
         ((green, red, bdy), "curve 2 labeled bdy"),
         ((dataclasses.replace(green, edges=(9,)), red), "curve 0 references non-edge 9"),
         ((green, green, red), "edge 8 belongs to two curves"),
+        # a curve that is no walk, unless a registry fault comes after it
+        ((closed, red), "single-edge curve flagged closed does not loop (edge 8)"),
+        ((closed, red, bdy), "curve 2 labeled bdy"),
     ]:
         rep = validate(PrDiagram(st.surface, curves))
         assert [p.witness for p in rep.properties] == [witness] + ["prerequisite failed"] * 4
@@ -333,7 +338,7 @@ def _chord_off_the_red_cut(d: PrDiagram, sym: SymmetryConvention) -> tuple:
     mark (a red side of several edges is one run, which the start may split).
     Returns the least (matching, point colors) image over the circle's
     rotations and, under DIHEDRAL, its reflections."""
-    walks = pr._curve_walks(d, cmb._orbit_ids(d.surface.sigma))
+    _, walks = pr._curve_walks(d, cmb._orbit_ids(d.surface.sigma))
     m, _, arc_copies = reference_side_cut(d, walks, [], green=False)
     side_of = {m.edge_of(t): (ci, side) for ci, copies in arc_copies.items()
                for side, darts in enumerate(copies) for t in darts}
@@ -455,11 +460,14 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # on an optimal diagram cuts, to_colored_chord included.  Later calls on
     # an equal diagram run no analysis, and equivalent analyses each of its
     # arguments at most once and makes one canonical key, of its first
-    # argument, tracing the second against it
+    # argument, tracing the second against it, unless their face invariants
+    # differ: then it makes no key and traces nothing.  Face ids are found
+    # once per diagram, by its analysis
     events = []
+    face_id_calls = []
     count_side, reduce_side = pr._counted_side, pr._side_reduction
     cut = cmb._WorkMap.cut
-    key, has_key = cmb._canonical_key, cmb._has_key
+    key, has_key, face_ids = cmb._canonical_key, cmb._has_key, cmb._face_ids
 
     def counted_side(*args):
         events.append(("count", args[2]))
@@ -481,6 +489,10 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.append("check")
         return has_key(*args)
 
+    def counted_face_ids(*args):
+        face_id_calls.append(args)
+        return face_ids(*args)
+
     def cold():
         clear_analysis_caches()
         events.clear()
@@ -490,6 +502,7 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
     monkeypatch.setattr(cmb, "_has_key", counted_check)
+    monkeypatch.setattr(cmb, "_face_ids", counted_face_ids)
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
     d = from_colored_chord(ccd)
     counts = [("count", True), ("count", False)]
@@ -506,8 +519,10 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         assert events == [], name
     other = relabel_diagram(d, rng)
     cold()
+    face_id_calls.clear()
     assert equivalent(d, other)
     assert events == counts + counts + ["key", "check"]
+    assert len(face_id_calls) == 2
     events.clear()
     # d's key is held, so other's key is made and the keys compared
     assert equivalent(other, d)
@@ -532,6 +547,16 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     pr_canonical_code(other)
     assert equivalent(d, other) and not equivalent(d, third)
     assert events == counts + ["key"] + counts + ["key"] + counts + ["check"]
+    # a class whose face invariant differs from d's: two analyses, no key
+    # and no trace
+    apart = next(x for x in (from_colored_chord(ccd) for g, ccd in all_colored_classes(3)
+                             if g == 3)
+                 if pr._face_invariant(x, pr._analyse(x)) != pr._face_invariant(d, pr._analyse(d)))
+    cold()
+    face_id_calls.clear()
+    assert not equivalent(d, apart)
+    assert events == counts + counts
+    assert len(face_id_calls) == 2
     # a cycle is cut in the analysis; d3_four_b has a closed green one
     four_b = cat.load_fixture("d3_four_b.json")
     # d3_four_a's u-arc leaves two green pieces, so its flow needs their darts
@@ -887,18 +912,51 @@ def test_json_round_trip_is_the_identity():
         assert chord_from_json(via_text(chord_to_json(ccd.base))) == ccd.base
 
 
+def _invariant(d: PrDiagram) -> list:
+    return pr._face_invariant(d, pr._analyse(d))
+
+
+def _mirrored(d: PrDiagram) -> PrDiagram:
+    """The diagram on the mirror surface: alpha, and so the edge ids, stay."""
+    return PrDiagram(mirror_map(d.surface), d.curves)
+
+
+def test_equal_codes_have_equal_face_invariants(rng):
+    # equivalent answers False, tracing nothing, when the face invariants
+    # differ: sound only if equal codes give equal invariants, with and
+    # without the mirror, on the corpus and its renamed, mirrored and
+    # subdivided copies.  The invariant tells many classes apart.
+    corpus = analysis_corpus()
+    diagrams = list(corpus) + [relabel_diagram(d, rng) for d in corpus]
+    diagrams += [_mirrored(d) for d in corpus] + [subdivide_curves(d, 1) for d in corpus]
+    for mirror in (True, False):
+        invariants = {}   # code -> the invariant of its first diagram
+        for d in diagrams:
+            code = pr_canonical_code(d, mirror)
+            assert invariants.setdefault(code, _invariant(d)) == _invariant(d)
+        distinct = {repr(inv) for inv in invariants.values()}
+        assert len(invariants) == {True: 403, False: 581}[mirror]
+        assert len(distinct) == 153
+
+
 def test_equivalent_agrees_with_comparing_codes(rng):
     # equivalent compares keys when b's is held or a surface is disconnected,
-    # and otherwise traces b's roots against a's key
+    # answers False when the face invariants differ, and otherwise traces
+    # b's roots against a's key.  Both of the last two cases occur, the
+    # traced one also for unequal codes: among them a chiral diagram and its
+    # mirror without the mirror
     pick = random.Random(18)
     sample = pick.sample([d for d in analysis_corpus() if validate(d).valid], 10)
     unions = pick.sample(list(product(small_disks(), repeat=2)), 3)
-    diagrams = sample + [relabel_diagram(d, rng) for d in sample]
+    chiral = next(d for d in analysis_corpus()
+                  if pr_canonical_code(d, False) != pr_canonical_code(_mirrored(d), False))
+    diagrams = sample + [relabel_diagram(d, rng) for d in sample] + [chiral, _mirrored(chiral)]
     diagrams += [PrDiagram(disjoint_union(*pair), ()) for x, y in unions
                  for pair in ((x, y), (y, x))]
     for mirror in (True, False):
         codes = [pr_canonical_code(d, mirror) for d in diagrams]
         same = 0
+        paths = Counter()   # unheld pairs of connected surfaces: (traced, equal codes)
         for held in (False, True):
             for (a, code_a), (b, code_b) in product(zip(diagrams, codes), repeat=2):
                 clear_analysis_caches()
@@ -906,9 +964,14 @@ def test_equivalent_agrees_with_comparing_codes(rng):
                     pr_canonical_code(a, mirror)
                     pr_canonical_code(b, mirror)
                     assert mirror in pr._analyse(b).keys
+                elif pr._analyse(a).chi is not None and pr._analyse(b).chi is not None:
+                    paths[_invariant(a) == _invariant(b), code_a == code_b] += 1
+                    clear_analysis_caches()
                 assert equivalent(a, b, mirror) == (code_a == code_b)
                 same += code_a == code_b
         assert same > 2 * len(diagrams)   # a renamed copy is equivalent too
+        assert paths[False, True] == 0
+        assert min(paths[False, False], paths[True, False], paths[True, True]) > 0
 
 
 @functools.cache
@@ -922,7 +985,7 @@ def _sides_reaching_property5() -> tuple:
     out = []
     for d in corpus + tuple(broken):
         m = d.surface
-        walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
+        _, walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
         fid = cmb._face_ids(m.alpha, m.sigma)
         out += [(d, walks, pr._assemble_cycles(d, walks, green)[0], green, fid)
                 for green in (True, False)]
@@ -1005,7 +1068,8 @@ def test_counted_sides_agree_with_the_cut_by_cut_reference():
             continue
         ref = _reduction(reference_side_reduction, d, walks, cycles, green)
         valid = isinstance(ref, pr._SideReduction) and ref.non_disk is None
-        got = pr._counted_side(d, walks, green, fid, _euler_characteristic(d.surface))
+        hole = [f in d.surface.holes for f in fid]
+        got = pr._counted_side(d, walks, green, fid, hole, _euler_characteristic(d.surface))
         decided.append((got is not None, valid))
         if got is not None:
             assert valid
