@@ -14,10 +14,10 @@ systems live directly on the map and canonical forms are label-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from operator import eq
+from operator import attrgetter, eq
 from typing import Iterable, Optional, Sequence
 
 from ._formats import MAP, check
@@ -67,19 +67,20 @@ _KIND_ORD = {"bdy": 0, "u": 1, "U": 2, "v": 3, "V": 4}
 _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 
-def _keeps_hash(cls):
+def _keeps_hash(*names):
     """Class decorator for a frozen dataclass that is hashed often (every
-    analysis cache lookup hashes its diagram): the hash of the field tuple,
-    the value the generated ``__hash__`` gives, is computed on the first call
-    and kept on the instance.  It never leaves the process, because string
-    hashes are salted per process: pickles and copies leave it behind."""
-    names = [f.name for f in fields(cls)]
+    analysis cache lookup hashes its diagram): the hash of the named fields
+    (their tuple, or the one), which hash in C, is computed on the first call
+    and kept on the instance; equality still compares every field.  The kept
+    hash never leaves the process, because string hashes are salted per
+    process: pickles and copies leave it behind."""
+    key = attrgetter(*names)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash(tuple(getattr(self, name) for name in names))
+            h = hash(key(self))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -88,12 +89,14 @@ def _keeps_hash(cls):
         state.pop("_hash", None)
         return state
 
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+    def decorate(cls):
+        cls.__hash__ = __hash__
+        cls.__getstate__ = __getstate__
+        return cls
+    return decorate
 
 
-@_keeps_hash
+@_keeps_hash("kind", "index")
 @dataclass(frozen=True)
 class CurveLabel:
     kind: CurveKind
@@ -103,14 +106,15 @@ class CurveLabel:
 _BDY = CurveLabel(CurveKind.BDY)
 
 
-@_keeps_hash
+@_keeps_hash("alpha", "sigma", "holes")
 @dataclass(frozen=True)
 class CombMap:
     """Immutable labeled combinatorial map.
 
     ``alpha`` and ``sigma`` are permutations of 0..n_darts-1, ``labels`` holds
     one CurveLabel per dart (both darts of an edge agree), ``holes`` is the
-    set of face ids (smallest dart of the face orbit) marked as holes.
+    set of face ids (smallest dart of the face orbit) marked as holes.  It
+    hashes by alpha, sigma and holes: a label's hash is a Python call.
     """
 
     alpha: tuple[int, ...]
@@ -575,31 +579,32 @@ def _least_roots(m: CombMap, mirror: bool, fid: Sequence[int]) -> list[tuple]:
     mirror whose first atom is the least, from the map's dart -> face id
     ``fid``.  The first atom orders roots by class, 0 if sigma fixes the
     root ((0, 1) as ids), 1 if sigma and alpha agree on it ((1, 1)), else 2
-    ((1, 2)), then by tail: so the least class present in either variant
-    is found by C-level scans, and its roots of least tail are returned,
-    variant by variant in dart order.  Any other root's trace is larger at
-    its first atom."""
+    ((1, 2)), then by tail; any other root's trace is larger at its first
+    atom.  The mirror's sigma, sigma's inverse, fixes the darts sigma fixes
+    and takes alpha(d) to d = alpha(alpha(d)) iff sigma(d) = alpha(d); so one
+    C-level scan of the map finds the least class of both, and the mirror's
+    roots in it are the map's (class 0) or their alpha images (1, or 2:
+    every dart).  The roots of least tail over both are returned, the map's
+    in dart order, then the mirror's."""
     n = m.n_darts
     alpha, sigma = m.alpha, m.sigma
     tail = [2 * _KIND_ORD[lb.kind._value_] + (f in m.holes) for lb, f in zip(m.labels, fid)]
-    variants = [(sigma, tail)]
+    darts = roots = range(n)   # class 2 unless a root of class 0 or 1 is present
+    for image in (darts, alpha):   # class 0, then class 1
+        if any(map(eq, sigma, image)):
+            roots = list(compress(darts, map(eq, sigma, image)))
+            break
+    found = [(sigma, tail, roots)]
     if mirror:
         inv = [0] * n
         for d, s in enumerate(sigma):
             inv[s] = d
         # alpha takes each face of m onto a face of the mirror, reversed, and
         # both darts of an edge have one kind
-        variants.append((inv, list(map(tail.__getitem__, alpha))))
-    darts = range(n)
-    for image in (darts, alpha):   # class 0, then class 1
-        found = [(sg, tl, list(compress(darts, map(eq, sg, image)))) for sg, tl in variants]
-        if any(roots for _, _, roots in found):
-            break
-    else:   # every root is in class 2
-        found = [(sg, tl, darts) for sg, tl in variants]
-    least = min(min(map(tl.__getitem__, roots), default=10)   # a tail is below 10
-                for _, tl, roots in found)
-    return [(sg, tl, root) for sg, tl, roots in found for root in roots if tl[root] == least]
+        found.append((inv, list(map(tail.__getitem__, alpha)),
+                      list(map(image.__getitem__, roots))))
+    least = min(min(map(tl.__getitem__, rts)) for _, tl, rts in found)
+    return [(sg, tl, root) for sg, tl, rts in found for root in rts if tl[root] == least]
 
 
 def _canonical_key(m: CombMap, mirror: bool, fid: Sequence[int]) -> list:
@@ -626,6 +631,11 @@ def _has_key(m: CombMap, mirror: bool, key: list, fid: Sequence[int]) -> bool:
     return False
 
 
+# _DECIMAL[i] is str(i): _key_code reads an atom's ids here, not formatting
+# them, and replaces it by one of twice the largest dart count it has seen.
+_DECIMAL: list[str] = []
+
+
 def _key_code(key: list, n: int, mirror: bool) -> bytes:
     """The cm1 code of the canonical key of a map with n darts."""
     if not key:
@@ -633,8 +643,12 @@ def _key_code(key: list, n: int, mirror: bool) -> bytes:
     head = f"cm1[{'dih' if mirror else 'rot'}]|n={n}|".encode("ascii")
     if len(key) < n:
         return head + b" ".join(key)
+    global _DECIMAL
+    ids = _DECIMAL   # read once: a table is never changed, only replaced
+    if len(ids) < n:
+        ids = _DECIMAL = list(map(str, range(2 * n)))
     n10 = 10 * n
-    return head + ";".join([f"{x // n10},{x // 10 % n},{_TAIL_TEXT[x % 10]}"
+    return head + ";".join([f"{ids[x // n10]},{ids[x // 10 % n]},{_TAIL_TEXT[x % 10]}"
                             for x in key]).encode("ascii")
 
 

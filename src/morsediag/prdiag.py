@@ -90,10 +90,10 @@ _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
 }
 
 
-@cmb._keeps_hash
+@cmb._keeps_hash("surface")
 @dataclass(frozen=True)
 class PrDiagram:
-    """Surface map plus registry of embedded curves."""
+    """Surface map plus registry of embedded curves; hashed by its surface."""
 
     surface: CombMap
     curves: tuple[EmbeddedCurve, ...]
@@ -458,8 +458,14 @@ _PROPERTIES = ("p1_placement", "p2_cycle_endpoints", "p3_disjointness",
                "p4_left_turn_cycles", "p5_disk_reduction")
 
 
+# The one report of every valid diagram; reports are frozen, so it is shared.
+_VALID = ValidityReport(tuple(PropertyVerdict(name, True) for name in _PROPERTIES))
+
+
 def _report(*witnesses: str) -> ValidityReport:
-    """The report of the five properties' witnesses, "" for a pass."""
+    """The report of the five properties' witnesses, "" for a pass (_VALID)."""
+    if not any(witnesses):
+        return _VALID
     return ValidityReport(tuple(PropertyVerdict(name, not w, w)
                                 for name, w in zip(_PROPERTIES, witnesses)))
 

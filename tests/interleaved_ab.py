@@ -1,0 +1,120 @@
+"""In-process A/B timing of two source trees on the diagram-analysis work.
+
+    python tests/interleaved_ab.py A_SRC B_SRC [--seed N] [--passes P]
+
+A_SRC and B_SRC are directories that each hold a ``morsediag`` package (a
+checkout's ``src``).  Both are imported into this one process, under the
+package names ``morsediag_a`` and ``morsediag_b``, and each builds the
+inputs of ``bench/workloads.py``'s diagram-analysis workload from the same
+seed.  Every pass draws each tree's inputs anew, then runs the operations
+one by one on A and on B in turn, A first on even operations and B first on
+odd ones, so both trees see the same machine speed, the same cache state
+and the same garbage-collector pressure, to within one operation.  An
+operation is the call chain of ``DiagramAnalysis.run_pass``: rebuild,
+validate, census, Morse checks, boundary flow, conversion back, the two
+canonical codes and the two equivalence calls.
+
+It prints each tree's pass times and their median, and the median over all
+operations of the latency ratio B / A of the two runs of one operation.  A
+tree compared with itself (A/A) shows the noise floor of the ratio.  The
+script exits 1 if the two trees give different outputs on any operation:
+the report, census, Morse checks, boundary flow, colored class, canonical
+codes or equivalence verdicts.  Stdlib only; it reads ``bench/workloads.py``
+and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402  (bench/ is put on the path above)
+from tracer import MODULES  # noqa: E402
+
+
+def load_tree(src: Path, name: str) -> SimpleNamespace:
+    """The package under ``src/morsediag`` imported as ``name``, as the
+    namespace of its modules that the workloads take."""
+    pkg = src.resolve() / "morsediag"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def operation(m, canonical_colored, ccd, renamed, other) -> tuple[float, tuple]:
+    """One diagram-analysis operation: its latency and its outputs as plain
+    values, which two trees can compare."""
+    pr = m.prdiag
+    t0 = time.perf_counter()
+    d = pr.from_colored_chord(ccd)
+    report = pr.validate(d)
+    census = pr.census(d)
+    morse = pr.morse_checks(d)
+    flow = pr.boundary_restriction(d)
+    back = pr.to_colored_chord(d)
+    code = pr.pr_canonical_code(d)
+    code_renamed = pr.pr_canonical_code(renamed)
+    same = pr.equivalent(d, renamed)
+    differs = pr.equivalent(d, other)
+    latency = time.perf_counter() - t0
+    return latency, (report.to_json(), census.as_tuple(), morse.to_json(), flow.to_json(),
+                     canonical_colored(back), code, code_renamed, same, differs)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="source tree A (holds morsediag/)")
+    ap.add_argument("b", type=Path, help="source tree B (holds morsediag/)")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=10)
+    args = ap.parse_args()
+
+    trees = [load_tree(args.a, "morsediag_a"), load_tree(args.b, "morsediag_b")]
+    runs = [workloads.DiagramAnalysis(m, args.seed, ROOT) for m in trees]
+    if [c.code for c in runs[0].cases] != [c.code for c in runs[1].cases]:
+        print("FAIL: the two trees draw different cases")
+        return 1
+    print(f"# {len(runs[0].cases)} operations a pass, seed {args.seed}, "
+          f"Python {sys.version.split()[0]}")
+    pass_times = [[], []]
+    ratios = []
+    for p in range(args.passes):
+        inputs = [w.draw() for w in runs]
+        totals = [0.0, 0.0]
+        for i in range(len(runs[0].cases)):
+            got = [None, None]
+            for t in (0, 1) if i % 2 == 0 else (1, 0):
+                got[t] = operation(trees[t], runs[t].canonical_colored, *inputs[t][i])
+            if got[0][1] != got[1][1]:
+                print(f"FAIL: pass {p}, operation {i} (genus {runs[0].cases[i].genus}): "
+                      "the two trees give different outputs")
+                return 1
+            totals[0] += got[0][0]
+            totals[1] += got[1][0]
+            ratios.append(got[1][0] / got[0][0])
+        for t in (0, 1):
+            pass_times[t].append(totals[t])
+        print(f"pass {p}: A {totals[0]:.4f} s, B {totals[1]:.4f} s, "
+              f"B/A {totals[1] / totals[0]:.4f}")
+    med = [statistics.median(times) for times in pass_times]
+    ratio = statistics.median(ratios)
+    print(f"median pass: A {med[0]:.4f} s, B {med[1]:.4f} s; median B/A over "
+          f"{len(ratios)} operation pairs {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); "
+          "outputs identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -124,6 +124,44 @@ MUTANTS = (
     Mutant("combmap._least_roots skips class 1 (sigma and alpha agree)", "combmap.py",
            "for image in (darts, alpha):", "for image in (darts,):",
            ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),
+    Mutant("combmap._least_roots gives the mirror the map's own class-1 roots", "combmap.py",
+           "list(map(image.__getitem__, roots))", "roots",
+           ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),
+    # the first call grows the table to twice its map's dart count, so a
+    # larger map later reads past its end
+    Mutant("combmap._key_code's decimal table never grows", "combmap.py",
+           "if len(ids) < n:", "if not ids:",
+           ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",
+            "tests/test_combmap.py::test_canonical_code_equals_full_trace_reference")),
+    Mutant("prdiag._report shares the valid report whenever property 1 passes", "prdiag.py",
+           "if not any(witnesses):", "if not witnesses[0]:",
+           ("tests/test_prdiag.py::test_shared_endpoint_violates_property3",
+            "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest")),
+    # equality, and so every result, is unchanged: only the pinned hash rule
+    # tells it apart
+    Mutant("CombMap hashes its labels again", "combmap.py",
+           '@_keeps_hash("alpha", "sigma", "holes")',
+           '@_keeps_hash("alpha", "sigma", "labels", "holes")',
+           ("tests/test_prdiag.py::test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
+            "tests/test_prdiag.py::test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses")),
+    Mutant("is_river's window spaced by 2", "chord.py",
+           "for p in range(start, start + g))", "for p in range(start, start + 2 * g, 2))",
+           ("tests/test_chord.py::test_river_agrees_with_selection_brute_force",
+            "tests/test_chord.py::test_point_color_river_test_agrees_with_both_oracles",
+            "tests/test_acceptance.py::test_criterion_03_genus3_counts_and_convention")),
+    Mutant("_least_image drops its reflection ties", "chord.py",
+           "tied += [maps[pts + q] for q in range(pts) if pts - spans[q] == first]",
+           "tied += []",
+           ("tests/test_chord.py::test_canonical_chord_equals_the_brute_force_least_image",
+            "tests/test_chord.py::test_canonical_colored_equals_the_brute_force_least_image",
+            "tests/test_chord.py::test_convention_pinning")),
+    # _noncrossing_subsets's crossing block is the "ignores the crossings of
+    # its chosen chord" mutant above; this is is_river's, both colors
+    Mutant("is_river with no crossing block", "chord.py",
+           "    if any(_crossing_within(crossed, colors, color) for color in (GREEN, RED)):\n"
+           "        return False\n", "",
+           ("tests/test_chord.py::test_river_rejects_crossing_reds",
+            "tests/test_chord.py::test_river_agrees_with_selection_brute_force")),
     # Costs only time on the classification, but the generator's candidates
     # are pinned exactly, so it is no equivalent mutant.
     Mutant("an entry-1 reject of chord._one_face loosened by one", "chord.py",
@@ -143,6 +181,13 @@ SURVIVORS = (
            ("tests/test_chord.py::test_river_agrees_with_selection_brute_force",
             "tests/test_chord.py::test_point_color_river_test_agrees_with_both_oracles"),
            survives="start len(pcol) reads the points of start 0 again"),
+    Mutant("chord._one_face without its first-step prune", "chord.py",
+           "stop = points // 2 + 1 if root else", "stop = points if root else",
+           ("tests/test_chord.py::test_rooted_generator_yields_the_least_span_matchings",
+            "tests/test_chord.py::test_orbit_sizes_sum_to_harer_zagier_count"),
+           survives="a first chord (0, b) past the diameter sets span = b > points // 2, "
+                    "and no later chord meets span <= b' - a <= points - span: the "
+                    "subtree yields nothing, so the bound only saves time"),
 )
 
 

@@ -588,12 +588,12 @@ def _fresh_copy(d: PrDiagram) -> PrDiagram:
                            for c in d.curves))
 
 
-def test_kept_hash_is_the_field_tuple_hash_and_fields_stay_as_they_were():
+def test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     d = cat.load_fixture("solid_torus.json")
     m = d.surface
     texts = (repr(d), repr(m), repr(m.labels[0]))
-    assert hash(d) == hash((m, d.curves))
-    assert hash(m) == hash((m.alpha, m.sigma, m.labels, m.holes))
+    assert hash(d) == hash(d.surface)
+    assert hash(m) == hash((m.alpha, m.sigma, m.holes))
     assert hash(m.labels[0]) == hash((m.labels[0].kind, m.labels[0].index))
     assert (repr(d), repr(m), repr(m.labels[0])) == texts
     assert [f.name for f in dataclasses.fields(PrDiagram)] == ["surface", "curves"]
@@ -609,15 +609,44 @@ def test_kept_hash_is_the_field_tuple_hash_and_fields_stay_as_they_were():
         d.curves = ()
 
 
-def test_replace_gives_a_copy_hashed_by_its_own_fields():
+def test_replace_gives_a_copy_hashed_by_its_own_named_fields():
     d = cat.load_fixture("solid_torus.json")
     m = d.surface
     hash(d)
     fewer = dataclasses.replace(d, curves=d.curves[:1])
-    assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash((m, d.curves[:1]))
+    assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash(m)
     no_holes = dataclasses.replace(m, holes=frozenset())
-    assert hash(no_holes) == hash(CombMap(m.alpha, m.sigma, m.labels, frozenset()))
+    assert hash(no_holes) == hash(CombMap(m.alpha, m.sigma, m.labels, frozenset())) \
+        == hash((m.alpha, m.sigma, frozenset()))
     assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
+
+
+def test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses():
+    # the solid torus and a copy whose u arc and boundary edge 0 trade
+    # labels, the u curve following: same alpha, sigma and holes, so the
+    # hash, which leaves labels out, is shared, and equality tells them
+    # apart, in the analysis cache too
+    d = cat.load_fixture("solid_torus.json")
+    m = d.surface
+    trade = {0: 8, 1: 9, 8: 0, 9: 1}
+    labels = tuple(m.labels[trade.get(x, x)] for x in range(m.n_darts))
+    moved = PrDiagram(CombMap(m.alpha, m.sigma, labels, m.holes),
+                      tuple(EmbeddedCurve(tuple(trade.get(e, e) for e in c.edges), c.closed,
+                                          c.label) for c in d.curves))
+    assert sorted(labels, key=repr) == sorted(m.labels, key=repr)
+    assert hash(moved) == hash(d) and hash(moved.surface) == hash(m)
+    assert moved != d and d != moved and moved.surface != m
+    pr._analyse.cache_clear()
+    first, second = pr._analyse(d), pr._analyse(moved)
+    assert first is not second and pr._analyse.cache_info().currsize == 2
+    assert pr._analyse(d) is first and pr._analyse(moved) is second
+    assert validate(d).valid and validate(d) is first.report
+    assert validate(moved) is second.report
+    assert second.report.first_failure() == \
+        "p3_disjointness: u and v arcs share endpoint (dart 1)"
+    for mirror in (True, False):
+        assert pr_canonical_code(moved, mirror) != pr_canonical_code(d, mirror)
+        assert first.keys[mirror] != second.keys[mirror]
 
 
 _PICKLE_IN = """
