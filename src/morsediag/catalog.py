@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from itertools import pairwise
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as encode_string
 from operator import attrgetter, is_
@@ -33,13 +34,31 @@ class SchemaViolation(ValueError):
     pass
 
 
+class _Flags(dict):
+    """The flags of the entries that report_entries and load_catalog build:
+    one read-only dict per distinct value; pickle, copy and asdict keep it so."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("catalog entry flags are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Flags, (dict(self),)
+
+
 @dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One classified object; the canonical code is the deduplication key.
 
     Its fields are slots: a catalog holds one entry per class, and an
     instance __dict__ would add to each entry's memory and to the objects
-    the garbage collector tracks."""
+    the garbage collector tracks.  So the entries that report_entries and
+    load_catalog build share one read-only flags dict per distinct value;
+    dataclasses.replace(e, flags={...}) gives an entry other flags.  An
+    entry built by hand keeps the mapping it is given."""
 
     code: str
     kind: str
@@ -138,7 +157,7 @@ def _entry_from_json(obj: dict, lineno: int) -> CatalogEntry:
         raise SchemaViolation(f"line {lineno}: field 'genus' must be an integer")
     if type(obj["flags"]) is not dict:
         raise SchemaViolation(f"line {lineno}: field 'flags' must be an object")
-    return _entry(obj["code"], kind, obj["genus"], dict(obj["flags"]), obj["source"],
+    return _entry(obj["code"], kind, obj["genus"], _Flags(obj["flags"]), obj["source"],
                   obj["tool_version"])
 
 
@@ -184,11 +203,9 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
     kind, genus, flags, source and tool_version (_lines).  The lines are
     streamed to the file, never held together."""
     items = sorted(entries, key=attrgetter("code"))
-    seen = set()
-    for e in items:
-        if e.code in seen:
+    for prev, e in pairwise(items):
+        if prev.code == e.code:
             raise SchemaViolation(f"duplicate code {e.code!r}")
-        seen.add(e.code)
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(_lines(items))
@@ -228,7 +245,7 @@ def load_catalog(path) -> list[CatalogEntry]:
     A line that begins like every line save_catalog writes is split into
     its code, read with json.decoder.scanstring, and the tail of its other
     fields; each distinct tail is parsed and checked once (_tail_entry), and
-    the entries that share it get their own copies of its flags.  Any other
+    the entries that share it share its read-only flags dict.  Any other
     line is parsed whole with json.loads, and so is every line when a
     fast-path step fails, so that each error is reported as json.loads and
     _entry_from_json report it."""
@@ -259,7 +276,7 @@ def load_catalog(path) -> list[CatalogEntry]:
                         if tail in tails:
                             first = tails[tail]
                             if first is not None:
-                                entry = _entry(code, first.kind, first.genus, dict(first.flags),
+                                entry = _entry(code, first.kind, first.genus, first.flags,
                                                first.source, first.tool_version)
                         else:
                             entry = tails[tail] = _tail_entry(tail, code, lineno)
@@ -280,14 +297,16 @@ def load_catalog(path) -> list[CatalogEntry]:
 
 
 def report_entries(report, tool_version: str = "") -> list[CatalogEntry]:
-    """Catalog entries for every class in a classification report."""
+    """Catalog entries for every class in a classification report; they
+    share three read-only flags dicts: bases, colored, and colored river."""
     river = set(report.river_codes)
     genus = report.genus
-    entries = [_entry(code, KIND_BASE, genus, {"one_face": True}, "enumerated", tool_version)
+    base = _Flags(one_face=True)
+    colored = [_Flags(one_face=True, optimal=True, river=r) for r in (False, True)]
+    entries = [_entry(code, KIND_BASE, genus, base, "enumerated", tool_version)
                for code in report.base_codes]
-    entries += [_entry(code, KIND_COLORED, genus,
-                       {"one_face": True, "optimal": True, "river": code in river},
-                       "enumerated", tool_version)
+    entries += [_entry(code, KIND_COLORED, genus, colored[code in river], "enumerated",
+                       tool_version)
                 for code in report.colored_codes]
     return entries
 

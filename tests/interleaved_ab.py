@@ -1,10 +1,12 @@
-"""In-process A/B timing of two source trees on the diagram-analysis work.
+"""In-process A/B timing of two source trees on one benchmark workload.
 
-    python tests/interleaved_ab.py A_SRC B_SRC [--seed N] [--passes P]
+    python tests/interleaved_ab.py A_SRC B_SRC [--workload W] [--seed N] [--passes P]
 
 A_SRC and B_SRC are directories that each hold a ``morsediag`` package (a
 checkout's ``src``).  Both are imported into this one process, under the
-package names ``morsediag_a`` and ``morsediag_b``, and each builds the
+package names ``morsediag_a`` and ``morsediag_b``.
+
+With ``--workload diagram-analysis`` (the default) each tree builds the
 inputs of ``bench/workloads.py``'s diagram-analysis workload from the same
 seed.  Every pass draws each tree's inputs anew, then runs the operations
 one by one on A and on B in turn, A first on even operations and B first on
@@ -19,8 +21,20 @@ operations of the latency ratio B / A of the two runs of one operation.  A
 tree compared with itself (A/A) shows the noise floor of the ratio.  The
 script exits 1 if the two trees give different outputs on any operation:
 the report, census, Morse checks, boundary flow, colored class, canonical
-codes or equivalence verdicts.  Stdlib only; it reads ``bench/workloads.py``
-and changes nothing there.
+codes or equivalence verdicts.
+
+With ``--workload classify-g4`` each tree classifies genus 4 once, and every
+pass runs the catalog round trip of that report on A and on B in turn, A
+first on even passes and B first on odd ones: ``report_entries``,
+``save_catalog`` to a temporary file and ``load_catalog``.  The one-pass
+benchmark times classify and the round trip together, once per process, so
+the machine's speed from run to run sets its spread; here both trees run
+side by side.  It prints each tree's median round trip, the median over
+passes of the ratio B / A, and each tree's ``tracemalloc`` peak over one
+more round trip.  The script exits 1 if the two trees' reports, catalog
+files or entries read back differ.  The seed does not apply.
+
+Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -30,7 +44,9 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -73,15 +89,7 @@ def operation(m, canonical_colored, ccd, renamed, other) -> tuple[float, tuple]:
                      canonical_colored(back), code, code_renamed, same, differs)
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("a", type=Path, help="source tree A (holds morsediag/)")
-    ap.add_argument("b", type=Path, help="source tree B (holds morsediag/)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--passes", type=int, default=10)
-    args = ap.parse_args()
-
-    trees = [load_tree(args.a, "morsediag_a"), load_tree(args.b, "morsediag_b")]
+def diagram_analysis(trees, args) -> int:
     runs = [workloads.DiagramAnalysis(m, args.seed, ROOT) for m in trees]
     if [c.code for c in runs[0].cases] != [c.code for c in runs[1].cases]:
         print("FAIL: the two trees draw different cases")
@@ -114,6 +122,73 @@ def main() -> int:
           f"{len(ratios)} operation pairs {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); "
           "outputs identical")
     return 0
+
+
+def round_trip(m, report, path: Path) -> tuple[float, list]:
+    """One catalog round trip of a classify report: its latency and the
+    entries read back."""
+    catalog = m.catalog
+    t0 = time.perf_counter()
+    entries = catalog.report_entries(report)
+    catalog.save_catalog(entries, path)
+    loaded = catalog.load_catalog(path)
+    return time.perf_counter() - t0, loaded
+
+
+def classify_g4(trees, args) -> int:
+    reports = [m.chord.classify(4, workers=1) for m in trees]
+    outputs = [(r.counts(), r.base_codes, r.colored_codes, r.river_codes) for r in reports]
+    if outputs[0] != outputs[1]:
+        print("FAIL: the two trees classify genus 4 differently")
+        return 1
+    print(f"# catalog round trip of {len(reports[0].base_codes) + len(reports[0].colored_codes)} "
+          f"genus-4 classes, Python {sys.version.split()[0]}")
+    times = [[], []]
+    ratios = []
+    with tempfile.TemporaryDirectory(prefix="morsediag-ab-") as tmp:
+        paths = [Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"]
+        for p in range(args.passes):
+            got = [None, None]
+            for t in (0, 1) if p % 2 == 0 else (1, 0):
+                got[t] = round_trip(trees[t], reports[t], paths[t])
+            if paths[0].read_bytes() != paths[1].read_bytes():
+                print(f"FAIL: pass {p}: the two trees write different catalogs")
+                return 1
+            if [e.to_json() for e in got[0][1]] != [e.to_json() for e in got[1][1]]:
+                print(f"FAIL: pass {p}: the two trees read back different entries")
+                return 1
+            for t in (0, 1):
+                times[t].append(got[t][0])
+            ratios.append(got[1][0] / got[0][0])
+            print(f"pass {p}: A {got[0][0]:.4f} s, B {got[1][0]:.4f} s, B/A {ratios[-1]:.4f}")
+        peaks = []
+        for t in (0, 1):
+            tracemalloc.start()   # the peak holds both lists of entries
+            round_trip(trees[t], reports[t], paths[t])
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.stop()
+    med = [statistics.median(ts) for ts in times]
+    ratio = statistics.median(ratios)
+    print(f"median round trip: A {med[0]:.4f} s, B {med[1]:.4f} s; median B/A over "
+          f"{len(ratios)} passes {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); tracemalloc "
+          f"peak A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB; outputs identical")
+    return 0
+
+
+WORKLOADS = {"diagram-analysis": diagram_analysis, "classify-g4": classify_g4}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="source tree A (holds morsediag/)")
+    ap.add_argument("b", type=Path, help="source tree B (holds morsediag/)")
+    ap.add_argument("--workload", choices=WORKLOADS, default="diagram-analysis")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=10)
+    args = ap.parse_args()
+
+    trees = [load_tree(args.a, "morsediag_a"), load_tree(args.b, "morsediag_b")]
+    return WORKLOADS[args.workload](trees, args)
 
 
 if __name__ == "__main__":

@@ -167,6 +167,17 @@ MUTANTS = (
     Mutant("an entry-1 reject of chord._one_face loosened by one", "chord.py",
            "if gap + 1 < second and", "if gap + 2 < second and",
            ("tests/test_chord.py::test_rooted_generator_yields_the_least_span_matchings",)),
+    # equal copies change no result: only the pin on shared flags tells them apart
+    Mutant("load_catalog copies each entry's flags again", "catalog.py",
+           "entry = _entry(code, first.kind, first.genus, first.flags,",
+           "entry = _entry(code, first.kind, first.genus, _Flags(first.flags),",
+           ("tests/test_catalog.py::test_each_distinct_tail_is_parsed_once",)),
+    Mutant("catalog._Flags lets update through", "catalog.py",
+           "setdefault = update = _read_only", "setdefault = _read_only",
+           ("tests/test_catalog.py::test_package_built_flags_are_read_only",)),
+    Mutant("save_catalog compares each code with the one two places back", "catalog.py",
+           "pairwise(items)", "zip(items, items[2:])",
+           ("tests/test_catalog.py::test_duplicate_code_rejected",)),
 )
 
 SURVIVORS = (

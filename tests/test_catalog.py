@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import json
+import operator
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -45,8 +48,12 @@ def test_duplicate_code_rejected(tmp_path):
         cat.load_catalog(path)
     assert "line 10" in str(exc.value)
     assert "code" in str(exc.value)
-    with pytest.raises(cat.SchemaViolation):
-        cat.save_catalog(entries + [entries[0]], tmp_path / "dup2.jsonl")
+    # the duplicate is found among sorted neighbours, before the file is opened
+    dup = tmp_path / "dup2.jsonl"
+    with pytest.raises(cat.SchemaViolation) as exc:
+        cat.save_catalog(entries + [entries[0]], dup)
+    assert str(exc.value) == f"duplicate code {entries[0].code!r}"
+    assert not dup.exists()
 
 
 def test_schema_violations_carry_line_and_field(tmp_path):
@@ -157,8 +164,67 @@ def test_each_distinct_tail_is_parsed_once(tmp_path, monkeypatch):
     assert loaded == sorted(entries, key=lambda e: e.code)
     # bases; colored river and not river
     assert len(calls) == len(set(calls)) == 3
-    # entries that share a tail share no flags dict
-    assert len({id(e.flags) for e in loaded}) == len(loaded)
+    # entries that share a tail share its read-only flags dict, as those of
+    # report_entries share theirs
+    assert len({id(e.flags) for e in loaded}) == 3
+    assert len({id(e.flags) for e in entries}) == 3
+    assert all(type(e.flags) is cat._Flags for e in loaded + entries)
+
+
+_MUTATORS = {
+    "__setitem__": lambda f: operator.setitem(f, "one_face", False),
+    "__delitem__": lambda f: operator.delitem(f, "one_face"),
+    "__ior__": lambda f: operator.ior(f, {"one_face": False}),
+    "clear": lambda f: f.clear(),
+    "pop": lambda f: f.pop("one_face"),
+    "popitem": lambda f: f.popitem(),
+    "setdefault": lambda f: f.setdefault("new", True),
+    "update": lambda f: f.update(one_face=False),
+}
+
+
+def test_package_built_flags_are_read_only(tmp_path):
+    entries = cat.report_entries(classify(3), tool_version=__version__)
+    path = tmp_path / "g3.jsonl"
+    cat.save_catalog(entries, path)
+    # a line parsed whole gets read-only flags of its own
+    path.write_text(path.read_text() + json.dumps(dict(entries[0].to_json(), code="x")) + "\n")
+    loaded = cat.load_catalog(path)
+    everything = entries + loaded
+    before = [(e.code, dict(e.flags)) for e in everything]
+    for name, mutate in _MUTATORS.items():
+        for flags in {id(e.flags): e.flags for e in everything}.values():
+            with pytest.raises(TypeError, match="^catalog entry flags are read-only$"):
+                mutate(flags)
+        assert [(e.code, dict(e.flags)) for e in everything] == before, name
+
+
+@pytest.mark.parametrize("round_trip", [
+    lambda e: pickle.loads(pickle.dumps(e)),
+    copy.copy,
+    copy.deepcopy,
+    lambda e: cat.CatalogEntry(**dataclasses.asdict(e)),
+], ids=["pickle", "copy", "deepcopy", "asdict"])
+def test_round_trips_keep_flags_read_only(round_trip):
+    for e in cat.report_entries(classify(2), tool_version=__version__)[-2:]:
+        again = round_trip(e)
+        assert again == e and again.flags == e.flags
+        assert type(again.flags) is cat._Flags
+        with pytest.raises(TypeError, match="read-only"):
+            again.flags["river"] = not e.flags["river"]
+
+
+def test_hand_built_entries_keep_the_mapping_they_are_given():
+    flags = {"one_face": True}
+    built = cat.CatalogEntry("c", cat.KIND_BASE, 1, flags=flags)
+    assert built.flags is flags
+    assert type(cat.CatalogEntry("c", cat.KIND_BASE, 1).flags) is dict
+    # replace is the way to give a package-built entry other flags
+    entry = cat.report_entries(classify(1))[0]
+    changed = dataclasses.replace(entry, flags={"one_face": False, "note": "x"})
+    changed.flags["note"] = "y"
+    assert changed.flags == {"one_face": False, "note": "y"}
+    assert entry.flags == {"one_face": True}
 
 
 @pytest.mark.parametrize("sort_keys", [True, False])
