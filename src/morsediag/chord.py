@@ -17,6 +17,7 @@ acceptance suite pins 1, 5, 179 against independent orbit counts.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -635,7 +636,7 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     codes in one pass (_classify_base), with the orbit-stabiliser check on
     colorings and the river test on the point colors; the codes are sorted
     once, here.  workers > 1 runs the jobs in a pool of that many processes,
-    which is no faster than one worker: at genus 4 the pool's start-up and
+    but no more than os.cpu_count(), which is no faster than one worker: at genus 4 the pool's start-up and
     the pickling of the 7,258 jobs and their results cost about as much as
     the second process saves."""
     from .catalog import CatalogReport
@@ -649,7 +650,7 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
             results = pool.map(_classify_base, jobs)
     else:
         results = map(_classify_base, jobs)

@@ -403,13 +403,13 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
 
 
 class _WorkMap:
-    """A map that a sequence of cuts rewrites in place.
+    """A map that a cut rewrites in place.
 
     ``alpha``, ``sigma`` and ``labels`` are lists; ``in_hole[d]`` says whether
     dart d lies in a hole face, read at the start from ``fid``, the map's
-    dart -> face id.  A cut recomputes that flag only on the faces through
+    dart -> face id.  The cut recomputes that flag only on the faces through
     its curve darts and their new copies, which are all the faces it
-    changes, so faces and components are found once, after the last cut."""
+    changes."""
 
     def __init__(self, m: CombMap, fid: Sequence[int]):
         self.alpha = list(m.alpha)
@@ -417,14 +417,13 @@ class _WorkMap:
         self.labels = list(m.labels)
         self.in_hole = [f in m.holes for f in fid]
 
-    def cut(self, walk: Sequence[int], closed: bool, label_q: Optional[CurveLabel],
-            slits_are_holes: bool) -> dict[int, int]:
+    def cut(self, walk: Sequence[int], closed: bool, slits_are_holes: bool) -> dict[int, int]:
         """Cut along an oriented dart walk; returns copy_q, each curve dart's
         fresh Q copy.  Darts keep their ids, the curve darts on the P side:
         the corner side, at each traversal vertex the darts strictly
-        sigma-between arrival and departure.  P's curve darts become
-        boundary, Q's take ``label_q`` (None keeps the curve label).  With
-        ``slits_are_holes`` both faces of a closed curve's slit are holes."""
+        sigma-between arrival and departure.  Both copies of the curve
+        become boundary.  With ``slits_are_holes`` both faces of a closed
+        curve's slit are holes."""
         alpha, sigma, labels, in_hole = self.alpha, self.sigma, self.labels, self.in_hole
         n, k = len(alpha), len(walk)
         copy_q = {}
@@ -466,9 +465,8 @@ class _WorkMap:
                 writes += ((x, d), (qd, sx), (y, qd)) if sx != d else ((x, d), (qd, qd))
 
         for t in walk:
-            lab = labels[t]
             alpha += (len(alpha) + 1, len(alpha))
-            labels += [lab if label_q is None else label_q] * 2
+            labels += (_BDY, _BDY)
             labels[t] = labels[alpha[t]] = _BDY
         sigma += [0] * (2 * k)
         for x, y in writes:
@@ -510,8 +508,7 @@ class _WorkMap:
 def _cut_one(m: CombMap, curve: EmbeddedCurve, slits_are_holes: bool) -> CombMap:
     """The map cut along one curve, both copies boundary (``_WorkMap.cut``)."""
     work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    work.cut(curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, _BDY,
-             slits_are_holes)
+    work.cut(curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, slits_are_holes)
     return work.finish(_face_ids(work.alpha, work.sigma))
 
 

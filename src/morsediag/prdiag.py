@@ -265,7 +265,7 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
     """Maximal cycles alternating arcs and cycle-arcs via the left-turn rule
     (sigma-successor at shared vertices), plus closed cycle components.
 
-    Returns (cycle dart walks, witness or None).
+    Returns (cycle dart walks, by least dart, witness or None).
     """
     m = d.surface
     arc_kind, cyc_kind = _SIDE[green]
@@ -292,117 +292,142 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
             return None, (f"open {cyc_kind.value!r} component {ci} does not close "
                           f"into an alternating left-turn cycle")
         cycles.append(trail)
-    return cycles, None
+    return sorted(cycles, key=min), None
 
 
 @dataclass
 class _SideReduction:
-    """One color side's reduction: its pieces, caps and arc copies, from the
-    cut-and-surger reduction or from ``_counted_side``.  A counted side in
-    more than one piece has no ``comp_of_dart``; ``_cut_side`` supplies it."""
+    """One color side's reduction, counted on the uncut surface by
+    ``_counted_side``: the piece of every dart of the cut map, the pieces,
+    the caps and the arc copies, as the cut would give them."""
 
-    comp_of_dart: Optional[list[int]]
+    comp_of_dart: list[int]
     n_components: int
-    # the first component that is not a disk and its (chi, genus, boundary)
+    # the first piece that is not a disk and its (chi, genus, boundary)
     non_disk: Optional[tuple[int, tuple[int, int, int]]]
-    cap_comp: list[int]                       # per cycle: component of its cap
+    cap_comp: list[int]                       # per cycle: piece of its cap
     # arc curve idx -> (P-side darts, Q-side darts) of its cut, in walk order
     arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _side_reduction(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]],
-                    green: bool, fid: list[int]) -> _SideReduction:
-    """Surger every assembled cycle (corner-side copy erased, the other copy
-    keeps curve labels), then cut every arc of the family, all on one working
-    map started from the surface's face ids ``fid``; components, faces and
-    vertices are counted once, at the end."""
-    arc_kind = _SIDE[green][0]
-    arc_ids = [ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind]
-    arc_walks = {ci: walks[ci].darts for ci in arc_ids}
-    work = cmb._WorkMap(d.surface, fid)
-    cap_darts = []
-    for wk in sorted(cycles, key=min):
-        copy_q = work.cut(wk, True, None, slits_are_holes=False)
-        # arcs embedded in this cycle survive as their label-keeping copies;
-        # copy_q is keyed by exactly the darts of the cut cycle
-        for ci in arc_ids:
-            arc_walks[ci] = [copy_q.get(t, t) for t in arc_walks[ci]]
-        cap_darts.append(copy_q[wk[0]])
-    arc_copies = {}
-    for ci in arc_ids:
-        aw = arc_walks[ci]
-        copy_q = work.cut(aw, False, cmb._BDY, slits_are_holes=True)
-        arc_copies[ci] = (tuple(aw), tuple(copy_q[t] for t in aw))
-    comp = cmb._component_index(work.alpha, work.sigma)
-    fid = cmb._face_ids(work.alpha, work.sigma)
-    # per component: chi = V - E + interior faces, and the hole count
-    ncomp = max(comp, default=0) + 1
-    chi = [-(comp.count(c) // 2) for c in range(ncomp)]
-    holes = [0] * ncomp
-    for v in set(cmb._orbit_ids(work.sigma)):
-        chi[comp[v]] += 1
-    for f in set(fid):
-        if work.in_hole[f]:
-            holes[comp[f]] += 1
-        else:
-            chi[comp[f]] += 1
-    return _SideReduction(
-        comp_of_dart=comp,
-        n_components=ncomp,
-        non_disk=next(((k, (chi[k], (2 - chi[k] - holes[k]) // 2, holes[k]))
-                       for k in range(ncomp) if (chi[k], holes[k]) != (1, 1)), None),
-        cap_comp=[comp[cd] for cd in cap_darts],
-        arc_copies=arc_copies,
-    )
+def _hole_dart(sigma, hole, t: int) -> int:
+    """The one hole dart at t's vertex, which leaves it along the hole."""
+    while not hole[t]:
+        t = sigma[t]
+    return t
 
 
-def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], green: bool, fid: list[int],
-                  hole: list[bool], chi: int) -> Optional[_SideReduction]:
-    """The reduction of a side without cycles, found on the uncut surface
-    of dart -> face id ``fid``, dart -> whether in a hole face ``hole`` and
-    Euler characteristic ``chi`` (V - E + interior faces); None where the
-    count cannot pass it and the cut must decide.
+def _find(parent: list[int], f: int) -> int:
+    """The root of f in the union-find forest ``parent``, halving its path."""
+    while parent[f] != f:
+        parent[f] = f = parent[parent[f]]
+    return f
 
-    Cutting the side's s arcs leaves as pieces the classes of interior faces
-    joined across the edges on no arc and no hole, unless an edge has a hole
-    on both sides (a piece without faces).  Each arc cut adds one to chi, and
-    a piece with a hole has chi <= 1, equal only for a disk: so the pieces
-    are disks iff each has a face next to a hole or an arc and there are
-    chi + s of them.  Arc copies are numbered as ``_WorkMap.cut`` does."""
+
+def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]],
+                  green: bool, vid: list[int], fid: list[int], hole: list[bool],
+                  chi: int, faces: int, inner: list[int]) -> _SideReduction:
+    """Surgering the side's assembled cycles and cutting its arcs, counted
+    on the uncut surface, with no cut made: ``vid``, ``fid`` and ``hole``
+    are its dart -> vertex id, face id and whether in a hole face, ``chi``
+    its V - E + interior faces, ``faces`` its interior faces and ``inner``
+    its edges with an interior face on both sides, by their smaller dart.
+
+    The cut map's darts are numbered as the cut numbers them: the cycles,
+    by least dart (as ``_assemble_cycles`` gives them), then the arcs, in registry order, each cut giving the
+    copies of its i-th dart and of that dart's partner the ids top + 2i and
+    top + 2i + 1.  Its cells are the interior faces and two caps per cycle,
+    P on the corner side of the cycle's darts and Q on the other side.  Its
+    pieces are the edges with a hole on both sides and the classes of cells
+    joined across the edges with a cell on both sides: an edge on no curve
+    of the side and no hole, and a cycle edge, from the P cap to the face
+    of the cycle dart and from the Q cap to the face of its partner, unless
+    an arc runs there (cut after the surgery).  One piece with
+    chi + s + 2c = 1 (s arcs, c cycles) is a disk.  Else a piece's chi
+    counts its cells, its vertices (one per hole dart on the boundary) and
+    half its darts, and its boundary circles are the cycles of the hole
+    walk that jumps from each arc end to the other.  The README says why."""
     m = d.surface
-    alpha, n = m.alpha, m.n_darts
-    on_arc = [False] * n
-    arc_copies, top = {}, n   # top: the darts of the cut map so far
+    alpha, sigma, n = m.alpha, m.sigma, m.n_darts
+    on = [0] * n   # dart -> 1 on a cycle of the side, 2 on an arc
+    copy_q, top = {}, n   # cycle dart -> its Q copy; top: the cut map's darts so far
+    for wk in cycles:
+        for i, t in enumerate(wk):
+            copy_q[t], copy_q[alpha[t]] = top + 2 * i, top + 2 * i + 1
+            on[t] = on[alpha[t]] = 1
+        top += 2 * len(wk)
+    arc_copies, arc_kind = {}, _SIDE[green][0]
     for ci, c in enumerate(d.curves):
-        if c.label.kind is _SIDE[green][0]:
-            aw = walks[ci].darts
-            arc_copies[ci] = (tuple(aw), tuple(range(top, top + 2 * len(aw), 2)))
+        if c.label.kind is arc_kind:
+            aw = walks[ci].darts   # an arc on a cycle is cut on its Q copy
+            arc_copies[ci] = (tuple(map(copy_q.get, aw, aw)),
+                              tuple(range(top, top + 2 * len(aw), 2)))
             top += 2 * len(aw)
             for t in aw:
-                on_arc[t] = on_arc[alpha[t]] = True
-    parent = list(range(n))   # union-find over face ids
+                on[t] = on[alpha[t]] = 2
+    # cells: face ids, then the P and Q cap of each cycle.  A hole whose id
+    # sigma fixes is an edge with a hole on both sides, a piece of its own
+    parent = list(range(n + 2 * len(cycles)))
+    pieces = faces + 2 * len(cycles) + sum(sigma[h] == h for h in m.holes)
+    joins = [(fid[x], fid[alpha[x]]) for x in inner if not on[x]]
+    for j, wk in enumerate(cycles):
+        joins += [(n + 2 * j, fid[t]) for t in wk]
+        joins += [(n + 2 * j + 1, fid[alpha[t]]) for t in wk if on[t] != 2]
+    for f, g in joins:
+        f, g = _find(parent, f), _find(parent, g)
+        if f != g:
+            parent[f] = g
+            pieces -= 1
+    if pieces == 1 and chi + len(arc_copies) + 2 * len(cycles) == 1:
+        return _SideReduction([0] * top, 1, None, [0] * len(cycles), arc_copies)
 
-    def find(f):
-        while parent[f] != f:
-            parent[f] = f = parent[parent[f]]
-        return f
-
-    pieces = len(set(fid)) - len(m.holes)   # interior faces, less each join
-    holed = set()   # interior faces next to a hole or an arc
-    for x, a in enumerate(alpha):
-        if hole[x]:
-            if hole[a]:
-                return None
-        elif hole[a] or on_arc[x]:
-            holed.add(fid[x])
-        elif x < a:
-            f, g = find(fid[x]), find(fid[a])
-            if f != g:
-                parent[f] = g
-                pieces -= 1
-    if len({find(f) for f in holed}) != pieces or pieces != chi + len(arc_copies):
-        return None
-    return _SideReduction([0] * top if pieces == 1 else None, pieces, None, [], arc_copies)
+    # cut-map dart -> its cell; a hole dart's is the cell across its edge,
+    # or the hole face of an edge with a hole on both sides
+    node = [fid[a] if h else f for f, h, a in zip(fid, hole, alpha)] + [0] * (top - n)
+    q_cap = {}
+    for j, wk in enumerate(cycles):
+        for t in wk:
+            node[t] = node[alpha[t]] = n + 2 * j
+            node[copy_q[t]] = node[copy_q[alpha[t]]] = q_cap[t] = n + 2 * j + 1
+    for ci, (p_side, q_side) in arc_copies.items():
+        for t, x, q in zip(walks[ci].darts, p_side, q_side):
+            a = alpha[t]
+            node[x] = node[copy_q.get(a, a)] = q_cap.get(t, fid[t])
+            node[q] = node[q + 1] = q_cap.get(a, fid[a])
+    rank = {}   # root cell -> piece, numbered by least dart
+    comp = [rank.setdefault(_find(parent, f), len(rank)) for f in node]
+    cap = [rank[_find(parent, f)] for f in range(n, len(parent))]   # P, Q of each cycle
+    # twice each piece's chi: two per cell and per vertex, less one per dart.
+    # A vertex per hole dart of the cut map, per vertex off the boundary and
+    # the side's curves, and per cycle vertex on each side (not on Q where
+    # an arc is cut)
+    euler = [-comp.count(k) for k in range(len(rank))]
+    off = {vid[x] for x in range(n) if hole[x] or on[x]}
+    for k in ([rank[_find(parent, f)] for f in set(fid) if not hole[f]]
+              + [comp[x] for x in range(n) if hole[x]] + [comp[v] for v in set(vid) - off]
+              + [comp[x] for p_side, q_side in arc_copies.values() for x in p_side + q_side]):
+        euler[k] += 2
+    arc_verts = {v for ci in arc_copies for v in walks[ci].verts}
+    for j, wk in enumerate(cycles):
+        euler[cap[2 * j]] += 2 + 2 * len(wk)
+        euler[cap[2 * j + 1]] += 2 + 2 * sum(vid[t] not in arc_verts for t in wk)
+    jump = {}
+    for ci in arc_copies:
+        w = walks[ci].darts
+        x, y = (_hole_dart(sigma, hole, t) for t in (w[0], alpha[w[-1]]))
+        jump[x], jump[y] = y, x
+    holes = [0] * len(rank)
+    seen = [False] * n
+    for x in range(n):
+        if hole[x] and not seen[x]:
+            holes[comp[x]] += 1
+            while not seen[x]:
+                seen[x] = True
+                x = sigma[alpha[x]]
+                x = jump.get(x, x)
+    non_disk = next(((k, (e // 2, (2 - e // 2 - b) // 2, b))
+                     for k, (e, b) in enumerate(zip(euler, holes)) if (e, b) != (2, 1)), None)
+    return _SideReduction(comp, len(rank), non_disk, cap[1::2], arc_copies)
 
 # ---------------------------------------------------------------------------
 # Validation (the five-property criterion)
@@ -413,17 +438,15 @@ class _Analysis:
     """One validity analysis of a diagram: the report, the surface's dart
     tables (dart -> vertex id, dart -> face id, dart -> whether in a hole
     face), which every analysis holds, valid or not, and, for a valid
-    diagram, the curve walks, both side reductions and the surface's Euler
-    characteristic (None if the surface is disconnected).  A side without
-    cycles is counted, not cut, unless the count cannot pass it.  Later
-    readers of the diagram take its tables from here.
+    diagram, the curve walks, both side reductions, each counted on the
+    uncut surface, and the surface's Euler characteristic (None if the
+    surface is disconnected).  Later readers of the diagram take its tables
+    from here.
 
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that a later
     call may fill two fields on demand: ``_surface_key`` fills ``keys``
-    (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``.
-    Also, ``_cut_side`` puts the cut reduction of a counted side in more
-    than one piece in its place, for ``boundary_restriction``."""
+    (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``."""
 
     report: ValidityReport
     vid: list[int]
@@ -448,8 +471,9 @@ def validate(d: PrDiagram) -> ValidityReport:
        disjoint, u and v endpoint sets disjoint;
     4. every U component is closed or extends through u-arcs into a closed
        left-turn cycle (same for V/v);
-    5. cutting along all u-arcs and surgering every assembled green cycle
-       leaves a union of disks (same for red).
+    5. surgering every assembled green cycle and cutting along all u-arcs
+       leaves a union of disks (same for red), which ``_counted_side``
+       counts on the uncut surface: validation makes no cut.
     """
     return _analyse(d).report
 
@@ -544,22 +568,18 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if p1 or p3 or p4:
         return _Analysis(_report(p1, p2, p3, p4, "prerequisite failed"), *tables)
 
-    # chi = V - E + interior faces, from the ids the analysis began with
-    chi = len(set(vid)) - m.n_darts // 2 + len(set(fid)) - len(m.holes)
+    # chi = V - E + interior faces, from the ids the analysis began with; both
+    # side counts join faces across the edges with an interior face on each side
+    faces = len(set(fid)) - len(m.holes)
+    chi = len(set(vid)) - m.n_darts // 2 + faces
+    inner = [x for x, a in enumerate(m.alpha) if x < a and not (hole[x] or hole[a])]
+    sides = (_counted_side(d, walks, green_cycles, True, *tables, chi, faces, inner),
+             _counted_side(d, walks, red_cycles, False, *tables, chi, faces, inner))
     p5 = ""
-    sides = []
-    for green, cycles in ((True, green_cycles), (False, red_cycles)):
-        try:
-            side = None if cycles else _counted_side(d, walks, green, fid, hole, chi)
-            side = side or _side_reduction(d, walks, cycles, green, fid)
-        except MapError as exc:
-            p5 = f"{'green' if green else 'red'} reduction failed: {exc}"
-            break
-        sides.append(side)
-        if side.non_disk is not None:
-            k, shape = side.non_disk
-            p5 = (f"{'green' if green else 'red'} reduction component {k} "
-                  f"is not a disk (chi, genus, boundary) = {shape}")
+    for color, side in zip(("green", "red"), sides):
+        if side.non_disk:
+            p5 = (f"{color} reduction component {side.non_disk[0]} is not a disk "
+                  f"(chi, genus, boundary) = {side.non_disk[1]}")
             break
     report = _report(p1, p2, p3, p4, p5)
     # Cutting never joins components, so a side reduction in one piece shows
@@ -575,18 +595,6 @@ def _require_valid(d: PrDiagram) -> _Analysis:
     if not analysis.report.valid:
         raise InvalidDiagram(analysis.report.first_failure())
     return analysis
-
-
-def _cut_side(d: PrDiagram, analysis: _Analysis, green: bool) -> _SideReduction:
-    """A side's reduction with the piece of every dart: the analysis's own
-    if it has them, else cut now (a counted side has no cycles) and kept in
-    its place."""
-    name = "green" if green else "red"
-    side = getattr(analysis, name)
-    if side.comp_of_dart is None:
-        side = _side_reduction(d, analysis.walks, [], green, analysis.fid)
-        setattr(analysis, name, side)
-    return side
 
 
 def _arc_ends(d: PrDiagram, analysis: _Analysis, ci: int) -> tuple[int, int]:
@@ -748,16 +756,10 @@ def to_colored_chord(d: PrDiagram,
         raise NotOptimal("a chord diagram needs genus >= 1")
     m = d.surface
     alpha, sigma, hole = m.alpha, m.sigma, analysis.hole
-
-    def hole_dart(t):   # the one hole dart at t's vertex, which leaves it
-        while not hole[t]:
-            t = sigma[t]
-        return t
-
     arc_end = {}   # an arc end's hole dart -> (color, arc, hole dart to leave by)
     for color, side in ((GREEN, analysis.green), (RED, analysis.red)):
         for ci in side.arc_copies:
-            ends = [hole_dart(t) for t in _arc_ends(d, analysis, ci)]
+            ends = [_hole_dart(sigma, hole, t) for t in _arc_ends(d, analysis, ci)]
             for x, leave in zip(ends, ends[::-1] if color == RED else ends):
                 arc_end[x] = (color, ci, leave)
 
@@ -848,8 +850,7 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     """
     analysis = _require_valid(d)
     c = _census(analysis)
-    # a counted side in one piece has all its darts in piece 0 and needs no cut
-    green, red = (_cut_side(d, analysis, is_green) for is_green in (True, False))
+    green, red = analysis.green, analysis.red
 
     vertices = []
     edges = []

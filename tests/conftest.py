@@ -105,6 +105,83 @@ def make_pinched_cycle_diagram():
     ))
 
 
+def grid_diagram(width: int, height: int, hole_squares, curves):
+    """A diagram on the width x height grid of unit squares, each cut into
+    two triangles by its diagonal (x, y)-(x + 1, y + 1): the outer face and
+    the squares of ``hole_squares`` (lower-left corners, kept whole) are
+    holes.  ``curves`` holds (kind, closed, points), a path of grid points
+    joined by grid edges; curve i takes label index i.  Edge k is darts
+    2k and 2k + 1 in the order the faces first use the edges."""
+    from morsediag.combmap import _face_ids
+    from morsediag.prdiag import PrDiagram
+
+    faces = []   # (points counterclockwise, whether a hole)
+    for x, y in product(range(width), range(height)):
+        a, b, c, e = (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)
+        faces += [([a, b, c, e], True)] if (x, y) in hole_squares else \
+            [([a, b, c], False), ([a, c, e], False)]
+    outer = ([(0, y) for y in range(height)] + [(x, height) for x in range(width)]
+             + [(width, y) for y in range(height, 0, -1)]
+             + [(x, 0) for x in range(width, 0, -1)])
+    faces.append((outer, True))   # clockwise: the outer face of the others
+    dart = {}   # (p, q) -> the dart of the edge pq that leaves p
+    for face, _ in faces:
+        for p, q in zip(face, face[1:] + face[:1]):
+            if (p, q) not in dart:
+                dart[p, q], dart[q, p] = len(dart), len(dart) + 1
+    n = len(dart)
+    sigma = [0] * n
+    for face, _ in faces:   # the face after the dart p -> q is q -> r
+        for p, q, r in zip(face, face[1:] + face[:1], face[2:] + face[:2]):
+            sigma[dart[q, p]] = dart[q, r]
+    alpha = [t ^ 1 for t in range(n)]
+    fid = _face_ids(alpha, sigma)
+    hole_faces = [fid[dart[face[0], face[1]]] for face, hole in faces if hole]
+    labels, out = {}, []
+    for i, (kind, closed, points) in enumerate(curves):
+        lb = CurveLabel(kind, i)
+        ends = zip(points, points[1:] + points[:1] if closed else points[1:])
+        edges = tuple(min(dart[p, q], dart[q, p]) for p, q in ends)
+        labels.update((e, lb) for e in edges)
+        out.append(EmbeddedCurve(edges, closed, lb))
+    return PrDiagram(build_map(n, alpha, sigma, labels, hole_faces), tuple(out))
+
+
+def _ring(x0: int, y0: int, x1: int, y1: int) -> list:
+    """The grid points round the rectangle from (x0, y0) to (x1, y1),
+    counterclockwise from its lower-left corner."""
+    return ([(x, y0) for x in range(x0, x1)] + [(x1, y) for y in range(y0, y1)]
+            + [(x, y1) for x in range(x1, x0, -1)] + [(x0, y) for y in range(y1, y0, -1)])
+
+
+def make_two_ring_pants_diagram():
+    """A disk with two square holes (a pair of pants, chi = -1) and a
+    closed U ring round each hole; a red arc runs from the outer boundary
+    through each ring to its hole.  Surgery on the rings leaves three
+    disks, chi + 2c = -1 + 4, and the two red cuts one, chi + s = -1 + 2."""
+    U, v = CurveKind.U_GREEN_CYCLE, CurveKind.V_RED_ARC
+    return grid_diagram(9, 5, [(2, 2), (6, 2)], [
+        (U, True, _ring(1, 1, 4, 4)), (U, True, _ring(5, 1, 8, 4)),
+        (v, False, [(2, 0), (2, 1), (2, 2)]), (v, False, [(6, 0), (6, 1), (6, 2)])])
+
+
+def make_four_piece_cycle_diagram(inner_hole: bool = True):
+    """An annulus (an 8 x 6 grid round a square hole) whose one green cycle
+    alternates u, U, u, U round the hole: each u arc is a chord of the outer
+    boundary, and the cycle meets that boundary only at the arc ends.  A
+    red arc runs from the outer boundary across the bottom u arc to the hole.
+    Without the hole the red arc runs up to the top boundary instead, and
+    the disk inside the cycle caps to a sphere: property 5 fails."""
+    u, U, v = CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE, CurveKind.V_RED_ARC
+    red = [(4, y) for y in range(4 if inner_hole else 7)]
+    return grid_diagram(8, 6, [(4, 3)] if inner_hole else [], [
+        (u, False, [(1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (6, 0)]),
+        (U, False, [(6, 0), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6)]),
+        (u, False, [(7, 6), (6, 5), (5, 5), (4, 5), (3, 5), (2, 5), (2, 6)]),
+        (U, False, [(2, 6), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1), (1, 0)]),
+        (v, False, red)])
+
+
 def _shuffled_darts(n: int, rng: random.Random) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
@@ -629,23 +706,26 @@ _WORK_LISTS = ("alpha", "sigma", "labels", "in_hole")
 
 
 def check_cuts(monkeypatch) -> list:
-    """Make every combmap._WorkMap.cut run reference_work_cut on a copy of
-    the working map first: both must return, or raise, the same and leave
-    the same alpha, sigma, labels and in_hole.  Returns the list that
-    collects each cut's outcome, its result or its MapError."""
+    """Make every combmap._WorkMap.cut run reference_work_cut, with both
+    copies labeled bdy, on a copy of the working map first: both must
+    return, or raise, the same and leave the same alpha, sigma, labels and
+    in_hole.  Returns the list that collects each cut's outcome, its result
+    or its MapError."""
     import morsediag.combmap as cmb
 
     cut = cmb._WorkMap.cut
     outcomes = []
 
-    def checked(work, *args, **kwargs):
+    def checked(work, walk, closed, slits_are_holes):
         ref = copy.copy(work)
         for name in _WORK_LISTS:
             setattr(ref, name, list(getattr(work, name)))
         seen = []
-        for w, run in ((ref, reference_work_cut), (work, cut)):
+        for run in (lambda: reference_work_cut(ref, walk, closed, CurveLabel(CurveKind.BDY),
+                                               slits_are_holes),
+                    lambda: cut(work, walk, closed, slits_are_holes)):
             try:
-                seen.append(run(w, *args, **kwargs))
+                seen.append(run())
             except MapError as exc:
                 seen.append(exc)
         expected, got = ((type(x), str(x)) if isinstance(x, MapError) else x for x in seen)
@@ -662,9 +742,10 @@ def check_cuts(monkeypatch) -> list:
 
 
 def reference_side_cut(d, walks, cycles, green: bool):
-    """The cuts of prdiag._side_reduction made one by one, a CombMap and its
-    face table after every cut: the cut map, the Q copy of each cycle's
-    first dart (its cap's side) and each arc's (P-side, Q-side) darts."""
+    """The cuts that prdiag._counted_side counts, made one by one, a
+    CombMap and its face table after every cut: the cut map, the Q copy of
+    each cycle's first dart (its cap's side) and each arc's (P-side,
+    Q-side) darts."""
     bdy = CurveLabel(CurveKind.BDY)
     arc_kind = CurveKind.U_GREEN_ARC if green else CurveKind.V_RED_ARC
     arc_ids = sorted(ci for ci, c in enumerate(d.curves) if c.label.kind is arc_kind)
@@ -685,7 +766,7 @@ def reference_side_cut(d, walks, cycles, green: bool):
 
 
 def reference_side_reduction(d, walks, cycles, green: bool):
-    """prdiag._side_reduction from reference_side_cut: the cut map's
+    """prdiag._counted_side's result from reference_side_cut: the cut map's
     components as separate maps and euler_genus of each, which gives the
     shape of the first one that is not a disk."""
     from morsediag import prdiag as pr
@@ -755,6 +836,33 @@ def analysis_corpus() -> tuple:
             for base in enumerate_bases(g) for ccd in enumerate_colorings(base, g)]
     out += [from_colored_chord(_sample_colored(g, rng)) for g in (4,) * 8 + (5,) * 4]
     return tuple(out + [relabel_diagram(d, rng) for d in out])
+
+
+def stand_in_pool(monkeypatch, cpus) -> list:
+    """Make multiprocessing.Pool a stand-in that maps in this process and
+    starts no process, and os.cpu_count return ``cpus``.  Returns the list
+    of the process counts that pools are made with."""
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return list(map(func, jobs))
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
 
 
 def clear_analysis_caches():

@@ -37,13 +37,6 @@ ALLOWED = (
     Allowed("cli.py", "sys.exit(main())",
             "runs only when the CLI runs as a program, in the tests' child processes"),
     Allowed("prdiag.py",
-            "except MapError as exc:\n"
-            "            p5 = f\"{'green' if green else 'red'} reduction failed: {exc}\"\n"
-            "            break",
-            "safety: _side_reduction can raise MapError, but not once properties 1, 3 "
-            "and 4 pass (the left-turn rule leaves each arc's hole corner on the copy "
-            "that the arc is later cut on)"),
-    Allowed("prdiag.py",
             'raise InvalidDiagram(f"boundary Euler characteristic {chi_boundary}")',
             "safety: a valid diagram whose boundary Euler characteristic is above 2 "
             "would be a program fault"),

@@ -40,7 +40,8 @@ class Mutant(NamedTuple):
 
 
 _DEEP_CATALOG = ("tests/test_catalog.py::test_too_deeply_nested_line_is_invalid_json",)
-_COUNTED = ("tests/test_prdiag.py::test_counted_sides_agree_with_the_cut_by_cut_reference",)
+_COUNTED = ("tests/test_prdiag.py::test_counted_sides_match_the_cut_by_cut_reference",)
+_WITNESSES = "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest"
 # both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
 _CIRCLE = ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
            "tests/test_prdiag.py::test_rotation_only_classes_convert_back_and_count_as_the_surface_codes")
@@ -104,18 +105,31 @@ MUTANTS = (
            "or ci in pieces or ci in used:", "or ci in used:",
            ("tests/test_prdiag.py::test_left_turn_walk_refuses_a_piece_taken_the_other_way",)),
     Mutant("wrong genus in the non-disk shape of a side reduction", "prdiag.py",
-           "(2 - chi[k] - holes[k]) // 2", "(2 - chi[k] + holes[k]) // 2",
-           ("tests/test_prdiag.py::test_side_reduction_matches_cut_by_cut_reference",
-            "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest")),
+           "(2 - e // 2 - b) // 2", "(2 - e // 2 + b) // 2",
+           (*_COUNTED, _WITNESSES)),
     Mutant("prdiag._counted_side passes a piece without faces", "prdiag.py",
-           "if hole[a]:\n                return None\n", "pass\n",
+           " + sum(sigma[h] == h for h in m.holes)", "",
            _COUNTED),
-    Mutant("prdiag._counted_side passes a piece without a hole", "prdiag.py",
-           "len({find(f) for f in holed}) != pieces or ", "",
+    Mutant("prdiag._counted_side passes any side in one piece as a disk", "prdiag.py",
+           "if pieces == 1 and chi + len(arc_copies) + 2 * len(cycles) == 1:",
+           "if pieces == 1:",
+           (*_COUNTED, _WITNESSES)),
+    Mutant("prdiag._counted_side passes one piece with chi + s + 2c = 0 as a disk", "prdiag.py",
+           "chi + len(arc_copies) + 2 * len(cycles) == 1:",
+           "chi + len(arc_copies) + 2 * len(cycles) == 0:",
+           (*_COUNTED, _WITNESSES)),
+    Mutant("prdiag._counted_side joins the Q cap across an arc edge", "prdiag.py",
+           "for t in wk if on[t] != 2]", "for t in wk]",
+           (*_COUNTED, "tests/test_prdiag.py::test_alternating_cycle_census_and_boundary",
+            "tests/test_prdiag.py::test_hand_built_cycle_diagrams_by_hand")),
+    Mutant("prdiag._counted_side numbers pieces by cell id, not by least dart", "prdiag.py",
+           "rank = {}   # root cell -> piece, numbered by least dart\n",
+           "rank = {_find(parent, f): 0 for f in sorted(node)}\n"
+           "    rank = dict(zip(rank, range(len(rank))))\n",
            _COUNTED),
-    Mutant("prdiag._counted_side wants one piece more than chi + s", "prdiag.py",
-           "pieces != chi + len(arc_copies)", "pieces != chi + len(arc_copies) + 1",
-           _COUNTED),
+    Mutant("prdiag._counted_side's boundary walk does not jump along the arcs", "prdiag.py",
+           "                x = jump.get(x, x)\n", "",
+           (*_COUNTED, "tests/test_prdiag.py::test_hand_built_cycle_diagrams_by_hand")),
     Mutant("prdiag._face_invariant leaves the faces in face-id order", "prdiag.py",
            "analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])",
            "analysis.invariant = [(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()]",

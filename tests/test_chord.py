@@ -40,6 +40,7 @@ from conftest import (
     circle_maps,
     least_circle_image,
     match_arrays,
+    stand_in_pool,
     thickened_boundary_walk_faces,
 )
 from g4_round_trip import decode
@@ -543,6 +544,21 @@ def test_classify_with_workers_equals_one_worker():
     one = classify(3)
     two = classify(3, workers=2)
     assert replace(two, runtime_seconds=one.runtime_seconds) == one
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a typed 10000 would start 10,000 processes; the pool gets one per CPU
+    # at most (a stand-in pool starts none), and the result is the
+    # one-worker result
+    sizes = stand_in_pool(monkeypatch, 3)
+    one = classify(2)
+    for workers in (10000, 2, 3):
+        many = classify(2, workers=workers)
+        assert replace(many, runtime_seconds=one.runtime_seconds) == one
+    assert sizes == [3, 2, 3]
+    unknown = stand_in_pool(monkeypatch, None)   # an unknown CPU count: one process
+    classify(1, workers=10000)
+    assert unknown == [1]
 
 
 def test_convention_pinning():

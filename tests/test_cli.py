@@ -6,7 +6,7 @@ from morsediag.combmap import build_map
 from morsediag.prdiag import PrDiagram, equivalent, pr_to_json
 import morsediag.catalog as cat
 
-from conftest import disjoint_union, small_disks
+from conftest import disjoint_union, small_disks, stand_in_pool
 
 
 def fixture_path(name: str) -> str:
@@ -156,21 +156,22 @@ def test_chord_output_of_a_disconnected_diagram_exits_one(tmp_path, capsys):
 def test_census_command(monkeypatch, capsys):
     # the Morse checks come from the census: one analysis, which counts
     # each color side and cuts neither
+    import morsediag.combmap as cmb
     import morsediag.prdiag as pr
 
     calls = []
-    count_side, reduce_side = pr._counted_side, pr._side_reduction
+    count_side, cut = pr._counted_side, cmb._WorkMap.cut
 
     def counted_side(*args):
-        calls.append(("count", args[2]))
+        calls.append(("count", args[3]))
         return count_side(*args)
 
-    def counted(*args):
-        calls.append(("cut", args[3]))
-        return reduce_side(*args)
+    def counted_cut(*args):
+        calls.append("cut")
+        return cut(*args)
 
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(pr, "_side_reduction", counted)
+    monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
     code, out, _ = run(capsys, "census", fixture_path("solid_torus.json"))
     assert code == 0
     payload = json.loads(out)
@@ -405,6 +406,23 @@ def test_workers_env_var(monkeypatch, capsys):
     code, out, _ = run(capsys, "classify", "--genus", "1")
     assert code == 0
     assert json.loads(out)["colored"] == 1
+
+
+def test_large_worker_counts_start_one_process_per_cpu(monkeypatch, capsys):
+    # --workers and MORSEDIAG_WORKERS take any count of at least one; the
+    # pool is capped at the CPU count (a stand-in pool starts no process),
+    # and the output is the one-worker output
+    sizes = stand_in_pool(monkeypatch, 2)
+    _, one, _ = run(capsys, "classify", "--genus", "2")
+    one = json.loads(one)
+    for argv in (("--workers", "10000"), ()):
+        monkeypatch.setenv("MORSEDIAG_WORKERS", "5000")
+        code, out, _ = run(capsys, "classify", "--genus", "2", *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert {k: v for k, v in payload.items() if k != "runtime_seconds"} == \
+            {k: v for k, v in one.items() if k != "runtime_seconds"}
+    assert sizes == [2, 2]
 
 
 def test_workers_env_var_that_is_no_integer_exits_two(monkeypatch, capsys):

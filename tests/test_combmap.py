@@ -284,15 +284,16 @@ def test_surger_chi_plus_two_genus_never_up():
         assert all(euler_genus(p)[1] <= g0 for p in parts)
 
 
-def _work_cut(m: CombMap, walk, closed: bool, label_q, slits_are_holes: bool):
+def _work_cut(m: CombMap, walk, closed: bool, slits_are_holes: bool):
     """One _WorkMap.cut on a fresh working map: the cut map and copy_q."""
     work = cmb._WorkMap(m, cmb._face_ids(m.alpha, m.sigma))
-    copy_q = work.cut(walk, closed, label_q, slits_are_holes)
+    copy_q = work.cut(walk, closed, slits_are_holes)
     return work.finish(cmb._face_ids(work.alpha, work.sigma)), copy_q
 
 
 def test_cut_walk_matches_cut_by_cut_reference():
-    # cut_along and surger, and a cut keeping the curve labels on its copies
+    # cut_along and surger, and cuts of closed curves with slits that stay
+    # faces and of open ones with either flag (both copies bdy)
     for d in analysis_corpus():
         m = d.surface
         vtab = cmb._orbit_ids(m.sigma)
@@ -302,8 +303,8 @@ def test_cut_walk_matches_cut_by_cut_reference():
             if curve.closed:
                 assert surger(m, curve) == reference_cut_walk(m, walk, True, BDY, False)[0]
             for slits_are_holes in (True, False):
-                args = (m, walk, curve.closed, None, slits_are_holes)
-                assert _work_cut(*args) == reference_cut_walk(*args)
+                assert _work_cut(m, walk, curve.closed, slits_are_holes) == \
+                    reference_cut_walk(m, walk, curve.closed, BDY, slits_are_holes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +312,15 @@ def test_cut_walk_matches_cut_by_cut_reference():
 # ---------------------------------------------------------------------------
 
 def _reglue(orig: CombMap, cut: CombMap, copy_q: dict, walk, closed: bool) -> CombMap:
-    """Invert a cut using only the cut map and the copy bookkeeping: the
-    curve darts take back the labels their Q copies kept."""
+    """Invert a cut using only the cut map and the copy bookkeeping: both
+    copies of each curve dart are bdy, and the curve darts take back their
+    labels from the original map."""
     n = orig.n_darts
     sigma = list(cut.sigma[:n])
     labels = list(cut.labels[:n])
     for d, q in copy_q.items():
-        labels[d] = cut.labels[q]
+        assert cut.labels[d] == cut.labels[q] == BDY
+        labels[d] = orig.labels[d]
 
     def rotation(m, start):
         rot = [start]
@@ -373,7 +376,7 @@ def test_cut_then_reglue_restores_code(case):
         m = d.surface
         curve = d.curves[0] if case.endswith("_u") else d.curves[1]
     walk = cmb.curve_dart_walk(m, curve, cmb._orbit_ids(m.sigma))
-    cut, copy_q = _work_cut(m, walk, curve.closed, None, slits_are_holes=not curve.closed)
+    cut, copy_q = _work_cut(m, walk, curve.closed, slits_are_holes=not curve.closed)
     glued = _reglue(m, cut, copy_q, walk, curve.closed)
     assert canonical_code(glued) == canonical_code(m)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -34,6 +33,7 @@ from morsediag.combmap import (
     MapError,
     build_map,
     cut_along,
+    euler_genus,
     surger,
 )
 import morsediag.combmap as cmb
@@ -66,11 +66,13 @@ from conftest import (
     disjoint_union,
     least_circle_image,
     make_circle,
+    make_four_piece_cycle_diagram,
     make_pinched_cycle_diagram,
     make_six_point_ball_flow,
     make_solid_torus_diagram,
     make_sphere,
     make_torus,
+    make_two_ring_pants_diagram,
     mirror_map,
     random_small_map,
     reference_side_cut,
@@ -465,17 +467,12 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # once per diagram, by its analysis
     events = []
     face_id_calls = []
-    count_side, reduce_side = pr._counted_side, pr._side_reduction
-    cut = cmb._WorkMap.cut
+    count_side, cut = pr._counted_side, cmb._WorkMap.cut
     key, has_key, face_ids = cmb._canonical_key, cmb._has_key, cmb._face_ids
 
     def counted_side(*args):
-        events.append(("count", args[2]))
+        events.append(("count", args[3]))
         return count_side(*args)
-
-    def counted(*args):
-        events.append(("cut", args[3]))
-        return reduce_side(*args)
 
     def counted_cut(*args, **kwargs):
         events.append("cut")
@@ -498,7 +495,6 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.clear()
 
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(pr, "_side_reduction", counted)
     monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
     monkeypatch.setattr(cmb, "_has_key", counted_check)
@@ -557,22 +553,20 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     assert not equivalent(d, apart)
     assert events == counts + counts
     assert len(face_id_calls) == 2
-    # a cycle is cut in the analysis; d3_four_b has a closed green one
-    four_b = cat.load_fixture("d3_four_b.json")
-    # d3_four_a's u-arc leaves two green pieces, so its flow needs their darts
-    four_a = cat.load_fixture("d3_four_a.json")
-    for diagram, analysed, flow in (
-            (four_b, [("cut", True), "cut", ("count", False)], []),
-            (four_a, counts, [("cut", True), "cut"])):
+    # a side with cycles is counted too: d3_four_b has a closed green one,
+    # the six-point flow a green one through a u-arc; and the analysis holds
+    # the piece of every dart, which the flow reads: d3_four_a's u-arc
+    # leaves two green pieces.  No call cuts
+    for diagram in (cat.load_fixture("d3_four_b.json"), make_six_point_ball_flow(),
+                    cat.load_fixture("d3_four_a.json")):
         for first in (validate, census, boundary_restriction):
             cold()
             first(diagram)
-            assert events == analysed + (flow if first is boundary_restriction else []), first
-            for expected in ([] if first is boundary_restriction else flow, []):
-                events.clear()
-                for op in (validate, census, boundary_restriction):
-                    op(diagram)
-                assert events == expected, first
+            assert events == counts, first
+            events.clear()
+            for op in (validate, census, boundary_restriction):
+                op(diagram)
+            assert events == [], first
 
 
 # ---------------------------------------------------------------------------
@@ -1003,36 +997,50 @@ def test_equivalent_agrees_with_comparing_codes(rng):
         assert min(paths[False, False], paths[True, False], paths[True, True]) > 0
 
 
-@functools.cache
-def _sides_reaching_property5() -> tuple:
-    """(diagram, walks, cycles, green, face ids) of both color sides of the
-    corpus diagrams and of their family swaps whose analysis reaches
-    property 5."""
-    corpus = analysis_corpus()
-    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)
-              if validate(v).properties[-1].witness != "prerequisite failed"]
-    out = []
-    for d in corpus + tuple(broken):
-        m = d.surface
-        _, walks = pr._curve_walks(d, cmb._orbit_ids(m.sigma))
-        fid = cmb._face_ids(m.alpha, m.sigma)
-        out += [(d, walks, pr._assemble_cycles(d, walks, green)[0], green, fid)
-                for green in (True, False)]
-    return tuple(out)
+def _cycle_diagrams() -> list:
+    """The hand-built diagrams with cycles on a grid, and their colour
+    swaps, whose cycles are red."""
+    out = [make_two_ring_pants_diagram(), make_four_piece_cycle_diagram(),
+           make_four_piece_cycle_diagram(inner_hole=False)]
+    return out + [_colour_swapped(d) for d in out]
+
+
+def test_hand_built_cycle_diagrams_by_hand():
+    # Pants: chi = 1 - 2 = -1 (a disk less two square holes).  Surgery on
+    # the two closed U rings leaves the annulus inside each ring, capped,
+    # and the rest, capped twice: three disks, so n1 = 3 - 2 caps = 1 and
+    # n2 = 2.  The two red arcs, outer boundary to each hole, leave one
+    # disk: n4 = 2, n6 = 1.  Boundary chi = 2(-1) + 2 * 2 = 2, genus 0.
+    # Four-piece cycle: an annulus (chi = 0) with one green cycle u U u U
+    # round the hole, meeting the outer boundary at the four arc ends.
+    # Surgery and the two u cuts leave the capped annulus inside the
+    # cycle, the strip under each u arc, and the Q cap with the strips
+    # beside the two U arcs: four disks, 0 + 2 + 2 * 1, so n1 = 3, n2 = 1,
+    # n3 = 2.  The red arc, outer boundary to the hole, cuts the annulus to
+    # a disk: n4 = 1, n6 = 1.  Boundary chi = 2 * 0 + 2 * 1 = 2, genus 0.
+    # Without the hole, the disk inside the cycle caps to a sphere, the
+    # second piece by least dart.  The colour swaps reverse each census.
+    pants, four, sphere = _cycle_diagrams()[:3]
+    assert [euler_genus(d.surface) for d in (pants, four, sphere)] == \
+        [(-1, 0, 3), (0, 0, 2), (1, 0, 1)]
+    expected = {pants: (1, 2, 0, 2, 0, 1), four: (3, 1, 2, 1, 0, 1)}
+    for d, counts in expected.items():
+        for copy in (d, relabel_diagram(d, random.Random(7)), _mirrored(d)):
+            c = census(copy)
+            assert (c.as_tuple(), c.boundary_genus) == (counts, 0)
+            assert morse_checks(copy).passed
+            assert census(_colour_swapped(copy)).as_tuple() == counts[::-1]
+    assert validate(sphere).first_failure() == (
+        "p5_disk_reduction: green reduction component 1 is not a disk "
+        "(chi, genus, boundary) = (2, 0, 0)")
 
 
 def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
-    # every cut of the cut reduction of both sides of the corpus diagrams
-    # and of the broken variants whose analysis reaches property 5 (called
-    # directly: an analysis cuts only the sides it cannot count); cut_along
-    # and surger on the corpus curves; and every edge of small random maps
-    # cut as an arc and as a loop, for the error paths (a vertex may have
-    # two boundary corners) and for splits with nothing on the Q side
-    sides = _sides_reaching_property5()
+    # cut_along and surger on the corpus curves, and every edge of small
+    # random maps cut as an arc and as a loop, for the error paths (a vertex
+    # may have two boundary corners) and for splits with nothing on the Q
+    # side
     outcomes = check_cuts(monkeypatch)
-    for side in sides:
-        _reduction(pr._side_reduction, *side)
-    assert len(outcomes) > len(sides)
     corpus = analysis_corpus()
     pick = random.Random(5)
     curves = [(d.surface, c) for d in corpus for c in d.curves]
@@ -1045,68 +1053,48 @@ def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
                 op(m, curve)
             except MapError:
                 pass
+    assert len(outcomes) > sum(len(d.curves) for d in corpus)
     raised = {str(x).split(" (")[0] for x in outcomes if isinstance(x, MapError)}
     assert raised == {"arc start vertex", "arc end vertex", "vertex has two boundary corners"}
 
 
-def _reduction(reduce, *args):
-    """A side reduction, or the type and message of its MapError."""
-    try:
-        return reduce(*args)
-    except MapError as exc:
-        return type(exc), str(exc)
-
-
-def test_side_reduction_matches_cut_by_cut_reference():
-    # the shape of a component that is not a disk, taken from the
-    # reduction's counts, is compared with euler_genus of its map
-    non_disks = 0
-    for d, walks, cycles, green, fid in _sides_reaching_property5():
-        got = _reduction(pr._side_reduction, d, walks, cycles, green, fid)
-        assert got == _reduction(reference_side_reduction, d, walks, cycles, green)
-        non_disks += getattr(got, "non_disk", None) is not None
-    assert non_disks > 0
-
-
-def _euler_characteristic(m: CombMap) -> int:
-    """V - E + interior faces of a map, connected or not."""
-    return len(cmb.vertices(m)) - m.n_darts // 2 + len(cmb.faces(m)) - len(m.holes)
-
-
-def test_counted_sides_agree_with_the_cut_by_cut_reference():
-    # every side without cycles, of the corpus, of its family swaps and of
-    # three surfaces in two pieces: a sphere or the 2-dart disk (a segment,
-    # a piece without faces) beside an annulus or a disk.  The count never
-    # passes a side that the reference fails; where it passes, it gives the
-    # reference's pieces, caps, arc copies and, in one piece, the dart
-    # components.  It declines 88 sides of family swaps, by their count of
-    # pieces; the sphere by its piece without a hole; and both segments by
-    # their edge with a hole on each side, the one beside a disk valid.
+def test_counted_sides_match_the_cut_by_cut_reference(rng):
+    # both color sides of: the corpus diagrams; their family swaps whose
+    # analysis reaches property 5; the hand-built cycle diagrams with their
+    # renamed and mirrored copies; and three surfaces in two pieces, a
+    # sphere or the 2-dart disk (a segment, a piece without faces) beside an
+    # annulus or a disk.  Each count equals the reference field by field:
+    # the piece of every dart of the cut map, the pieces, the first piece
+    # that is not a disk with its (chi, genus, boundary) taken from
+    # euler_genus of its map, the caps and the arc copies.
+    corpus = analysis_corpus()
+    broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)
+              if validate(v).properties[-1].witness != "prerequisite failed"]
+    hand = _cycle_diagrams()
+    hand += [relabel_diagram(d, rng) for d in hand] + [_mirrored(d) for d in hand]
     segment = next(m for m in small_disks() if m.n_darts == 2)
     annulus = make_solid_torus_diagram().surface
     annulus = dataclasses.replace(annulus, labels=(cmb._BDY,) * annulus.n_darts)
     pairs = [(make_sphere(), annulus), (segment, annulus), (segment, make_circle())]
     unions = [PrDiagram(disjoint_union(a, b), ()) for a, b in pairs]
-    sides = list(_sides_reaching_property5())
-    for d in unions:
+    outcomes = Counter()   # sides by (with cycles, pieces, all disks)
+    for d in corpus + tuple(broken) + tuple(hand) + tuple(unions):
         m = d.surface
-        sides.append((d, (), [], True, cmb._face_ids(m.alpha, m.sigma)))
-    decided = []   # per side without cycles: passed by the count, valid by the cut
-    for d, walks, cycles, green, fid in sides:
-        if cycles:
-            continue
-        ref = _reduction(reference_side_reduction, d, walks, cycles, green)
-        valid = isinstance(ref, pr._SideReduction) and ref.non_disk is None
-        hole = [f in d.surface.holes for f in fid]
-        got = pr._counted_side(d, walks, green, fid, hole, _euler_characteristic(d.surface))
-        decided.append((got is not None, valid))
-        if got is not None:
-            assert valid
-            assert got == dataclasses.replace(ref, comp_of_dart=got.comp_of_dart)
-            assert got.comp_of_dart in (None, ref.comp_of_dart)
-            assert (got.comp_of_dart is None) == (got.n_components > 1)
-    assert Counter(decided[:-3]) == {(True, True): 918, (False, False): 88}
-    assert decided[-3:] == [(False, False), (False, False), (False, True)]
+        vid, fid = cmb._orbit_ids(m.sigma), cmb._face_ids(m.alpha, m.sigma)
+        hole = [f in m.holes for f in fid]
+        faces = len(cmb.faces(m)) - len(m.holes)
+        chi = len(cmb.vertices(m)) - m.n_darts // 2 + faces
+        inner = [e for e in m.edge_ids() if not (hole[e] or hole[m.alpha[e]])]
+        _, walks = pr._curve_walks(d, vid)
+        for green in (True, False):
+            cycles = pr._assemble_cycles(d, walks, green)[0]
+            got = pr._counted_side(d, walks, cycles, green, vid, fid, hole, chi, faces, inner)
+            assert got == reference_side_reduction(d, walks, cycles, green)
+            pieces = "one" if got.n_components == 1 else "more"
+            outcomes[bool(cycles), pieces, got.non_disk is None] += 1
+    assert outcomes == {(False, "one", True): 838, (False, "one", False): 88,
+                        (False, "more", True): 100, (False, "more", False): 4,
+                        (True, "more", True): 16, (True, "more", False): 8}
     assert [validate(d).valid for d in unions] == [False, False, True]
 
 
