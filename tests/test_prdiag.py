@@ -1058,15 +1058,16 @@ def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
     assert raised == {"arc start vertex", "arc end vertex", "vertex has two boundary corners"}
 
 
-def test_counted_sides_match_the_cut_by_cut_reference(rng):
-    # both color sides of: the corpus diagrams; their family swaps whose
-    # analysis reaches property 5; the hand-built cycle diagrams with their
-    # renamed and mirrored copies; and three surfaces in two pieces, a
-    # sphere or the 2-dart disk (a segment, a piece without faces) beside an
-    # annulus or a disk.  Each count equals the reference field by field:
-    # the piece of every dart of the cut map, the pieces, the first piece
-    # that is not a disk with its (chi, genus, boundary) taken from
-    # euler_genus of its map, the caps and the arc copies.
+def _count_sides(rng, with_cycles: bool) -> Counter:
+    """Both color sides of: the corpus diagrams; their family swaps whose
+    analysis reaches property 5; the hand-built cycle diagrams with their
+    renamed and mirrored copies; and three surfaces in two pieces, a sphere
+    or the 2-dart disk (a segment, a piece without faces) beside an annulus
+    or a disk.  Each side with cycles, or each side without, is counted and
+    must equal the reference field by field: the piece of every dart of the
+    cut map, the pieces, the first piece that is not a disk with its (chi,
+    genus, boundary) taken from euler_genus of its map, the caps and the arc
+    copies.  Returns those sides by (pieces, all disks)."""
     corpus = analysis_corpus()
     broken = [v for d in corpus if len(d.curves) <= 4 for v in _family_swaps(d)
               if validate(v).properties[-1].witness != "prerequisite failed"]
@@ -1077,7 +1078,8 @@ def test_counted_sides_match_the_cut_by_cut_reference(rng):
     annulus = dataclasses.replace(annulus, labels=(cmb._BDY,) * annulus.n_darts)
     pairs = [(make_sphere(), annulus), (segment, annulus), (segment, make_circle())]
     unions = [PrDiagram(disjoint_union(a, b), ()) for a, b in pairs]
-    outcomes = Counter()   # sides by (with cycles, pieces, all disks)
+    assert [validate(d).valid for d in unions] == [False, False, True]
+    outcomes = Counter()
     for d in corpus + tuple(broken) + tuple(hand) + tuple(unions):
         m = d.surface
         vid, fid = cmb._orbit_ids(m.sigma), cmb._face_ids(m.alpha, m.sigma)
@@ -1088,14 +1090,24 @@ def test_counted_sides_match_the_cut_by_cut_reference(rng):
         _, walks = pr._curve_walks(d, vid)
         for green in (True, False):
             cycles = pr._assemble_cycles(d, walks, green)[0]
+            if bool(cycles) != with_cycles:
+                continue
             got = pr._counted_side(d, walks, cycles, green, vid, fid, hole, chi, faces, inner)
             assert got == reference_side_reduction(d, walks, cycles, green)
             pieces = "one" if got.n_components == 1 else "more"
-            outcomes[bool(cycles), pieces, got.non_disk is None] += 1
-    assert outcomes == {(False, "one", True): 838, (False, "one", False): 88,
-                        (False, "more", True): 100, (False, "more", False): 4,
-                        (True, "more", True): 16, (True, "more", False): 8}
-    assert [validate(d).valid for d in unions] == [False, False, True]
+            outcomes[pieces, got.non_disk is None] += 1
+    return outcomes
+
+
+def test_side_reduction_matches_cut_by_cut_reference(rng):
+    # the sides with cycles: surgery and cuts both counted on the uncut map
+    assert _count_sides(rng, True) == {("more", True): 16, ("more", False): 8}
+
+
+def test_counted_sides_agree_with_the_cut_by_cut_reference(rng):
+    # the sides without cycles, the two-piece surfaces among them
+    assert _count_sides(rng, False) == {("one", True): 838, ("one", False): 88,
+                                        ("more", True): 100, ("more", False): 4}
 
 
 def _outcome(call, *args) -> str:
