@@ -402,131 +402,94 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
     return walk, vseq
 
 
-class _WorkMap:
-    """A map that a cut rewrites in place.
+def _cut(m: CombMap, walk: Sequence[int], closed: bool, slits_are_holes: bool) -> CombMap:
+    """The map cut along an oriented dart walk (``curve_dart_walk``), both
+    copies of the curve boundary.  Darts keep their ids, the curve darts on
+    the P side: the corner side, at each traversal vertex the darts strictly
+    sigma-between arrival and departure.  The i-th curve dart and its
+    partner get the Q copies n + 2i and n + 2i + 1.  A face of the cut map
+    is a hole if it holds a dart off the curve that lay in a hole face, or,
+    with ``slits_are_holes``, if it is one of a closed curve's two slit
+    faces."""
+    alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
+    in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
+    n, k = len(alpha), len(walk)
+    copy_q = {}
+    for i, t in enumerate(walk):
+        copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
 
-    ``alpha``, ``sigma`` and ``labels`` are lists; ``in_hole[d]`` says whether
-    dart d lies in a hole face, read at the start from ``fid``, the map's
-    dart -> face id.  The cut recomputes that flag only on the faces through
-    its curve darts and their new copies, which are all the faces it
-    changes."""
+    arrivals = [alpha[t] for t in walk]
+    # (dart, new sigma image): at most four per split rotation, written
+    # once every rotation and boundary corner is read.  At arrival a and
+    # departure dep, P keeps the darts strictly between them and closes
+    # with dep -> a; Q is q(dep), sigma(dep) .. x, q(a), x preceding a.
+    writes = []
+    for a, dep in zip(arrivals, [*walk[1:], walk[0]] if closed else walk[1:]):
+        qa, qdep, x = copy_q[a], copy_q[dep], dep
+        while sigma[x] != a:
+            x = sigma[x]
+        if x == dep:   # nothing between them on the Q side: only copies change
+            writes += ((qdep, qa), (qa, qdep))
+        else:
+            writes += ((dep, a), (qdep, sigma[dep]), (x, qa), (qa, qdep))
+    # At an arc's ends the slit runs out through the boundary corner
+    # x -> sigma(x); P is the side sigma-before the departure at the start
+    # and the side sigma-after the arrival at the end.  One walk round the
+    # rotation finds x and leaves y at the predecessor of d.
+    for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
+        corners, y = [d] if in_hole[sigma[d]] else [], d
+        while sigma[y] != d:
+            y = sigma[y]
+            if in_hole[sigma[y]]:
+                corners.append(y)
+        x = _single_corner(corners)
+        if x is None:
+            raise ArcEndpointNotOnBoundary(
+                f"arc {end} vertex (dart {d}) is not on the boundary")
+        qd, sx = copy_q[d], sigma[x]
+        if end == "start":   # P: sigma(x) .. d; Q: q(d), sigma(d) .. x
+            writes += ((d, sx), (qd, sigma[d]), (x, qd)) if x != d else ((qd, qd),)
+        else:                # P: d .. x; Q: q(d), sigma(x) .. y
+            writes += ((x, d), (qd, sx), (y, qd)) if sx != d else ((x, d), (qd, qd))
 
-    def __init__(self, m: CombMap, fid: Sequence[int]):
-        self.alpha = list(m.alpha)
-        self.sigma = list(m.sigma)
-        self.labels = list(m.labels)
-        self.in_hole = [f in m.holes for f in fid]
+    for t in walk:
+        alpha += (len(alpha) + 1, len(alpha))
+        labels += (_BDY, _BDY)
+        labels[t] = labels[alpha[t]] = _BDY
+    sigma += [0] * (2 * k)
+    for x, y in writes:
+        sigma[x] = y
 
-    def cut(self, walk: Sequence[int], closed: bool, slits_are_holes: bool) -> dict[int, int]:
-        """Cut along an oriented dart walk; returns copy_q, each curve dart's
-        fresh Q copy.  Darts keep their ids, the curve darts on the P side:
-        the corner side, at each traversal vertex the darts strictly
-        sigma-between arrival and departure.  Both copies of the curve
-        become boundary.  With ``slits_are_holes`` both faces of a closed
-        curve's slit are holes."""
-        alpha, sigma, labels, in_hole = self.alpha, self.sigma, self.labels, self.in_hole
-        n, k = len(alpha), len(walk)
-        copy_q = {}
-        for i, t in enumerate(walk):
-            copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
-
-        arrivals = [alpha[t] for t in walk]
-        # (dart, new sigma image): at most four per split rotation, written
-        # once every rotation and boundary corner is read.  At arrival a and
-        # departure dep, P keeps the darts strictly between them and closes
-        # with dep -> a; Q is q(dep), sigma(dep) .. x, q(a), x preceding a.
-        writes = []
-        for a, dep in zip(arrivals, [*walk[1:], walk[0]] if closed else walk[1:]):
-            qa, qdep, x = copy_q[a], copy_q[dep], dep
-            while sigma[x] != a:
-                x = sigma[x]
-            if x == dep:   # nothing between them on the Q side: only copies change
-                writes += ((qdep, qa), (qa, qdep))
-            else:
-                writes += ((dep, a), (qdep, sigma[dep]), (x, qa), (qa, qdep))
-        # At an arc's ends the slit runs out through the boundary corner
-        # x -> sigma(x); P is the side sigma-before the departure at the start
-        # and the side sigma-after the arrival at the end.  One walk round the
-        # rotation finds x and leaves y at the predecessor of d.
-        for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
-            corners, y = [d] if in_hole[sigma[d]] else [], d
-            while sigma[y] != d:
-                y = sigma[y]
-                if in_hole[sigma[y]]:
-                    corners.append(y)
-            x = _single_corner(corners)
-            if x is None:
-                raise ArcEndpointNotOnBoundary(
-                    f"arc {end} vertex (dart {d}) is not on the boundary")
-            qd, sx = copy_q[d], sigma[x]
-            if end == "start":   # P: sigma(x) .. d; Q: q(d), sigma(d) .. x
-                writes += ((d, sx), (qd, sigma[d]), (x, qd)) if x != d else ((qd, qd),)
-            else:                # P: d .. x; Q: q(d), sigma(x) .. y
-                writes += ((x, d), (qd, sx), (y, qd)) if sx != d else ((x, d), (qd, qd))
-
-        for t in walk:
-            alpha += (len(alpha) + 1, len(alpha))
-            labels += (_BDY, _BDY)
-            labels[t] = labels[alpha[t]] = _BDY
-        sigma += [0] * (2 * k)
-        for x, y in writes:
-            sigma[x] = y
-
-        # A face is a hole if it keeps a dart of a hole face that is not on
-        # the curve, or if it is a slit face and slits become holes: the
-        # curve darts and their copies count as holes only as slit darts.
-        for d in copy_q:
-            in_hole[d] = False
-        in_hole += [False] * (2 * k)
-        if closed and slits_are_holes:   # the P and Q slit corners
-            in_hole[arrivals[0]] = in_hole[copy_q[walk[0]]] = True
-        done = set()
-        for start in (*copy_q, *copy_q.values()):
-            if start in done:
-                continue
-            face = []
-            hole = False
-            d = start
-            while True:
-                face.append(d)
-                if not hole:
-                    hole = in_hole[d]
-                d = sigma[alpha[d]]
-                if d == start:
-                    break
-            done.update(face)
-            for x in face:
-                in_hole[x] = hole
-        return copy_q
-
-    def finish(self, fid: list[int]) -> CombMap:
-        """The map as it stands, from its dart -> face id ``fid``."""
-        holes = frozenset(f for f in set(fid) if self.in_hole[f])
-        return CombMap(tuple(self.alpha), tuple(self.sigma), tuple(self.labels), holes)
-
-
-def _cut_one(m: CombMap, curve: EmbeddedCurve, slits_are_holes: bool) -> CombMap:
-    """The map cut along one curve, both copies boundary (``_WorkMap.cut``)."""
-    work = _WorkMap(m, _face_ids(m.alpha, m.sigma))
-    work.cut(curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, slits_are_holes)
-    return work.finish(_face_ids(work.alpha, work.sigma))
+    # the darts that witness a hole: those of hole faces off the curve, then
+    # with slits_are_holes the P and Q slit corners of a closed curve
+    for d in copy_q:
+        in_hole[d] = False
+    fid = _face_ids(alpha, sigma)
+    holes = set(compress(fid, in_hole))
+    if closed and slits_are_holes:
+        holes |= {fid[arrivals[0]], fid[copy_q[walk[0]]]}
+    return CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(holes))
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
-    """Cut the surface along an embedded curve.
+    """Cut the surface along an embedded curve (``_cut``).
 
     The curve is doubled and both copies become boundary; chi grows by 1 for
     an arc with endpoints on the boundary and is unchanged for a closed curve.
+    A face of the cut map is a hole if it holds a dart off the curve that lay
+    in a hole face, or if it is one of a closed curve's two slit faces.
     """
-    return _cut_one(m, curve, slits_are_holes=True)
+    return _cut(m, curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, True)
 
 
 def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
     """Spherical rearrangement: cut along a closed curve and cap both new
-    boundary circles with disks (chi += 2)."""
+    boundary circles with disks (chi += 2).  The cut is ``_cut``'s: a face
+    is a hole iff it holds a dart off the curve that lay in a hole face, so
+    the two slit faces are the caps."""
     if not curve.closed:
         raise CurveNotClosed("surgery requires a closed curve")
-    return _cut_one(m, curve, slits_are_holes=False)
+    return _cut(m, curve_dart_walk(m, curve, _orbit_ids(m.sigma)), True, False)
 
 
 # The last two cm1 fields of an atom, by the atom's tail (2·kind + hole).

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import random
 from functools import cache
 from itertools import combinations, permutations, product
@@ -562,6 +561,57 @@ def chord_orbit_counts(g: int, *, reflections: bool) -> ChordOrbitCounts:
     return ChordOrbitCounts(*(f // len(group) for f in fixed))
 
 
+def fixed_one_face(p) -> int:
+    """The one-face matchings of the circle's points that the point map p
+    fixes, made directly: the least free point takes each free partner, and
+    the chord forces its whole orbit under p, or fails if the orbit meets a
+    taken point or puts a chord's ends together."""
+    points = len(p)
+    partner = [-1] * points
+
+    def one_face() -> bool:
+        x, steps = 0, 0
+        while True:
+            x, steps = (partner[x] + 1) % points, steps + 1
+            if x == 0:
+                return steps == points
+
+    def extend(x: int) -> int:
+        if x == points:
+            return int(one_face())
+        if partner[x] >= 0:
+            return extend(x + 1)
+        total = 0
+        for y in range(x + 1, points):
+            placed, a, b = [], x, y
+            while partner[a] != b:
+                if a == b or partner[a] >= 0 or partner[b] >= 0:
+                    break
+                partner[a], partner[b] = b, a
+                placed += (a, b)
+                a, b = p[a], p[b]
+            else:
+                total += extend(x + 1)
+            for d in placed:
+                partner[d] = -1
+        return total
+
+    return extend(0)
+
+
+def dihedral_base_count(g: int) -> int:
+    """The base classes at genus g under the circle's rotations and
+    reflections by the Cauchy-Frobenius lemma, with no package code: the
+    Harer-Zagier count of one-face matchings of 4g points for the identity,
+    plus the one-face matchings each other map fixes, over the 8g maps."""
+    points = 4 * g
+    maps = circle_maps(points, reflections=True)
+    total = factorial(points) // (4 ** g * factorial(2 * g + 1))
+    total += sum(fixed_one_face(p) for p in maps[1:])   # maps[0] is the identity
+    assert total % len(maps) == 0, "orbit counts must be whole"
+    return total // len(maps)
+
+
 # ---------------------------------------------------------------------------
 # Cut-by-cut reference for side reductions
 # ---------------------------------------------------------------------------
@@ -599,9 +649,12 @@ def _boundary_corner(corners: list, end: str, d: int) -> int:
 
 def reference_cut_walk(m: CombMap, walk, closed: bool, label_q,
                        slits_are_holes: bool) -> tuple[CombMap, dict]:
-    """combmap._WorkMap.cut on a fresh map, as a fresh map per cut: rewire
-    copies of alpha, sigma and labels, then rebuild the face table and the
-    holes of the result from scratch.  Returns the cut map and copy_q."""
+    """The map combmap._cut makes, with each split rotation rebuilt as two
+    lists and every dart in them rewired on copies of alpha, sigma and
+    labels, then the face table and the holes of the result made from
+    scratch.  A face of the cut map is a hole if it holds a dart off the
+    curve that lay in a hole face, or, with ``slits_are_holes``, if it is
+    one of a closed curve's two slit faces.  Returns the cut map and copy_q."""
     n = m.n_darts
     k = len(walk)
     ftab = face_table(m)
@@ -652,92 +705,33 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_q,
     return CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)), copy_q
 
 
-def reference_work_cut(work, walk, closed: bool, label_q, slits_are_holes: bool):
-    """combmap._WorkMap.cut with each split rotation rebuilt as two lists and
-    every dart in them rewired; hole flags are recomputed, as the cut does,
-    on the faces through the curve darts and their copies."""
-    alpha, sigma, labels, in_hole = work.alpha, work.sigma, work.labels, work.in_hole
-    n, k = len(alpha), len(walk)
-    copy_q = {}
-    for i, t in enumerate(walk):
-        copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
-    arrivals = [alpha[t] for t in walk]
-    if closed:
-        pairs = [(arrivals[i], walk[(i + 1) % k]) for i in range(k)]
-    else:
-        pairs = [(arrivals[i], walk[i + 1]) for i in range(k - 1)]
-    rotations = []
-    for a, dep in pairs:
-        rot = _rotation(sigma, a)
-        j = rot.index(dep)
-        rotations += [[a] + rot[1:j] + [dep], [copy_q[dep]] + rot[j + 1:] + [copy_q[a]]]
-    for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
-        rot = _rotation(sigma, d)
-        j = rot.index(_boundary_corner([y for y in rot if in_hole[sigma[y]]], end, d)) + 1
-        before, after = rot[j:], rot[1:j]
-        p_side, q_side = (before, after) if end == "start" else (after, before)
-        rotations += [[d] + p_side, [copy_q[d]] + q_side]
-    for t in walk:
-        lab = labels[t]
-        alpha += (len(alpha) + 1, len(alpha))
-        labels += [lab if label_q is None else label_q] * 2
-        labels[t] = labels[alpha[t]] = CurveLabel(CurveKind.BDY)
-    sigma += [0] * (2 * k)
-    for rot in rotations:
-        for x, y in zip(rot, rot[1:] + rot[:1]):
-            sigma[x] = y
-    # a face is a hole if it keeps a hole dart off the curve, or is a slit
-    # face whose slits become holes
-    for d in copy_q:
-        in_hole[d] = False
-    in_hole += [False] * (2 * k)
-    slits = (arrivals[0], copy_q[walk[0]]) if closed else ()
-    for d in slits if slits_are_holes else ():
-        in_hole[d] = True
-    for start in (*copy_q, *copy_q.values()):
-        face = _rotation([sigma[a] for a in alpha], start)
-        hole = any(in_hole[x] for x in face)
-        for x in face:
-            in_hole[x] = hole
-    return copy_q
-
-
-_WORK_LISTS = ("alpha", "sigma", "labels", "in_hole")
-
-
 def check_cuts(monkeypatch) -> list:
-    """Make every combmap._WorkMap.cut run reference_work_cut, with both
-    copies labeled bdy, on a copy of the working map first: both must
-    return, or raise, the same and leave the same alpha, sigma, labels and
-    in_hole.  Returns the list that collects each cut's outcome, its result
-    or its MapError."""
+    """Make every combmap._cut run reference_cut_walk, with both copies
+    labeled bdy, as well: both must return the same map, or raise the same
+    MapError.  Returns the list that collects each cut's outcome, its map or
+    its MapError."""
     import morsediag.combmap as cmb
 
-    cut = cmb._WorkMap.cut
+    cut = cmb._cut
     outcomes = []
 
-    def checked(work, walk, closed, slits_are_holes):
-        ref = copy.copy(work)
-        for name in _WORK_LISTS:
-            setattr(ref, name, list(getattr(work, name)))
+    def checked(m, walk, closed, slits_are_holes):
         seen = []
-        for run in (lambda: reference_work_cut(ref, walk, closed, CurveLabel(CurveKind.BDY),
-                                               slits_are_holes),
-                    lambda: cut(work, walk, closed, slits_are_holes)):
+        for run in (lambda: reference_cut_walk(m, walk, closed, CurveLabel(CurveKind.BDY),
+                                               slits_are_holes)[0],
+                    lambda: cut(m, walk, closed, slits_are_holes)):
             try:
                 seen.append(run())
             except MapError as exc:
                 seen.append(exc)
         expected, got = ((type(x), str(x)) if isinstance(x, MapError) else x for x in seen)
         assert got == expected
-        assert [getattr(work, name) for name in _WORK_LISTS] == \
-            [getattr(ref, name) for name in _WORK_LISTS]
         outcomes.append(seen[1])
         if isinstance(seen[1], MapError):
             raise seen[1]
         return seen[1]
 
-    monkeypatch.setattr(cmb._WorkMap, "cut", checked)
+    monkeypatch.setattr(cmb, "_cut", checked)
     return outcomes
 
 

@@ -44,6 +44,9 @@ _SIDES_WITH_CYCLES = "tests/test_prdiag.py::test_side_reduction_matches_cut_by_c
 _SIDES_WITHOUT = "tests/test_prdiag.py::test_counted_sides_agree_with_the_cut_by_cut_reference"
 _COUNTED = (_SIDES_WITH_CYCLES, _SIDES_WITHOUT)   # sides with cycles, sides without
 _WITNESSES = "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest"
+# the corpus cuts and every edge of small random maps, against the list-rebuilding reference
+_CUTS = ("tests/test_combmap.py::test_cut_walk_matches_cut_by_cut_reference",
+         "tests/test_prdiag.py::test_cuts_match_the_list_rebuilding_reference")
 # both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
 _CIRCLE = ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
            "tests/test_prdiag.py::test_rotation_only_classes_convert_back_and_count_as_the_surface_codes")
@@ -137,6 +140,14 @@ MUTANTS = (
            "analysis.invariant = [(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()]",
            ("tests/test_prdiag.py::test_equal_codes_have_equal_face_invariants",
             "tests/test_prdiag.py::test_equivalent_agrees_with_comparing_codes")),
+    Mutant("combmap._cut never makes a closed curve's slit faces holes", "combmap.py",
+           "if closed and slits_are_holes:", "if False:",
+           _CUTS),
+    # a corpus curve is labeled, so none of its darts lies in a hole face:
+    # only the random maps' bdy edges tell this one apart
+    Mutant("combmap._cut counts a curve dart as a hole witness", "combmap.py",
+           "    for d in copy_q:\n        in_hole[d] = False\n", "",
+           (_CUTS[1],)),
     Mutant("combmap._least_roots skips class 1 (sigma and alpha agree)", "combmap.py",
            "for image in (darts, alpha):", "for image in (darts,):",
            ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),

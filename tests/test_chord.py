@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations, product
+from math import factorial
 from operator import getitem
 
 import pytest
@@ -38,6 +39,8 @@ from conftest import (
     chord_orbit_counts,
     circle_image,
     circle_maps,
+    dihedral_base_count,
+    fixed_one_face,
     least_circle_image,
     match_arrays,
     stand_in_pool,
@@ -184,6 +187,17 @@ def test_enumeration_matches_burnside(g):
         colorings = [enumerate_colorings(b, g, sym) for b in bases]
         assert sum(map(len, colorings)) == oracle.colored
         assert sum(any(map(is_river, c)) for c in colorings) == oracle.river_bases
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_base_counts_match_the_dihedral_orbit_count(g, request):
+    # the oracle's own generator, run on the identity, gives the
+    # Harer-Zagier term it stands in for (g4's would take seconds)
+    if g < 4:
+        assert fixed_one_face(tuple(range(4 * g))) == \
+            factorial(4 * g) // (4 ** g * factorial(2 * g + 1))
+    report = request.getfixturevalue("genus4_report") if g == 4 else classify(g)
+    assert report.bases == dihedral_base_count(g) == (1, 4, 82, 7258)[g - 1]
 
 
 @pytest.mark.parametrize("points", [2, 3, 4, 8, 12])

@@ -160,7 +160,7 @@ def test_census_command(monkeypatch, capsys):
     import morsediag.prdiag as pr
 
     calls = []
-    count_side, cut = pr._counted_side, cmb._WorkMap.cut
+    count_side, cut = pr._counted_side, cmb._cut
 
     def counted_side(*args):
         calls.append(("count", args[3]))
@@ -171,7 +171,7 @@ def test_census_command(monkeypatch, capsys):
         return cut(*args)
 
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
+    monkeypatch.setattr(cmb, "_cut", counted_cut)
     code, out, _ = run(capsys, "census", fixture_path("solid_torus.json"))
     assert code == 0
     payload = json.loads(out)

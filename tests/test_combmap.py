@@ -284,13 +284,6 @@ def test_surger_chi_plus_two_genus_never_up():
         assert all(euler_genus(p)[1] <= g0 for p in parts)
 
 
-def _work_cut(m: CombMap, walk, closed: bool, slits_are_holes: bool):
-    """One _WorkMap.cut on a fresh working map: the cut map and copy_q."""
-    work = cmb._WorkMap(m, cmb._face_ids(m.alpha, m.sigma))
-    copy_q = work.cut(walk, closed, slits_are_holes)
-    return work.finish(cmb._face_ids(work.alpha, work.sigma)), copy_q
-
-
 def test_cut_walk_matches_cut_by_cut_reference():
     # cut_along and surger, and cuts of closed curves with slits that stay
     # faces and of open ones with either flag (both copies bdy)
@@ -303,8 +296,8 @@ def test_cut_walk_matches_cut_by_cut_reference():
             if curve.closed:
                 assert surger(m, curve) == reference_cut_walk(m, walk, True, BDY, False)[0]
             for slits_are_holes in (True, False):
-                assert _work_cut(m, walk, curve.closed, slits_are_holes) == \
-                    reference_cut_walk(m, walk, curve.closed, BDY, slits_are_holes)
+                assert cmb._cut(m, walk, curve.closed, slits_are_holes) == \
+                    reference_cut_walk(m, walk, curve.closed, BDY, slits_are_holes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +369,15 @@ def test_cut_then_reglue_restores_code(case):
         m = d.surface
         curve = d.curves[0] if case.endswith("_u") else d.curves[1]
     walk = cmb.curve_dart_walk(m, curve, cmb._orbit_ids(m.sigma))
-    cut, copy_q = _work_cut(m, walk, curve.closed, slits_are_holes=not curve.closed)
+    # the i-th curve dart and its partner get the copies n + 2i and n + 2i + 1,
+    # which alpha pairs
+    n = m.n_darts
+    copy_q = {}
+    for i, t in enumerate(walk):
+        copy_q[t], copy_q[m.alpha[t]] = n + 2 * i, n + 2 * i + 1
+    cut = surger(m, curve) if curve.closed else cut_along(m, curve)
+    assert cut.n_darts == n + 2 * len(walk)
+    assert all(cut.alpha[n + 2 * i] == n + 2 * i + 1 for i in range(len(walk)))
     glued = _reglue(m, cut, copy_q, walk, curve.closed)
     assert canonical_code(glued) == canonical_code(m)
 

@@ -467,7 +467,7 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # once per diagram, by its analysis
     events = []
     face_id_calls = []
-    count_side, cut = pr._counted_side, cmb._WorkMap.cut
+    count_side, cut = pr._counted_side, cmb._cut
     key, has_key, face_ids = cmb._canonical_key, cmb._has_key, cmb._face_ids
 
     def counted_side(*args):
@@ -495,7 +495,7 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.clear()
 
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(cmb._WorkMap, "cut", counted_cut)
+    monkeypatch.setattr(cmb, "_cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
     monkeypatch.setattr(cmb, "_has_key", counted_check)
     monkeypatch.setattr(cmb, "_face_ids", counted_face_ids)
