@@ -17,13 +17,12 @@ acceptance suite pins 1, 5, 179 against independent orbit counts.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import factorial
-from itertools import compress
+from itertools import compress, islice
 from operator import eq
 from typing import Iterator, Optional, Sequence
 
@@ -408,29 +407,29 @@ def _harer_zagier_count(g: int) -> int:
 
 
 def _canonical_bases(g: int, sym: SymmetryConvention
-                     ) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """(representative, stabiliser) of every base class, sorted by
-    representative; see enumerate_bases.  Generation places only matchings
-    whose match[0] is their least short span, which is the precondition of
-    _self_test."""
+                     ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """(representative, stabiliser) of every base class, yielded in
+    generation order, which sorts them by representative; see
+    enumerate_bases, whose Harer-Zagier check runs once the generator is
+    exhausted.  Generation places only matchings whose match[0] is their
+    least short span, which is the precondition of _self_test."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     pts = 4 * g
     group = len(_symmetry_maps(pts, sym))
     self_test = _self_test(pts, sym)
-    reps = []
-    labeled = 0
+    classes = labeled = 0
     for match in _one_face(pts, sym):
         stabiliser = self_test(match)
         if stabiliser is not None:
-            reps.append((match, stabiliser))
+            yield match, stabiliser
+            classes += 1
             labeled += group // len(stabiliser)
     expected = _harer_zagier_count(g)
     if labeled != expected:
         raise RuntimeError(
-            f"genus {g}: the {len(reps)} base classes hold {labeled} labeled "
+            f"genus {g}: the {classes} base classes hold {labeled} labeled "
             f"one-face matchings, not the Harer-Zagier count {expected}")
-    return reps
 
 
 def enumerate_bases(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY) -> list[ChordDiagram]:
@@ -526,7 +525,7 @@ def enumerate_colorings(base: ChordDiagram, g: int,
         raise NotOneFace("colorings are defined for one-face diagrams")
     _, maps = _least_image(base.match, sym)
     readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
-    _, colored, _, greens = _classify_base((tuple(base.match), g, sym, readers))
+    _, colored, _, greens = _classify_base(tuple(base.match), g, sym, readers)
     return [ColoredChordDiagram(base, tuple(GREEN if mask >> i & 1 else RED for i in range(base.n)))
             for _, mask in sorted(zip(colored, greens))]
 
@@ -570,10 +569,11 @@ def _river(match: Sequence[int], pcol: str) -> bool:
     return False
 
 
-def _classify_base(job):
+def _classify_base(match: tuple[int, ...], g: int, sym: SymmetryConvention,
+                   readers: Optional[Sequence[Sequence[int]]]):
     """The code of one one-face base, the colored codes of its coloring
     classes, those of its river classes and the green chord mask of each
-    class's representative; job is (match as a tuple, g, symmetry, readers).
+    class's representative.
 
     _crossing_masks gives the chords' crossing masks and `lab`, with
     chr(n + 2 - k) at the points of chord k, the index of bit k's digit in
@@ -588,7 +588,6 @@ def _classify_base(job):
     Run-time check: a class's orbit holds len(readers) / (the readers giving
     its key) colorings, by orbit-stabiliser; the orbits must sum to the
     green subsets tried, or RuntimeError is raised."""
-    match, g, sym, readers = job
     crossed, lab = _crossing_masks(match)
     code = _code_format(len(match), sym) % match
     subsets = _noncrossing_subsets(crossed, g)
@@ -629,42 +628,36 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     """Full classification at one genus: base classes, colored classes,
     river classes, and all canonical codes.  Returns a CatalogReport.
 
-    Base enumeration (enumerate_bases: span-pruned orderly generation and
-    the Harer-Zagier check) runs in this process and gives each base with
-    its stabiliser, which the per-base jobs carry, so no stabiliser is
-    computed twice.  Each job makes the base's coloring classes and their
-    codes in one pass (_classify_base), with the orbit-stabiliser check on
-    colorings and the river test on the point colors; the codes are sorted
-    once, here.  workers > 1 runs the jobs in a pool of that many processes,
-    but no more than os.cpu_count(), which is no faster than one worker: at genus 4 the pool's start-up and
-    the pickling of the 7,258 jobs and their results cost about as much as
-    the second process saves."""
+    One pass in this process.  Base enumeration (enumerate_bases:
+    span-pruned orderly generation and the Harer-Zagier check, run once the
+    bases are exhausted) streams the bases with their stabilisers, so no
+    list of all bases is held and no stabiliser is computed twice.
+    _classify_base makes each base's coloring classes and their codes, with
+    the orbit-stabiliser check on colorings and the river test on the point
+    colors; the codes are sorted once, here.  ``workers`` is accepted for
+    compatibility: every value runs this same single pass."""
     from .catalog import CatalogReport
 
     if g > _MAX_GENUS:
         raise ValueError(f"genus {g} above configured bound {_MAX_GENUS}")
     t0 = time.perf_counter()
-    # a stabiliser is a group, so its maps read the same strings as their inverses
-    jobs = ((match, g, sym, stabiliser if len(stabiliser) > 1 else None)
-            for match, stabiliser in _canonical_bases(g, sym))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
-            results = pool.map(_classify_base, jobs)
-    else:
-        results = map(_classify_base, jobs)
-
     base_codes = []
     colored_codes = []
     river_codes = []
     river_bases = 0
-    for base_code, colored, river, _ in results:
-        base_codes.append(base_code)
-        colored_codes += colored
-        if river:
-            river_codes += river
-            river_bases += 1
+    bases = _canonical_bases(g, sym)
+    # taken 256 at a time: alternating generation and colorings base by base
+    # slowed both, by 4-8 % in all at genus 4
+    while run := list(islice(bases, 256)):
+        for match, stabiliser in run:
+            # a stabiliser is a group, so its maps read the same strings as their inverses
+            base_code, colored, river, _ = _classify_base(
+                match, g, sym, stabiliser if len(stabiliser) > 1 else None)
+            base_codes.append(base_code)
+            colored_codes += colored
+            if river:
+                river_codes += river
+                river_bases += 1
     base_codes.sort()
     colored_codes.sort()
     river_codes.sort()

@@ -299,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=["rotation", "dihedral"],
                    default=DEFAULT_SYMMETRY.value)
     p.add_argument("--workers", type=int,
-                   help="worker pool size (default: MORSEDIAG_WORKERS or 1)")
+                   help="accepted (default: MORSEDIAG_WORKERS or 1); "
+                        "classification runs in one process")
     p.add_argument("--out", help="write the class catalog (JSONL) here")
     p.set_defaults(func=_cmd_classify)
 

@@ -334,19 +334,20 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     its edges with an interior face on both sides, by their smaller dart.
 
     The cut map's darts are numbered as the cut numbers them: the cycles,
-    by least dart (as ``_assemble_cycles`` gives them), then the arcs, in registry order, each cut giving the
-    copies of its i-th dart and of that dart's partner the ids top + 2i and
-    top + 2i + 1.  Its cells are the interior faces and two caps per cycle,
-    P on the corner side of the cycle's darts and Q on the other side.  Its
-    pieces are the edges with a hole on both sides and the classes of cells
-    joined across the edges with a cell on both sides: an edge on no curve
-    of the side and no hole, and a cycle edge, from the P cap to the face
-    of the cycle dart and from the Q cap to the face of its partner, unless
-    an arc runs there (cut after the surgery).  One piece with
-    chi + s + 2c = 1 (s arcs, c cycles) is a disk.  Else a piece's chi
-    counts its cells, its vertices (one per hole dart on the boundary) and
-    half its darts, and its boundary circles are the cycles of the hole
-    walk that jumps from each arc end to the other.  The README says why."""
+    by least dart (as ``_assemble_cycles`` gives them), then the arcs, in
+    registry order, each cut giving the copies of its i-th dart and of that
+    dart's partner the ids top + 2i and top + 2i + 1.  Its cells are the
+    interior faces and two caps per cycle, P on the corner side of the
+    cycle's darts and Q on the other side.  Its pieces are the edges with a
+    hole on both sides and the classes of cells joined across the edges
+    with a cell on both sides: an edge on no curve of the side and no hole,
+    and a cycle edge, from the P cap to the face of the cycle dart and from
+    the Q cap to the face of its partner, unless an arc runs there (cut
+    after the surgery).  One piece with chi + s + 2c = 1 (s arcs, c cycles)
+    is a disk.  Else a piece's chi counts its cells, its vertices (one per
+    hole dart on the boundary) and half its darts, and its boundary circles
+    are the cycles of the hole walk that jumps from each arc end to the
+    other.  The README says why."""
     m = d.surface
     alpha, sigma, n = m.alpha, m.sigma, m.n_darts
     on = [0] * n   # dart -> 1 on a cycle of the side, 2 on an arc

@@ -832,33 +832,6 @@ def analysis_corpus() -> tuple:
     return tuple(out + [relabel_diagram(d, rng) for d in out])
 
 
-def stand_in_pool(monkeypatch, cpus) -> list:
-    """Make multiprocessing.Pool a stand-in that maps in this process and
-    starts no process, and os.cpu_count return ``cpus``.  Returns the list
-    of the process counts that pools are made with."""
-    import multiprocessing
-    import os
-
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, jobs):
-            return list(map(func, jobs))
-
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return sizes
-
-
 def clear_analysis_caches():
     """Forget the analyses, with their canonical keys, that prdiag keeps of
     the last two diagrams."""

@@ -23,16 +23,19 @@ script exits 1 if the two trees give different outputs on any operation:
 the report, census, Morse checks, boundary flow, colored class, canonical
 codes or equivalence verdicts.
 
-With ``--workload classify-g4`` each tree classifies genus 4 once, and every
-pass runs the catalog round trip of that report on A and on B in turn, A
-first on even passes and B first on odd ones: ``report_entries``,
-``save_catalog`` to a temporary file and ``load_catalog``.  The one-pass
-benchmark times classify and the round trip together, once per process, so
-the machine's speed from run to run sets its spread; here both trees run
-side by side.  It prints each tree's median round trip, the median over
-passes of the ratio B / A, and each tree's ``tracemalloc`` peak over one
-more round trip.  The script exits 1 if the two trees' reports, catalog
-files or entries read back differ.  The seed does not apply.
+With ``--workload classify-g4`` every pass runs ``classify(4)`` on A and on
+B in turn, A first on even passes and B first on odd ones, each after
+clearing ``chord``'s caches (``_symmetry_maps``, ``_self_test`` and
+``_code_format``), so every call pays the set-up that a new process pays.
+The catalog round trip of each tree's report follows in the same order:
+``report_entries``, ``save_catalog`` to a temporary file and
+``load_catalog``.  The one-pass benchmark times classify and the round trip
+together, once per process, so the machine's speed from run to run sets its
+spread; here both trees run side by side.  It prints each tree's median
+classify and round trip, the median over passes of each ratio B / A, and
+each tree's ``tracemalloc`` peak over one more round trip.  The script exits
+1 if the two trees' reports, catalog files or entries read back differ.  The
+seed does not apply.
 
 Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
 """
@@ -136,42 +139,50 @@ def round_trip(m, report, path: Path) -> tuple[float, list]:
 
 
 def classify_g4(trees, args) -> int:
-    reports = [m.chord.classify(4, workers=1) for m in trees]
-    outputs = [(r.counts(), r.base_codes, r.colored_codes, r.river_codes) for r in reports]
-    if outputs[0] != outputs[1]:
-        print("FAIL: the two trees classify genus 4 differently")
-        return 1
-    print(f"# catalog round trip of {len(reports[0].base_codes) + len(reports[0].colored_codes)} "
-          f"genus-4 classes, Python {sys.version.split()[0]}")
-    times = [[], []]
-    ratios = []
+    print(f"# classify(4) and the catalog round trip of its report, "
+          f"Python {sys.version.split()[0]}")
+    times = {"classify": ([], []), "round trip": ([], [])}
     with tempfile.TemporaryDirectory(prefix="morsediag-ab-") as tmp:
         paths = [Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"]
         for p in range(args.passes):
-            got = [None, None]
-            for t in (0, 1) if p % 2 == 0 else (1, 0):
+            order = (0, 1) if p % 2 == 0 else (1, 0)
+            reports, got = [None, None], [None, None]
+            for t in order:
+                chord = trees[t].chord
+                for cached in (chord._symmetry_maps, chord._self_test, chord._code_format):
+                    cached.cache_clear()   # each call pays a new process's set-up
+                t0 = time.perf_counter()
+                reports[t] = chord.classify(4)
+                times["classify"][t].append(time.perf_counter() - t0)
+            outputs = [(r.counts(), r.base_codes, r.colored_codes, r.river_codes) for r in reports]
+            if outputs[0] != outputs[1]:
+                print(f"FAIL: pass {p}: the two trees classify genus 4 differently")
+                return 1
+            for t in order:
                 got[t] = round_trip(trees[t], reports[t], paths[t])
+                times["round trip"][t].append(got[t][0])
             if paths[0].read_bytes() != paths[1].read_bytes():
                 print(f"FAIL: pass {p}: the two trees write different catalogs")
                 return 1
             if [e.to_json() for e in got[0][1]] != [e.to_json() for e in got[1][1]]:
                 print(f"FAIL: pass {p}: the two trees read back different entries")
                 return 1
-            for t in (0, 1):
-                times[t].append(got[t][0])
-            ratios.append(got[1][0] / got[0][0])
-            print(f"pass {p}: A {got[0][0]:.4f} s, B {got[1][0]:.4f} s, B/A {ratios[-1]:.4f}")
+            print(f"pass {p}: " + "; ".join(
+                f"{step} A {a[-1]:.4f} s, B {b[-1]:.4f} s, B/A {b[-1] / a[-1]:.4f}"
+                for step, (a, b) in times.items()))
         peaks = []
         for t in (0, 1):
             tracemalloc.start()   # the peak holds both lists of entries
             round_trip(trees[t], reports[t], paths[t])
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
             tracemalloc.stop()
-    med = [statistics.median(ts) for ts in times]
-    ratio = statistics.median(ratios)
-    print(f"median round trip: A {med[0]:.4f} s, B {med[1]:.4f} s; median B/A over "
-          f"{len(ratios)} passes {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); tracemalloc "
-          f"peak A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB; outputs identical")
+    print(f"# {len(reports[0].base_codes) + len(reports[0].colored_codes)} genus-4 classes")
+    for step, (a, b) in times.items():
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        print(f"median {step}: A {statistics.median(a):.4f} s, B {statistics.median(b):.4f} s; "
+              f"median B/A over {len(a)} passes {ratio:.4f} ({(ratio - 1) * 100:+.1f} %)")
+    print(f"tracemalloc peak of one round trip: A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB; "
+          "outputs identical")
     return 0
 
 

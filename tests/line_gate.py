@@ -9,9 +9,9 @@ if a line never ran, unless an allowlist entry covers it: a file, an exact
 snippet that must occur once in it, and the reason it is left untested.  A
 snippet that no longer occurs exactly once, or that covers only lines that
 ran, fails the gate by name, so the list cannot rot.  Lines that run only in
-child processes (the CLI run as a program, pool workers) are not seen.
-Stdlib only, besides the pytest that runs the tests; tracing makes the suite
-four to five times slower (70-90 s on 2 CPUs with Python 3.11).
+child processes (the CLI run as a program) are not seen.  Stdlib only,
+besides the pytest that runs the tests; tracing makes the suite four to five
+times slower (70-90 s on 2 CPUs with Python 3.11).
 """
 
 from __future__ import annotations

@@ -102,10 +102,14 @@ MUTANTS = (
             "tests/test_chord.py::test_colorings_have_noncrossing_greens",
             "tests/test_acceptance.py::test_criterion_03_genus3_counts_and_convention")),
     Mutant("coloring classes under the identity map only", "chord.py",
-           "    match, g, sym, readers = job\n", "    (match, g, sym, _), readers = job, None\n",
+           "    crossed, lab = _crossing_masks(match)\n",
+           "    readers = None\n    crossed, lab = _crossing_masks(match)\n",
            ("tests/test_chord.py::test_enumeration_matches_burnside",
             "tests/test_chord.py::test_colorings_match_reference",
             "tests/test_chord.py::test_missing_coloring_fails_the_coloring_check")),
+    Mutant("_canonical_bases skips its Harer-Zagier check once exhausted", "chord.py",
+           "if labeled != expected:", "if False:",
+           ("tests/test_chord.py::test_missing_class_fails_the_run_time_check",)),
     Mutant("own-pieces check of prdiag._left_turn_trail deleted", "prdiag.py",
            "or ci in pieces or ci in used:", "or ci in used:",
            ("tests/test_prdiag.py::test_left_turn_walk_refuses_a_piece_taken_the_other_way",)),

@@ -43,7 +43,6 @@ from conftest import (
     fixed_one_face,
     least_circle_image,
     match_arrays,
-    stand_in_pool,
     thickened_boundary_walk_faces,
 )
 from g4_round_trip import decode
@@ -268,7 +267,7 @@ def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
     # its first entry is the least of its images' first entries
     expected = [m for m in least_span_16 if _least_image(m, DIH)[0] == m]
     assert enumerate_bases(4) == [ChordDiagram(8, m) for m in expected]
-    assert chord._canonical_bases(4, DIH) == [(m, _least_image(m, DIH)[1]) for m in expected]
+    assert list(chord._canonical_bases(4, DIH)) == [(m, _least_image(m, DIH)[1]) for m in expected]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -297,8 +296,11 @@ def test_missing_class_fails_the_run_time_check(monkeypatch):
         yield from matchings
 
     monkeypatch.setattr(chord, "_one_face", drop_first)
-    with pytest.raises(RuntimeError, match=r"genus 2: .* not the Harer-Zagier count 21$"):
-        enumerate_bases(2)
+    # the streamed bases are checked once exhausted, on classify's path too
+    message = r"^genus 2: the 3 base classes hold \d+ labeled .* not the Harer-Zagier count 21$"
+    for run in (enumerate_bases, classify):
+        with pytest.raises(RuntimeError, match=message):
+            run(2)
 
 
 def test_missing_coloring_fails_the_coloring_check(monkeypatch):
@@ -352,7 +354,7 @@ def _river_classes_agree(base, g, sym):
     classes whose representative is_river holds for."""
     _, maps = _least_image(base.match, sym)
     readers = [sorted(range(base.points), key=p.__getitem__) for p in maps]
-    _, colored, river, greens = chord._classify_base((base.match, g, sym, readers))
+    _, colored, river, greens = chord._classify_base(base.match, g, sym, readers)
     reps = [ColoredChordDiagram(base, tuple(GREEN if mask >> i & 1 else RED
                                             for i in range(base.n))) for mask in greens]
     return river == [code for code, ccd in zip(colored, reps) if is_river(ccd)]
@@ -558,21 +560,6 @@ def test_classify_with_workers_equals_one_worker():
     one = classify(3)
     two = classify(3, workers=2)
     assert replace(two, runtime_seconds=one.runtime_seconds) == one
-
-
-def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # a typed 10000 would start 10,000 processes; the pool gets one per CPU
-    # at most (a stand-in pool starts none), and the result is the
-    # one-worker result
-    sizes = stand_in_pool(monkeypatch, 3)
-    one = classify(2)
-    for workers in (10000, 2, 3):
-        many = classify(2, workers=workers)
-        assert replace(many, runtime_seconds=one.runtime_seconds) == one
-    assert sizes == [3, 2, 3]
-    unknown = stand_in_pool(monkeypatch, None)   # an unknown CPU count: one process
-    classify(1, workers=10000)
-    assert unknown == [1]
 
 
 def test_convention_pinning():

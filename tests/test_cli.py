@@ -1,12 +1,15 @@
 import json
+import multiprocessing
+from dataclasses import replace
 from itertools import product
 
+from morsediag.chord import classify
 from morsediag.cli import main
 from morsediag.combmap import build_map
 from morsediag.prdiag import PrDiagram, equivalent, pr_to_json
 import morsediag.catalog as cat
 
-from conftest import disjoint_union, small_disks, stand_in_pool
+from conftest import disjoint_union, small_disks
 
 
 def fixture_path(name: str) -> str:
@@ -408,21 +411,25 @@ def test_workers_env_var(monkeypatch, capsys):
     assert json.loads(out)["colored"] == 1
 
 
-def test_large_worker_counts_start_one_process_per_cpu(monkeypatch, capsys):
-    # --workers and MORSEDIAG_WORKERS take any count of at least one; the
-    # pool is capped at the CPU count (a stand-in pool starts no process),
-    # and the output is the one-worker output
-    sizes = stand_in_pool(monkeypatch, 2)
-    _, one, _ = run(capsys, "classify", "--genus", "2")
-    one = json.loads(one)
-    for argv in (("--workers", "10000"), ()):
-        monkeypatch.setenv("MORSEDIAG_WORKERS", "5000")
-        code, out, _ = run(capsys, "classify", "--genus", "2", *argv)
-        payload = json.loads(out)
-        assert code == 0
-        assert {k: v for k, v in payload.items() if k != "runtime_seconds"} == \
-            {k: v for k, v in one.items() if k != "runtime_seconds"}
-    assert sizes == [2, 2]
+def test_no_worker_count_starts_a_process(monkeypatch, capsys):
+    # every worker count, through the API, --workers or MORSEDIAG_WORKERS,
+    # runs in this process: a typed 10000 starts no process, and the report
+    # is the one-worker report
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify started a process")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+    one = classify(2)
+    for workers in (2, 10000):
+        assert replace(classify(2, workers=workers), runtime_seconds=one.runtime_seconds) == one
+    monkeypatch.delenv("MORSEDIAG_WORKERS", raising=False)
+    outputs = [run(capsys, "classify", "--genus", "2", *argv)
+               for argv in ((), ("--workers", "10000"))]
+    monkeypatch.setenv("MORSEDIAG_WORKERS", "5000")
+    outputs.append(run(capsys, "classify", "--genus", "2"))
+    one, *many = [(code, dict(json.loads(out), runtime_seconds=0)) for code, out, _ in outputs]
+    assert one[0] == 0 and many == [one, one]
 
 
 def test_workers_env_var_that_is_no_integer_exits_two(monkeypatch, capsys):
