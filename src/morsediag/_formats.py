@@ -1,11 +1,12 @@
 """Presence and type of every field of the JSON input formats.
 
-map_from_json, pr_from_json and chord_from_json pass what they read through
-`check` before they build anything, so a missing or mistyped field is a
-ValueError naming its JSON path: ``curves[1]: missing field 'closed'``,
-``labels[0].edge must be an int, not 8.0``.  Values are left to the readers
-and constructors: label kinds, curve families, permutations, edge ids and
-colors.  This module imports no other module of the package.
+map_from_json, pr_from_json, chord_from_json and load_catalog pass what they
+read through `check` before they build anything, so a missing or mistyped
+field is a ValueError naming its JSON path: ``curves[1]: missing field
+'closed'``, ``labels[0].edge must be an int, not 8.0``.  Values are left to
+the readers and constructors: label kinds, curve families, permutations,
+edge ids, colors, catalog kinds and schema versions.  This module imports no
+other module of the package.
 
 A format maps each key, ending in "?" if the field may be absent, to a type:
 int, bool or str (a bool is not an int); object, for any value; [t], a list
@@ -18,6 +19,8 @@ MAP = {"darts": int, "alpha": [int], "sigma": [int], "holes?": [int], "labels?":
 FLOW = {"curves?": [CURVE]}        # what a flow diagram adds to its map
 FLOW_FILE = {"curves": [CURVE]}    # the diagram subcommands want the curves
 CHORD = {"n": int, "match": [int], "colors?": ([str], None)}
+CATALOG_LINE = {"schema_version": int, "code": str, "kind": str, "genus": int, "flags": {},
+                "source": object, "tool_version": object}
 
 _NAMES = {int: "an int", bool: "a bool", str: "a string"}
 

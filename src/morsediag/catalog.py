@@ -17,6 +17,8 @@ from json.encoder import encode_basestring_ascii as encode_string
 from operator import attrgetter, is_
 from typing import Iterable
 
+from . import _formats
+
 SCHEMA_VERSION = 1
 FIXTURE_SET = "v1"
 
@@ -113,10 +115,6 @@ class CatalogReport:
         return out
 
 
-# In to_json() order: a set's order, so the first missing field, varies by process.
-_ENTRY_FIELDS = ("schema_version", "code", "kind", "genus", "flags", "source",
-                 "tool_version")
-
 _new_object = object.__new__
 _set_code, _set_kind, _set_genus, _set_flags, _set_source, _set_tool_version = (
     getattr(CatalogEntry, f.name).__set__ for f in fields(CatalogEntry))
@@ -138,57 +136,39 @@ def _entry(code: str, kind: str, genus: int, flags: dict, source: str,
     return e
 
 
-def _entry_from_json(obj: dict, lineno: int) -> CatalogEntry:
-    """The entry of one parsed catalog line.  A bool is not an int."""
-    for key in _ENTRY_FIELDS:
-        if key not in obj:
-            raise SchemaViolation(f"line {lineno}: missing field {key!r}")
-    version = obj["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaViolation(
-            f"line {lineno}: field 'schema_version' is {version!r},"
-            f" expected {SCHEMA_VERSION}")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise SchemaViolation(f"line {lineno}: field 'kind' is {kind!r}")
-    if not isinstance(obj["code"], str) or not obj["code"]:
+def _entry_from_json(obj, lineno: int) -> CatalogEntry:
+    """The entry of one parsed catalog line: its fields fit
+    _formats.CATALOG_LINE (a bool is not an int), its schema version is
+    SCHEMA_VERSION, its kind is known and its code is not empty."""
+    try:
+        _formats.check(obj, _formats.CATALOG_LINE)
+    except ValueError as exc:
+        raise SchemaViolation(f"line {lineno}: {exc}") from exc
+    if obj["schema_version"] != SCHEMA_VERSION:
+        raise SchemaViolation(f"line {lineno}: field 'schema_version' is"
+                              f" {obj['schema_version']!r}, expected {SCHEMA_VERSION}")
+    if obj["kind"] not in _KINDS:
+        raise SchemaViolation(f"line {lineno}: field 'kind' is {obj['kind']!r}")
+    if not obj["code"]:
         raise SchemaViolation(f"line {lineno}: field 'code' must be a non-empty string")
-    if type(obj["genus"]) is not int:
-        raise SchemaViolation(f"line {lineno}: field 'genus' must be an integer")
-    if type(obj["flags"]) is not dict:
-        raise SchemaViolation(f"line {lineno}: field 'flags' must be an object")
-    return _entry(obj["code"], kind, obj["genus"], _Flags(obj["flags"]), obj["source"],
-                  obj["tool_version"])
-
-
-_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+    return _entry(obj["code"], obj["kind"], obj["genus"], _Flags(obj["flags"]),
+                  obj["source"], obj["tool_version"])
 
 
 def _lines(items: Iterable[CatalogEntry]) -> Iterable[str]:
     """The catalog line of each entry: the encoded code, then the tail of
-    the other fields.  A tail is encoded once per key, those fields' values
-    with their types.  An entry with a value of a type other than str, int,
-    bool and None gets no key and a tail of its own, as such a value could
-    compare equal to one that encodes differently (1.0 == 1, 0.0 == -0.0).
-    An entry whose field values are the very objects of the last entry's
-    takes its tail without a lookup: consecutive entries built alike share
-    them."""
+    the other fields.  An entry whose field values are the very objects of
+    the last entry's, as consecutive entries built alike share them, takes
+    the last tail; any other entry's tail is encoded again."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    tails = {}
     last, tail = (), ""
     for e in items:
         flags = e.flags
         values = (e.kind, e.genus, e.source, e.tool_version, *flags, *flags.values())
         if len(values) != len(last) or not all(map(is_, values, last)):
-            types = tuple(map(type, values))
-            key = (types, values) if _PLAIN_TYPES.issuperset(types) else None
-            tail = tails.get(key)
-            if tail is None:
-                rest = e.to_json()
-                del rest["code"]
-                tail = ", " + encode(rest)[1:] + "\n"
-                if key is not None:
-                    tails[key] = tail
+            rest = e.to_json()
+            del rest["code"]
+            tail = ", " + encode(rest)[1:] + "\n"
             last = values
         code = e.code
         yield '{"code": ' + (encode_string(code) if isinstance(code, str) else encode(code)) + tail
@@ -199,9 +179,9 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
 
     Each line is json.dumps(entry.to_json(), sort_keys=True) + "\\n".  Its
     first key is "code", so a line is the encoded code followed by a tail of
-    the other fields, and one tail is encoded for all the entries with equal
-    kind, genus, flags, source and tool_version (_lines).  The lines are
-    streamed to the file, never held together."""
+    the other fields, and one tail is encoded for each run of entries that
+    share their field objects (_lines).  The lines are streamed to the file,
+    never held together."""
     items = sorted(entries, key=attrgetter("code"))
     for prev, e in pairwise(items):
         if prev.code == e.code:
@@ -219,28 +199,32 @@ _CODE_HEAD = '{"code": "'
 
 def _tail_entry(tail: str, code: str, lineno: int):
     """The entry of the line `_CODE_HEAD` + the JSON string `code` + `tail`,
-    from `tail` parsed alone, or None when the line must be parsed whole:
-    its tail is not ', "' followed by the other members, it holds a second
-    "code" member or it is not valid JSON there, or its flags are not an
-    object or hold a list or an object, which no two entries may share."""
+    from `tail` parsed alone and checked (_entry_from_json), or None when
+    the line must be parsed whole: its tail is not ', "' followed by the
+    other members, it holds a second "code" member or it is not valid JSON
+    there, or its flags hold a list or an object, which no two entries may
+    share."""
     if not tail.startswith(', "'):
         return None
     try:
         obj = json.loads("{" + tail[2:])
     except (json.JSONDecodeError, RecursionError):
         return None
-    flags = obj.get("flags")
-    if "code" in obj or type(flags) is not dict or \
-            any(isinstance(v, (list, dict)) for v in flags.values()):
+    if "code" in obj:
         return None
     obj["code"] = code
-    return _entry_from_json(obj, lineno)
+    entry = _entry_from_json(obj, lineno)
+    if any(isinstance(v, (list, dict)) for v in entry.flags.values()):
+        return None
+    return entry
 
 
 def load_catalog(path) -> list[CatalogEntry]:
     """The entries of a catalog file, in file order.  A line that is not
-    ASCII or not JSON, lacks a field or fails a field's check
-    (_entry_from_json), or repeats a code raises SchemaViolation naming it.
+    ASCII, not JSON or not a JSON object, lacks a field of
+    _formats.CATALOG_LINE or has one of another type, has another schema
+    version, an unknown kind or an empty code (_entry_from_json), or repeats
+    a code raises SchemaViolation naming it; an unreadable file IoFailure.
 
     A line that begins like every line save_catalog writes is split into
     its code, read with json.decoder.scanstring, and the tail of its other

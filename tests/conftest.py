@@ -813,6 +813,17 @@ def _sample_colored(genus: int, rng: random.Random):
                                                    for i in range(len(chords))))
 
 
+def all_colored_classes(max_genus: int):
+    """(genus, colored chord diagram) for every colored class of genus 1 to
+    max_genus, genus by genus in enumeration order."""
+    from morsediag.chord import enumerate_bases, enumerate_colorings
+
+    for g in range(1, max_genus + 1):
+        for base in enumerate_bases(g):
+            for ccd in enumerate_colorings(base, g):
+                yield g, ccd
+
+
 @cache  # pure; shared by the combmap and prdiag suites
 def analysis_corpus() -> tuple:
     """Diagrams the cut reference is checked on: the shipped fixtures, two
@@ -820,14 +831,12 @@ def analysis_corpus() -> tuple:
     class of genus 1-3, a seeded genus-4/5 sample, and a copy of each with
     renamed darts."""
     import morsediag.catalog as cat
-    from morsediag.chord import enumerate_bases, enumerate_colorings
     from morsediag.prdiag import from_colored_chord
 
     rng = random.Random(4093)
     out = [cat.load_fixture(name) for name in cat.fixture_names()]
     out += [make_six_point_ball_flow(), make_pinched_cycle_diagram()]
-    out += [from_colored_chord(ccd) for g in (1, 2, 3)
-            for base in enumerate_bases(g) for ccd in enumerate_colorings(base, g)]
+    out += [from_colored_chord(ccd) for _, ccd in all_colored_classes(3)]
     out += [from_colored_chord(_sample_colored(g, rng)) for g in (4,) * 8 + (5,) * 4]
     return tuple(out + [relabel_diagram(d, rng) for d in out])
 

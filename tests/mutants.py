@@ -209,6 +209,13 @@ MUTANTS = (
     Mutant("save_catalog compares each code with the one two places back", "catalog.py",
            "pairwise(items)", "zip(items, items[2:])",
            ("tests/test_catalog.py::test_duplicate_code_rejected",)),
+    Mutant("the catalog line format loses its genus field", "_formats.py",
+           '"genus": int, ', "",
+           ("tests/test_catalog.py::test_schema_violations_carry_line_and_field",)),
+    Mutant("catalog._lines reuses the last tail when only the lengths match", "catalog.py",
+           "if len(values) != len(last) or not all(map(is_, values, last)):",
+           "if len(values) != len(last):",
+           ("tests/test_catalog.py::test_saved_lines_of_hand_built_entries",)),
 )
 
 SURVIVORS = (

@@ -13,16 +13,13 @@ they stay in `RECORDED_G3` and in the criterion's report line, and README.md
 
 import random
 import time
+from itertools import islice
 
 import morsediag.catalog as cat
 from morsediag.chord import (
-    GREEN,
-    RED,
     SymmetryConvention,
     canonical_colored,
     classify,
-    colored_from_point_colors,
-    enumerate_bases,
     enumerate_colorings,
 )
 from morsediag.combmap import canonical_code
@@ -37,7 +34,13 @@ from morsediag.prdiag import (
     validate,
 )
 
-from conftest import brute_force_isomorphic, chord_orbit_counts, relabel_diagram
+from conftest import (
+    all_colored_classes,
+    brute_force_isomorphic,
+    chord_orbit_counts,
+    relabel_diagram,
+)
+from g4_round_trip import decode
 
 ROT = SymmetryConvention.ROTATION_ONLY
 DIH = SymmetryConvention.DIHEDRAL
@@ -45,13 +48,6 @@ DIH = SymmetryConvention.DIHEDRAL
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def _all_colored(max_genus=3):
-    for g in range(1, max_genus + 1):
-        for b in enumerate_bases(g):
-            for ccd in enumerate_colorings(b, g):
-                yield g, ccd
 
 
 def test_criterion_01_genus1_counts():
@@ -84,14 +80,7 @@ RECORDED_G3 = (82, 177, 8)
 def _pr_codes(colored_codes):
     """Surface-level canonical codes of the diagrams rebuilt from catalog
     codes of the form ccd1[...]|n=..|m=<match>|c=<point colors>."""
-    out = set()
-    for code in colored_codes:
-        fields = dict(f.split("=", 1) for f in code.split("|")[1:])
-        match = tuple(int(x) for x in fields["m"].split(","))
-        pcol = [GREEN if c == "g" else RED for c in fields["c"]]
-        out.add(pr_canonical_code(from_colored_chord(
-            colored_from_point_colors(match, pcol))))
-    return out
+    return {pr_canonical_code(from_colored_chord(decode(code))) for code in colored_codes}
 
 
 def test_criterion_03_genus3_counts_and_convention():
@@ -133,7 +122,7 @@ def test_criterion_04_all_crossing_base_admits_no_coloring():
 def test_criterion_05_roundtrip_every_colored_class():
     t0 = time.perf_counter()
     total = good = 0
-    for g, ccd in _all_colored(3):
+    for g, ccd in all_colored_classes(3):
         total += 1
         back = to_colored_chord(from_colored_chord(ccd))
         if canonical_colored(back) == canonical_colored(ccd):
@@ -150,7 +139,7 @@ def test_criterion_05_roundtrip_every_colored_class():
 
 def test_criterion_06_validity_of_every_conversion():
     total = good = 0
-    for g, ccd in _all_colored(3):
+    for g, ccd in all_colored_classes(3):
         total += 1
         rep = validate(from_colored_chord(ccd))
         if rep.valid:
@@ -163,7 +152,7 @@ def test_criterion_06_validity_of_every_conversion():
 def test_criterion_07_census_euler_property_suite():
     violations = 0
     checked = 0
-    for g, ccd in _all_colored(3):
+    for g, ccd in all_colored_classes(3):
         c = census(from_colored_chord(ccd))
         checked += 1
         lhs = (c.n1 + c.n2) + (c.n5 + c.n6) - (c.n3 + c.n4)
@@ -183,15 +172,8 @@ def test_criterion_07_census_euler_property_suite():
 def test_criterion_08_canonical_code_properties():
     rng = random.Random(987654321)
     diagrams = [cat.load_fixture(n) for n in cat.fixture_names()]
-    g3 = []
-    for b in enumerate_bases(3):
-        for ccd in enumerate_colorings(b, 3):
-            g3.append(from_colored_chord(ccd))
-            if len(g3) >= 11:
-                break
-        if len(g3) >= 11:
-            break
-    diagrams += g3
+    g3 = (from_colored_chord(ccd) for g, ccd in all_colored_classes(3) if g == 3)
+    diagrams += islice(g3, 11)
     assert len(diagrams) >= 20
     relabelings = 0
     for d in diagrams:

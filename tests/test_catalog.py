@@ -6,14 +6,17 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 import morsediag.catalog as cat
 from morsediag import __version__
-from morsediag.chord import canonical_colored, chord_from_json, classify, is_river
+from morsediag.chord import canonical_colored, classify, is_river
 from morsediag.prdiag import census, validate
+
+from g4_round_trip import decode
 
 
 def _entries_g2():
@@ -66,13 +69,14 @@ def test_schema_violations_carry_line_and_field(tmp_path):
         cat.load_catalog(path)
     assert "line 2" in str(exc.value) and "genus" in str(exc.value)
 
-    for kind in ("chartreuse", ["base_chord"]):
+    for kind, message in (("chartreuse", "field 'kind' is 'chartreuse'"),
+                          (["base_chord"], "kind must be a string, not ['base_chord']")):
         bad = dict(good)
         bad["kind"] = kind
         path.write_text(json.dumps(bad) + "\n")
         with pytest.raises(cat.SchemaViolation) as exc:
             cat.load_catalog(path)
-        assert str(exc.value) == f"line 1: field 'kind' is {kind!r}"
+        assert str(exc.value) == f"line 1: {message}"
 
     bad = dict(good)
     bad["schema_version"] = 99
@@ -103,6 +107,21 @@ def test_saved_lines_are_json_dumps_of_each_entry(g, tmp_path):
         tail = json.dumps(dict(e.to_json(), code=None), sort_keys=True)
         shared.setdefault(tail, set()).add((id(e.kind), id(e.source), id(e.tool_version)))
     assert all(len(ids) == 1 for ids in shared.values())
+
+
+def test_one_tail_is_encoded_per_run_of_equal_tails(tmp_path, monkeypatch):
+    # report_entries shares the field objects of entries with equal tails,
+    # so save_catalog encodes a tail once per run of them in code order
+    entries = sorted(cat.report_entries(classify(3), tool_version=__version__),
+                     key=operator.attrgetter("code"))
+    runs = [next(run).code for _, run in
+            groupby(entries, key=lambda e: (e.kind, sorted(e.flags.items())))]
+    encoded = []
+    to_json = cat.CatalogEntry.to_json
+    monkeypatch.setattr(cat.CatalogEntry, "to_json",
+                        lambda e: encoded.append(e.code) or to_json(e))
+    cat.save_catalog(entries, tmp_path / "g3.jsonl")
+    assert encoded == runs and 3 < len(runs) < len(entries)
 
 
 def test_saved_lines_of_hand_built_entries(tmp_path):
@@ -241,14 +260,15 @@ def test_fast_and_whole_line_parsing_agree_on_schema_violations(tmp_path, monkey
     bad = dict(good)
     del bad["genus"]
     assert outcome(good, bad) == ("SchemaViolation", "line 2: missing field 'genus'")
-    for kind in ("chartreuse", ["base_chord"]):
-        assert outcome(dict(good, kind=kind)) == \
-            ("SchemaViolation", f"line 1: field 'kind' is {kind!r}")
+    assert outcome(dict(good, kind="chartreuse")) == \
+        ("SchemaViolation", "line 1: field 'kind' is 'chartreuse'")
+    assert outcome(dict(good, kind=["base_chord"])) == \
+        ("SchemaViolation", "line 1: kind must be a string, not ['base_chord']")
     assert outcome(dict(good, schema_version=99)) == \
         ("SchemaViolation", "line 1: field 'schema_version' is 99, expected 1")
     for flags in (5, [["one_face", True]]):
         assert outcome(dict(good, flags=flags)) == \
-            ("SchemaViolation", "line 1: field 'flags' must be an object")
+            ("SchemaViolation", f"line 1: flags must be an object, not {flags!r}")
 
 
 def test_fast_and_whole_line_parsing_agree_on_hand_built_entries(tmp_path, monkeypatch):
@@ -300,7 +320,7 @@ def test_fast_and_whole_line_parsing_agree_on_odd_lines(tmp_path, monkeypatch):
         loaded = outcome(_jsonl(good) + '{"code": "x"' + tail[:-1] + f', {key}: "cd1-b"}}\n')
         assert [e.code for e in loaded] == ["cd1-a", "cd1-b"]
         assert outcome(_jsonl(good) + '{"code": "x"' + tail[:-1] + f', {key}: 7}}\n') == \
-            ("SchemaViolation", "line 2: field 'code' must be a non-empty string")
+            ("SchemaViolation", "line 2: code must be a string, not 7")
     # other spacing and key order
     loaded = outcome(_jsonl(good) + json.dumps(other, separators=(",", ":")) + "\n"
                      + json.dumps(dict(other, code="cd1-c"), indent=None) + "\n"
@@ -317,9 +337,19 @@ def test_fast_and_whole_line_parsing_agree_on_odd_lines(tmp_path, monkeypatch):
     # flags that are not an object, first seen or after a good line
     for flags in ([["one_face", True]], 5):
         assert outcome(_jsonl(dict(good, flags=flags))) == \
-            ("SchemaViolation", "line 1: field 'flags' must be an object")
+            ("SchemaViolation", f"line 1: flags must be an object, not {flags!r}")
         assert outcome(_jsonl(good, dict(other, flags=flags))) == \
-            ("SchemaViolation", "line 2: field 'flags' must be an object")
+            ("SchemaViolation", f"line 2: flags must be an object, not {flags!r}")
+
+
+def test_lines_that_are_no_json_objects_are_schema_violations(tmp_path, monkeypatch):
+    # a number, a string naming every field, null, a bool and a list
+    path = tmp_path / "scalar.jsonl"
+    for line in ("5", '"schema_version code kind genus flags source tool_version"',
+                 "null", "true", "[1]"):
+        path.write_text(line + "\n")
+        assert _load_both_ways(path, monkeypatch) == \
+            ("SchemaViolation", "line 1: the top-level JSON value is not an object"), line
 
 
 def test_too_deeply_nested_line_is_invalid_json(tmp_path):
@@ -340,10 +370,10 @@ def test_bools_are_not_integers(tmp_path, monkeypatch):
     for sort_keys in (True, False):
         path.write_text(json.dumps(dict(good, genus=True), sort_keys=sort_keys) + "\n")
         assert _load_both_ways(path, monkeypatch) == \
-            ("SchemaViolation", "line 1: field 'genus' must be an integer")
+            ("SchemaViolation", "line 1: genus must be an int, not True")
         path.write_text(json.dumps(dict(good, schema_version=True), sort_keys=sort_keys) + "\n")
         assert _load_both_ways(path, monkeypatch) == \
-            ("SchemaViolation", "line 1: field 'schema_version' is True, expected 1")
+            ("SchemaViolation", "line 1: schema_version must be an int, not True")
 
 
 def test_non_ascii_byte_names_its_line(tmp_path, monkeypatch):
@@ -417,23 +447,10 @@ def test_flags_recomputable_from_code(tmp_path):
     for entry in _entries_g2():
         if entry.kind != cat.KIND_COLORED:
             continue
-        match, cols = _decode(entry.code)
-        ccd = chord_from_json({"n": len(match) // 2, "match": list(match),
-                               "colors": list(cols)})
+        ccd = decode(entry.code)
         assert canonical_colored(ccd) == entry.code
         assert entry.flags["river"] == is_river(ccd)
         assert entry.flags["optimal"] and entry.flags["one_face"]
-
-
-def _decode(code):
-    """(matching, chord colors) read from a "ccd1[..]|n=..|m=..|c=.." code."""
-    from morsediag.chord import GREEN, RED, ChordDiagram
-
-    mpart, cpart = code.split("|m=")[1].split("|c=")
-    match = tuple(int(x) for x in mpart.split(","))
-    base = ChordDiagram(len(match) // 2, match)
-    cols = tuple(GREEN if cpart[a] == "g" else RED for a, b in base.chords())
-    return match, cols
 
 
 def test_verify_fixtures_clean():

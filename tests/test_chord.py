@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations, product
 from math import factorial
 from operator import getitem
@@ -544,22 +543,6 @@ def test_classify_bound():
         classify(5)
     with pytest.raises(ValueError, match="^genus must be at least 1$"):
         enumerate_bases(0)
-
-
-def test_classify_deterministic_and_parallel_merge():
-    a = classify(2)
-    b = classify(2)
-    assert a.base_codes == b.base_codes
-    assert a.colored_codes == b.colored_codes
-    c = classify(2, workers=2)
-    assert c.colored_codes == a.colored_codes
-    assert c.river_codes == a.river_codes
-
-
-def test_classify_with_workers_equals_one_worker():
-    one = classify(3)
-    two = classify(3, workers=2)
-    assert replace(two, runtime_seconds=one.runtime_seconds) == one
 
 
 def test_convention_pinning():

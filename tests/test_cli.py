@@ -414,7 +414,7 @@ def test_workers_env_var(monkeypatch, capsys):
 def test_no_worker_count_starts_a_process(monkeypatch, capsys):
     # every worker count, through the API, --workers or MORSEDIAG_WORKERS,
     # runs in this process: a typed 10000 starts no process, and the report
-    # is the one-worker report
+    # is the one-worker report, so repeated runs give the same codes
     def refuse(*args, **kwargs):
         raise AssertionError("classify started a process")
 

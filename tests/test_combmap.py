@@ -29,6 +29,7 @@ from morsediag.combmap import (
 from morsediag import combmap as cmb
 
 from conftest import (
+    all_colored_classes,
     analysis_corpus,
     brute_force_isomorphic,
     disjoint_union,
@@ -498,14 +499,11 @@ def test_brute_force_isomorphism_agrees_with_codes(rng):
 def test_canonical_code_equals_full_trace_reference(rng):
     # the early-abort traces must give the code of the complete search
     import morsediag.catalog as cat
-    from morsediag.chord import enumerate_bases, enumerate_colorings
     from morsediag.prdiag import from_colored_chord
 
     maps = [cat.load_fixture(n).surface for n in cat.fixture_names()]
     assert len(maps) == 9
-    maps += [from_colored_chord(ccd).surface
-             for g in (1, 2, 3) for b in enumerate_bases(g)
-             for ccd in enumerate_colorings(b, g)]
+    maps += [from_colored_chord(ccd).surface for _, ccd in all_colored_classes(3)]
     assert len(maps) == 9 + 185
     maps += [relabel_map(m, rng) for m in maps]
     # Small random maps with degree-1 vertices and loops in consecutive

@@ -59,6 +59,7 @@ from morsediag.prdiag import (
 )
 
 from conftest import (
+    all_colored_classes,
     analysis_corpus,
     check_cuts,
     chord_orbit_counts,
@@ -85,13 +86,6 @@ from g4_round_trip import round_trip
 
 G1_COLORED = ColoredChordDiagram(ChordDiagram(2, (2, 3, 0, 1)), (GREEN, RED))
 ROT, DIH = SymmetryConvention.ROTATION_ONLY, SymmetryConvention.DIHEDRAL
-
-
-def all_colored_classes(max_genus):
-    for g in range(1, max_genus + 1):
-        for b in enumerate_bases(g):
-            for ccd in enumerate_colorings(b, g):
-                yield g, ccd
 
 
 # ---------------------------------------------------------------------------
