@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, islice
 from operator import attrgetter, eq
 from typing import Iterable, Optional, Sequence
 
@@ -496,42 +496,77 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
 _TAIL_TEXT = [f"{t >> 1},{t & 1}" for t in range(10)]
 
 
-def _trace_from(sigma: Sequence[int], alpha: Sequence[int], root: int,
-                tail: Sequence[int], best: Optional[list[int]]) -> Optional[list[int]]:
-    """BFS relabeling trace from a root dart (visit sigma then alpha).
+def _least_trace(alpha: Sequence[int], roots: Sequence[tuple],
+                 key: Optional[list] = None) -> Optional[list]:
+    """The least BFS relabeling trace (visit sigma then alpha) over the
+    (sigma, tail, root) ``roots``.  The atom of a dart is the int
+    ``(s·n + a)·10 + tail[dart]``, where s and a are the ids of its sigma and
+    alpha images and ``tail[dart]`` is twice its kind ordinal plus its hole
+    bit, so atoms order as the tuples (s, a, kind, hole) do; an atom is fixed
+    once its dart is dequeued.
 
-    The atom of a dart is the int ``(s·n + a)·10 + tail[dart]``, where s and
-    a are the ids of its sigma and alpha images and ``tail[dart]`` is twice
-    its kind ordinal plus its hole bit, so atoms order as the tuples
-    (s, a, kind, hole) do.  An atom is fixed as soon as its dart is dequeued,
-    so it is compared with ``best`` there.  Returns the trace if it is
-    lexicographically smaller than ``best`` (always when best is None),
-    ``best`` itself if it is equal, else None, stopping at the first larger
-    atom."""
-    n = len(sigma)
-    new_id = [-1] * n
-    order = [root]
-    new_id[root] = 0
-    out = None if best is not None else []   # None while equal to best
-    for head, d in enumerate(order):
-        s = sigma[d]
-        if new_id[s] < 0:
-            new_id[s] = len(order)
-            order.append(s)
-        a = alpha[d]
-        if new_id[a] < 0:
-            new_id[a] = len(order)
-            order.append(a)
-        atom = (new_id[s] * n + new_id[a]) * 10 + tail[d]
-        if out is None:
+    Two traces are alive at a time.  The best is kept as its BFS state and
+    the atoms it has computed, and is extended by one atom only when a rival
+    ties it that far.  A rival computes atoms until it differs, storing none;
+    if smaller, it is the best from that atom on, with its own state.  The
+    winner is finished once, at the end.  With ``key``, a best whose atoms
+    are all known, returns ``key`` if some root's trace equals it, else
+    None, at the first smaller one."""
+    n = len(alpha)
+    best = key
+    for sigma, tail, root in roots:
+        new_id = [-1] * n
+        new_id[root] = 0
+        order = [root]
+        if best is None:   # the first root is the best, with no atom known
+            best, bsig, btail, bid, border = [], sigma, tail, new_id, order
+            continue
+        known = len(best)
+        for head, d in enumerate(order):
+            s, a = sigma[d], alpha[d]
+            if new_id[s] < 0:
+                new_id[s] = len(order)
+                order.append(s)
+            if new_id[a] < 0:
+                new_id[a] = len(order)
+                order.append(a)
+            atom = (new_id[s] * n + new_id[a]) * 10 + tail[d]
+            if head == known:   # tied so far: the best's next atom
+                bd = border[head]
+                s, a = bsig[bd], alpha[bd]
+                if bid[s] < 0:
+                    bid[s] = len(border)
+                    border.append(s)
+                if bid[a] < 0:
+                    bid[a] = len(border)
+                    border.append(a)
+                best.append((bid[s] * n + bid[a]) * 10 + btail[bd])
+                known += 1
             ref = best[head]
-            if atom > ref:
+            if atom != ref:
+                break
+        else:   # tied to the last atom
+            if key is not None:
+                return key
+            continue
+        if atom < ref:
+            if key is not None:
                 return None
-            if atom == ref:
-                continue
-            out = best[:head]
-        out.append(atom)
-    return best if out is None else out
+            best = best[:head]
+            best.append(atom)
+            bsig, btail, bid, border = sigma, tail, new_id, order
+    if key is not None:
+        return None
+    for bd in islice(border, len(best), None):   # finish the winner
+        s, a = bsig[bd], alpha[bd]
+        if bid[s] < 0:
+            bid[s] = len(border)
+            border.append(s)
+        if bid[a] < 0:
+            bid[a] = len(border)
+            border.append(a)
+        best.append((bid[s] * n + bid[a]) * 10 + btail[bd])
+    return best
 
 
 def _least_roots(m: CombMap, mirror: bool, fid: Sequence[int]) -> list[tuple]:
@@ -571,9 +606,7 @@ def _canonical_key(m: CombMap, mirror: bool, fid: Sequence[int]) -> list:
     """What ``canonical_code`` serialises: the least trace of a connected map,
     else the sorted codes of its components ([] if empty), from the map's
     dart -> face id ``fid``.  Keys are equal iff codes are."""
-    best = None
-    for sg, tail, root in _least_roots(m, mirror, fid) if m.n_darts else ():
-        best = _trace_from(sg, m.alpha, root, tail, best) or best
+    best = _least_trace(m.alpha, _least_roots(m, mirror, fid)) if m.n_darts else None
     if best is None or len(best) == m.n_darts:   # a trace covers one component
         return best or []
     return sorted(canonical_code(c, mirror) for c in components(m))
@@ -582,13 +615,8 @@ def _canonical_key(m: CombMap, mirror: bool, fid: Sequence[int]) -> list:
 def _has_key(m: CombMap, mirror: bool, key: list, fid: Sequence[int]) -> bool:
     """Whether a connected map, of dart -> face id ``fid``, has ``key``, a
     connected map's key, without making its own: the roots that can be
-    least are traced against ``key`` until one is smaller (False) or equal
-    (True)."""
-    for sg, tail, root in _least_roots(m, mirror, fid) if m.n_darts == len(key) else ():
-        tr = _trace_from(sg, m.alpha, root, tail, key)
-        if tr is not None:
-            return tr is key
-    return False
+    least race ``key`` until one is smaller (False) or equal (True)."""
+    return m.n_darts == len(key) and _least_trace(m.alpha, _least_roots(m, mirror, fid), key) is key
 
 
 # _DECIMAL[i] is str(i): _key_code reads an atom's ids here, not formatting

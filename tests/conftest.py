@@ -388,14 +388,13 @@ _CODE_KINDS = (CurveKind.BDY, CurveKind.U_GREEN_ARC, CurveKind.U_GREEN_CYCLE,
                CurveKind.V_RED_ARC, CurveKind.V_RED_CYCLE)
 
 
-def reference_canonical_code(m: CombMap, mirror: bool = True) -> bytes:
-    """combmap.canonical_code without its early abort: the complete BFS
-    trace (visit sigma then alpha) from every root of the map and, with
-    ``mirror``, of its mirror; the least trace, serialised as cm1."""
-    if m.n_darts == 0:
-        return b"cm1|empty"
-    traces = []
-    for mv in [m] + ([mirror_map(m)] if mirror else []):
+def reference_traces(m: CombMap, mirror: bool = True) -> dict:
+    """The complete BFS trace (visit sigma then alpha) from every root of the
+    map and, with ``mirror``, of its mirror, with no early abort: (whether
+    mirrored, root) -> the (sigma id, alpha id, kind ordinal, hole bit) of
+    each dart in BFS order.  The mirror keeps the map's dart numbers."""
+    traces = {}
+    for mirrored, mv in enumerate([m] + ([mirror_map(m)] if mirror else [])):
         ftab = face_table(mv)
         for root in range(mv.n_darts):
             new_id = {root: 0}
@@ -405,11 +404,25 @@ def reference_canonical_code(m: CombMap, mirror: bool = True) -> bytes:
                     if nxt not in new_id:
                         new_id[nxt] = len(order)
                         order.append(nxt)
-            traces.append([(new_id[mv.sigma[d]], new_id[mv.alpha[d]],
-                            _CODE_KINDS.index(mv.labels[d].kind),
-                            int(ftab[d] in mv.holes)) for d in order])
-    flat = ";".join(f"{s},{a},{k},{h}" for s, a, k, h in min(traces))
-    return f"cm1[{'dih' if mirror else 'rot'}]|n={m.n_darts}|{flat}".encode("ascii")
+            traces[bool(mirrored), root] = [
+                (new_id[mv.sigma[d]], new_id[mv.alpha[d]],
+                 _CODE_KINDS.index(mv.labels[d].kind), int(ftab[d] in mv.holes))
+                for d in order]
+    return traces
+
+
+def reference_code(trace: list, n: int, mirror: bool) -> bytes:
+    """A trace of ``reference_traces`` of a map with n darts, as cm1."""
+    flat = ";".join(f"{s},{a},{k},{h}" for s, a, k, h in trace)
+    return f"cm1[{'dih' if mirror else 'rot'}]|n={n}|{flat}".encode("ascii")
+
+
+def reference_canonical_code(m: CombMap, mirror: bool = True) -> bytes:
+    """combmap.canonical_code of a connected map from the complete traces:
+    the least of ``reference_traces``."""
+    if m.n_darts == 0:
+        return b"cm1|empty"
+    return reference_code(min(reference_traces(m, mirror).values()), m.n_darts, mirror)
 
 
 def thickened_boundary_walk_faces(match) -> int:

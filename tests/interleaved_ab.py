@@ -10,18 +10,22 @@ With ``--workload diagram-analysis`` (the default) each tree builds the
 inputs of ``bench/workloads.py``'s diagram-analysis workload from the same
 seed.  Every pass draws each tree's inputs anew, then runs the operations
 one by one on A and on B in turn, A first on even operations and B first on
-odd ones, so both trees see the same machine speed, the same cache state
-and the same garbage-collector pressure, to within one operation.  An
+odd ones, the other way round on odd passes, so both trees see the same
+machine speed, the same cache state and the same garbage-collector
+pressure, to within one operation, and each operation runs first on each
+tree in turn (the genus-1 class is a pass's only first operation).  An
 operation is the call chain of ``DiagramAnalysis.run_pass``: rebuild,
 validate, census, Morse checks, boundary flow, conversion back, the two
 canonical codes and the two equivalence calls.
 
 It prints each tree's pass times and their median, and the median over all
-operations of the latency ratio B / A of the two runs of one operation.  A
-tree compared with itself (A/A) shows the noise floor of the ratio.  The
-script exits 1 if the two trees give different outputs on any operation:
-the report, census, Morse checks, boundary flow, colored class, canonical
-codes or equivalence verdicts.
+operations of the latency ratio B / A of the two runs of one operation, then
+that median over each genus's operations alone: the 185 small genus 1-3
+operations set the overall median, while the genus-4 and genus-5 ones cost
+the most each.  A tree compared with itself (A/A) shows the noise floor of
+the ratio.  The script exits 1 if the two trees give different outputs on
+any operation: the report, census, Morse checks, boundary flow, colored
+class, canonical codes or equivalence verdicts.
 
 With ``--workload classify-g4`` every pass runs ``classify(4)`` on A and on
 B in turn, A first on even passes and B first on odd ones, each after
@@ -100,13 +104,13 @@ def diagram_analysis(trees, args) -> int:
     print(f"# {len(runs[0].cases)} operations a pass, seed {args.seed}, "
           f"Python {sys.version.split()[0]}")
     pass_times = [[], []]
-    ratios = []
+    ratios = {}   # genus -> B/A of each of its operations
     for p in range(args.passes):
         inputs = [w.draw() for w in runs]
         totals = [0.0, 0.0]
         for i in range(len(runs[0].cases)):
             got = [None, None]
-            for t in (0, 1) if i % 2 == 0 else (1, 0):
+            for t in (0, 1) if (i + p) % 2 == 0 else (1, 0):
                 got[t] = operation(trees[t], runs[t].canonical_colored, *inputs[t][i])
             if got[0][1] != got[1][1]:
                 print(f"FAIL: pass {p}, operation {i} (genus {runs[0].cases[i].genus}): "
@@ -114,16 +118,19 @@ def diagram_analysis(trees, args) -> int:
                 return 1
             totals[0] += got[0][0]
             totals[1] += got[1][0]
-            ratios.append(got[1][0] / got[0][0])
+            ratios.setdefault(runs[0].cases[i].genus, []).append(got[1][0] / got[0][0])
         for t in (0, 1):
             pass_times[t].append(totals[t])
         print(f"pass {p}: A {totals[0]:.4f} s, B {totals[1]:.4f} s, "
               f"B/A {totals[1] / totals[0]:.4f}")
     med = [statistics.median(times) for times in pass_times]
-    ratio = statistics.median(ratios)
+    every = [r for by_genus in ratios.values() for r in by_genus]
+    ratio = statistics.median(every)
     print(f"median pass: A {med[0]:.4f} s, B {med[1]:.4f} s; median B/A over "
-          f"{len(ratios)} operation pairs {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); "
+          f"{len(every)} operation pairs {ratio:.4f} ({(ratio - 1) * 100:+.1f} %); "
           "outputs identical")
+    print("median B/A by genus: " + "; ".join(
+        f"g{g} {statistics.median(r):.4f} ({len(r)} pairs)" for g, r in sorted(ratios.items())))
     return 0
 
 

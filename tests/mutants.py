@@ -47,6 +47,8 @@ _WITNESSES = "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinn
 # the corpus cuts and every edge of small random maps, against the list-rebuilding reference
 _CUTS = ("tests/test_combmap.py::test_cut_walk_matches_cut_by_cut_reference",
          "tests/test_prdiag.py::test_cuts_match_the_list_rebuilding_reference")
+# canonical codes against the complete traces of every root
+_KEYS = "tests/test_combmap.py::test_canonical_code_equals_full_trace_reference"
 # both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
 _CIRCLE = ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
            "tests/test_prdiag.py::test_rotation_only_classes_convert_back_and_count_as_the_surface_codes")
@@ -152,18 +154,37 @@ MUTANTS = (
     Mutant("combmap._cut counts a curve dart as a hole witness", "combmap.py",
            "    for d in copy_q:\n        in_hole[d] = False\n", "",
            (_CUTS[1],)),
+    # the winner's atoms then run on from another root's ids and order
+    Mutant("combmap._least_trace: a rival that wins keeps the old best's state", "combmap.py",
+           "            bsig, btail, bid, border = sigma, tail, new_id, order\n", "",
+           (_KEYS,)),
+    # a rival that ties the known atoms supplies the best's next atoms itself,
+    # so it wins every tie past them, smaller or not
+    Mutant("combmap._least_trace: the best is not extended past the atoms already known",
+           "combmap.py",
+           "                bd = border[head]\n"
+           "                s, a = bsig[bd], alpha[bd]\n"
+           "                if bid[s] < 0:\n"
+           "                    bid[s] = len(border)\n"
+           "                    border.append(s)\n"
+           "                if bid[a] < 0:\n"
+           "                    bid[a] = len(border)\n"
+           "                    border.append(a)\n"
+           "                best.append((bid[s] * n + bid[a]) * 10 + btail[bd])\n",
+           "                best.append(atom)\n",
+           (_KEYS,)),
     Mutant("combmap._least_roots skips class 1 (sigma and alpha agree)", "combmap.py",
            "for image in (darts, alpha):", "for image in (darts,):",
-           ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),
+           (_KEYS,)),
     Mutant("combmap._least_roots gives the mirror the map's own class-1 roots", "combmap.py",
            "list(map(image.__getitem__, roots))", "roots",
-           ("tests/test_combmap.py::test_canonical_code_equals_full_trace_reference",)),
+           (_KEYS,)),
     # the first call grows the table to twice its map's dart count, so a
     # larger map later reads past its end
     Mutant("combmap._key_code's decimal table never grows", "combmap.py",
            "if len(ids) < n:", "if not ids:",
            ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",
-            "tests/test_combmap.py::test_canonical_code_equals_full_trace_reference")),
+            _KEYS)),
     Mutant("prdiag._report shares the valid report whenever property 1 passes", "prdiag.py",
            "if not any(witnesses):", "if not witnesses[0]:",
            ("tests/test_prdiag.py::test_shared_endpoint_violates_property3",

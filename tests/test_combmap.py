@@ -29,7 +29,6 @@ from morsediag.combmap import (
 from morsediag import combmap as cmb
 
 from conftest import (
-    all_colored_classes,
     analysis_corpus,
     brute_force_isomorphic,
     disjoint_union,
@@ -41,7 +40,9 @@ from conftest import (
     mirror_map,
     random_small_map,
     reference_canonical_code,
+    reference_code,
     reference_cut_walk,
+    reference_traces,
     relabel_map,
 )
 
@@ -497,26 +498,66 @@ def test_brute_force_isomorphism_agrees_with_codes(rng):
 
 
 def test_canonical_code_equals_full_trace_reference(rng):
-    # the early-abort traces must give the code of the complete search
-    import morsediag.catalog as cat
-    from morsediag.prdiag import from_colored_chord
-
-    maps = [cat.load_fixture(n).surface for n in cat.fixture_names()]
-    assert len(maps) == 9
-    maps += [from_colored_chord(ccd).surface for _, ccd in all_colored_classes(3)]
-    assert len(maps) == 9 + 185
-    maps += [relabel_map(m, rng) for m in maps]
-    # Small random maps with degree-1 vertices and loops in consecutive
-    # corners, whose first atoms are (0, 1) and (1, 1): canonical_code traces
-    # only the roots with the least first atom.
+    # the raced traces must give the code of the complete search, on the
+    # analysis corpus (the fixtures, every class of genus 1-3, seeded genus-4
+    # and genus-5 diagrams, and a renamed copy of each) and on small random
+    # maps with degree-1 vertices and loops in consecutive corners, whose
+    # first atoms are (0, 1) and (1, 1): canonical_code traces only the
+    # roots with the least first atom
+    maps = [d.surface for d in analysis_corpus()]
+    assert len(maps) == 416 and {48, 60} <= {m.n_darts for m in maps}
     small = [random_small_map(rng) for _ in range(400)]
     first_atoms = Counter()
+    late = ties = 0
     for m in maps + small:
         for mirror in (True, False):
-            code = reference_canonical_code(m, mirror)
+            traces = reference_traces(m, mirror)
+            least = min(traces.values())
+            code = reference_code(least, m.n_darts, mirror)
             assert canonical_code(m, mirror) == code
             first_atoms[code.split(b"|")[2][:4]] += 1
+            traced = [(sg is not m.sigma, root) for sg, _, root
+                      in cmb._least_roots(m, mirror, cmb._face_ids(m.alpha, m.sigma))]
+            late += traces[traced[0]] != least   # a later root wins
+            ties += sum(traces[r] == least for r in traced) > 1   # a rival ties to the end
     assert min(first_atoms[atom] for atom in (b"0,1,", b"1,1,", b"1,2,")) >= 100
+    assert late >= 500 and ties >= 100
+
+
+def test_disconnected_codes_list_the_full_trace_codes_of_components(rng):
+    # the race runs across components: of different sizes, and of one size
+    # where a renamed copy ties the best to its last atom
+    maps = [d.surface for d in analysis_corpus()]
+    pairs = list(zip(maps[::40], maps[7::40]))
+    pairs += [(m, relabel_map(m, rng)) for m in maps[::40]]
+    assert {a.n_darts == b.n_darts for a, b in pairs} == {True, False}
+    for a, b in pairs:
+        u = disjoint_union(a, b)
+        for mirror in (True, False):
+            parts = sorted(reference_canonical_code(c, mirror) for c in (a, b))
+            head = f"cm1[{'dih' if mirror else 'rot'}]|n={u.n_darts}|".encode("ascii")
+            assert canonical_code(u, mirror) == head + b" ".join(parts)
+
+
+def test_has_key_agrees_with_comparing_keys(rng):
+    # _has_key races b's roots against a's key, on renamed and mirrored
+    # copies and on other maps of the same dart count
+    maps = [d.surface for d in analysis_corpus()]
+    by_size = {}
+    for m in maps:
+        by_size.setdefault(m.n_darts, []).append(m)
+    verdicts = Counter()
+    for a in maps[::2]:
+        peers = by_size[a.n_darts]
+        other = peers[(peers.index(a) + 1) % len(peers)]
+        for b in (relabel_map(a, rng), mirror_map(a), other):
+            fid = cmb._face_ids(b.alpha, b.sigma)
+            for mirror in (True, False):
+                key = cmb._canonical_key(a, mirror, cmb._face_ids(a.alpha, a.sigma))
+                same = key == cmb._canonical_key(b, mirror, fid)
+                assert cmb._has_key(b, mirror, key, fid) == same
+                verdicts[same] += 1
+    assert min(verdicts.values()) >= 100
 
 
 # ---------------------------------------------------------------------------
