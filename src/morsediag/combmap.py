@@ -68,12 +68,13 @@ _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 
 def _keeps_hash(*names):
-    """Class decorator for a frozen dataclass that is hashed often (every
-    analysis cache lookup hashes its diagram): the hash of the named fields
-    (their tuple, or the one), which hash in C, is computed on the first call
-    and kept on the instance; equality still compares every field.  The kept
-    hash never leaves the process, because string hashes are salted per
-    process: pickles and copies leave it behind."""
+    """Class decorator for a frozen dataclass that is hashed often: CombMap
+    and PrDiagram, since every analysis cache lookup hashes a diagram and so
+    its surface.  The hash of the named fields (their tuple, or the one),
+    which hash in C, is computed on the first call and kept on the instance;
+    equality still compares every field.  The kept hash never leaves the
+    process, because string hashes are salted per process: pickles and
+    copies leave it behind."""
     key = attrgetter(*names)
 
     def __hash__(self):
@@ -96,7 +97,6 @@ def _keeps_hash(*names):
     return decorate
 
 
-@_keeps_hash("kind", "index")
 @dataclass(frozen=True)
 class CurveLabel:
     kind: CurveKind
@@ -212,13 +212,6 @@ def _is_connected(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     return max(_component_index(alpha, sigma), default=-1) == 0
 
 
-def _single_corner(corners: list[int]) -> Optional[int]:
-    if len(corners) > 1:
-        raise MapError(
-            f"vertex has two boundary corners (darts {corners[0]} and {corners[1]})")
-    return corners[0] if corners else None
-
-
 def _boundary_vertices(m: CombMap, vid: Sequence[int], in_hole: Sequence[bool]) -> list[bool]:
     """vertex id -> whether the vertex has a corner in a hole face, from the
     map's dart -> vertex id and dart -> whether in a hole face.  A vertex
@@ -229,7 +222,7 @@ def _boundary_vertices(m: CombMap, vid: Sequence[int], in_hole: Sequence[bool]) 
         if in_hole[s]:
             v = vid[x]
             if corner[v] >= 0:
-                _single_corner([corner[v], x])  # raises: a second corner
+                raise MapError(f"vertex has two boundary corners (darts {corner[v]} and {x})")
             corner[v] = x
     return [c >= 0 for c in corner]
 
@@ -404,75 +397,65 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
 
 def _cut(m: CombMap, walk: Sequence[int], closed: bool, slits_are_holes: bool) -> CombMap:
     """The map cut along an oriented dart walk (``curve_dart_walk``), both
-    copies of the curve boundary.  Darts keep their ids, the curve darts on
-    the P side: the corner side, at each traversal vertex the darts strictly
-    sigma-between arrival and departure.  The i-th curve dart and its
-    partner get the Q copies n + 2i and n + 2i + 1.  A face of the cut map
-    is a hole if it holds a dart off the curve that lay in a hole face, or,
-    with ``slits_are_holes``, if it is one of a closed curve's two slit
+    copies of the curve boundary.  No workload cuts: only ``cut_along`` and
+    ``surger`` call this.  Darts keep their ids; the i-th curve dart and its
+    partner get the Q copies n + 2i and n + 2i + 1.  Each rotation the walk
+    passes, read off m from its arrival a, splits into two rings: P is a,
+    the darts strictly between, the departure; Q is the departure's copy,
+    the rest, a's copy.  At an arc's ends the one hole corner x -> sigma(x)
+    splits the rotation instead: P is the side sigma-before the departure
+    at the start and sigma-after the arrival at the end.  A face of the cut
+    map is a hole if it holds a dart off the curve that lay in a hole face,
+    or, with ``slits_are_holes``, if it is one of a closed curve's two slit
     faces."""
     alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
     in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
-    n, k = len(alpha), len(walk)
+    n = len(alpha)
     copy_q = {}
     for i, t in enumerate(walk):
         copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
+        alpha += (n + 2 * i + 1, n + 2 * i)
+        labels[t] = labels[alpha[t]] = _BDY
+    labels += [_BDY] * (2 * len(walk))
+    sigma += [0] * (2 * len(walk))
+
+    def rotation(d):   # m's rotation from d
+        rot = [d]
+        while m.sigma[rot[-1]] != d:
+            rot.append(m.sigma[rot[-1]])
+        return rot
+
+    def ring(darts):
+        for d, e in zip(darts, darts[1:] + darts[:1]):
+            sigma[d] = e
 
     arrivals = [alpha[t] for t in walk]
-    # (dart, new sigma image): at most four per split rotation, written
-    # once every rotation and boundary corner is read.  At arrival a and
-    # departure dep, P keeps the darts strictly between them and closes
-    # with dep -> a; Q is q(dep), sigma(dep) .. x, q(a), x preceding a.
-    writes = []
     for a, dep in zip(arrivals, [*walk[1:], walk[0]] if closed else walk[1:]):
-        qa, qdep, x = copy_q[a], copy_q[dep], dep
-        while sigma[x] != a:
-            x = sigma[x]
-        if x == dep:   # nothing between them on the Q side: only copies change
-            writes += ((qdep, qa), (qa, qdep))
-        else:
-            writes += ((dep, a), (qdep, sigma[dep]), (x, qa), (qa, qdep))
-    # At an arc's ends the slit runs out through the boundary corner
-    # x -> sigma(x); P is the side sigma-before the departure at the start
-    # and the side sigma-after the arrival at the end.  One walk round the
-    # rotation finds x and leaves y at the predecessor of d.
+        rot = rotation(a)
+        j = rot.index(dep) + 1
+        ring(rot[:j])
+        ring([copy_q[dep], *rot[j:], copy_q[a]])
     for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
-        corners, y = [d] if in_hole[sigma[d]] else [], d
-        while sigma[y] != d:
-            y = sigma[y]
-            if in_hole[sigma[y]]:
-                corners.append(y)
-        x = _single_corner(corners)
-        if x is None:
-            raise ArcEndpointNotOnBoundary(
-                f"arc {end} vertex (dart {d}) is not on the boundary")
-        qd, sx = copy_q[d], sigma[x]
-        if end == "start":   # P: sigma(x) .. d; Q: q(d), sigma(d) .. x
-            writes += ((d, sx), (qd, sigma[d]), (x, qd)) if x != d else ((qd, qd),)
-        else:                # P: d .. x; Q: q(d), sigma(x) .. y
-            writes += ((x, d), (qd, sx), (y, qd)) if sx != d else ((x, d), (qd, qd))
+        rot = rotation(d)
+        corners = [x for x in rot if in_hole[m.sigma[x]]]
+        if len(corners) > 1:
+            raise MapError(f"vertex has two boundary corners (darts {corners[0]} and {corners[1]})")
+        if not corners:
+            raise ArcEndpointNotOnBoundary(f"arc {end} vertex (dart {d}) is not on the boundary")
+        j = rot.index(corners[0]) + 1
+        ring([d, *rot[j:]] if end == "start" else rot[:j])
+        ring([copy_q[d], *(rot[1:j] if end == "start" else rot[j:])])
 
-    for t in walk:
-        alpha += (len(alpha) + 1, len(alpha))
-        labels += (_BDY, _BDY)
-        labels[t] = labels[alpha[t]] = _BDY
-    sigma += [0] * (2 * k)
-    for x, y in writes:
-        sigma[x] = y
-
-    # the darts that witness a hole: those of hole faces off the curve, then
-    # with slits_are_holes the P and Q slit corners of a closed curve
-    for d in copy_q:
-        in_hole[d] = False
     fid = _face_ids(alpha, sigma)
-    holes = set(compress(fid, in_hole))
+    holes = {fid[d] for d in range(n) if in_hole[d] and d not in copy_q}
     if closed and slits_are_holes:
         holes |= {fid[arrivals[0]], fid[copy_q[walk[0]]]}
     return CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(holes))
 
 
 def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
-    """Cut the surface along an embedded curve (``_cut``).
+    """Cut the surface along an embedded curve (``_cut``, each split
+    rotation rebuilt as P and Q rings); no workload cuts.
 
     The curve is doubled and both copies become boundary; chi grows by 1 for
     an arc with endpoints on the boundary and is unchanged for a closed curve.
@@ -483,10 +466,10 @@ def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
 
 
 def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
-    """Spherical rearrangement: cut along a closed curve and cap both new
-    boundary circles with disks (chi += 2).  The cut is ``_cut``'s: a face
-    is a hole iff it holds a dart off the curve that lay in a hole face, so
-    the two slit faces are the caps."""
+    """Spherical rearrangement, which no workload runs: cut along a closed
+    curve (``_cut``, P and Q rings) and cap both new boundary circles with
+    disks (chi += 2).  A face is a hole iff it holds a dart off the curve
+    that lay in a hole face, so the two slit faces are the caps."""
     if not curve.closed:
         raise CurveNotClosed("surgery requires a closed curve")
     return _cut(m, curve_dart_walk(m, curve, _orbit_ids(m.sigma)), True, False)

@@ -34,7 +34,6 @@ from .combmap import (
     CurveLabel,
     EmbeddedCurve,
     MapError,
-    curve_dart_walk,
     map_from_json,
     map_to_json,
 )

@@ -152,8 +152,14 @@ MUTANTS = (
     # a corpus curve is labeled, so none of its darts lies in a hole face:
     # only the random maps' bdy edges tell this one apart
     Mutant("combmap._cut counts a curve dart as a hole witness", "combmap.py",
-           "    for d in copy_q:\n        in_hole[d] = False\n", "",
+           " and d not in copy_q}", "}",
            (_CUTS[1],)),
+    # the curve darts then close the Q ring and their copies the P ring
+    Mutant("combmap._cut swaps the P and Q rings at a split vertex", "combmap.py",
+           "        ring(rot[:j])\n        ring([copy_q[dep], *rot[j:], copy_q[a]])\n",
+           "        ring([copy_q[a], *rot[1:j - 1], copy_q[dep]])\n"
+           "        ring([dep, *rot[j:], a])\n",
+           _CUTS),
     # the winner's atoms then run on from another root's ids and order
     Mutant("combmap._least_trace: a rival that wins keeps the old best's state", "combmap.py",
            "            bsig, btail, bid, border = sigma, tail, new_id, order\n", "",

@@ -5,7 +5,9 @@ or property of those classes that is not a dunder, must be used somewhere
 outside its own definition: as a loaded name, an attribute name or an
 imported name, in src/, bench/ or demos/.  A name that only its own body
 reads is dead code; one that only tests read is reference code, which
-belongs in tests/.
+belongs in tests/.  Since an import counts as a use, every name a package
+module imports must also be loaded in that module, or an unused import
+could keep a name alive; ``__init__`` imports to re-export, so it is exempt.
 """
 
 from __future__ import annotations
@@ -62,9 +64,32 @@ def dead_names(readers=("src", "tests", "bench", "demos")) -> list[str]:
             if all(id(node) in inside for inside in users.get(name, ()))]
 
 
+def unused_imports() -> list[str]:
+    """The names a package module other than ``__init__`` imports (not from
+    ``__future__``) and never loads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.name}: {alias.asname or alias.name.split('.')[0]}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                if (alias.asname or alias.name.split(".")[0]) not in loaded]
+    return out
+
+
 def test_every_definition_is_used_outside_itself():
     assert dead_names() == []
 
 
 def test_no_definition_is_read_by_tests_alone():
     assert dead_names(("src", "bench", "demos")) == []
+
+
+def test_every_import_is_loaded_where_it_is_imported():
+    assert unused_imports() == []
