@@ -14,10 +14,10 @@ systems live directly on the map and canonical forms are label-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, islice
-from operator import attrgetter, eq
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from ._formats import MAP, check
@@ -67,36 +67,6 @@ _KIND_ORD = {"bdy": 0, "u": 1, "U": 2, "v": 3, "V": 4}
 _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 
-def _keeps_hash(*names):
-    """Class decorator for a frozen dataclass that is hashed often: CombMap
-    and PrDiagram, since every analysis cache lookup hashes a diagram and so
-    its surface.  The hash of the named fields (their tuple, or the one),
-    which hash in C, is computed on the first call and kept on the instance;
-    equality still compares every field.  The kept hash never leaves the
-    process, because string hashes are salted per process: pickles and
-    copies leave it behind."""
-    key = attrgetter(*names)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
-
-    def decorate(cls):
-        cls.__hash__ = __hash__
-        cls.__getstate__ = __getstate__
-        return cls
-    return decorate
-
-
 @dataclass(frozen=True)
 class CurveLabel:
     kind: CurveKind
@@ -106,7 +76,6 @@ class CurveLabel:
 _BDY = CurveLabel(CurveKind.BDY)
 
 
-@_keeps_hash("alpha", "sigma", "holes")
 @dataclass(frozen=True)
 class CombMap:
     """Immutable labeled combinatorial map.
@@ -119,7 +88,7 @@ class CombMap:
 
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
-    labels: tuple[CurveLabel, ...]
+    labels: tuple[CurveLabel, ...] = field(hash=False)
     holes: frozenset[int]
 
     @property
@@ -479,8 +448,7 @@ def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
 _TAIL_TEXT = [f"{t >> 1},{t & 1}" for t in range(10)]
 
 
-def _least_trace(alpha: Sequence[int], roots: Sequence[tuple],
-                 key: Optional[list] = None) -> Optional[list]:
+def _least_trace(alpha: Sequence[int], roots: Sequence[tuple]) -> list:
     """The least BFS relabeling trace (visit sigma then alpha) over the
     (sigma, tail, root) ``roots``.  The atom of a dart is the int
     ``(s·n + a)·10 + tail[dart]``, where s and a are the ids of its sigma and
@@ -492,11 +460,9 @@ def _least_trace(alpha: Sequence[int], roots: Sequence[tuple],
     the atoms it has computed, and is extended by one atom only when a rival
     ties it that far.  A rival computes atoms until it differs, storing none;
     if smaller, it is the best from that atom on, with its own state.  The
-    winner is finished once, at the end.  With ``key``, a best whose atoms
-    are all known, returns ``key`` if some root's trace equals it, else
-    None, at the first smaller one."""
+    winner is finished once, at the end."""
     n = len(alpha)
-    best = key
+    best = None
     for sigma, tail, root in roots:
         new_id = [-1] * n
         new_id[root] = 0
@@ -528,18 +494,10 @@ def _least_trace(alpha: Sequence[int], roots: Sequence[tuple],
             ref = best[head]
             if atom != ref:
                 break
-        else:   # tied to the last atom
-            if key is not None:
-                return key
-            continue
-        if atom < ref:
-            if key is not None:
-                return None
+        if atom < ref:   # not when tied to the last atom
             best = best[:head]
             best.append(atom)
             bsig, btail, bid, border = sigma, tail, new_id, order
-    if key is not None:
-        return None
     for bd in islice(border, len(best), None):   # finish the winner
         s, a = bsig[bd], alpha[bd]
         if bid[s] < 0:
@@ -593,13 +551,6 @@ def _canonical_key(m: CombMap, mirror: bool, fid: Sequence[int]) -> list:
     if best is None or len(best) == m.n_darts:   # a trace covers one component
         return best or []
     return sorted(canonical_code(c, mirror) for c in components(m))
-
-
-def _has_key(m: CombMap, mirror: bool, key: list, fid: Sequence[int]) -> bool:
-    """Whether a connected map, of dart -> face id ``fid``, has ``key``, a
-    connected map's key, without making its own: the roots that can be
-    least race ``key`` until one is smaller (False) or equal (True)."""
-    return m.n_darts == len(key) and _least_trace(m.alpha, _least_roots(m, mirror, fid), key) is key
 
 
 # _DECIMAL[i] is str(i): _key_code reads an atom's ids here, not formatting

@@ -3,8 +3,10 @@ families (green arcs u and cycles U, red arcs v and cycles V).
 
 A diagram records a Morse flow with fixed points on the boundary of an
 oriented 3-manifold.  Well-formedness is the five-property criterion of the
-realization theory; equivalence of flows is isomorphism of diagrams, decided
-here by canonical codes of the labeled surface map.  The fixed-point census,
+realization theory.  Equivalence is decided here as label-preserving
+isomorphism of one cell structure, by canonical codes of the labeled surface
+map: not topological equivalence, since a diagram and the one with its curve
+edges subdivided are told apart.  The fixed-point census,
 boundary-flow reconstruction, optimality test and the two chord-diagram
 conversions for optimal handlebody flows live here as well.
 
@@ -89,13 +91,12 @@ _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
 }
 
 
-@cmb._keeps_hash("surface")
 @dataclass(frozen=True)
 class PrDiagram:
     """Surface map plus registry of embedded curves; hashed by its surface."""
 
     surface: CombMap
-    curves: tuple[EmbeddedCurve, ...]
+    curves: tuple[EmbeddedCurve, ...] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -716,20 +717,17 @@ def _face_invariant(d: PrDiagram, analysis: _Analysis) -> list:
 
 
 def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
-    """Topological equivalence of the recorded flows: label-preserving map
-    isomorphism, decided by canonical keys.  If b's key is held or a surface
-    is disconnected, the two keys are compared.  Otherwise the answer is
-    False, with no key made and no trace, when the face invariants differ;
-    else b's roots are traced against a's key."""
+    """Equivalence of the recorded flows as isomorphism of the diagrams: a
+    label-preserving isomorphism of the two cell structures (with
+    ``mirror``, orientation-reversing ones too), decided by canonical keys.
+    It is not topological equivalence: subdividing a curve's edges changes
+    the cell structure, so a diagram and its subdivision are told apart.
+    Unless b's key is held, the answer is False, with no key made, when the
+    face invariants differ; else the two keys are compared."""
     held_a, held_b = _require_valid(a), _require_valid(b)
-    compare = None in (held_a.chi, held_b.chi)   # None: disconnected
-    if not (compare or mirror in held_b.keys
-            or _face_invariant(a, held_a) == _face_invariant(b, held_b)):
+    if mirror not in held_b.keys and _face_invariant(a, held_a) != _face_invariant(b, held_b):
         return False
-    key = _surface_key(a, mirror)
-    if compare or mirror in held_b.keys:
-        return key == _surface_key(b, mirror)
-    return cmb._has_key(b.surface, mirror, key, held_b.fid)
+    return _surface_key(a, mirror) == _surface_key(b, mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ It prints each tree's pass times and their median, and the median over all
 operations of the latency ratio B / A of the two runs of one operation, then
 that median over each genus's operations alone: the 185 small genus 1-3
 operations set the overall median, while the genus-4 and genus-5 ones cost
-the most each.  A tree compared with itself (A/A) shows the noise floor of
-the ratio.  The script exits 1 if the two trees give different outputs on
-any operation: the report, census, Morse checks, boundary flow, colored
-class, canonical codes or equivalence verdicts.
+the most each.  Last it prints each tree's ``tracemalloc`` peak over one
+more pass, its inputs drawn before tracing starts.  A tree compared with
+itself (A/A) shows the noise floor of the ratio.  The script exits 1 if the
+two trees give different outputs on any operation: the report, census, Morse
+checks, boundary flow, colored class, canonical codes or equivalence
+verdicts.
 
 With ``--workload classify-g4`` every pass runs ``classify(4)`` on A and on
 B in turn, A first on even passes and B first on odd ones, each after
@@ -131,6 +133,15 @@ def diagram_analysis(trees, args) -> int:
           "outputs identical")
     print("median B/A by genus: " + "; ".join(
         f"g{g} {statistics.median(r):.4f} ({len(r)} pairs)" for g, r in sorted(ratios.items())))
+    peaks = []
+    for t in (0, 1):
+        inputs = runs[t].draw()
+        tracemalloc.start()
+        for case_inputs in inputs:
+            operation(trees[t], runs[t].canonical_colored, *case_inputs)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2**10)
+        tracemalloc.stop()
+    print(f"tracemalloc peak of one more pass: A {peaks[0]:.1f} KB, B {peaks[1]:.1f} KB")
     return 0
 
 

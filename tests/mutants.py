@@ -141,6 +141,9 @@ MUTANTS = (
     Mutant("prdiag._counted_side's boundary walk does not jump along the arcs", "prdiag.py",
            "                x = jump.get(x, x)\n", "",
            (*_COUNTED, "tests/test_prdiag.py::test_hand_built_cycle_diagrams_by_hand")),
+    Mutant("equivalent answers True once the face invariants tie", "prdiag.py",
+           "return _surface_key(a, mirror) == _surface_key(b, mirror)", "return True",
+           ("tests/test_prdiag.py::test_equivalent_agrees_with_comparing_codes",)),
     Mutant("prdiag._face_invariant leaves the faces in face-id order", "prdiag.py",
            "analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])",
            "analysis.invariant = [(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()]",
@@ -198,9 +201,9 @@ MUTANTS = (
     # equality, and so every result, is unchanged: only the pinned hash rule
     # tells it apart
     Mutant("CombMap hashes its labels again", "combmap.py",
-           '@_keeps_hash("alpha", "sigma", "holes")',
-           '@_keeps_hash("alpha", "sigma", "labels", "holes")',
-           ("tests/test_prdiag.py::test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
+           "labels: tuple[CurveLabel, ...] = field(hash=False)",
+           "labels: tuple[CurveLabel, ...]",
+           ("tests/test_prdiag.py::test_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
             "tests/test_prdiag.py::test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses")),
     Mutant("is_river's window spaced by 2", "chord.py",
            "for p in range(start, start + g))", "for p in range(start, start + 2 * g, 2))",

@@ -455,14 +455,13 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # which counts each side of an optimal diagram and cuts neither; no call
     # on an optimal diagram cuts, to_colored_chord included.  Later calls on
     # an equal diagram run no analysis, and equivalent analyses each of its
-    # arguments at most once and makes one canonical key, of its first
-    # argument, tracing the second against it, unless their face invariants
-    # differ: then it makes no key and traces nothing.  Face ids are found
-    # once per diagram, by its analysis
+    # arguments at most once and makes the canonical key of each it does not
+    # hold, unless their face invariants differ: then it makes no key.  Face
+    # ids are found once per diagram, by its analysis
     events = []
     face_id_calls = []
     count_side, cut = pr._counted_side, cmb._cut
-    key, has_key, face_ids = cmb._canonical_key, cmb._has_key, cmb._face_ids
+    key, face_ids = cmb._canonical_key, cmb._face_ids
 
     def counted_side(*args):
         events.append(("count", args[3]))
@@ -476,10 +475,6 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.append("key")
         return key(*args)
 
-    def counted_check(*args):
-        events.append("check")
-        return has_key(*args)
-
     def counted_face_ids(*args):
         face_id_calls.append(args)
         return face_ids(*args)
@@ -491,7 +486,6 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     monkeypatch.setattr(pr, "_counted_side", counted_side)
     monkeypatch.setattr(cmb, "_cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
-    monkeypatch.setattr(cmb, "_has_key", counted_check)
     monkeypatch.setattr(cmb, "_face_ids", counted_face_ids)
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
     d = from_colored_chord(ccd)
@@ -511,16 +505,16 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     cold()
     face_id_calls.clear()
     assert equivalent(d, other)
-    assert events == counts + counts + ["key", "check"]
+    assert events == counts + counts + ["key", "key"]
     assert len(face_id_calls) == 2
     events.clear()
-    # d's key is held, so other's key is made and the keys compared
+    # both keys are held, so no key is made
     assert equivalent(other, d)
     assert pr_canonical_code(d) == pr_canonical_code(other)
     for op in ops.values():
         op(d)
         op(other)
-    assert events == ["key"]
+    assert events == []
     cold()
     validate(d)
     assert equivalent(d, d)
@@ -536,9 +530,8 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     pr_canonical_code(d)
     pr_canonical_code(other)
     assert equivalent(d, other) and not equivalent(d, third)
-    assert events == counts + ["key"] + counts + ["key"] + counts + ["check"]
-    # a class whose face invariant differs from d's: two analyses, no key
-    # and no trace
+    assert events == counts + ["key"] + counts + ["key"] + counts + ["key"]
+    # a class whose face invariant differs from d's: two analyses and no key
     apart = next(x for x in (from_colored_chord(ccd) for g, ccd in all_colored_classes(3)
                              if g == 3)
                  if pr._face_invariant(x, pr._analyse(x)) != pr._face_invariant(d, pr._analyse(d)))
@@ -564,7 +557,7 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
 
 
 # ---------------------------------------------------------------------------
-# kept hashes
+# hashes
 # ---------------------------------------------------------------------------
 
 def _fresh_copy(d: PrDiagram) -> PrDiagram:
@@ -576,11 +569,11 @@ def _fresh_copy(d: PrDiagram) -> PrDiagram:
                            for c in d.curves))
 
 
-def test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
+def test_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     d = cat.load_fixture("solid_torus.json")
     m = d.surface
     texts = (repr(d), repr(m), repr(m.labels[0]))
-    assert hash(d) == hash(d.surface)
+    assert hash(d) == hash((d.surface,))
     assert hash(m) == hash((m.alpha, m.sigma, m.holes))
     assert hash(m.labels[0]) == hash((m.labels[0].kind, m.labels[0].index))
     assert (repr(d), repr(m), repr(m.labels[0])) == texts
@@ -588,21 +581,16 @@ def test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     assert [f.name for f in dataclasses.fields(CombMap)] == \
         ["alpha", "sigma", "labels", "holes"]
     assert [f.name for f in dataclasses.fields(CurveLabel)] == ["kind", "index"]
-    # a hashed diagram equals an unhashed copy, both ways, and hashes like it
+    # a diagram equals a fresh copy, both ways, and hashes like it
     fresh = _fresh_copy(d)
     assert d == fresh and fresh == d and hash(fresh) == hash(d)
     relabeled = PrDiagram(CombMap(m.alpha, m.sigma, m.labels[::-1], m.holes), d.curves)
     assert relabeled != d and d != relabeled
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.curves = ()
-
-
-def test_replace_gives_a_copy_hashed_by_its_own_named_fields():
-    d = cat.load_fixture("solid_torus.json")
-    m = d.surface
-    hash(d)
+    # a replaced copy hashes by its own fields
     fewer = dataclasses.replace(d, curves=d.curves[:1])
-    assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash(m)
+    assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash(d)
     no_holes = dataclasses.replace(m, holes=frozenset())
     assert hash(no_holes) == hash(CombMap(m.alpha, m.sigma, m.labels, frozenset())) \
         == hash((m.alpha, m.sigma, frozenset()))
@@ -642,7 +630,7 @@ import pickle, sys
 import morsediag.catalog as cat
 import morsediag.prdiag as pr
 d = cat.load_fixture("solid_torus.json")
-pr.validate(d)   # hashes the diagram, its surface and its labels
+pr.validate(d)   # hashes the diagram and its surface
 with open(sys.argv[1], "wb") as fh:
     pickle.dump(d, fh)
 """
@@ -667,7 +655,7 @@ print("ok")
 
 
 def test_a_pickled_diagram_hashes_like_a_fresh_one_in_another_process(tmp_path):
-    # string hashes are salted per process, so a kept hash must not travel
+    # string hashes are salted per process, so no hash may travel in a pickle
     path = str(tmp_path / "d.pickle")
     src = str(Path(pr.__file__).resolve().parents[1])
     for seed, script in (("1", _PICKLE_IN), ("2", _LOAD_IN)):
@@ -957,11 +945,11 @@ def test_equal_codes_have_equal_face_invariants(rng):
 
 
 def test_equivalent_agrees_with_comparing_codes(rng):
-    # equivalent compares keys when b's is held or a surface is disconnected,
-    # answers False when the face invariants differ, and otherwise traces
-    # b's roots against a's key.  Both of the last two cases occur, the
-    # traced one also for unequal codes: among them a chiral diagram and its
-    # mirror without the mirror
+    # equivalent compares keys when b's is held, and otherwise answers
+    # False, making no key, when the face invariants differ, on connected
+    # and disconnected surfaces alike; else it compares keys.  Both unheld
+    # cases occur on connected pairs, the second also for unequal codes:
+    # among them a chiral diagram and its mirror without the mirror
     pick = random.Random(18)
     sample = pick.sample([d for d in analysis_corpus() if validate(d).valid], 10)
     unions = pick.sample(list(product(small_disks(), repeat=2)), 3)
@@ -973,7 +961,8 @@ def test_equivalent_agrees_with_comparing_codes(rng):
     for mirror in (True, False):
         codes = [pr_canonical_code(d, mirror) for d in diagrams]
         same = 0
-        paths = Counter()   # unheld pairs of connected surfaces: (traced, equal codes)
+        # unheld pairs: (both connected, equal invariants, equal codes)
+        paths = Counter()
         for held in (False, True):
             for (a, code_a), (b, code_b) in product(zip(diagrams, codes), repeat=2):
                 clear_analysis_caches()
@@ -981,14 +970,20 @@ def test_equivalent_agrees_with_comparing_codes(rng):
                     pr_canonical_code(a, mirror)
                     pr_canonical_code(b, mirror)
                     assert mirror in pr._analyse(b).keys
-                elif pr._analyse(a).chi is not None and pr._analyse(b).chi is not None:
-                    paths[_invariant(a) == _invariant(b), code_a == code_b] += 1
+                else:
+                    connected = None not in (pr._analyse(a).chi, pr._analyse(b).chi)
+                    tie = _invariant(a) == _invariant(b)
+                    paths[connected, tie, code_a == code_b] += 1
                     clear_analysis_caches()
                 assert equivalent(a, b, mirror) == (code_a == code_b)
+                if not held:   # keys are made iff the invariants tie
+                    made = [mirror in pr._analyse(x).keys for x in (a, b)]
+                    assert made == [tie, tie]
                 same += code_a == code_b
         assert same > 2 * len(diagrams)   # a renamed copy is equivalent too
-        assert paths[False, True] == 0
-        assert min(paths[False, False], paths[True, False], paths[True, True]) > 0
+        assert paths[True, False, True] == paths[False, False, True] == 0
+        assert min(paths[True, False, False], paths[True, True, False],
+                   paths[True, True, True], paths[False, False, False]) > 0
 
 
 def _cycle_diagrams() -> list:
