@@ -203,7 +203,7 @@ MUTANTS = (
     Mutant("CombMap hashes its labels again", "combmap.py",
            "labels: tuple[CurveLabel, ...] = field(hash=False)",
            "labels: tuple[CurveLabel, ...]",
-           ("tests/test_prdiag.py::test_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
+           ("tests/test_prdiag.py::test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
             "tests/test_prdiag.py::test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses")),
     Mutant("is_river's window spaced by 2", "chord.py",
            "for p in range(start, start + g))", "for p in range(start, start + 2 * g, 2))",

@@ -569,7 +569,7 @@ def _fresh_copy(d: PrDiagram) -> PrDiagram:
                            for c in d.curves))
 
 
-def test_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
+def test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     d = cat.load_fixture("solid_torus.json")
     m = d.surface
     texts = (repr(d), repr(m), repr(m.labels[0]))
@@ -588,7 +588,11 @@ def test_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     assert relabeled != d and d != relabeled
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.curves = ()
-    # a replaced copy hashes by its own fields
+
+
+def test_replace_gives_a_copy_hashed_by_its_own_named_fields():
+    d = cat.load_fixture("solid_torus.json")
+    m = d.surface
     fewer = dataclasses.replace(d, curves=d.curves[:1])
     assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash(d)
     no_holes = dataclasses.replace(m, holes=frozenset())
