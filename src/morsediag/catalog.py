@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from itertools import pairwise
+from itertools import islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as encode_string
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Iterable
 
 from . import _formats
@@ -155,40 +155,51 @@ def _entry_from_json(obj, lineno: int) -> CatalogEntry:
                   obj["source"], obj["tool_version"])
 
 
-def _lines(items: Iterable[CatalogEntry]) -> Iterable[str]:
-    """The catalog line of each entry: the encoded code, then the tail of
-    the other fields.  An entry whose field values are the very objects of
-    the last entry's, as consecutive entries built alike share them, takes
-    the last tail; any other entry's tail is encoded again."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    last, tail = (), ""
-    for e in items:
-        flags = e.flags
-        values = (e.kind, e.genus, e.source, e.tool_version, *flags, *flags.values())
-        if len(values) != len(last) or not all(map(is_, values, last)):
-            rest = e.to_json()
-            del rest["code"]
-            tail = ", " + encode(rest)[1:] + "\n"
-            last = values
-        code = e.code
-        yield '{"code": ' + (encode_string(code) if isinstance(code, str) else encode(code)) + tail
-
-
 def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
-    """Write entries as sorted JSONL; duplicate codes are rejected.
+    """Write entries as sorted JSONL.  Before the file is opened, refuse
+    with SchemaViolation what load_catalog would refuse, with its message and
+    the line the entry would get, a duplicate code, fields that cannot be
+    encoded and codes that cannot be sorted.
 
-    Each line is json.dumps(entry.to_json(), sort_keys=True) + "\\n".  Its
-    first key is "code", so a line is the encoded code followed by a tail of
-    the other fields, and one tail is encoded for each run of entries that
-    share their field objects (_lines).  The lines are streamed to the file,
-    never held together."""
-    items = sorted(entries, key=attrgetter("code"))
-    for prev, e in pairwise(items):
-        if prev.code == e.code:
-            raise SchemaViolation(f"duplicate code {e.code!r}")
+    Each line is json.dumps(entry.to_json(), sort_keys=True) + "\\n": the
+    encoded code, then a tail of the other fields.  A run of entries whose
+    five other field objects are the previous entry's (compared with `is`;
+    report_entries and load_catalog share them) is checked
+    (_entry_from_json) and encoded once, at its first entry; each other code
+    is checked to be a non-empty string.  The lines are streamed to the
+    file, never held together."""
+    items = list(entries)
+    try:
+        items.sort(key=attrgetter("code"))
+    except TypeError as exc:   # a code that is not a string among strings
+        code = next(e.code for e in items if type(e.code) is not str)
+        raise SchemaViolation(f"code must be a string, not {code!r}") from exc
+    encode = json.JSONEncoder(sort_keys=True).encode
+    runs = []   # [tail, lines] for each run of entries that share their field objects
+    prev = None
+    for lineno, e in enumerate(items, start=1):
+        code = e.code
+        if (prev is None or e.flags is not prev.flags or e.kind is not prev.kind
+                or e.genus is not prev.genus or e.source is not prev.source
+                or e.tool_version is not prev.tool_version):
+            try:
+                rest = e.to_json()
+                del rest["code"]
+                runs.append([", " + encode(rest)[1:] + "\n", 0])
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+                raise SchemaViolation(f"line {lineno}: cannot encode as JSON ({exc})") from exc
+            _entry_from_json(dict(rest, code=code), lineno)
+        elif type(code) is not str or not code:
+            _entry_from_json(dict(rest, code=code), lineno)   # raises the reader's message
+        if prev is not None and code == prev.code:
+            raise SchemaViolation(f"duplicate code {code!r}")
+        runs[-1][1] += 1
+        prev = e
+    pending = iter(items)
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(_lines(items))
+            fh.writelines('{"code": ' + encode_string(e.code) + tail
+                          for tail, count in runs for e in islice(pending, count))
     except OSError as exc:
         raise IoFailure(f"cannot write catalog {path}: {exc}") from exc
 
@@ -197,26 +208,27 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
 _CODE_HEAD = '{"code": "'
 
 
-def _tail_entry(tail: str, code: str, lineno: int):
-    """The entry of the line `_CODE_HEAD` + the JSON string `code` + `tail`,
-    from `tail` parsed alone and checked (_entry_from_json), or None when
-    the line must be parsed whole: its tail is not ', "' followed by the
-    other members, it holds a second "code" member or it is not valid JSON
-    there, or its flags hold a list or an object, which no two entries may
-    share."""
+def _tail_entry(tail: str, code: str, lineno: int) -> tuple:
+    """The five fields after the code (kind, genus, flags, source,
+    tool_version) of the line `_CODE_HEAD` + the JSON string `code` +
+    `tail`, from `tail` parsed alone and checked (_entry_from_json), or ()
+    when the line must be parsed whole: its tail is not ', "' followed by
+    the other members, it holds a second "code" member or it is not valid
+    JSON there, or its flags hold a list or an object, which no two entries
+    may share."""
     if not tail.startswith(', "'):
-        return None
+        return ()
     try:
         obj = json.loads("{" + tail[2:])
     except (json.JSONDecodeError, RecursionError):
-        return None
+        return ()
     if "code" in obj:
-        return None
+        return ()
     obj["code"] = code
-    entry = _entry_from_json(obj, lineno)
-    if any(isinstance(v, (list, dict)) for v in entry.flags.values()):
-        return None
-    return entry
+    e = _entry_from_json(obj, lineno)
+    if any(isinstance(v, (list, dict)) for v in e.flags.values()):
+        return ()
+    return e.kind, e.genus, e.flags, e.source, e.tool_version
 
 
 def load_catalog(path) -> list[CatalogEntry]:
@@ -228,14 +240,14 @@ def load_catalog(path) -> list[CatalogEntry]:
 
     A line that begins like every line save_catalog writes is split into
     its code, read with json.decoder.scanstring, and the tail of its other
-    fields; each distinct tail is parsed and checked once (_tail_entry), and
-    the entries that share it share its read-only flags dict.  Any other
-    line is parsed whole with json.loads, and so is every line when a
-    fast-path step fails, so that each error is reported as json.loads and
-    _entry_from_json report it."""
+    fields.  Each distinct tail is parsed and checked once (_tail_entry);
+    the entries of its lines are built from its five field objects and so
+    share its read-only flags dict.  Any other line is parsed whole with
+    json.loads, and so is every line when a fast-path step fails, so that
+    each error is reported as json.loads and _entry_from_json report it."""
     entries = []
-    seen = {}
-    tails = {}      # tail -> the entry of its first line, or None
+    seen = {}       # code -> its line
+    tails = {}      # tail -> its five field objects, or () to parse its lines whole
     head = len(_CODE_HEAD)
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -257,23 +269,20 @@ def load_catalog(path) -> list[CatalogEntry]:
                         code = ""
                     if code:
                         tail = line[end:]
-                        if tail in tails:
-                            first = tails[tail]
-                            if first is not None:
-                                entry = _entry(code, first.kind, first.genus, first.flags,
-                                               first.source, first.tool_version)
-                        else:
-                            entry = tails[tail] = _tail_entry(tail, code, lineno)
+                        fields = tails.get(tail)
+                        if fields is None:
+                            fields = tails[tail] = _tail_entry(tail, code, lineno)
+                        if fields:
+                            entry = _entry(code, *fields)
                 if entry is None:
                     try:
                         obj = json.loads(line)
                     except (json.JSONDecodeError, RecursionError) as exc:
                         raise SchemaViolation(f"line {lineno}: invalid JSON ({exc})") from exc
                     entry = _entry_from_json(obj, lineno)
-                if entry.code in seen:
-                    raise SchemaViolation(
-                        f"line {lineno}: field 'code' duplicates line {seen[entry.code]}")
-                seen[entry.code] = lineno
+                first = seen.setdefault(entry.code, lineno)
+                if first != lineno:
+                    raise SchemaViolation(f"line {lineno}: field 'code' duplicates line {first}")
                 entries.append(entry)
     except OSError as exc:
         raise IoFailure(f"cannot read catalog {path}: {exc}") from exc

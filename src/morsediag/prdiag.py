@@ -402,7 +402,9 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     # A vertex per hole dart of the cut map, per vertex off the boundary and
     # the side's curves, and per cycle vertex on each side (not on Q where
     # an arc is cut)
-    euler = [-comp.count(k) for k in range(len(rank))]
+    euler = [0] * len(rank)
+    for k in comp:
+        euler[k] -= 1
     off = {vid[x] for x in range(n) if hole[x] or on[x]}
     for k in ([rank[_find(parent, f)] for f in set(fid) if not hole[f]]
               + [comp[x] for x in range(n) if hole[x]] + [comp[v] for v in set(vid) - off]

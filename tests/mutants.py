@@ -66,8 +66,8 @@ MUTANTS = (
            "except (OSError, ValueError) as exc:",
            ("tests/test_cli.py::test_too_deeply_nested_json_exits_two_naming_the_file",)),
     Mutant("RecursionError handler of catalog._tail_entry removed", "catalog.py",
-           "except (json.JSONDecodeError, RecursionError):\n        return None",
-           "except json.JSONDecodeError:\n        return None",
+           "except (json.JSONDecodeError, RecursionError):\n        return ()",
+           "except json.JSONDecodeError:\n        return ()",
            _DEEP_CATALOG),
     Mutant("RecursionError handler of load_catalog's whole-line parse removed", "catalog.py",
            "except (json.JSONDecodeError, RecursionError) as exc:",
@@ -230,22 +230,31 @@ MUTANTS = (
            ("tests/test_chord.py::test_rooted_generator_yields_the_least_span_matchings",)),
     # equal copies change no result: only the pin on shared flags tells them apart
     Mutant("load_catalog copies each entry's flags again", "catalog.py",
-           "entry = _entry(code, first.kind, first.genus, first.flags,",
-           "entry = _entry(code, first.kind, first.genus, _Flags(first.flags),",
+           "entry = _entry(code, *fields)",
+           "entry = _entry(code, *fields[:2], _Flags(fields[2]), *fields[3:])",
            ("tests/test_catalog.py::test_each_distinct_tail_is_parsed_once",)),
     Mutant("catalog._Flags lets update through", "catalog.py",
            "setdefault = update = _read_only", "setdefault = _read_only",
            ("tests/test_catalog.py::test_package_built_flags_are_read_only",)),
-    Mutant("save_catalog compares each code with the one two places back", "catalog.py",
-           "pairwise(items)", "zip(items, items[2:])",
+    Mutant("save_catalog tells duplicate codes apart by identity", "catalog.py",
+           "code == prev.code", "code is prev.code",
            ("tests/test_catalog.py::test_duplicate_code_rejected",)),
     Mutant("the catalog line format loses its genus field", "_formats.py",
            '"genus": int, ', "",
            ("tests/test_catalog.py::test_schema_violations_carry_line_and_field",)),
-    Mutant("catalog._lines reuses the last tail when only the lengths match", "catalog.py",
-           "if len(values) != len(last) or not all(map(is_, values, last)):",
-           "if len(values) != len(last):",
-           ("tests/test_catalog.py::test_saved_lines_of_hand_built_entries",)),
+    Mutant("save_catalog continues a run when only flags is the same object", "catalog.py",
+           " or e.kind is not prev.kind\n                or e.genus is not prev.genus"
+           " or e.source is not prev.source\n"
+           "                or e.tool_version is not prev.tool_version",
+           "", ("tests/test_catalog.py::test_equal_flags_write_the_same_bytes_shared_or_not",)),
+    Mutant("the writer skips the per-entry code check", "catalog.py",
+           "elif type(code) is not str or not code:", "elif False:",
+           ("tests/test_catalog.py::test_save_refuses_a_code_that_is_no_string",)),
+    Mutant("the reader's five fields in another order", "catalog.py",
+           "return e.kind, e.genus, e.flags, e.source, e.tool_version",
+           "return e.kind, e.genus, e.flags, e.tool_version, e.source",
+           ("tests/test_catalog.py::"
+            "test_save_load_save_writes_the_same_bytes_and_one_tail_per_run",)),
 )
 
 SURVIVORS = (

@@ -57,6 +57,13 @@ def test_duplicate_code_rejected(tmp_path):
         cat.save_catalog(entries + [entries[0]], dup)
     assert str(exc.value) == f"duplicate code {entries[0].code!r}"
     assert not dup.exists()
+    # codes are compared by value: an equal code in another string object
+    code = entries[0].code
+    again = dataclasses.replace(entries[0], code=code[:1] + code[1:])
+    assert again.code is not code
+    with pytest.raises(cat.SchemaViolation, match="^duplicate code "):
+        cat.save_catalog(entries + [again], dup)
+    assert not dup.exists()
 
 
 def test_schema_violations_carry_line_and_field(tmp_path):
@@ -147,6 +154,106 @@ def test_saved_lines_of_hand_built_entries(tmp_path):
     cat.save_catalog(entries, path)
     assert path.read_bytes() == _dumped(entries)
     assert cat.load_catalog(path) == sorted(entries, key=lambda e: e.code)
+
+
+def _refusal(entries, tmp_path) -> str:
+    """save_catalog's SchemaViolation message for entries, checked to leave
+    an existing file byte-for-byte as it was and to create no file."""
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"not a catalog\n")
+    for path in (kept, tmp_path / "new.jsonl"):
+        with pytest.raises(cat.SchemaViolation) as exc:
+            cat.save_catalog(iter(entries), path)
+    assert kept.read_bytes() == b"not a catalog\n"
+    assert not (tmp_path / "new.jsonl").exists()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(genus=True), dict(genus=2.0), dict(kind="weird"), dict(kind=None), dict(code=""),
+    dict(kind=["base_chord"]),
+], ids=["bool-genus", "float-genus", "unknown-kind", "null-kind", "empty-code", "list-kind"])
+@pytest.mark.parametrize("at", [0, 4, 8])
+def test_save_refuses_what_load_refuses(bad, at, tmp_path, monkeypatch):
+    # one entry of the genus-2 catalog spoilt, the first, the last colored
+    # or the last base: the message is the one load_catalog gives for the
+    # line json.dumps would write for it, with the same line number
+    entries = sorted(_entries_g2(), key=lambda e: e.code)
+    entries[at] = dataclasses.replace(entries[at], **bad)
+    written = tmp_path / "dumped.jsonl"
+    written.write_bytes(_dumped(entries))
+    kind, message = _load_both_ways(written, monkeypatch)
+    assert kind == "SchemaViolation"
+    assert _refusal(entries, tmp_path) == message
+
+
+def test_save_refuses_a_code_that_is_no_string(tmp_path):
+    entries = sorted(_entries_g2(), key=lambda e: e.code)
+    # alone, as load_catalog would refuse it; among strings, which cannot
+    # be sorted with it
+    assert _refusal([dataclasses.replace(entries[0], code=7)], tmp_path) == \
+        "line 1: code must be a string, not 7"
+    assert _refusal(entries + [dataclasses.replace(entries[0], code=7)], tmp_path) == \
+        "code must be a string, not 7"
+
+    class Last:   # no string, but sorts after every string
+        def __lt__(self, other):
+            return False
+
+        def __gt__(self, other):
+            return True
+
+        def __repr__(self):
+            return "Last()"
+
+    # the last of a run that shares the field objects of its first entry
+    assert _refusal(entries + [dataclasses.replace(entries[-1], code=Last())], tmp_path) == \
+        "line 10: code must be a string, not Last()"
+
+
+@pytest.mark.parametrize("flags", [
+    {"census": {1, 2}}, {1: True, "one_face": True}, {(1, 2): True}, "cycle",
+    [("one_face", True)], 5,
+], ids=["set-value", "mixed-keys", "tuple-key", "cycle", "list", "int"])
+def test_save_refuses_flags_that_cannot_be_encoded(flags, tmp_path):
+    if flags == "cycle":
+        flags = {"one_face": True}
+        flags["self"] = flags
+    entries = sorted(_entries_g2(), key=lambda e: e.code)
+    entries[2] = dataclasses.replace(entries[2], flags=flags)
+    assert _refusal(entries, tmp_path).startswith("line 3: cannot encode as JSON (")
+
+
+def test_save_load_save_writes_the_same_bytes_and_one_tail_per_run(tmp_path, monkeypatch):
+    entries = cat.report_entries(classify(3), tool_version=__version__)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    cat.save_catalog(entries, first)
+    assert first.read_bytes() == _dumped(entries)
+    loaded = cat.load_catalog(first)
+    runs = [next(run).code for _, run in groupby(loaded, key=lambda e: id(e.flags))]
+    encoded = []
+    to_json = cat.CatalogEntry.to_json
+    monkeypatch.setattr(cat.CatalogEntry, "to_json",
+                        lambda e: encoded.append(e.code) or to_json(e))
+    cat.save_catalog(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    # loaded entries share their five field objects along a run
+    assert encoded == runs and 3 < len(runs) < len(entries)
+
+
+def test_equal_flags_write_the_same_bytes_shared_or_not(tmp_path):
+    Entry = cat.CatalogEntry
+    shared = {"one_face": True, "optimal": True}
+    fields = [(cat.KIND_BASE, 1, "enumerated", ""), (cat.KIND_BASE, 1, "enumerated", ""),
+              (cat.KIND_COLORED, 1, "enumerated", ""), (cat.KIND_COLORED, 2, "enumerated", ""),
+              (cat.KIND_COLORED, 2, "fixture", ""), (cat.KIND_COLORED, 2, "fixture", "0.1"),
+              (cat.KIND_COLORED, 2, "fixture", "0.1")]
+    one_dict = [Entry(f"c{i}", kind, genus, shared, source, version)
+                for i, (kind, genus, source, version) in enumerate(fields)]
+    own_dicts = [dataclasses.replace(e, flags=dict(shared)) for e in one_dict]
+    for name, entries in (("one.jsonl", one_dict), ("own.jsonl", own_dicts)):
+        cat.save_catalog(entries, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == _dumped(entries), name
 
 
 def _outcome(path):
