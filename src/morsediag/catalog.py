@@ -155,26 +155,28 @@ def _entry_from_json(obj, lineno: int) -> CatalogEntry:
                   obj["source"], obj["tool_version"])
 
 
-def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
-    """Write entries as sorted JSONL.  Before the file is opened, refuse
-    with SchemaViolation what load_catalog would refuse, with its message and
-    the line the entry would get, a duplicate code, fields that cannot be
-    encoded and codes that cannot be sorted.
+_CODE_HEAD = '{"code": "'   # how every line that save_catalog writes begins
 
-    Each line is json.dumps(entry.to_json(), sort_keys=True) + "\\n": the
-    encoded code, then a tail of the other fields.  A run of entries whose
-    five other field objects are the previous entry's (compared with `is`;
-    report_entries and load_catalog share them) is checked
-    (_entry_from_json) and encoded once, at its first entry; each other code
-    is checked to be a non-empty string.  The lines are streamed to the
-    file, never held together."""
+
+def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
+    """Write entries as sorted JSONL: each line is json.dumps of the entry's
+    fields with sort_keys=True, `_CODE_HEAD` and the code, then a tail of
+    the other fields.  A run of entries whose five other field objects are
+    the previous entry's (compared with `is`; report_entries and
+    load_catalog share them) has its tail encoded once and its first line
+    read back as load_catalog reads it, as has each line whose code is no
+    non-empty string.  So before the file is opened it refuses, with
+    SchemaViolation, what load_catalog would refuse, with its message and
+    line number, as well as a duplicate code, fields that cannot be encoded
+    and codes that cannot be sorted.  Lines are streamed, never held."""
     items = list(entries)
     try:
         items.sort(key=attrgetter("code"))
     except TypeError as exc:   # a code that is not a string among strings
-        code = next(e.code for e in items if type(e.code) is not str)
+        code = next(e.code for e in items if not isinstance(e.code, str))
         raise SchemaViolation(f"code must be a string, not {code!r}") from exc
     encode = json.JSONEncoder(sort_keys=True).encode
+    head = _CODE_HEAD[:-1]   # encode_string(code) brings the code's opening quote
     runs = []   # [tail, lines] for each run of entries that share their field objects
     prev = None
     for lineno, e in enumerate(items, start=1):
@@ -183,39 +185,37 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
                 or e.genus is not prev.genus or e.source is not prev.source
                 or e.tool_version is not prev.tool_version):
             try:
-                rest = e.to_json()
-                del rest["code"]
-                runs.append([", " + encode(rest)[1:] + "\n", 0])
-            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+                tail = ", " + encode({"flags": e.flags, "genus": e.genus, "kind": e.kind,
+                                      "schema_version": SCHEMA_VERSION, "source": e.source,
+                                      "tool_version": e.tool_version})[1:]
+                fields = json.loads("{" + tail[2:])   # as load_catalog reads them
+            except (TypeError, ValueError, RecursionError) as exc:
                 raise SchemaViolation(f"line {lineno}: cannot encode as JSON ({exc})") from exc
-            _entry_from_json(dict(rest, code=code), lineno)
-        elif type(code) is not str or not code:
-            _entry_from_json(dict(rest, code=code), lineno)   # raises the reader's message
+            runs.append(run := [tail + "\n", 0])
+        if type(code) is not str or not code or not run[1]:   # a run's first line, or an odd code
+            read = scanstring(encode_string(code), 1)[0] if isinstance(code, str) else code
+            _entry_from_json(dict(fields, code=read), lineno)   # the line as load_catalog reads it
         if prev is not None and code == prev.code:
             raise SchemaViolation(f"duplicate code {code!r}")
-        runs[-1][1] += 1
+        run[1] += 1
         prev = e
     pending = iter(items)
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines('{"code": ' + encode_string(e.code) + tail
+            fh.writelines(head + encode_string(e.code) + tail
                           for tail, count in runs for e in islice(pending, count))
     except OSError as exc:
         raise IoFailure(f"cannot write catalog {path}: {exc}") from exc
-
-
-#: How every line that save_catalog writes begins: the code comes first.
-_CODE_HEAD = '{"code": "'
 
 
 def _tail_entry(tail: str, code: str, lineno: int) -> tuple:
     """The five fields after the code (kind, genus, flags, source,
     tool_version) of the line `_CODE_HEAD` + the JSON string `code` +
     `tail`, from `tail` parsed alone and checked (_entry_from_json), or ()
-    when the line must be parsed whole: its tail is not ', "' followed by
-    the other members, it holds a second "code" member or it is not valid
-    JSON there, or its flags hold a list or an object, which no two entries
-    may share."""
+    when the line must be parsed whole: its tail is not ', "' and the other
+    members, holds a second "code" member or is no valid JSON, or its flags
+    hold a list or an object, which no two entries may share.  The check is
+    the whole line's, which save_catalog makes of the lines it writes."""
     if not tail.startswith(', "'):
         return ()
     try:

@@ -38,10 +38,11 @@ The catalog round trip of each tree's report follows in the same order:
 ``load_catalog``.  The one-pass benchmark times classify and the round trip
 together, once per process, so the machine's speed from run to run sets its
 spread; here both trees run side by side.  It prints each tree's median
-classify and round trip, the median over passes of each ratio B / A, and
-each tree's ``tracemalloc`` peak over one more round trip.  The script exits
-1 if the two trees' reports, catalog files or entries read back differ.  The
-seed does not apply.
+classify, ``save_catalog``, ``load_catalog`` and whole round trip and the
+median over passes of each ratio B / A, so that the writer and the reader
+can each be compared alone, then each tree's ``tracemalloc`` peak over one
+more round trip.  The script exits 1 if the two trees' reports, catalog
+files or entries read back differ.  The seed does not apply.
 
 Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
 """
@@ -145,21 +146,25 @@ def diagram_analysis(trees, args) -> int:
     return 0
 
 
-def round_trip(m, report, path: Path) -> tuple[float, list]:
-    """One catalog round trip of a classify report: its latency and the
+def round_trip(m, report, path: Path) -> tuple[dict, list]:
+    """One catalog round trip of a classify report: the latencies of its
+    save_catalog, its load_catalog and the whole round trip, and the
     entries read back."""
     catalog = m.catalog
     t0 = time.perf_counter()
     entries = catalog.report_entries(report)
+    t1 = time.perf_counter()
     catalog.save_catalog(entries, path)
+    t2 = time.perf_counter()
     loaded = catalog.load_catalog(path)
-    return time.perf_counter() - t0, loaded
+    t3 = time.perf_counter()
+    return {"save_catalog": t2 - t1, "load_catalog": t3 - t2, "round trip": t3 - t0}, loaded
 
 
 def classify_g4(trees, args) -> int:
     print(f"# classify(4) and the catalog round trip of its report, "
           f"Python {sys.version.split()[0]}")
-    times = {"classify": ([], []), "round trip": ([], [])}
+    times = {step: ([], []) for step in ("classify", "save_catalog", "load_catalog", "round trip")}
     with tempfile.TemporaryDirectory(prefix="morsediag-ab-") as tmp:
         paths = [Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"]
         for p in range(args.passes):
@@ -178,7 +183,8 @@ def classify_g4(trees, args) -> int:
                 return 1
             for t in order:
                 got[t] = round_trip(trees[t], reports[t], paths[t])
-                times["round trip"][t].append(got[t][0])
+                for step, latency in got[t][0].items():
+                    times[step][t].append(latency)
             if paths[0].read_bytes() != paths[1].read_bytes():
                 print(f"FAIL: pass {p}: the two trees write different catalogs")
                 return 1

@@ -248,8 +248,14 @@ MUTANTS = (
            "                or e.tool_version is not prev.tool_version",
            "", ("tests/test_catalog.py::test_equal_flags_write_the_same_bytes_shared_or_not",)),
     Mutant("the writer skips the per-entry code check", "catalog.py",
-           "elif type(code) is not str or not code:", "elif False:",
+           "if type(code) is not str or not code or not run[1]:",
+           "if not run[1]:",
            ("tests/test_catalog.py::test_save_refuses_a_code_that_is_no_string",)),
+    Mutant("save_catalog checks the entry's own values, not the line it writes", "catalog.py",
+           "_entry_from_json(dict(fields, code=read), lineno)",
+           "_entry_from_json(e.to_json(), lineno)",
+           ("tests/test_catalog.py::test_save_writes_what_load_reads_for_subclassed_values"
+            "[int-enum-genus]",)),
     Mutant("the reader's five fields in another order", "catalog.py",
            "return e.kind, e.genus, e.flags, e.source, e.tool_version",
            "return e.kind, e.genus, e.flags, e.tool_version, e.source",

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
+import enum
 import json
 import operator
 import os
 import pickle
 import subprocess
 import sys
+import types
 from itertools import groupby
 from pathlib import Path
 
@@ -93,10 +95,30 @@ def test_schema_violations_carry_line_and_field(tmp_path):
     assert "schema_version" in str(exc.value)
 
 
+def _line_fields(e) -> dict:
+    """The fields of the catalog line of entry e, as the entry holds them."""
+    return dict(schema_version=cat.SCHEMA_VERSION,
+                **{f.name: getattr(e, f.name) for f in dataclasses.fields(e)})
+
+
 def _dumped(entries) -> bytes:
-    """The catalog bytes of json.dumps on each entry, sorted by code."""
-    return "".join(json.dumps(e.to_json(), sort_keys=True) + "\n"
+    """The catalog bytes of json.dumps on each entry's fields, sorted by code."""
+    return "".join(json.dumps(_line_fields(e), sort_keys=True) + "\n"
                    for e in sorted(entries, key=lambda e: e.code)).encode("ascii")
+
+
+def _encoded(monkeypatch) -> list:
+    """The objects that json.JSONEncoder.encode is given from now on."""
+    encoded = []
+    encode = json.JSONEncoder.encode
+    monkeypatch.setattr(json.JSONEncoder, "encode",
+                        lambda self, o: encoded.append(o) or encode(self, o))
+    return encoded
+
+
+def _tails(firsts) -> list:
+    """The fields after the code of each entry in firsts."""
+    return [{k: v for k, v in _line_fields(e).items() if k != "code"} for e in firsts]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -121,14 +143,12 @@ def test_one_tail_is_encoded_per_run_of_equal_tails(tmp_path, monkeypatch):
     # so save_catalog encodes a tail once per run of them in code order
     entries = sorted(cat.report_entries(classify(3), tool_version=__version__),
                      key=operator.attrgetter("code"))
-    runs = [next(run).code for _, run in
+    runs = [next(run) for _, run in
             groupby(entries, key=lambda e: (e.kind, sorted(e.flags.items())))]
-    encoded = []
-    to_json = cat.CatalogEntry.to_json
-    monkeypatch.setattr(cat.CatalogEntry, "to_json",
-                        lambda e: encoded.append(e.code) or to_json(e))
+    encoded = _encoded(monkeypatch)
     cat.save_catalog(entries, tmp_path / "g3.jsonl")
-    assert encoded == runs and 3 < len(runs) < len(entries)
+    assert encoded == _tails(runs) and 3 < len(runs) < len(entries)
+    assert all(o["flags"] is e.flags for o, e in zip(encoded, runs))
 
 
 def test_saved_lines_of_hand_built_entries(tmp_path):
@@ -156,6 +176,15 @@ def test_saved_lines_of_hand_built_entries(tmp_path):
     assert cat.load_catalog(path) == sorted(entries, key=lambda e: e.code)
 
 
+class _Genus(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    def __str__(self):   # json writes the string itself, never this
+        return "not the code"
+
+
 def _refusal(entries, tmp_path) -> str:
     """save_catalog's SchemaViolation message for entries, checked to leave
     an existing file byte-for-byte as it was and to create no file."""
@@ -171,8 +200,9 @@ def _refusal(entries, tmp_path) -> str:
 
 @pytest.mark.parametrize("bad", [
     dict(genus=True), dict(genus=2.0), dict(kind="weird"), dict(kind=None), dict(code=""),
-    dict(kind=["base_chord"]),
-], ids=["bool-genus", "float-genus", "unknown-kind", "null-kind", "empty-code", "list-kind"])
+    dict(kind=["base_chord"]), dict(code=_Text("")), dict(genus=_Genus.TWO, kind=_Text("weird")),
+], ids=["bool-genus", "float-genus", "unknown-kind", "null-kind", "empty-code", "list-kind",
+        "empty-str-subclass-code", "subclassed-genus-unknown-kind"])
 @pytest.mark.parametrize("at", [0, 4, 8])
 def test_save_refuses_what_load_refuses(bad, at, tmp_path, monkeypatch):
     # one entry of the genus-2 catalog spoilt, the first, the last colored
@@ -195,6 +225,10 @@ def test_save_refuses_a_code_that_is_no_string(tmp_path):
         "line 1: code must be a string, not 7"
     assert _refusal(entries + [dataclasses.replace(entries[0], code=7)], tmp_path) == \
         "code must be a string, not 7"
+    # a code of a str subclass is a string, and is not the one named
+    texts = [dataclasses.replace(e, code=_Text(e.code)) for e in entries]
+    assert _refusal(texts + [dataclasses.replace(entries[0], code=7)], tmp_path) == \
+        "code must be a string, not 7"
 
     class Last:   # no string, but sorts after every string
         def __lt__(self, other):
@@ -213,15 +247,41 @@ def test_save_refuses_a_code_that_is_no_string(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     {"census": {1, 2}}, {1: True, "one_face": True}, {(1, 2): True}, "cycle",
-    [("one_face", True)], 5,
-], ids=["set-value", "mixed-keys", "tuple-key", "cycle", "list", "int"])
-def test_save_refuses_flags_that_cannot_be_encoded(flags, tmp_path):
+    types.MappingProxyType({"one_face": True}), [("one_face", True)], 5,
+], ids=["set-value", "mixed-keys", "tuple-key", "cycle", "mapping-proxy", "list", "int"])
+def test_save_refuses_flags_that_cannot_be_encoded(flags, tmp_path, monkeypatch):
     if flags == "cycle":
         flags = {"one_face": True}
         flags["self"] = flags
     entries = sorted(_entries_g2(), key=lambda e: e.code)
     entries[2] = dataclasses.replace(entries[2], flags=flags)
-    assert _refusal(entries, tmp_path).startswith("line 3: cannot encode as JSON (")
+    if not isinstance(flags, (list, int)):   # json.dumps cannot encode these
+        with pytest.raises((TypeError, ValueError)):
+            _dumped(entries)
+        assert _refusal(entries, tmp_path).startswith("line 3: cannot encode as JSON (")
+    else:   # they encode, as no JSON object, and the reader refuses them
+        written = tmp_path / "dumped.jsonl"
+        written.write_bytes(_dumped(entries))
+        message = _load_both_ways(written, monkeypatch)[1]
+        assert message.startswith("line 3: flags must be an object, not ")
+        assert _refusal(entries, tmp_path) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("genus", _Genus.TWO), ("code", _Text("ccd-subclass")), ("kind", _Text(cat.KIND_COLORED)),
+], ids=["int-enum-genus", "str-subclass-code", "str-subclass-kind"])
+def test_save_writes_what_load_reads_for_subclassed_values(field, value, tmp_path):
+    # json.dumps writes the int or string each value is, which the reader
+    # accepts; so the writer writes it too
+    entries = sorted(_entries_g2(), key=lambda e: e.code)
+    entries[4] = dataclasses.replace(entries[4], **{field: value})
+    entries.sort(key=lambda e: e.code)
+    path = tmp_path / "subclassed.jsonl"
+    cat.save_catalog(entries, path)
+    assert path.read_bytes() == _dumped(entries)
+    loaded = cat.load_catalog(path)
+    assert loaded == entries
+    assert all(type(getattr(e, field)) in (int, str) for e in loaded)
 
 
 def test_save_load_save_writes_the_same_bytes_and_one_tail_per_run(tmp_path, monkeypatch):
@@ -230,15 +290,13 @@ def test_save_load_save_writes_the_same_bytes_and_one_tail_per_run(tmp_path, mon
     cat.save_catalog(entries, first)
     assert first.read_bytes() == _dumped(entries)
     loaded = cat.load_catalog(first)
-    runs = [next(run).code for _, run in groupby(loaded, key=lambda e: id(e.flags))]
-    encoded = []
-    to_json = cat.CatalogEntry.to_json
-    monkeypatch.setattr(cat.CatalogEntry, "to_json",
-                        lambda e: encoded.append(e.code) or to_json(e))
+    runs = [next(run) for _, run in groupby(loaded, key=lambda e: id(e.flags))]
+    encoded = _encoded(monkeypatch)
     cat.save_catalog(loaded, second)
     assert second.read_bytes() == first.read_bytes()
     # loaded entries share their five field objects along a run
-    assert encoded == runs and 3 < len(runs) < len(entries)
+    assert encoded == _tails(runs) and 3 < len(runs) < len(entries)
+    assert all(o["flags"] is e.flags for o, e in zip(encoded, runs))
 
 
 def test_equal_flags_write_the_same_bytes_shared_or_not(tmp_path):
