@@ -27,6 +27,7 @@ from .combmap import (  # noqa: F401
     surger,
 )
 from .chord import (  # noqa: F401
+    CatalogReport,
     ChordDiagram,
     ColoredChordDiagram,
     SymmetryConvention,
@@ -56,7 +57,6 @@ from .prdiag import (  # noqa: F401
 )
 from .catalog import (  # noqa: F401
     CatalogEntry,
-    CatalogReport,
     load_catalog,
     save_catalog,
     verify_fixtures,

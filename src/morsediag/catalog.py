@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from itertools import islice
+from itertools import combinations, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as encode_string
 from operator import attrgetter
@@ -69,51 +69,6 @@ class CatalogEntry:
     source: str = "enumerated"
     tool_version: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "code": self.code,
-            "kind": self.kind,
-            "genus": self.genus,
-            "flags": dict(sorted(self.flags.items())),
-            "source": self.source,
-            "tool_version": self.tool_version,
-        }
-
-
-@dataclass(frozen=True)
-class CatalogReport:
-    """Per-genus classification counts plus all canonical codes."""
-
-    genus: int
-    symmetry: str
-    bases: int
-    colored: int
-    river_colored: int
-    river_bases: int
-    base_codes: tuple[str, ...]
-    colored_codes: tuple[str, ...]
-    river_codes: tuple[str, ...]
-    runtime_seconds: float
-
-    def counts(self) -> dict:
-        return {
-            "genus": self.genus,
-            "symmetry": self.symmetry,
-            "bases": self.bases,
-            "colored": self.colored,
-            "river_colored": self.river_colored,
-            "river_bases": self.river_bases,
-        }
-
-    def to_json(self) -> dict:
-        out = self.counts()
-        out["runtime_seconds"] = self.runtime_seconds
-        out["base_codes"] = list(self.base_codes)
-        out["colored_codes"] = list(self.colored_codes)
-        out["river_codes"] = list(self.river_codes)
-        return out
-
 
 _new_object = object.__new__
 _set_code, _set_kind, _set_genus, _set_flags, _set_source, _set_tool_version = (
@@ -156,6 +111,15 @@ def _entry_from_json(obj, lineno: int) -> CatalogEntry:
 
 
 _CODE_HEAD = '{"code": "'   # how every line that save_catalog writes begins
+_TAIL = tuple(f.name for f in fields(CatalogEntry))[1:]   # a line's fields after its code
+
+
+def _read_back(code):
+    """code as load_catalog reads its JSON encoding, or code itself if it has none."""
+    try:
+        return json.loads(encode_string(code) if isinstance(code, str) else json.dumps(code))
+    except (TypeError, ValueError, RecursionError):
+        return code
 
 
 def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
@@ -174,7 +138,7 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
         items.sort(key=attrgetter("code"))
     except TypeError as exc:   # a code that is not a string among strings
         code = next(e.code for e in items if not isinstance(e.code, str))
-        raise SchemaViolation(f"code must be a string, not {code!r}") from exc
+        raise SchemaViolation(f"code must be a string, not {_read_back(code)!r}") from exc
     encode = json.JSONEncoder(sort_keys=True).encode
     head = _CODE_HEAD[:-1]   # encode_string(code) brings the code's opening quote
     runs = []   # [tail, lines] for each run of entries that share their field objects
@@ -184,17 +148,15 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
         if (prev is None or e.flags is not prev.flags or e.kind is not prev.kind
                 or e.genus is not prev.genus or e.source is not prev.source
                 or e.tool_version is not prev.tool_version):
+            own = dict({name: getattr(e, name) for name in _TAIL}, schema_version=SCHEMA_VERSION)
             try:
-                tail = ", " + encode({"flags": e.flags, "genus": e.genus, "kind": e.kind,
-                                      "schema_version": SCHEMA_VERSION, "source": e.source,
-                                      "tool_version": e.tool_version})[1:]
-                fields = json.loads("{" + tail[2:])   # as load_catalog reads them
+                tail = ", " + encode(own)[1:]
+                read = json.loads("{" + tail[2:])   # as load_catalog reads them
             except (TypeError, ValueError, RecursionError) as exc:
                 raise SchemaViolation(f"line {lineno}: cannot encode as JSON ({exc})") from exc
             runs.append(run := [tail + "\n", 0])
         if type(code) is not str or not code or not run[1]:   # a run's first line, or an odd code
-            read = scanstring(encode_string(code), 1)[0] if isinstance(code, str) else code
-            _entry_from_json(dict(fields, code=read), lineno)   # the line as load_catalog reads it
+            _entry_from_json(dict(read, code=_read_back(code)), lineno)   # as load_catalog reads it
         if prev is not None and code == prev.code:
             raise SchemaViolation(f"duplicate code {code!r}")
         run[1] += 1
@@ -388,16 +350,13 @@ def verify_fixtures() -> FixtureReport:
 
     g2 = [n for n in sorted(diagrams) if n.startswith("g2_optimal_")]
     if g2:
-        codes = set()
-        for name in g2:
-            codes.add(canonical_colored(to_colored_chord(diagrams[name]), DEFAULT_SYMMETRY))
+        codes = {canonical_colored(to_colored_chord(diagrams[name]), DEFAULT_SYMMETRY)
+                 for name in g2}
         enumerated = set(classify(2, DEFAULT_SYMMETRY).colored_codes)
         check("g2 fixtures biject onto enumerated colored classes",
               codes == enumerated,
               f"{len(codes)} fixture codes vs {len(enumerated)} classes")
-        for i in range(len(g2)):
-            for j in range(i + 1, len(g2)):
-                check(f"{g2[i]} vs {g2[j]} non-equivalent",
-                      not equivalent(diagrams[g2[i]], diagrams[g2[j]]))
+        for a, b in combinations(g2, 2):
+            check(f"{a} vs {b} non-equivalent", not equivalent(diagrams[a], diagrams[b]))
 
     return FixtureReport(tuple(checked), tuple(failures))

@@ -620,6 +620,40 @@ def _classify_base(match: tuple[int, ...], g: int, sym: SymmetryConvention,
     return "cd1" + code, colored, river, greens
 
 
+@dataclass(frozen=True)
+class CatalogReport:
+    """Per-genus classification counts plus all canonical codes."""
+
+    genus: int
+    symmetry: str
+    bases: int
+    colored: int
+    river_colored: int
+    river_bases: int
+    base_codes: tuple[str, ...]
+    colored_codes: tuple[str, ...]
+    river_codes: tuple[str, ...]
+    runtime_seconds: float
+
+    def counts(self) -> dict:
+        return {
+            "genus": self.genus,
+            "symmetry": self.symmetry,
+            "bases": self.bases,
+            "colored": self.colored,
+            "river_colored": self.river_colored,
+            "river_bases": self.river_bases,
+        }
+
+    def to_json(self) -> dict:
+        out = self.counts()
+        out["runtime_seconds"] = self.runtime_seconds
+        out["base_codes"] = list(self.base_codes)
+        out["colored_codes"] = list(self.colored_codes)
+        out["river_codes"] = list(self.river_codes)
+        return out
+
+
 #: The largest genus that classify enumerates.
 _MAX_GENUS = 4
 
@@ -636,8 +670,6 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
     the orbit-stabiliser check on colorings and the river test on the point
     colors; the codes are sorted once, here.  ``workers`` is accepted for
     compatibility: every value runs this same single pass."""
-    from .catalog import CatalogReport
-
     if g > _MAX_GENUS:
         raise ValueError(f"genus {g} above configured bound {_MAX_GENUS}")
     t0 = time.perf_counter()

@@ -23,7 +23,7 @@ Green data encodes types 1-3 (sources and u-saddles), red data types 4-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Optional
@@ -146,9 +146,7 @@ class Census:
         return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
 
     def to_json(self) -> dict:
-        out = {f"n{i}": v for i, v in enumerate(self.as_tuple(), start=1)}
-        out["boundary_genus"] = self.boundary_genus
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -654,13 +652,7 @@ class MorseChecks:
         return cls(c.n1 >= 1, c.n6 >= 1, lhs, 2 - 2 * c.boundary_genus)
 
     def to_json(self) -> dict:
-        return {
-            "has_source": self.has_source,
-            "has_sink": self.has_sink,
-            "euler_lhs": self.euler_lhs,
-            "euler_rhs": self.euler_rhs,
-            "passed": self.passed,
-        }
+        return dict(asdict(self), passed=self.passed)
 
 
 def morse_checks(d: PrDiagram) -> MorseChecks:

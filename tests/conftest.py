@@ -318,6 +318,29 @@ def relabel_diagram(d, rng: random.Random):
     return PrDiagram(m2, curves)
 
 
+_COLOUR_SWAP = {
+    CurveKind.BDY: CurveKind.BDY,
+    CurveKind.U_GREEN_ARC: CurveKind.V_RED_ARC,
+    CurveKind.U_GREEN_CYCLE: CurveKind.V_RED_CYCLE,
+    CurveKind.V_RED_ARC: CurveKind.U_GREEN_ARC,
+    CurveKind.V_RED_CYCLE: CurveKind.U_GREEN_CYCLE,
+}
+
+
+def _colour_swapped(d):
+    """d with u and v, and U and V, exchanged on the map labels and curves:
+    the diagram of the reversed flow."""
+    from morsediag.prdiag import PrDiagram
+
+    def swap(lb):
+        return CurveLabel(_COLOUR_SWAP[lb.kind], lb.index)
+
+    m = d.surface
+    labels = tuple(swap(lb) for lb in m.labels)
+    return PrDiagram(CombMap(m.alpha, m.sigma, labels, m.holes),
+                     tuple(EmbeddedCurve(c.edges, c.closed, swap(c.label)) for c in d.curves))
+
+
 def subdivide_curves(d, k: int):
     """The diagram with every curve edge cut into k + 1 edges by k new
     degree-2 vertices.  New edges keep the curve's label, each curve lists

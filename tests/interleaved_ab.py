@@ -57,6 +57,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,7 +189,7 @@ def classify_g4(trees, args) -> int:
             if paths[0].read_bytes() != paths[1].read_bytes():
                 print(f"FAIL: pass {p}: the two trees write different catalogs")
                 return 1
-            if [e.to_json() for e in got[0][1]] != [e.to_json() for e in got[1][1]]:
+            if [astuple(e) for e in got[0][1]] != [astuple(e) for e in got[1][1]]:
                 print(f"FAIL: pass {p}: the two trees read back different entries")
                 return 1
             print(f"pass {p}: " + "; ".join(

@@ -252,8 +252,8 @@ MUTANTS = (
            "if not run[1]:",
            ("tests/test_catalog.py::test_save_refuses_a_code_that_is_no_string",)),
     Mutant("save_catalog checks the entry's own values, not the line it writes", "catalog.py",
-           "_entry_from_json(dict(fields, code=read), lineno)",
-           "_entry_from_json(e.to_json(), lineno)",
+           "_entry_from_json(dict(read, code=_read_back(code)), lineno)",
+           "_entry_from_json(dict(own, code=code), lineno)",
            ("tests/test_catalog.py::test_save_writes_what_load_reads_for_subclassed_values"
             "[int-enum-genus]",)),
     Mutant("the reader's five fields in another order", "catalog.py",

@@ -70,7 +70,7 @@ def test_duplicate_code_rejected(tmp_path):
 
 def test_schema_violations_carry_line_and_field(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = _entries_g2()[0].to_json()
+    good = _line_fields(_entries_g2()[0])
     bad = dict(good)
     del bad["genus"]
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -133,7 +133,7 @@ def test_saved_lines_are_json_dumps_of_each_entry(g, tmp_path):
     # tool_version objects
     shared = {}
     for e in loaded:
-        tail = json.dumps(dict(e.to_json(), code=None), sort_keys=True)
+        tail = json.dumps(dict(_line_fields(e), code=None), sort_keys=True)
         shared.setdefault(tail, set()).add((id(e.kind), id(e.source), id(e.tool_version)))
     assert all(len(ids) == 1 for ids in shared.values())
 
@@ -243,6 +243,22 @@ def test_save_refuses_a_code_that_is_no_string(tmp_path):
     # the last of a run that shares the field objects of its first entry
     assert _refusal(entries + [dataclasses.replace(entries[-1], code=Last())], tmp_path) == \
         "line 10: code must be a string, not Last()"
+
+
+@pytest.mark.parametrize("code, read", [(_Genus.TWO, "2"), (("a",), "['a']")],
+                         ids=["int-enum", "tuple"])
+def test_save_names_a_code_that_is_no_string_as_load_reads_it(code, read, tmp_path):
+    # by the JSON value load_catalog names, not by the code's repr: alone,
+    # and among strings, which cannot be sorted with it
+    entries = sorted(_entries_g2(), key=lambda e: e.code)
+    odd = dataclasses.replace(entries[0], code=code)
+    written = tmp_path / "dumped.jsonl"
+    written.write_text(json.dumps(_line_fields(odd)) + "\n")
+    with pytest.raises(cat.SchemaViolation) as exc:
+        cat.load_catalog(written)
+    assert str(exc.value) == f"line 1: code must be a string, not {read}"
+    assert _refusal([odd], tmp_path) == str(exc.value)
+    assert _refusal(entries + [odd], tmp_path) == f"code must be a string, not {read}"
 
 
 @pytest.mark.parametrize("flags", [
@@ -372,7 +388,7 @@ def test_package_built_flags_are_read_only(tmp_path):
     path = tmp_path / "g3.jsonl"
     cat.save_catalog(entries, path)
     # a line parsed whole gets read-only flags of its own
-    path.write_text(path.read_text() + json.dumps(dict(entries[0].to_json(), code="x")) + "\n")
+    path.write_text(path.read_text() + json.dumps(dict(_line_fields(entries[0]), code="x")) + "\n")
     loaded = cat.load_catalog(path)
     everything = entries + loaded
     before = [(e.code, dict(e.flags)) for e in everything]
@@ -415,7 +431,7 @@ def test_hand_built_entries_keep_the_mapping_they_are_given():
 def test_fast_and_whole_line_parsing_agree_on_schema_violations(tmp_path, monkeypatch, sort_keys):
     # the cases of test_schema_violations_carry_line_and_field, with the code
     # first (as saved) or not
-    good = _entries_g2()[0].to_json()
+    good = _line_fields(_entries_g2()[0])
     path = tmp_path / "bad.jsonl"
 
     def outcome(*objs):
@@ -465,7 +481,7 @@ def test_fast_and_whole_line_parsing_agree_on_hand_built_entries(tmp_path, monke
 
 
 def test_fast_and_whole_line_parsing_agree_on_odd_lines(tmp_path, monkeypatch):
-    good = cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True}).to_json()
+    good = _line_fields(cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True}))
     other = dict(good, code="cd1-b")
     line = json.dumps(good, sort_keys=True)
     tail = line[line.index(", "):]
@@ -521,7 +537,7 @@ def test_too_deeply_nested_line_is_invalid_json(tmp_path):
     # json.loads raises RecursionError there, whose text differs between
     # Python versions: a whole line, and a tail on the fast path
     deep = "[" * 100_000 + "]" * 100_000
-    good = cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True}).to_json()
+    good = _line_fields(cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True}))
     path = tmp_path / "deep.jsonl"
     for line in (deep, '{"code": "cd1-b", "flags": ' + deep + "}"):
         path.write_text(_jsonl(good) + line + "\n")
@@ -530,7 +546,7 @@ def test_too_deeply_nested_line_is_invalid_json(tmp_path):
 
 
 def test_bools_are_not_integers(tmp_path, monkeypatch):
-    good = _entries_g2()[0].to_json()
+    good = _line_fields(_entries_g2()[0])
     path = tmp_path / "bool.jsonl"
     for sort_keys in (True, False):
         path.write_text(json.dumps(dict(good, genus=True), sort_keys=sort_keys) + "\n")
@@ -585,7 +601,7 @@ except cat.SchemaViolation as exc:
 
 
 def test_missing_field_message_is_the_same_in_every_process(tmp_path):
-    # the line lacks six fields; the first in to_json() order is named,
+    # the line lacks six fields; the first in _formats.CATALOG_LINE order is named,
     # whatever order string hashing would give a set
     path = tmp_path / "one.jsonl"
     path.write_text('{"code": "x"}\n')

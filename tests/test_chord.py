@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
 from operator import getitem
 
@@ -35,6 +35,8 @@ from morsediag.chord import (
 from morsediag.combmap import build_map, faces
 
 from conftest import (
+    _interleave,
+    _red_ends_adjacent,
     chord_orbit_counts,
     circle_image,
     circle_maps,
@@ -603,21 +605,10 @@ def test_genus4_river_classes_agree_with_the_selection_oracle(genus4_report):
 
 
 def _river_by_selection(ccd):
+    """As many green chords as red, neither family crossing itself, and one
+    end of each red chord filling consecutive points."""
     greens, reds = ccd.green_chords(), ccd.red_chords()
-    if len(greens) != len(reds):
-        return False
-    for fam in (greens, reds):
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                (a, b), (c, d) = fam[i], fam[j]
-                if a < c < b < d or c < a < d < b:
-                    return False
-    g = len(reds)
-    pts = ccd.base.points
-    for sel in product(*reds):
-        if len(set(sel)) != g:
-            continue
-        for start in sel:
-            if {(start + k) % pts for k in range(g)} == set(sel):
-                return True
-    return False
+    return (len(greens) == len(reds)
+            and not any(_interleave(p, q) for fam in (greens, reds)
+                        for p, q in combinations(fam, 2))
+            and _red_ends_adjacent(reds, ccd.base.points))

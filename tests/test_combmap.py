@@ -28,6 +28,7 @@ from morsediag.combmap import (
 from morsediag import combmap as cmb
 
 from conftest import (
+    _colour_swapped,
     analysis_corpus,
     brute_force_isomorphic,
     disjoint_union,
@@ -396,24 +397,12 @@ def test_canonical_code_relabeling_invariance(rng):
             assert canonical_code(relabel_map(m, rng)) == code
 
 
-def _swap_colors(m: CombMap) -> CombMap:
-    swapped = []
-    for lb in m.labels:
-        if lb.kind is CurveKind.U_GREEN_ARC:
-            swapped.append(CurveLabel(CurveKind.V_RED_ARC, lb.index))
-        elif lb.kind is CurveKind.V_RED_ARC:
-            swapped.append(CurveLabel(CurveKind.U_GREEN_ARC, lb.index))
-        else:
-            swapped.append(lb)
-    return CombMap(m.alpha, m.sigma, tuple(swapped), m.holes)
-
-
 def test_labels_enter_the_code():
     # a one-chord disk is not reversal-symmetric: two sources against one
     import morsediag.catalog as cat
 
-    m = cat.load_fixture("d3_four_a.json").surface
-    m2 = _swap_colors(m)
+    d = cat.load_fixture("d3_four_a.json")
+    m, m2 = d.surface, _colour_swapped(d).surface
     assert canonical_code(m2) != canonical_code(m)
     assert not brute_force_isomorphic(m, m2)
 
@@ -422,8 +411,8 @@ def test_solid_torus_is_reversal_symmetric():
     # the optimal flow on the solid torus is unique, so exchanging the green
     # and red arcs gives an isomorphic labeled map (confirmed by the
     # backtracking oracle, not only by code equality)
-    m = make_solid_torus_diagram().surface
-    m2 = _swap_colors(m)
+    d = make_solid_torus_diagram()
+    m, m2 = d.surface, _colour_swapped(d).surface
     assert canonical_code(m2) == canonical_code(m)
     assert brute_force_isomorphic(m, m2)
 

@@ -59,6 +59,7 @@ from morsediag.prdiag import (
 )
 
 from conftest import (
+    _colour_swapped,
     all_colored_classes,
     analysis_corpus,
     check_cuts,
@@ -705,27 +706,6 @@ def test_boundary_restriction_type2_source():
     types = sorted(v.point_type for v in bg.vertices)
     assert types == [1, 2, 4, 6]
     assert bg.genus == 0
-
-
-_COLOUR_SWAP = {
-    CurveKind.BDY: CurveKind.BDY,
-    CurveKind.U_GREEN_ARC: CurveKind.V_RED_ARC,
-    CurveKind.U_GREEN_CYCLE: CurveKind.V_RED_CYCLE,
-    CurveKind.V_RED_ARC: CurveKind.U_GREEN_ARC,
-    CurveKind.V_RED_CYCLE: CurveKind.U_GREEN_CYCLE,
-}
-
-
-def _colour_swapped(d: PrDiagram) -> PrDiagram:
-    """d with u and v, and U and V, exchanged on the map labels and curves:
-    the diagram of the reversed flow."""
-    def swap(lb):
-        return CurveLabel(_COLOUR_SWAP[lb.kind], lb.index)
-
-    m = d.surface
-    labels = tuple(swap(lb) for lb in m.labels)
-    return PrDiagram(CombMap(m.alpha, m.sigma, labels, m.holes),
-                     tuple(EmbeddedCurve(c.edges, c.closed, swap(c.label)) for c in d.curves))
 
 
 def test_colour_swap_reverses_the_flow():
