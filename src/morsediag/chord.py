@@ -18,7 +18,7 @@ acceptance suite pins 1, 5, 179 against independent orbit counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
 from math import factorial
@@ -635,23 +635,9 @@ class CatalogReport:
     river_codes: tuple[str, ...]
     runtime_seconds: float
 
-    def counts(self) -> dict:
-        return {
-            "genus": self.genus,
-            "symmetry": self.symmetry,
-            "bases": self.bases,
-            "colored": self.colored,
-            "river_colored": self.river_colored,
-            "river_bases": self.river_bases,
-        }
-
     def to_json(self) -> dict:
-        out = self.counts()
-        out["runtime_seconds"] = self.runtime_seconds
-        out["base_codes"] = list(self.base_codes)
-        out["colored_codes"] = list(self.colored_codes)
-        out["river_codes"] = list(self.river_codes)
-        return out
+        """The report's fields by name; the code tuples print as JSON arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 #: The largest genus that classify enumerates.

@@ -436,13 +436,12 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
 
 @dataclass
 class _Analysis:
-    """One validity analysis of a diagram: the report, the surface's dart
-    tables (dart -> vertex id, dart -> face id, dart -> whether in a hole
-    face), which every analysis holds, valid or not, and, for a valid
-    diagram, the curve walks, both side reductions, each counted on the
-    uncut surface, and the surface's Euler characteristic (None if the
-    surface is disconnected).  Later readers of the diagram take its tables
-    from here.
+    """One validity analysis of a diagram: the report, the two dart tables
+    that later readers of the diagram take, ``fid`` (dart -> face id) and
+    ``hole`` (dart -> whether in a hole face), which every analysis holds,
+    valid or not, and, for a valid diagram, the curve walks, both side
+    reductions, each counted on the uncut surface, and the surface's Euler
+    characteristic (None if the surface is disconnected).
 
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that a later
@@ -450,7 +449,6 @@ class _Analysis:
     (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``."""
 
     report: ValidityReport
-    vid: list[int]
     fid: list[int]
     hole: list[bool]
     walks: tuple[_Walk, ...] = ()
@@ -543,7 +541,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
     vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
     fid = cmb._face_ids(m.alpha, m.sigma)
     hole = [f in m.holes for f in fid]
-    tables = vid, fid, hole
+    tables = fid, hole
     err, walks = _curve_walks(d, vid)
     if not err:
         try:
@@ -574,8 +572,8 @@ def _analyse(d: PrDiagram) -> _Analysis:
     faces = len(set(fid)) - len(m.holes)
     chi = len(set(vid)) - m.n_darts // 2 + faces
     inner = [x for x, a in enumerate(m.alpha) if x < a and not (hole[x] or hole[a])]
-    sides = (_counted_side(d, walks, green_cycles, True, *tables, chi, faces, inner),
-             _counted_side(d, walks, red_cycles, False, *tables, chi, faces, inner))
+    sides = (_counted_side(d, walks, green_cycles, True, vid, *tables, chi, faces, inner),
+             _counted_side(d, walks, red_cycles, False, vid, *tables, chi, faces, inner))
     p5 = ""
     for color, side in zip(("green", "red"), sides):
         if side.non_disk:

@@ -1,6 +1,6 @@
 """Every genus-4 colored class, rebuilt as a flow diagram and read back.
 
-Run from the repository root (about 35 s on one CPU):
+Run from the repository root (about 40 s on one CPU):
 
     PYTHONPATH=src python tests/g4_round_trip.py
 
@@ -17,7 +17,16 @@ ROTATION_ONLY.  Their mirror-free codes (pr_canonical_code(d, mirror=False))
 must be 30,074 distinct ones, whose SHA-256 must equal
 ROTATION_CODES_SHA256, and their mirror codes must be exactly the 15,093
 surface codes above: a chiral class and its mirror image are one class with
-the mirror, two without.  The script exits 1 if a check fails.
+the mirror, two without.
+
+Last, flow reversal under both conventions: each class is rebuilt, its u
+and v and its U and V exchanged (conftest's _colour_swapped), and read back
+as a chord diagram.  The reversed diagram must be valid and optimal, its
+class must be one of the enumeration, reversing twice must give the class
+back, and reversal must commute with the mirror (the circle reflected).
+The counts of self-dual classes, of achiral classes (rotation only) and of
+classes whose river flag differs from their reverse's must equal
+REVERSAL_COUNTS.  The script exits 1 if a check fails.
 tests/test_prdiag.py runs the same chains on a seeded sample and on genus
 1-3 in the tier-1 suite; the file name keeps pytest from collecting this
 script.
@@ -37,14 +46,28 @@ from morsediag.chord import (
     SymmetryConvention,
     canonical_colored,
     classify,
+    colored_from_point_colors,
 )
-from morsediag.prdiag import census, from_colored_chord, pr_canonical_code, to_colored_chord, validate
+from morsediag.prdiag import (
+    census,
+    from_colored_chord,
+    is_optimal,
+    pr_canonical_code,
+    to_colored_chord,
+    validate,
+)
+
+from conftest import _colour_swapped, circle_image
 
 GENUS = 4
 SURFACE_CODES_SHA256 = "69c2c4a9258f2a189b8b6da6a28c71373f78938dcae389b773f7242151eb624a"
 ROT = SymmetryConvention.ROTATION_ONLY
 ROTATION_CLASSES = 30_074
 ROTATION_CODES_SHA256 = "0472be1721fc14bb1d0c56053ef1656f902b5a67dbef4bd2823597304cfe6288"
+DIH = SymmetryConvention.DIHEDRAL
+# convention -> (self-dual classes, achiral classes, river mismatches); under
+# DIHEDRAL every class is its own mirror image
+REVERSAL_COUNTS = {DIH: (637, 15_093, 52), ROT: (370, 112, 100)}
 
 
 def decode(code: str) -> ColoredChordDiagram:
@@ -87,6 +110,47 @@ def rotation_codes(code: str) -> tuple[bytes, bytes]:
     return pr_canonical_code(d, mirror=False), pr_canonical_code(d)
 
 
+def reversal(code: str, sym: SymmetryConvention) -> str:
+    """The class code, under sym, of the reversed flow of a colored class:
+    the class rebuilt with from_colored_chord, u and v and U and V exchanged,
+    and read back with to_colored_chord; ValueError if the reversed diagram
+    is not valid and optimal."""
+    ccd = decode(code)
+    d = _colour_swapped(from_colored_chord(ccd))
+    if not (validate(d).valid and is_optimal(d, ccd.base.n // 2)):
+        raise ValueError(f"{code}: the reversed flow is not a valid optimal diagram")
+    return canonical_colored(to_colored_chord(d, sym), sym)
+
+
+def mirrored(code: str, sym: SymmetryConvention) -> str:
+    """The class code, under sym, of a colored class's mirror image: its
+    circle reflected, point i going to -i."""
+    ccd = decode(code)
+    n = ccd.base.points
+    image = circle_image(ccd.base.match, [-i % n for i in range(n)], ccd.point_colors())
+    return canonical_colored(colored_from_point_colors(*image), sym)
+
+
+def reversal_counts(codes, river_codes, sym: SymmetryConvention) -> tuple[int, int, int]:
+    """(self-dual classes, achiral classes, classes whose river flag differs
+    from their reverse's) over all class codes of one genus under sym;
+    ValueError if a reverse is no class of ``codes``, reversing twice does
+    not give a class back or reversal does not commute with the mirror."""
+    rev = {code: reversal(code, sym) for code in codes}
+    mirrors = {code: mirrored(code, sym) for code in codes}
+    river = set(river_codes)
+    for code, back in rev.items():
+        if back not in rev:
+            raise ValueError(f"{code}: reverses to {back}, no class of the enumeration")
+        if rev[back] != code:
+            raise ValueError(f"{code}: reverses to {back}, which reverses to {rev[back]}")
+        if rev[mirrors[code]] != mirrors[back]:
+            raise ValueError(f"{code}: reversal does not commute with the mirror")
+    return (sum(back == code for code, back in rev.items()),
+            sum(image == code for code, image in mirrors.items()),
+            sum((code in river) != (back in river) for code, back in rev.items()))
+
+
 def main() -> int:
     t0 = time.perf_counter()
     codes = classify(GENUS).colored_codes
@@ -127,6 +191,21 @@ def main() -> int:
     if mirror != set(surface):
         print("FAIL: the mirror codes are not the surface codes of the dihedral classes")
         return 1
+
+    for sym, want in REVERSAL_COUNTS.items():
+        t0 = time.perf_counter()
+        report = classify(GENUS, sym)
+        try:
+            got = reversal_counts(report.colored_codes, report.river_codes, sym)
+        except ValueError as exc:
+            print(f"FAIL: {exc}")
+            return 1
+        print(f"genus {GENUS} {sym.value}: reversal is an involution on the {report.colored} "
+              f"classes that commutes with the mirror; {got[0]} self-dual, {got[1]} achiral, "
+              f"{got[2]} river flags unlike the reverse's in {time.perf_counter() - t0:.1f}s")
+        if got != want:
+            print(f"FAIL: (self-dual, achiral, river mismatches) {want} expected")
+            return 1
     return 0
 
 

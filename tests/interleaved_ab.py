@@ -41,7 +41,8 @@ spread; here both trees run side by side.  It prints each tree's median
 classify, ``save_catalog``, ``load_catalog`` and whole round trip and the
 median over passes of each ratio B / A, so that the writer and the reader
 can each be compared alone, then each tree's ``tracemalloc`` peak over one
-more round trip.  The script exits 1 if the two trees' reports, catalog
+more round trip.  The script exits 1 if the two trees' reports (the JSON
+that ``morsediag classify`` prints, apart from ``runtime_seconds``), catalog
 files or entries read back differ.  The seed does not apply.
 
 Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
@@ -52,6 +53,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import statistics
 import sys
 import tempfile
@@ -178,7 +180,10 @@ def classify_g4(trees, args) -> int:
                 t0 = time.perf_counter()
                 reports[t] = chord.classify(4)
                 times["classify"][t].append(time.perf_counter() - t0)
-            outputs = [(r.counts(), r.base_codes, r.colored_codes, r.river_codes) for r in reports]
+            # two trees' reports are of two classes, with codes as lists or as
+            # tuples, so compare the JSON they print
+            outputs = [json.dumps(dict(r.to_json(), runtime_seconds=0), sort_keys=True)
+                       for r in reports]
             if outputs[0] != outputs[1]:
                 print(f"FAIL: pass {p}: the two trees classify genus 4 differently")
                 return 1

@@ -21,6 +21,7 @@ from morsediag.chord import (
     canonical_colored,
     chord_from_json,
     chord_to_json,
+    classify,
     colored_to_json,
     enumerate_bases,
     enumerate_colorings,
@@ -83,7 +84,7 @@ from conftest import (
     small_disks,
     subdivide_curves,
 )
-from g4_round_trip import round_trip
+from g4_round_trip import reversal_counts, round_trip
 
 G1_COLORED = ColoredChordDiagram(ChordDiagram(2, (2, 3, 0, 1)), (GREEN, RED))
 ROT, DIH = SymmetryConvention.ROTATION_ONLY, SymmetryConvention.DIHEDRAL
@@ -738,6 +739,24 @@ def test_colour_swapped_six_point_flow_is_pinned():
     assert [v.point_type for v in bg.vertices] == [1, 3, 4, 5, 6, 6]
     assert [list(e) for e in bg.edges] == \
         [[0, 1], [0, 1], [1, 4], [1, 5], [0, 2], [0, 2], [2, 3], [2, 4]]
+
+
+@pytest.mark.parametrize("sym, counts", [
+    (DIH, [(1, 1, 0), (5, 5, 0), (51, 179, 8)]),
+    (ROT, [(1, 1, 0), (4, 2, 0), (36, 16, 16)]),
+], ids=["dihedral", "rotation"])
+def test_reversal_is_an_involution_on_the_colored_classes(sym, counts):
+    # the reversed flow's red arcs are the rebuilt green chords, so
+    # to_colored_chord reads the circle across the other family.  At genus
+    # 1-3 every reverse is a valid optimal diagram of an enumerated class,
+    # reversing twice gives the class back and reversal commutes with the
+    # mirror.  Per genus: (self-dual, achiral, river flag unlike the
+    # reverse's) classes; the river test is not reversal-invariant
+    got = []
+    for g in (1, 2, 3):
+        report = classify(g, sym)
+        got.append(reversal_counts(report.colored_codes, report.river_codes, sym))
+    assert got == counts
 
 
 def test_boundary_euler_relation_over_catalog():
