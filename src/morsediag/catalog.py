@@ -199,6 +199,8 @@ def load_catalog(path) -> list[CatalogEntry]:
     _formats.CATALOG_LINE or has one of another type, has another schema
     version, an unknown kind or an empty code (_entry_from_json), or repeats
     a code raises SchemaViolation naming it; an unreadable file IoFailure.
+    Lines end only at "\\n", "\\r\\n" or "\\r" and count from 1, so a "\\x0c"
+    stays in its line; a line of whitespace alone is skipped.
 
     A line that begins like every line save_catalog writes is split into
     its code, read with json.decoder.scanstring, and the tail of its other
@@ -213,9 +215,8 @@ def load_catalog(path) -> list[CatalogEntry]:
     head = len(_CODE_HEAD)
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            # one line at a time, numbered as str.splitlines numbers the whole text
-            lines = (line for chunk in fh for line in chunk.splitlines())
-            for lineno, line in enumerate(lines, start=1):
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
                 if not line.isascii():
                     col, byte = next((i, ord(c) - 0xDC00) for i, c in enumerate(line)
                                      if not c.isascii())
@@ -292,6 +293,7 @@ def load_fixture(name: str):
 
 @dataclass(frozen=True)
 class FixtureReport:
+    """The names of the fixture checks made and the failures among them."""
     checked: tuple[str, ...]
     failures: tuple[str, ...]
 

@@ -69,6 +69,7 @@ _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 @dataclass(frozen=True)
 class CurveLabel:
+    """An edge's label: its kind and, on a curve, the curve's index."""
     kind: CurveKind
     index: Optional[int] = None
 

@@ -67,6 +67,7 @@ class InvalidColoring(ValueError):
 
 @dataclass(frozen=True)
 class FixedPointType:
+    """A boundary fixed point type and its index (p, q)."""
     type_id: int
     index_pair: tuple[int, int]
 
@@ -101,6 +102,7 @@ class PrDiagram:
 
 @dataclass(frozen=True)
 class PropertyVerdict:
+    """One validity property: passed, or the witness of its failure."""
     name: str
     passed: bool
     witness: str = ""
@@ -108,6 +110,7 @@ class PropertyVerdict:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """The verdicts on the five validity properties, in order."""
     properties: tuple[PropertyVerdict, ...]
 
     @property
@@ -151,6 +154,7 @@ class Census:
 
 @dataclass(frozen=True)
 class FlowVertex:
+    """A fixed point of the boundary flow: its role and its type."""
     id: int
     role: str
     point_type: int
@@ -631,6 +635,7 @@ def _census(analysis: _Analysis) -> Census:
 
 @dataclass(frozen=True)
 class MorseChecks:
+    """The necessary realization conditions read off a census."""
     has_source: bool
     has_sink: bool
     euler_lhs: int
@@ -788,34 +793,24 @@ def from_colored_chord(ccd: ColoredChordDiagram) -> PrDiagram:
         raise InvalidColoring("base diagram must have one face")
 
     # Edge k is darts 2k and 2k + 1: boundary arc p -> p + 1 is edge p, then
-    # come the green chords and the red seams.  Dart 2p leaves point p.
-    edge = {ch: 2 * k for k, ch in enumerate(greens + reds, pts)}
+    # come the green chords and the red seams.  Dart 2p leaves point p and
+    # 2p - 1 enters it.  Chord a-b on darts e, e + 1 turns (2a, e, 2a - 1) and
+    # (2b, e + 1, 2b - 1) if green; a red seam swaps 2a and 2b, gluing the sides.
     n = 2 * pts + 4 * g
     alpha = [d ^ 1 for d in range(n)]
-    into = [(2 * p - 1) % (2 * pts) for p in range(pts)]   # dart entering point p
-
     sigma = [0] * n
-    def setrot(rot):
-        for i, dart in enumerate(rot):
-            sigma[dart] = rot[(i + 1) % len(rot)]
-
-    for p, col in enumerate(ccd.point_colors()):
-        if col == GREEN:
-            q = base.match[p]
-            setrot([2 * p, edge[min(p, q), max(p, q)] + (p > q), into[p]])
-    for a, b in reds:
-        # merged endpoints: (a-, b+) and (a+, b-)
-        setrot([2 * b, edge[a, b], into[a]])
-        setrot([2 * a, edge[a, b] + 1, into[b]])
-
     labels = [cmb._BDY] * n
     curves = []
-    for kind, chords in ((CurveKind.U_GREEN_ARC, greens), (CurveKind.V_RED_ARC, reds)):
-        for i, ch in enumerate(chords):
-            e = edge[ch]
-            lb = CurveLabel(kind, i)
-            labels[e] = labels[e + 1] = lb
-            curves.append(EmbeddedCurve((e,), False, lb))
+    for k, (a, b) in enumerate(greens + reds):
+        green = k < g
+        e = 2 * (pts + k)
+        x, y = (2 * a, 2 * b) if green else (2 * b, 2 * a)
+        into_a, into_b = (2 * a - 1) % (2 * pts), 2 * b - 1
+        sigma[x], sigma[e], sigma[into_a] = e, into_a, x
+        sigma[y], sigma[e + 1], sigma[into_b] = e + 1, into_b, y
+        lb = CurveLabel(_SIDE[green][0], k % g)
+        labels[e] = labels[e + 1] = lb
+        curves.append(EmbeddedCurve((e,), False, lb))
 
     fid = cmb._face_ids(alpha, sigma)
     m = CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(fid[0:2 * pts:2]))

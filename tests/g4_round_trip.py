@@ -1,6 +1,6 @@
 """Every genus-4 colored class, rebuilt as a flow diagram and read back.
 
-Run from the repository root (about 40 s on one CPU):
+Run from the repository root (about 50 s on one CPU):
 
     PYTHONPATH=src python tests/g4_round_trip.py
 
@@ -19,6 +19,11 @@ ROTATION_CODES_SHA256, and their mirror codes must be exactly the 15,093
 surface codes above: a chiral class and its mirror image are one class with
 the mirror, two without.
 
+Dart numbering, which canonical codes ignore, is pinned next: under each
+convention the JSON that the rebuilt diagrams write (pr_to_json, as
+`convert --to pr` writes it), one line per class in enumeration order, must
+hash to PR_JSON_SHA256.
+
 Last, flow reversal under both conventions: each class is rebuilt, its u
 and v and its U and V exchanged (conftest's _colour_swapped), and read back
 as a chord diagram.  The reversed diagram must be valid and optimal, its
@@ -35,6 +40,7 @@ script.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import time
 
@@ -53,6 +59,7 @@ from morsediag.prdiag import (
     from_colored_chord,
     is_optimal,
     pr_canonical_code,
+    pr_to_json,
     to_colored_chord,
     validate,
 )
@@ -65,6 +72,10 @@ ROT = SymmetryConvention.ROTATION_ONLY
 ROTATION_CLASSES = 30_074
 ROTATION_CODES_SHA256 = "0472be1721fc14bb1d0c56053ef1656f902b5a67dbef4bd2823597304cfe6288"
 DIH = SymmetryConvention.DIHEDRAL
+PR_JSON_SHA256 = {
+    DIH: "b4ce80731908c0eab671fc040428cadcaa4f8d207b29c7df6b3cf9df8d9d45a2",
+    ROT: "7b501dc3499a360bfe77a47c1874514a25897b0aafefc04f71fa9ebedfc90e74",
+}
 # convention -> (self-dual classes, achiral classes, river mismatches); under
 # DIHEDRAL every class is its own mirror image
 REVERSAL_COUNTS = {DIH: (637, 15_093, 52), ROT: (370, 112, 100)}
@@ -108,6 +119,16 @@ def rotation_codes(code: str) -> tuple[bytes, bytes]:
     if back != code:
         raise ValueError(f"{code}: reads back as {back}")
     return pr_canonical_code(d, mirror=False), pr_canonical_code(d)
+
+
+def pr_json_digest(codes) -> str:
+    """SHA-256 of the JSON of the flow diagrams rebuilt from colored class
+    codes, json.dumps of pr_to_json with sorted keys, one line per code."""
+    h = hashlib.sha256()
+    for code in codes:
+        d = from_colored_chord(decode(code))
+        h.update((json.dumps(pr_to_json(d), sort_keys=True) + "\n").encode())
+    return h.hexdigest()
 
 
 def reversal(code: str, sym: SymmetryConvention) -> str:
@@ -191,6 +212,15 @@ def main() -> int:
     if mirror != set(surface):
         print("FAIL: the mirror codes are not the surface codes of the dihedral classes")
         return 1
+
+    for sym, want in PR_JSON_SHA256.items():
+        t0 = time.perf_counter()
+        digest = pr_json_digest(classify(GENUS, sym).colored_codes)
+        print(f"genus {GENUS} {sym.value}: the rebuilt diagrams' JSON has sha256 {digest} "
+              f"in {time.perf_counter() - t0:.1f}s")
+        if digest != want:
+            print(f"FAIL: the rebuilt diagrams' JSON digest is not {want}")
+            return 1
 
     for sym, want in REVERSAL_COUNTS.items():
         t0 = time.perf_counter()

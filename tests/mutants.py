@@ -52,6 +52,10 @@ _KEYS = "tests/test_combmap.py::test_canonical_code_equals_full_trace_reference"
 # both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
 _CIRCLE = ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
            "tests/test_prdiag.py::test_rotation_only_classes_convert_back_and_count_as_the_surface_codes")
+# from_colored_chord's diagrams: their pinned JSON, and their classes read back
+_REBUILT = ("tests/test_prdiag.py::test_rebuilt_diagrams_json_matches_pinned_digest",
+            "tests/test_acceptance.py::test_criterion_05_roundtrip_every_colored_class",
+            "tests/test_prdiag.py::test_genus4_sample_round_trips_through_flow_diagrams")
 
 MUTANTS = (
     Mutant("red cycle caps typed as plain sinks", "prdiag.py",
@@ -83,6 +87,14 @@ MUTANTS = (
     Mutant("to_colored_chord's jump along a red arc lands on the end it left", "prdiag.py",
            "zip(ends, ends[::-1] if color == RED else ends)", "zip(ends, ends)",
            _CIRCLE),
+    Mutant("from_colored_chord turns red seams like green chords", "prdiag.py",
+           "if green else (2 * b, 2 * a)", "if green else (2 * a, 2 * b)",
+           _REBUILT),
+    # sigma is then no permutation; CombMap itself does not check, only build_map
+    Mutant("from_colored_chord gives a chord's second end dart e, not e + 1", "prdiag.py",
+           "sigma[y], sigma[e + 1], sigma[into_b] = e + 1, into_b, y",
+           "sigma[y], sigma[e], sigma[into_b] = e, into_b, y",
+           _REBUILT),
     Mutant("prdiag._surface_key returns the first held key whatever the mirror", "prdiag.py",
            "return keys[mirror]", "return next(iter(keys.values()))",
            ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",

@@ -569,6 +569,21 @@ def test_non_ascii_byte_names_its_line(tmp_path, monkeypatch):
         ("SchemaViolation", f"line 4: byte 0xc3 at column {column} is not ASCII")
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_lines_end_only_at_newlines(char, tmp_path, monkeypatch):
+    # str.splitlines breaks lines at these characters, the file does not: a
+    # line of one alone is one skipped line, and after an object it is
+    # refused, as json.loads refuses it
+    good = _jsonl(_line_fields(cat.CatalogEntry("cd1-a", cat.KIND_BASE, 2, {"one_face": True})))
+    path = tmp_path / "breaks.jsonl"
+    path.write_text(good + char + "\n{\n")
+    kind, message = _load_both_ways(path, monkeypatch)
+    assert kind == "SchemaViolation" and message.startswith("line 3: invalid JSON"), message
+    path.write_text(good[:-1] + char + "\n")
+    kind, message = _load_both_ways(path, monkeypatch)
+    assert kind == "SchemaViolation" and message.startswith("line 1: invalid JSON"), message
+
+
 def test_entries_stay_frozen(tmp_path):
     entries = _entries_g2()
     path = tmp_path / "g2.jsonl"
