@@ -1,4 +1,5 @@
-"""Surfaces as combinatorial maps: rotation systems, Euler counts, surgery.
+"""Surfaces as combinatorial maps: rotation systems, Euler counts, components,
+and the disk test of property 5.
 
 A compact oriented surface is stored as a set of darts with two
 permutations: alpha pairs the darts of each edge, sigma rotates darts
@@ -12,13 +13,10 @@ from morsediag.combmap import (
     EmbeddedCurve,
     build_map,
     components,
-    cut_along,
     euler_genus,
     faces,
-    surger,
 )
-
-BDY = CurveLabel(CurveKind.BDY)
+from morsediag.prdiag import PrDiagram, validate
 
 # The one-vertex torus: two edges, rotation (0 1 2 3), pairing (0 2)(1 3).
 torus = build_map(4, (2, 3, 0, 1), (1, 2, 3, 0))
@@ -30,23 +28,31 @@ print("  (chi, genus, boundary):", euler_genus(torus))
 disk = build_map(4, (1, 0, 3, 2), (3, 2, 1, 0), hole_faces=(0,))
 print("disk:", euler_genus(disk))
 
-# Cutting the torus along the non-separating loop edge opens it into an
-# annulus; a spherical rearrangement (cut and cap both circles) gives the
-# sphere instead.
-loop = EmbeddedCurve((0,), True, BDY)
-print("torus cut along a loop  ->", euler_genus(cut_along(torus, loop)))
-print("torus surgered          ->", euler_genus(surger(torus, loop)))
-
-# Surgery along a separating curve disconnects: the sphere split along its
-# equator becomes two spheres, flagged as a multi-component result.
-sphere = build_map(4, (1, 0, 3, 2), (3, 2, 1, 0))
-equator = EmbeddedCurve((0, 2), True, BDY)
-pieces = components(surger(sphere, equator))
-print("sphere surgered along the equator ->",
-      [euler_genus(p) for p in pieces])
-
 # A genus-2 surface from a single vertex: the all-crossing pairing of eight
 # darts has one face, so chi = 1 - 4 + 1 = -2.
 genus2 = build_map(8, (4, 5, 6, 7, 0, 1, 2, 3), (1, 2, 3, 4, 5, 6, 7, 0))
 print("genus-2 one-vertex map:", euler_genus(genus2))
-print("surgered along one loop ->", euler_genus(surger(genus2, loop)))
+
+# Maps may be disconnected: a sphere beside the torus is two components.
+sphere = build_map(4, (1, 0, 3, 2), (3, 2, 1, 0))
+both = build_map(8, torus.alpha + tuple(d + 4 for d in sphere.alpha),
+                 torus.sigma + tuple(d + 4 for d in sphere.sigma))
+print("torus beside a sphere ->", [euler_genus(p) for p in components(both)])
+
+# Property 5 asks that surgering the cycles of one color and cutting its
+# arcs leaves disks.  On this disk, two vertices joined by four edges, the
+# green u-arc (edge 4) and a U-arc (edge 6) close into one cycle; the
+# surgery strands a closed piece, which validate names with its
+# (chi, genus, boundary).
+alpha = (1, 0, 3, 2, 5, 4, 7, 6)
+sigma = [0] * 8
+for cyc in ((4, 7, 3, 0), (6, 5, 1, 2)):
+    for i, d in enumerate(cyc):
+        sigma[d] = cyc[(i + 1) % len(cyc)]
+arc = CurveLabel(CurveKind.U_GREEN_ARC, 0)
+cycle_arc = CurveLabel(CurveKind.U_GREEN_CYCLE, 0)
+pinched = build_map(8, alpha, sigma, {4: arc, 6: cycle_arc}, hole_faces=(0,))
+diagram = PrDiagram(pinched, (EmbeddedCurve((4,), False, arc),
+                              EmbeddedCurve((6,), False, cycle_arc)))
+print("pinched-cycle disk:", euler_genus(pinched))
+print("  first failure:", validate(diagram).first_failure())

@@ -19,12 +19,10 @@ from .combmap import (  # noqa: F401
     build_map,
     canonical_code,
     components,
-    cut_along,
     euler_genus,
     faces,
     map_from_json,
     map_to_json,
-    surger,
 )
 from .chord import (  # noqa: F401
     CatalogReport,

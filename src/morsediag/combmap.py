@@ -39,10 +39,6 @@ class CurveNotEmbedded(MapError):
     pass
 
 
-class ArcEndpointNotOnBoundary(MapError):
-    pass
-
-
 class CurveNotClosed(MapError):
     pass
 
@@ -95,10 +91,6 @@ class CombMap:
     @property
     def n_darts(self) -> int:
         return len(self.alpha)
-
-    def edge_of(self, dart: int) -> int:
-        """Edge id of a dart: the smaller dart of the alpha-pair."""
-        return min(dart, self.alpha[dart])
 
     def edge_ids(self) -> list[int]:
         return [d for d in range(self.n_darts) if d < self.alpha[d]]
@@ -303,28 +295,17 @@ class EmbeddedCurve:
     label: CurveLabel
 
 
-def curve_dart_walk(m: CombMap, curve: EmbeddedCurve, vtab: Sequence[int]) -> list[int]:
-    """Oriented dart sequence t_1..t_k traversing the curve.
+def _dart_walk(m: CombMap, curve: EmbeddedCurve,
+               vtab: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The oriented dart sequence t_1..t_k traversing a curve whose edges are
+    distinct edge ids of the map, and the vertex ids the walk visits in
+    order (a closed curve's start again at the end).
 
     t_i is the dart of edge i at the vertex where the traversal enters it;
     ``vtab`` is the map's dart -> vertex id (``_orbit_ids(m.sigma)``).
     Orientation: the first edge runs into the least vertex it shares with
     the second, unless it is a loop; a loop or a one-edge curve starts at its
-    edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves.
-    """
-    for e in curve.edges:
-        if not (0 <= e < m.n_darts) or m.edge_of(e) != e:
-            raise CurveNotEmbedded(f"edge id {e} is not an edge of the map")
-    if len(set(curve.edges)) != len(curve.edges):
-        raise CurveNotEmbedded("curve repeats an edge")
-    return _dart_walk(m, curve, vtab)[0]
-
-
-def _dart_walk(m: CombMap, curve: EmbeddedCurve,
-               vtab: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``curve_dart_walk`` of a curve whose edges are distinct edge ids of
-    the map, and the vertex ids the walk visits in order (a closed curve's
-    start again at the end)."""
+    edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves."""
     edges = curve.edges
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
@@ -363,86 +344,6 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
     if len(set(inner)) != len(inner):
         raise CurveNotEmbedded("curve visits a vertex twice")
     return walk, vseq
-
-
-def _cut(m: CombMap, walk: Sequence[int], closed: bool, slits_are_holes: bool) -> CombMap:
-    """The map cut along an oriented dart walk (``curve_dart_walk``), both
-    copies of the curve boundary.  No workload cuts: only ``cut_along`` and
-    ``surger`` call this.  Darts keep their ids; the i-th curve dart and its
-    partner get the Q copies n + 2i and n + 2i + 1.  Each rotation the walk
-    passes, read off m from its arrival a, splits into two rings: P is a,
-    the darts strictly between, the departure; Q is the departure's copy,
-    the rest, a's copy.  At an arc's ends the one hole corner x -> sigma(x)
-    splits the rotation instead: P is the side sigma-before the departure
-    at the start and sigma-after the arrival at the end.  A face of the cut
-    map is a hole if it holds a dart off the curve that lay in a hole face,
-    or, with ``slits_are_holes``, if it is one of a closed curve's two slit
-    faces."""
-    alpha, sigma, labels = list(m.alpha), list(m.sigma), list(m.labels)
-    in_hole = [f in m.holes for f in _face_ids(alpha, sigma)]
-    n = len(alpha)
-    copy_q = {}
-    for i, t in enumerate(walk):
-        copy_q[t], copy_q[alpha[t]] = n + 2 * i, n + 2 * i + 1
-        alpha += (n + 2 * i + 1, n + 2 * i)
-        labels[t] = labels[alpha[t]] = _BDY
-    labels += [_BDY] * (2 * len(walk))
-    sigma += [0] * (2 * len(walk))
-
-    def rotation(d):   # m's rotation from d
-        rot = [d]
-        while m.sigma[rot[-1]] != d:
-            rot.append(m.sigma[rot[-1]])
-        return rot
-
-    def ring(darts):
-        for d, e in zip(darts, darts[1:] + darts[:1]):
-            sigma[d] = e
-
-    arrivals = [alpha[t] for t in walk]
-    for a, dep in zip(arrivals, [*walk[1:], walk[0]] if closed else walk[1:]):
-        rot = rotation(a)
-        j = rot.index(dep) + 1
-        ring(rot[:j])
-        ring([copy_q[dep], *rot[j:], copy_q[a]])
-    for end, d in () if closed else (("start", walk[0]), ("end", arrivals[-1])):
-        rot = rotation(d)
-        corners = [x for x in rot if in_hole[m.sigma[x]]]
-        if len(corners) > 1:
-            raise MapError(f"vertex has two boundary corners (darts {corners[0]} and {corners[1]})")
-        if not corners:
-            raise ArcEndpointNotOnBoundary(f"arc {end} vertex (dart {d}) is not on the boundary")
-        j = rot.index(corners[0]) + 1
-        ring([d, *rot[j:]] if end == "start" else rot[:j])
-        ring([copy_q[d], *(rot[1:j] if end == "start" else rot[j:])])
-
-    fid = _face_ids(alpha, sigma)
-    holes = {fid[d] for d in range(n) if in_hole[d] and d not in copy_q}
-    if closed and slits_are_holes:
-        holes |= {fid[arrivals[0]], fid[copy_q[walk[0]]]}
-    return CombMap(tuple(alpha), tuple(sigma), tuple(labels), frozenset(holes))
-
-
-def cut_along(m: CombMap, curve: EmbeddedCurve) -> CombMap:
-    """Cut the surface along an embedded curve (``_cut``, each split
-    rotation rebuilt as P and Q rings); no workload cuts.
-
-    The curve is doubled and both copies become boundary; chi grows by 1 for
-    an arc with endpoints on the boundary and is unchanged for a closed curve.
-    A face of the cut map is a hole if it holds a dart off the curve that lay
-    in a hole face, or if it is one of a closed curve's two slit faces.
-    """
-    return _cut(m, curve_dart_walk(m, curve, _orbit_ids(m.sigma)), curve.closed, True)
-
-
-def surger(m: CombMap, curve: EmbeddedCurve) -> CombMap:
-    """Spherical rearrangement, which no workload runs: cut along a closed
-    curve (``_cut``, P and Q rings) and cap both new boundary circles with
-    disks (chi += 2).  A face is a hole iff it holds a dart off the curve
-    that lay in a hole face, so the two slit faces are the caps."""
-    if not curve.closed:
-        raise CurveNotClosed("surgery requires a closed curve")
-    return _cut(m, curve_dart_walk(m, curve, _orbit_ids(m.sigma)), True, False)
 
 
 # The last two cm1 fields of an atom, by the atom's tail (2·kind + hole).

@@ -301,7 +301,8 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
 class _SideReduction:
     """One color side's reduction, counted on the uncut surface by
     ``_counted_side``: the piece of every dart of the cut map, the pieces,
-    the caps and the arc copies, as the cut would give them."""
+    the caps and the arc copies, in the dart and piece numbering that
+    ``_counted_side`` states."""
 
     comp_of_dart: list[int]
     n_components: int
@@ -335,21 +336,26 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     its V - E + interior faces, ``faces`` its interior faces and ``inner``
     its edges with an interior face on both sides, by their smaller dart.
 
-    The cut map's darts are numbered as the cut numbers them: the cycles,
-    by least dart (as ``_assemble_cycles`` gives them), then the arcs, in
-    registry order, each cut giving the copies of its i-th dart and of that
-    dart's partner the ids top + 2i and top + 2i + 1.  Its cells are the
-    interior faces and two caps per cycle, P on the corner side of the
-    cycle's darts and Q on the other side.  Its pieces are the edges with a
-    hole on both sides and the classes of cells joined across the edges
-    with a cell on both sides: an edge on no curve of the side and no hole,
-    and a cycle edge, from the P cap to the face of the cycle dart and from
-    the Q cap to the face of its partner, unless an arc runs there (cut
-    after the surgery).  One piece with chi + s + 2c = 1 (s arcs, c cycles)
-    is a disk.  Else a piece's chi counts its cells, its vertices (one per
-    hole dart on the boundary) and half its darts, and its boundary circles
-    are the cycles of the hole walk that jumps from each arc end to the
-    other.  The README says why."""
+    The cut map keeps the surface's n darts and gives each dart of the
+    side's curves a new dart, its Q copy; alpha pairs the copies of an
+    edge's two darts.  The cycles come first, by least dart (as
+    ``_assemble_cycles`` gives them), then the arcs, in registry order:
+    the copies of a curve's i-th walk dart and of its partner are top + 2i
+    and top + 2i + 1, where top counts the darts before the curve's.  An
+    arc on a cycle keeps the cycle's Q copies as its P side.  Pieces are
+    numbered by least dart.
+
+    The cut map's cells are the interior faces and two caps per cycle, P
+    on the corner side of the cycle's darts and Q on the other side.  Its
+    pieces are the edges with a hole on both sides and the classes of cells
+    joined across the edges with a cell on both sides: an edge on no curve
+    of the side and no hole, and a cycle edge, from the P cap to the face
+    of the cycle dart and from the Q cap to the face of its partner, unless
+    an arc runs there (cut after the surgery).  One piece with
+    chi + s + 2c = 1 (s arcs, c cycles) is a disk.  Else a piece's chi
+    counts its cells, its vertices (one per hole dart on the boundary) and
+    half its darts, and its boundary circles are the cycles of the hole
+    walk that jumps from each arc end to the other.  The README says why."""
     m = d.surface
     alpha, sigma, n = m.alpha, m.sigma, m.n_darts
     on = [0] * n   # dart -> 1 on a cycle of the side, 2 on an arc

@@ -11,7 +11,6 @@ from typing import NamedTuple, Optional
 import pytest
 
 from morsediag.combmap import (
-    ArcEndpointNotOnBoundary,
     CombMap,
     CurveKind,
     CurveLabel,
@@ -345,7 +344,7 @@ def subdivide_curves(d, k: int):
     """The diagram with every curve edge cut into k + 1 edges by k new
     degree-2 vertices.  New edges keep the curve's label, each curve lists
     its edges in path order, and every old dart keeps its id."""
-    from morsediag.combmap import _orbit_ids, curve_dart_walk
+    from morsediag.combmap import _dart_walk, _orbit_ids
     from morsediag.prdiag import PrDiagram
 
     m = d.surface
@@ -354,7 +353,7 @@ def subdivide_curves(d, k: int):
     curves = []
     for c in d.curves:
         edges = []
-        for t in curve_dart_walk(m, c, vid):
+        for t in _dart_walk(m, c, vid)[0]:
             end = alpha[t]
             for _ in range(k):
                 p, q = len(alpha), len(alpha) + 1   # the new vertex's two darts
@@ -679,18 +678,22 @@ def _boundary_corner(corners: list, end: str, d: int) -> int:
         raise MapError(f"vertex has two boundary corners "
                        f"(darts {corners[0]} and {corners[1]})")
     if not corners:
-        raise ArcEndpointNotOnBoundary(f"arc {end} vertex (dart {d}) is not on the boundary")
+        raise MapError(f"arc {end} vertex (dart {d}) is not on the boundary")
     return corners[0]
 
 
 def reference_cut_walk(m: CombMap, walk, closed: bool, label_q,
                        slits_are_holes: bool) -> tuple[CombMap, dict]:
-    """The map combmap._cut makes, with each split rotation rebuilt as two
-    lists and every dart in them rewired on copies of alpha, sigma and
-    labels, then the face table and the holes of the result made from
-    scratch.  A face of the cut map is a hole if it holds a dart off the
-    curve that lay in a hole face, or, with ``slits_are_holes``, if it is
-    one of a closed curve's two slit faces.  Returns the cut map and copy_q."""
+    """The map cut along an oriented dart walk (``_dart_walk``), the
+    curve's own darts labeled bdy and their copies ``label_q`` (the curve's
+    label if None).  Darts keep their ids; the i-th walk dart and its
+    partner get the Q copies n + 2i and n + 2i + 1.  Each split rotation is
+    rebuilt as two lists and every dart in them rewired on copies of alpha,
+    sigma and labels, then the face table and the holes of the result made
+    from scratch.  A face of the cut map is a hole if it holds a dart off
+    the curve that lay in a hole face, or, with ``slits_are_holes``, if it
+    is one of a closed curve's two slit faces.  Returns the cut map and
+    copy_q."""
     n = m.n_darts
     k = len(walk)
     ftab = face_table(m)
@@ -739,36 +742,6 @@ def reference_cut_walk(m: CombMap, walk, closed: bool, label_q,
     if closed and slits_are_holes:
         holes |= {new_ftab[arrivals[0]], new_ftab[copy_q[walk[0]]]}
     return CombMap(bare.alpha, bare.sigma, bare.labels, frozenset(holes)), copy_q
-
-
-def check_cuts(monkeypatch) -> list:
-    """Make every combmap._cut run reference_cut_walk, with both copies
-    labeled bdy, as well: both must return the same map, or raise the same
-    MapError.  Returns the list that collects each cut's outcome, its map or
-    its MapError."""
-    import morsediag.combmap as cmb
-
-    cut = cmb._cut
-    outcomes = []
-
-    def checked(m, walk, closed, slits_are_holes):
-        seen = []
-        for run in (lambda: reference_cut_walk(m, walk, closed, CurveLabel(CurveKind.BDY),
-                                               slits_are_holes)[0],
-                    lambda: cut(m, walk, closed, slits_are_holes)):
-            try:
-                seen.append(run())
-            except MapError as exc:
-                seen.append(exc)
-        expected, got = ((type(x), str(x)) if isinstance(x, MapError) else x for x in seen)
-        assert got == expected
-        outcomes.append(seen[1])
-        if isinstance(seen[1], MapError):
-            raise seen[1]
-        return seen[1]
-
-    monkeypatch.setattr(cmb, "_cut", checked)
-    return outcomes
 
 
 def reference_side_cut(d, walks, cycles, green: bool):

@@ -10,10 +10,12 @@ one that changes no result, is listed in SURVIVORS with the reason it
 changes none; its tests are expected to pass.  Each mutant is applied to a
 temporary copy of src/, never to the tree, and its tests run with
 PYTHONPATH pointing at the copy, one mutant at a time.  The listed tests
-must first pass on the unchanged copy.  The script exits 1, naming the
-mutant, if a mutant survives, if a survivor's tests fail, or if a snippet
-no longer occurs exactly once.  Stdlib only, besides the pytest that runs
-the tests.
+must first pass on the unchanged copy.  Each pytest run is stopped after
+TIMEOUT_S seconds: a mutant whose tests run that long is killed, and
+printed as TIMEOUT.  The script exits 1, naming the mutant, if a mutant
+survives, if a survivor's tests fail or time out, if the unchanged copy's
+tests time out, or if a snippet no longer occurs exactly once.  Stdlib
+only, besides the pytest that runs the tests.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+# seconds one pytest run may take; the longest, all listed tests unmutated,
+# takes about 12 s on 2 CPUs
+TIMEOUT_S = 180
 
 
 class Mutant(NamedTuple):
@@ -44,9 +49,6 @@ _SIDES_WITH_CYCLES = "tests/test_prdiag.py::test_side_reduction_matches_cut_by_c
 _SIDES_WITHOUT = "tests/test_prdiag.py::test_counted_sides_agree_with_the_cut_by_cut_reference"
 _COUNTED = (_SIDES_WITH_CYCLES, _SIDES_WITHOUT)   # sides with cycles, sides without
 _WITNESSES = "tests/test_prdiag.py::test_witnesses_of_broken_diagrams_match_pinned_digest"
-# the corpus cuts and every edge of small random maps, against the list-rebuilding reference
-_CUTS = ("tests/test_combmap.py::test_cut_walk_matches_cut_by_cut_reference",
-         "tests/test_prdiag.py::test_cuts_match_the_list_rebuilding_reference")
 # canonical codes against the complete traces of every root
 _KEYS = "tests/test_combmap.py::test_canonical_code_equals_full_trace_reference"
 # both read to_colored_chord under ROTATION_ONLY, which tells a circle from its mirror
@@ -64,7 +66,7 @@ MUTANTS = (
             "tests/test_prdiag.py::test_colour_swapped_six_point_flow_is_pinned")),
     Mutant("first walk dart always the edge id", "combmap.py",
            "walk = [alpha[e]]", "walk = [e]",
-           ("tests/test_combmap.py::test_curve_dart_walk_walks_and_refusals",)),
+           ("tests/test_combmap.py::test_dart_walk_walks_and_refusals",)),
     Mutant("RecursionError handler of cli._load removed", "cli.py",
            "except (OSError, ValueError, RecursionError) as exc:",
            "except (OSError, ValueError) as exc:",
@@ -161,20 +163,6 @@ MUTANTS = (
            "analysis.invariant = [(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()]",
            ("tests/test_prdiag.py::test_equal_codes_have_equal_face_invariants",
             "tests/test_prdiag.py::test_equivalent_agrees_with_comparing_codes")),
-    Mutant("combmap._cut never makes a closed curve's slit faces holes", "combmap.py",
-           "if closed and slits_are_holes:", "if False:",
-           _CUTS),
-    # a corpus curve is labeled, so none of its darts lies in a hole face:
-    # only the random maps' bdy edges tell this one apart
-    Mutant("combmap._cut counts a curve dart as a hole witness", "combmap.py",
-           " and d not in copy_q}", "}",
-           (_CUTS[1],)),
-    # the curve darts then close the Q ring and their copies the P ring
-    Mutant("combmap._cut swaps the P and Q rings at a split vertex", "combmap.py",
-           "        ring(rot[:j])\n        ring([copy_q[dep], *rot[j:], copy_q[a]])\n",
-           "        ring([copy_q[a], *rot[1:j - 1], copy_q[dep]])\n"
-           "        ring([dep, *rot[j:], a])\n",
-           _CUTS),
     # the winner's atoms then run on from another root's ids and order
     Mutant("combmap._least_trace: a rival that wins keeps the old best's state", "combmap.py",
            "            bsig, btail, bid, border = sigma, tail, new_id, order\n", "",
@@ -297,13 +285,17 @@ SURVIVORS = (
 )
 
 
-def _failed(src: Path, node_ids) -> set[str]:
+def _failed(src: Path, node_ids) -> Optional[set[str]]:
     """The node ids that fail or error when pytest runs them against the
-    package under ``src``, each given as listed (parameters stripped)."""
+    package under ``src``, each given as listed (parameters stripped), or
+    None if the run takes more than TIMEOUT_S seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *node_ids],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *node_ids],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     if proc.returncode not in (0, 1):   # not a plain pass or fail: show why
         sys.stdout.write(proc.stdout + proc.stderr)
         raise SystemExit(f"pytest exited {proc.returncode}")
@@ -320,6 +312,9 @@ def main() -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         all_ids = sorted({n for mt in MUTANTS + SURVIVORS for n in mt.tests})
         broken = _failed(src, all_ids)
+        if broken is None:
+            print(f"the listed tests must pass unmutated; they ran past {TIMEOUT_S} s")
+            return 1
         if broken:
             print(f"the listed tests must pass unmutated; failing: {sorted(broken)}")
             return 1
@@ -336,6 +331,11 @@ def main() -> int:
                 failed = _failed(src, mt.tests)
             finally:
                 path.write_text(text)
+            if failed is None:   # a hang kills a mutant, but a survivor must pass
+                if mt.survives:
+                    problems.append(f"{mt.name}: timed out after {TIMEOUT_S} s")
+                print(f"TIMEOUT   {mt.name}")
+                continue
             if mt.survives:   # the tests that failed, or those that passed
                 wrong, expected, unexpected = sorted(failed), "survived", "KILLED"
             else:

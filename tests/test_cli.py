@@ -9,7 +9,7 @@ from morsediag.combmap import build_map
 from morsediag.prdiag import PrDiagram, equivalent, pr_to_json
 import morsediag.catalog as cat
 
-from conftest import all_colored_classes, disjoint_union, relabel_diagram, small_disks
+from conftest import disjoint_union, small_disks
 
 
 def fixture_path(name: str) -> str:
@@ -158,23 +158,17 @@ def test_chord_output_of_a_disconnected_diagram_exits_one(tmp_path, capsys):
 
 def test_census_command(monkeypatch, capsys):
     # the Morse checks come from the census: one analysis, which counts
-    # each color side and cuts neither
-    import morsediag.combmap as cmb
+    # each color side once
     import morsediag.prdiag as pr
 
     calls = []
-    count_side, cut = pr._counted_side, cmb._cut
+    count_side = pr._counted_side
 
     def counted_side(*args):
         calls.append(("count", args[3]))
         return count_side(*args)
 
-    def counted_cut(*args):
-        calls.append("cut")
-        return cut(*args)
-
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(cmb, "_cut", counted_cut)
     code, out, _ = run(capsys, "census", fixture_path("solid_torus.json"))
     assert code == 0
     payload = json.loads(out)
@@ -182,40 +176,6 @@ def test_census_command(monkeypatch, capsys):
     assert payload["boundary_genus"] == 1
     assert payload["morse_checks"]["passed"] is True
     assert calls == [("count", True), ("count", False)]
-
-
-def test_no_workload_cuts(monkeypatch, tmp_path, capsys, rng):
-    # every subcommand on the shipped fixtures, and one diagram-analysis
-    # benchmark operation on a rebuilt genus-3 diagram, reach no cut: only
-    # cut_along and surger do
-    import morsediag.combmap as cmb
-    import morsediag.prdiag as pr
-
-    def no_cut(*args):
-        raise AssertionError("a workload cut")
-
-    monkeypatch.setattr(cmb, "_cut", no_cut)
-    names = sorted(cat.fixture_names())
-    calls = [("fixtures", "verify"), ("classify", "--genus", "2"),
-             ("iso", fixture_path(names[0]), fixture_path(names[0])),
-             *(("iso", fixture_path(a), fixture_path(b)) for a, b in zip(names, names[1:]))]
-    for name in names:
-        path = fixture_path(name)
-        chord = str(tmp_path / f"{name}.chord.json")
-        calls += [("validate", path), ("census", path), ("boundary", path),
-                  *(("export", "--format", f, path) for f in ("dot", "svg", "json"))]
-        if run(capsys, "convert", "--to", "chord", path, "--out", chord)[0] == 0:
-            calls.append(("convert", "--to", "pr", chord))
-    for argv in calls:
-        assert run(capsys, *argv)[0] in (0, 1), argv
-    ccds = [ccd for g, ccd in all_colored_classes(3) if g == 3]
-    d = pr.from_colored_chord(ccds[0])
-    for op in (pr.validate, pr.census, pr.morse_checks, pr.boundary_restriction,
-               pr.to_colored_chord, pr.pr_canonical_code):
-        op(d)
-    other = relabel_diagram(d, rng)
-    pr.pr_canonical_code(other)
-    assert pr.equivalent(d, other) and not pr.equivalent(d, pr.from_colored_chord(ccds[1]))
 
 
 def test_convert_both_ways(tmp_path, capsys):

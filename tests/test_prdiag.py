@@ -33,9 +33,7 @@ from morsediag.combmap import (
     EmbeddedCurve,
     MapError,
     build_map,
-    cut_along,
     euler_genus,
-    surger,
 )
 import morsediag.combmap as cmb
 import morsediag.prdiag as pr
@@ -63,7 +61,6 @@ from conftest import (
     _colour_swapped,
     all_colored_classes,
     analysis_corpus,
-    check_cuts,
     chord_orbit_counts,
     clear_analysis_caches,
     disjoint_union,
@@ -77,7 +74,6 @@ from conftest import (
     make_torus,
     make_two_ring_pants_diagram,
     mirror_map,
-    random_small_map,
     reference_side_cut,
     reference_side_reduction,
     relabel_diagram,
@@ -338,7 +334,7 @@ def _chord_off_the_red_cut(d: PrDiagram, sym: SymmetryConvention) -> tuple:
     rotations and, under DIHEDRAL, its reflections."""
     _, walks = pr._curve_walks(d, cmb._orbit_ids(d.surface.sigma))
     m, _, arc_copies = reference_side_cut(d, walks, [], green=False)
-    side_of = {m.edge_of(t): (ci, side) for ci, copies in arc_copies.items()
+    side_of = {min(t, m.alpha[t]): (ci, side) for ci, copies in arc_copies.items()
                for side, darts in enumerate(copies) for t in darts}
     vid = cmb._orbit_ids(m.sigma)
     vert_u = {vid[t]: ci for ci, (c, w) in enumerate(zip(d.curves, walks))
@@ -349,8 +345,9 @@ def _chord_off_the_red_cut(d: PrDiagram, sym: SymmetryConvention) -> tuple:
     while True:
         if vid[x] in vert_u:
             marks.append(("u", vert_u[vid[x]]))
-        if m.edge_of(x) in side_of:
-            marks.append(("v", side_of[m.edge_of(x)]))
+        e = min(x, m.alpha[x])
+        if e in side_of:
+            marks.append(("v", side_of[e]))
         x = m.sigma[m.alpha[x]]
         if x == start:
             break
@@ -454,24 +451,19 @@ def test_equivalent_requires_valid_inputs():
 
 def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
     # the first public call on a diagram runs its one validity analysis,
-    # which counts each side of an optimal diagram and cuts neither; no call
-    # on an optimal diagram cuts, to_colored_chord included.  Later calls on
+    # which counts each side of an optimal diagram.  Later calls on
     # an equal diagram run no analysis, and equivalent analyses each of its
     # arguments at most once and makes the canonical key of each it does not
     # hold, unless their face invariants differ: then it makes no key.  Face
     # ids are found once per diagram, by its analysis
     events = []
     face_id_calls = []
-    count_side, cut = pr._counted_side, cmb._cut
+    count_side = pr._counted_side
     key, face_ids = cmb._canonical_key, cmb._face_ids
 
     def counted_side(*args):
         events.append(("count", args[3]))
         return count_side(*args)
-
-    def counted_cut(*args, **kwargs):
-        events.append("cut")
-        return cut(*args, **kwargs)
 
     def counted_key(*args):
         events.append("key")
@@ -486,7 +478,6 @@ def test_each_diagram_is_analysed_once_across_calls(monkeypatch, rng):
         events.clear()
 
     monkeypatch.setattr(pr, "_counted_side", counted_side)
-    monkeypatch.setattr(cmb, "_cut", counted_cut)
     monkeypatch.setattr(cmb, "_canonical_key", counted_key)
     monkeypatch.setattr(cmb, "_face_ids", counted_face_ids)
     ccd = next(ccd for g, ccd in all_colored_classes(3) if g == 3)
@@ -1025,29 +1016,6 @@ def test_hand_built_cycle_diagrams_by_hand():
     assert validate(sphere).first_failure() == (
         "p5_disk_reduction: green reduction component 1 is not a disk "
         "(chi, genus, boundary) = (2, 0, 0)")
-
-
-def test_cuts_match_the_list_rebuilding_reference(monkeypatch):
-    # cut_along and surger on the corpus curves, and every edge of small
-    # random maps cut as an arc and as a loop, for the error paths (a vertex
-    # may have two boundary corners) and for splits with nothing on the Q
-    # side
-    outcomes = check_cuts(monkeypatch)
-    corpus = analysis_corpus()
-    pick = random.Random(5)
-    curves = [(d.surface, c) for d in corpus for c in d.curves]
-    curves += [(m, EmbeddedCurve((e,), closed, m.labels[e]))
-               for m in (random_small_map(pick) for _ in range(300))
-               for e in m.edge_ids() for closed in (False, True)]
-    for m, curve in curves:
-        for op in (cut_along, surger) if curve.closed else (cut_along,):
-            try:
-                op(m, curve)
-            except MapError:
-                pass
-    assert len(outcomes) > sum(len(d.curves) for d in corpus)
-    raised = {str(x).split(" (")[0] for x in outcomes if isinstance(x, MapError)}
-    assert raised == {"arc start vertex", "arc end vertex", "vertex has two boundary corners"}
 
 
 def _count_sides(rng, with_cycles: bool) -> Counter:
