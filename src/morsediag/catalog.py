@@ -9,13 +9,12 @@ versioned fixture set inside the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import combinations, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as encode_string
-from operator import attrgetter
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from . import _formats
 
@@ -37,8 +36,9 @@ class SchemaViolation(ValueError):
 
 
 class _Flags(dict):
-    """The flags of the entries that report_entries and load_catalog build:
-    one read-only dict per distinct value; pickle, copy and asdict keep it so."""
+    """The flags of the entries that report_entries and load_catalog build,
+    and of an entry built with none: one read-only dict per distinct value;
+    pickle, copy and _asdict keep it so."""
 
     __slots__ = ()
 
@@ -51,44 +51,30 @@ class _Flags(dict):
         return _Flags, (dict(self),)
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One classified object; the canonical code is the deduplication key.
 
-    Its fields are slots: a catalog holds one entry per class, and an
-    instance __dict__ would add to each entry's memory and to the objects
-    the garbage collector tracks.  So the entries that report_entries and
-    load_catalog build share one read-only flags dict per distinct value;
-    dataclasses.replace(e, flags={...}) gives an entry other flags.  An
-    entry built by hand keeps the mapping it is given."""
+    A named tuple: a catalog holds one entry per class, and a tuple has no
+    instance __dict__ to add to each entry's memory.  The entries that
+    report_entries and load_catalog build share one read-only flags dict
+    per distinct value, and an entry built with no flags shares one empty
+    read-only dict; e._replace(flags={...}) gives an entry other flags.  An
+    entry built with flags keeps the mapping it is given."""
 
     code: str
     kind: str
     genus: int
-    flags: dict = field(default_factory=dict)
+    flags: dict = _Flags()
     source: str = "enumerated"
     tool_version: str = ""
 
 
-_new_object = object.__new__
-_set_code, _set_kind, _set_genus, _set_flags, _set_source, _set_tool_version = (
-    getattr(CatalogEntry, f.name).__set__ for f in fields(CatalogEntry))
-
-
 def _entry(code: str, kind: str, genus: int, flags: dict, source: str,
            tool_version: str) -> CatalogEntry:
-    """CatalogEntry(code, kind, genus, flags, source, tool_version), filled
-    through its slots.  The generated __init__ of a frozen dataclass sets
-    each field with object.__setattr__, which costs more than the rest of
-    building an entry; the entry is as frozen as any other."""
-    e = _new_object(CatalogEntry)
-    _set_code(e, code)
-    _set_kind(e, kind)
-    _set_genus(e, genus)
-    _set_flags(e, flags)
-    _set_source(e, source)
-    _set_tool_version(e, tool_version)
-    return e
+    """CatalogEntry(code, kind, genus, flags, source, tool_version), built
+    with tuple.__new__, which skips the Python-level __new__ that
+    CatalogEntry(...) runs to bind its arguments."""
+    return tuple.__new__(CatalogEntry, (code, kind, genus, flags, source, tool_version))
 
 
 def _entry_from_json(obj, lineno: int) -> CatalogEntry:
@@ -111,7 +97,7 @@ def _entry_from_json(obj, lineno: int) -> CatalogEntry:
 
 
 _CODE_HEAD = '{"code": "'   # how every line that save_catalog writes begins
-_TAIL = tuple(f.name for f in fields(CatalogEntry))[1:]   # a line's fields after its code
+_TAIL = CatalogEntry._fields[1:]   # a line's fields after its code
 
 
 def _read_back(code):
@@ -132,40 +118,44 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
     non-empty string.  So before the file is opened it refuses, with
     SchemaViolation, what load_catalog would refuse, with its message and
     line number, as well as a duplicate code, fields that cannot be encoded
-    and codes that cannot be sorted.  Lines are streamed, never held."""
+    and codes that cannot be sorted.  Lines are written in blocks of 1024,
+    never all held."""
     items = list(entries)
     try:
-        items.sort(key=attrgetter("code"))
+        items.sort(key=itemgetter(0))   # by code
     except TypeError as exc:   # a code that is not a string among strings
         code = next(e.code for e in items if not isinstance(e.code, str))
         raise SchemaViolation(f"code must be a string, not {_read_back(code)!r}") from exc
     encode = json.JSONEncoder(sort_keys=True).encode
     head = _CODE_HEAD[:-1]   # encode_string(code) brings the code's opening quote
     runs = []   # [tail, lines] for each run of entries that share their field objects
-    prev = None
+    prev_code = None
     for lineno, e in enumerate(items, start=1):
-        code = e.code
-        if (prev is None or e.flags is not prev.flags or e.kind is not prev.kind
-                or e.genus is not prev.genus or e.source is not prev.source
-                or e.tool_version is not prev.tool_version):
-            own = dict({name: getattr(e, name) for name in _TAIL}, schema_version=SCHEMA_VERSION)
+        code = e[0]   # a named tuple's field reads faster by index than by name
+        new_run = (lineno == 1 or e[3] is not flags or e[1] is not kind or e[2] is not genus
+                   or e[4] is not source or e[5] is not tool_version)
+        if new_run:
+            _, kind, genus, flags, source, tool_version = e
+            own = dict(zip(_TAIL, e[1:]), schema_version=SCHEMA_VERSION)
             try:
                 tail = ", " + encode(own)[1:]
                 read = json.loads("{" + tail[2:])   # as load_catalog reads them
             except (TypeError, ValueError, RecursionError) as exc:
                 raise SchemaViolation(f"line {lineno}: cannot encode as JSON ({exc})") from exc
             runs.append(run := [tail + "\n", 0])
-        if type(code) is not str or not code or not run[1]:   # a run's first line, or an odd code
+        if new_run or type(code) is not str or not code:   # a run's first line, or an odd code
             _entry_from_json(dict(read, code=_read_back(code)), lineno)   # as load_catalog reads it
-        if prev is not None and code == prev.code:
+        if code == prev_code:
             raise SchemaViolation(f"duplicate code {code!r}")
         run[1] += 1
-        prev = e
+        prev_code = code
     pending = iter(items)
+    lines = (head + encode_string(e[0]) + tail for tail, count in runs for e in islice(pending, count))
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(head + encode_string(e.code) + tail
-                          for tail, count in runs for e in islice(pending, count))
+            # a write per block of lines: a write per line costs more than making it
+            while block := "".join(islice(lines, 1024)):
+                fh.write(block)
     except OSError as exc:
         raise IoFailure(f"cannot write catalog {path}: {exc}") from exc
 
@@ -291,8 +281,7 @@ def load_fixture(name: str):
     return pr_from_json(obj)
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     """The names of the fixture checks made and the failures among them."""
     checked: tuple[str, ...]
     failures: tuple[str, ...]

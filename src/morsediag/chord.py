@@ -18,13 +18,12 @@ acceptance suite pins 1, 5, 179 against independent orbit counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
 from math import factorial
 from itertools import compress, islice
 from operator import eq
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._formats import CHORD, check
 
@@ -53,20 +52,29 @@ RED = "red"
 _POINT_COLORS = str.maketrans("01", "rg")
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    """Perfect matching of 2n circle points; match[i] is the partner of i."""
+# _replace builds a named tuple through _make, which skips __new__; the
+# validating record types below build through __new__ instead
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
-    n: int
-    match: tuple[int, ...]
 
-    def __post_init__(self):
-        pts = 2 * self.n
-        if len(self.match) != pts:
+class ChordDiagram(NamedTuple("_ChordFields", [("n", int), ("match", tuple[int, ...])])):
+    """Perfect matching of 2n circle points; match[i] is the partner of i.
+
+    A named tuple (n, match) that refuses any other input when it is built,
+    unpickled, copied or given new fields with _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, match: tuple[int, ...]):
+        pts = 2 * n
+        if len(match) != pts:
             raise ValueError(f"match must list {pts} partners")
-        for i, j in enumerate(self.match):
-            if not (0 <= j < pts) or j == i or self.match[j] != i:
+        for i, j in enumerate(match):
+            if not (0 <= j < pts) or j == i or match[j] != i:
                 raise ValueError(f"match is not a fixed-point-free involution at point {i}")
+        return tuple.__new__(cls, (n, match))
+
+    _make = _checked_make
 
     @property
     def points(self) -> int:
@@ -74,23 +82,26 @@ class ChordDiagram:
 
     def chords(self) -> list[tuple[int, int]]:
         """Chords as (min, max) pairs, ordered by the smaller endpoint."""
-        return [(i, self.match[i]) for i in range(self.points) if i < self.match[i]]
+        return [(i, j) for i, j in enumerate(self.match) if i < j]
 
 
-@dataclass(frozen=True)
-class ColoredChordDiagram:
+class ColoredChordDiagram(NamedTuple("_ColoredFields", [("base", ChordDiagram),
+                                                         ("colors", tuple[str, ...])])):
     """Chord diagram with a red/green color per chord (aligned with
-    ChordDiagram.chords() order)."""
+    ChordDiagram.chords() order); a named tuple (base, colors) that refuses
+    other input as ChordDiagram does."""
 
-    base: ChordDiagram
-    colors: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.colors) != self.base.n:
+    def __new__(cls, base: ChordDiagram, colors: tuple[str, ...]):
+        if len(colors) != base.n:
             raise ValueError("one color per chord required")
-        for c in self.colors:
+        for c in colors:
             if c not in (GREEN, RED):
                 raise ValueError(f"bad color {c!r}")
+        return tuple.__new__(cls, (base, colors))
+
+    _make = _checked_make
 
     def point_colors(self) -> tuple[str, ...]:
         out = [""] * self.base.points
@@ -120,7 +131,7 @@ def crossing(cd: ChordDiagram, a: int, b: int) -> bool:
 def face_count(cd: ChordDiagram) -> int:
     """Boundary cycles of the one-vertex ribbon graph whose vertex rotation
     is the circular point order and whose edges are the chords."""
-    pts = cd.points
+    pts, match = cd.points, cd.match
     seen = [False] * pts
     count = 0
     for start in range(pts):
@@ -130,7 +141,7 @@ def face_count(cd: ChordDiagram) -> int:
         i = start
         while not seen[i]:
             seen[i] = True
-            i = (cd.match[i] + 1) % pts
+            i = (match[i] + 1) % pts
     return count
 
 
@@ -620,8 +631,7 @@ def _classify_base(match: tuple[int, ...], g: int, sym: SymmetryConvention,
     return "cd1" + code, colored, river, greens
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     """Per-genus classification counts plus all canonical codes."""
 
     genus: int
@@ -637,7 +647,7 @@ class CatalogReport:
 
     def to_json(self) -> dict:
         """The report's fields by name; the code tuples print as JSON arrays."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 #: The largest genus that classify enumerates.

@@ -14,11 +14,10 @@ systems live directly on the map and canonical forms are label-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, islice
 from operator import eq
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._formats import MAP, check
 
@@ -63,8 +62,7 @@ _KIND_ORD = {"bdy": 0, "u": 1, "U": 2, "v": 3, "V": 4}
 _KIND_BY_JSON = {k.value: k for k in CurveKind}
 
 
-@dataclass(frozen=True)
-class CurveLabel:
+class CurveLabel(NamedTuple):
     """An edge's label: its kind and, on a curve, the curve's index."""
     kind: CurveKind
     index: Optional[int] = None
@@ -73,27 +71,30 @@ class CurveLabel:
 _BDY = CurveLabel(CurveKind.BDY)
 
 
-@dataclass(frozen=True)
-class CombMap:
-    """Immutable labeled combinatorial map.
+class CombMap(NamedTuple):
+    """Immutable labeled combinatorial map, a named tuple of its fields.
 
     ``alpha`` and ``sigma`` are permutations of 0..n_darts-1, ``labels`` holds
     one CurveLabel per dart (both darts of an edge agree), ``holes`` is the
     set of face ids (smallest dart of the face orbit) marked as holes.  It
-    hashes by alpha, sigma and holes: a label's hash is a Python call.
+    equals by all four fields but hashes by alpha, sigma and holes: a
+    label's hash is a Python call.
     """
 
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
-    labels: tuple[CurveLabel, ...] = field(hash=False)
+    labels: tuple[CurveLabel, ...]
     holes: frozenset[int]
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.sigma, self.holes))
 
     @property
     def n_darts(self) -> int:
         return len(self.alpha)
 
     def edge_ids(self) -> list[int]:
-        return [d for d in range(self.n_darts) if d < self.alpha[d]]
+        return [d for d, a in enumerate(self.alpha) if d < a]
 
 
 def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
@@ -117,8 +118,8 @@ def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
 
 def faces(m: CombMap) -> list[tuple[int, ...]]:
     """Face orbits of sigma∘alpha, smallest dart first, sorted."""
-    phi = [m.sigma[m.alpha[d]] for d in range(m.n_darts)]
-    return _orbits(phi)
+    sigma = m.sigma
+    return _orbits([sigma[a] for a in m.alpha])
 
 
 def vertices(m: CombMap) -> list[tuple[int, ...]]:
@@ -282,8 +283,7 @@ def euler_genus(m: CombMap) -> tuple[int, int, int]:
     return chi, (2 - b - chi) // 2, b
 
 
-@dataclass(frozen=True)
-class EmbeddedCurve:
+class EmbeddedCurve(NamedTuple):
     """A simple curve drawn along map edges.
 
     ``edges`` are edge ids in traversal order; an open curve joins two
@@ -306,16 +306,16 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
     Orientation: the first edge runs into the least vertex it shares with
     the second, unless it is a loop; a loop or a one-edge curve starts at its
     edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves."""
-    edges = curve.edges
+    edges, closed = curve.edges, curve.closed
     if not edges:
         raise CurveNotEmbedded("curve has no edges")
     alpha = m.alpha
     e = edges[0]
     walk = [e]   # an edge id is the smaller dart of its edge
     if len(edges) == 1:
-        if curve.closed and vtab[e] != vtab[alpha[e]]:
+        if closed and vtab[e] != vtab[alpha[e]]:
             raise CurveNotClosed(f"single-edge curve flagged closed does not loop (edge {e})")
-        if not curve.closed and vtab[e] == vtab[alpha[e]]:
+        if not closed and vtab[e] == vtab[alpha[e]]:
             raise CurveNotEmbedded(f"open curve on a loop edge {e}")
     else:
         shared = {vtab[e], vtab[alpha[e]]} & {vtab[edges[1]], vtab[alpha[edges[1]]]}
@@ -333,7 +333,7 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
                 raise CurveNotEmbedded(f"curve edges {prev} and {e} do not chain")
     # Simplicity: traversal vertices must be distinct (up to closure).
     vseq = [vtab[walk[0]]] + [vtab[alpha[t]] for t in walk]
-    if curve.closed:
+    if closed:
         if vseq[0] != vseq[-1]:
             raise CurveNotClosed("closed curve does not return to its start")
         inner = vseq[:-1]
@@ -426,7 +426,8 @@ def _least_roots(m: CombMap, mirror: bool, fid: Sequence[int]) -> list[tuple]:
     in dart order, then the mirror's."""
     n = m.n_darts
     alpha, sigma = m.alpha, m.sigma
-    tail = [2 * _KIND_ORD[lb.kind._value_] + (f in m.holes) for lb, f in zip(m.labels, fid)]
+    holes = m.holes
+    tail = [2 * _KIND_ORD[lb.kind._value_] + (f in holes) for lb, f in zip(m.labels, fid)]
     darts = roots = range(n)   # class 2 unless a root of class 0 or 1 is present
     for image in (darts, alpha):   # class 0, then class 1
         if any(map(eq, sigma, image)):

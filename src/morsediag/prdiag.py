@@ -23,7 +23,6 @@ Green data encodes types 1-3 (sources and u-saddles), red data types 4-6.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Optional
@@ -65,8 +64,7 @@ class InvalidColoring(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FixedPointType:
+class FixedPointType(NamedTuple):
     """A boundary fixed point type and its index (p, q)."""
     type_id: int
     index_pair: tuple[int, int]
@@ -92,24 +90,25 @@ _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
 }
 
 
-@dataclass(frozen=True)
-class PrDiagram:
-    """Surface map plus registry of embedded curves; hashed by its surface."""
+class PrDiagram(NamedTuple):
+    """Surface map plus registry of embedded curves, a named tuple of the
+    two; it equals by both and hashes by its surface."""
 
     surface: CombMap
-    curves: tuple[EmbeddedCurve, ...] = field(hash=False)
+    curves: tuple[EmbeddedCurve, ...]
+
+    def __hash__(self) -> int:
+        return hash((self.surface,))
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     """One validity property: passed, or the witness of its failure."""
     name: str
     passed: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """The verdicts on the five validity properties, in order."""
     properties: tuple[PropertyVerdict, ...]
 
@@ -133,8 +132,7 @@ class ValidityReport:
         }
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Fixed point counts per type and the boundary-surface genus."""
 
     n1: int
@@ -146,22 +144,20 @@ class Census:
     boundary_genus: int
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
+        return self[:6]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FlowVertex:
+class FlowVertex(NamedTuple):
     """A fixed point of the boundary flow: its role and its type."""
     id: int
     role: str
     point_type: int
 
 
-@dataclass(frozen=True)
-class BoundaryFlowGraph:
+class BoundaryFlowGraph(NamedTuple):
     """Separatrix graph of the flow restricted to the 3-manifold boundary."""
 
     vertices: tuple[FlowVertex, ...]
@@ -191,12 +187,14 @@ class BoundaryFlowGraph:
 
 class _Walk(NamedTuple):
     """One curve's oriented dart walk and the vertex ids it visits: all of
-    them, its two ends (none for a closed curve) and the rest."""
+    them, its two ends (none for a closed curve) and the rest; and the
+    curve's kind, which the loops over walks read here."""
 
     darts: list[int]
     verts: set[int]
     ends: tuple[int, ...]
     inner: set[int]
+    kind: CurveKind
 
 
 def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
@@ -231,9 +229,9 @@ def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
                 continue
             verts = set(vseq)
             ends = () if c.closed else (vseq[0], vseq[-1])
-            walks.append(_Walk(w, verts, ends, verts - set(ends)))
+            walks.append(_Walk(w, verts, ends, verts - set(ends), label.kind))
     for e in m.edge_ids():   # an owned edge has its curve's label, never bdy
-        if labels[e].kind is not CurveKind.BDY and e not in owned:
+        if e not in owned and labels[e].kind is not CurveKind.BDY:
             return f"labeled edge {e} belongs to no curve", ()
     return err, tuple(walks)
 
@@ -249,6 +247,7 @@ def _left_turn_trail(m: CombMap, start: dict, first: int, used: set[int]):
     bijection), so a trail can meet one of its pieces, or a piece of an
     earlier trail, only the other way round; both checks below are needed
     (test_left_turn_walk_refuses_a_piece_taken_the_other_way)."""
+    alpha, sigma = m.alpha, m.sigma
     trail, pieces, dart = [], [], first
     while True:
         for want_arc in (False, True):
@@ -257,7 +256,7 @@ def _left_turn_trail(m: CombMap, start: dict, first: int, used: set[int]):
                 return None
             pieces.append(ci)
             trail += walk
-            dart = m.sigma[m.alpha[walk[-1]]]
+            dart = sigma[alpha[walk[-1]]]
         if dart == first:
             used.update(pieces)
             return trail
@@ -271,25 +270,26 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
     """
     m = d.surface
     arc_kind, cyc_kind = _SIDE[green]
-    if all(c.label.kind is not cyc_kind for c in d.curves):
+    if all(w.kind is not cyc_kind for w in walks):
         return [], None
+    alpha = m.alpha
     cycles: list[list[int]] = []
     start = {}
-    for ci, (c, w) in enumerate(zip(d.curves, walks)):
-        kind = c.label.kind
-        if kind is cyc_kind and c.closed:
-            cycles.append(w.darts)
+    for ci, w in enumerate(walks):   # a closed curve's walk has no ends
+        kind, darts = w.kind, w.darts
+        if kind is cyc_kind and not w.ends:
+            cycles.append(darts)
         elif kind is arc_kind or kind is cyc_kind:
-            back = [m.alpha[t] for t in reversed(w.darts)]
-            start[w.darts[0]] = (ci, w.darts, kind is arc_kind)
+            back = [alpha[t] for t in reversed(darts)]
+            start[darts[0]] = (ci, darts, kind is arc_kind)
             start[back[0]] = (ci, back, kind is arc_kind)
     used: set[int] = set()
-    for ci, c in enumerate(d.curves):
-        if c.label.kind is not cyc_kind or c.closed or ci in used:
+    for ci, w in enumerate(walks):
+        if w.kind is not cyc_kind or not w.ends or ci in used:
             continue
-        w = walks[ci].darts
-        trail = (_left_turn_trail(m, start, w[0], used)
-                 or _left_turn_trail(m, start, m.alpha[w[-1]], used))
+        darts = w.darts
+        trail = (_left_turn_trail(m, start, darts[0], used)
+                 or _left_turn_trail(m, start, alpha[darts[-1]], used))
         if trail is None:
             return None, (f"open {cyc_kind.value!r} component {ci} does not close "
                           f"into an alternating left-turn cycle")
@@ -297,8 +297,7 @@ def _assemble_cycles(d: PrDiagram, walks: tuple[_Walk, ...], green: bool):
     return sorted(cycles, key=min), None
 
 
-@dataclass
-class _SideReduction:
+class _SideReduction(NamedTuple):
     """One color side's reduction, counted on the uncut surface by
     ``_counted_side``: the piece of every dart of the cut map, the pieces,
     the caps and the arc copies, in the dart and piece numbering that
@@ -366,9 +365,9 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
             on[t] = on[alpha[t]] = 1
         top += 2 * len(wk)
     arc_copies, arc_kind = {}, _SIDE[green][0]
-    for ci, c in enumerate(d.curves):
-        if c.label.kind is arc_kind:
-            aw = walks[ci].darts   # an arc on a cycle is cut on its Q copy
+    for ci, w in enumerate(walks):
+        if w.kind is arc_kind:
+            aw = w.darts   # an arc on a cycle is cut on its Q copy
             arc_copies[ci] = (tuple(map(copy_q.get, aw, aw)),
                               tuple(range(top, top + 2 * len(aw), 2)))
             top += 2 * len(aw)
@@ -444,7 +443,6 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
 # Validation (the five-property criterion)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Analysis:
     """One validity analysis of a diagram: the report, the two dart tables
     that later readers of the diagram take, ``fid`` (dart -> face id) and
@@ -458,15 +456,14 @@ class _Analysis:
     call may fill two fields on demand: ``_surface_key`` fills ``keys``
     (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``."""
 
-    report: ValidityReport
-    fid: list[int]
-    hole: list[bool]
-    walks: tuple[_Walk, ...] = ()
-    green: Optional[_SideReduction] = None
-    red: Optional[_SideReduction] = None
-    chi: Optional[int] = None
-    keys: dict = field(default_factory=dict)
-    invariant: Optional[list] = None
+    __slots__ = ("report", "fid", "hole", "walks", "green", "red", "chi", "keys", "invariant")
+
+    def __init__(self, report: ValidityReport, fid: list[int], hole: list[bool],
+                 walks: tuple[_Walk, ...] = (), green: Optional[_SideReduction] = None,
+                 red: Optional[_SideReduction] = None, chi: Optional[int] = None):
+        self.report, self.fid, self.hole, self.walks = report, fid, hole, walks
+        self.green, self.red, self.chi = green, red, chi
+        self.keys, self.invariant = {}, None   # filled on demand, as said above
 
 
 def validate(d: PrDiagram) -> ValidityReport:
@@ -503,13 +500,12 @@ def _report(*witnesses: str) -> ValidityReport:
                                 for name, w in zip(_PROPERTIES, witnesses)))
 
 
-def _placement_witness(d: PrDiagram, walks: tuple[_Walk, ...],
-                       on_boundary: list[bool]) -> str:
+def _placement_witness(walks: tuple[_Walk, ...], on_boundary: list[bool]) -> str:
     """Property 1: the first curve that is an arc flagged closed, an arc with
     an end off the boundary, or a curve whose interior touches it; or ""."""
-    for ci, (c, w) in enumerate(zip(d.curves, walks)):
-        if c.label.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
-            if c.closed:
+    for ci, w in enumerate(walks):
+        if w.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
+            if not w.ends:   # a closed curve's walk has no ends
                 return f"curve {ci}: arcs must be open"
             if not all(on_boundary[v] for v in w.ends):
                 return f"curve {ci}: endpoint not on the boundary"
@@ -519,16 +515,15 @@ def _placement_witness(d: PrDiagram, walks: tuple[_Walk, ...],
     return ""
 
 
-def _disjointness_witness(d: PrDiagram, walks: tuple[_Walk, ...],
-                          u_ends: set[int], v_ends: set[int]) -> str:
+def _disjointness_witness(walks: tuple[_Walk, ...], u_ends: set[int], v_ends: set[int]) -> str:
     """Property 3: the first two curves of one family (u, U, v, V) that share
     a vertex, then the first arc and cycle of one color that meet away from
     their common ends, then a vertex that ends both a u and a v arc; or ""."""
     # kind's JSON value -> its curve indices, in CurveKind order; a str
     # hashes in C, where Enum.__hash__ is a Python call
     fam = {kind: [] for kind in cmb._KIND_ORD}
-    for ci, c in enumerate(d.curves):
-        fam[c.label.kind._value_].append(ci)
+    for ci, w in enumerate(walks):
+        fam[w.kind._value_].append(ci)
     for kind, ids in fam.items():
         for i, j in combinations(ids, 2):
             shared = walks[i].verts & walks[j].verts
@@ -550,7 +545,7 @@ def _analyse(d: PrDiagram) -> _Analysis:
     m = d.surface
     vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
     fid = cmb._face_ids(m.alpha, m.sigma)
-    hole = [f in m.holes for f in fid]
+    hole = list(map(m.holes.__contains__, fid))
     tables = fid, hole
     err, walks = _curve_walks(d, vid)
     if not err:
@@ -561,16 +556,14 @@ def _analyse(d: PrDiagram) -> _Analysis:
     if err:
         return _Analysis(_report(err, *["prerequisite failed"] * 4), *tables)
 
-    p1 = _placement_witness(d, walks, on_boundary)
+    p1 = _placement_witness(walks, on_boundary)
     # Property 2; an arc flagged closed, a p1 failure, has no ends
-    arc_ends = {cyc_kind: {v for c, w in zip(d.curves, walks)
-                           if c.label.kind is arc_kind for v in w.ends}
+    arc_ends = {cyc_kind: {v for w in walks if w.kind is arc_kind for v in w.ends}
                 for arc_kind, cyc_kind in _SIDE.values()}   # by cycle kind
     p2 = next((f"curve {ci}: endpoint (dart {v}) is not an arc endpoint"
-               for ci, (c, w) in enumerate(zip(d.curves, walks))
-               if c.label.kind in arc_ends
-               for v in w.ends if v not in arc_ends[c.label.kind]), "")
-    p3 = _disjointness_witness(d, walks, *arc_ends.values())
+               for ci, w in enumerate(walks) if w.kind in arc_ends
+               for v in w.ends if v not in arc_ends[w.kind]), "")
+    p3 = _disjointness_witness(walks, *arc_ends.values())
     green_cycles, gwit = _assemble_cycles(d, walks, green=True)
     red_cycles, rwit = _assemble_cycles(d, walks, green=False)
     p4 = gwit or rwit or ""
@@ -639,8 +632,7 @@ def _census(analysis: _Analysis) -> Census:
     return Census(n1, n2, n3, n4, n5, n6, (2 - chi_boundary) // 2)
 
 
-@dataclass(frozen=True)
-class MorseChecks:
+class MorseChecks(NamedTuple):
     """The necessary realization conditions read off a census."""
     has_source: bool
     has_sink: bool
@@ -661,7 +653,7 @@ class MorseChecks:
         return cls(c.n1 >= 1, c.n6 >= 1, lhs, 2 - 2 * c.boundary_genus)
 
     def to_json(self) -> dict:
-        return dict(asdict(self), passed=self.passed)
+        return dict(self._asdict(), passed=self.passed)
 
 
 def morse_checks(d: PrDiagram) -> MorseChecks:
@@ -692,11 +684,11 @@ def _is_optimal(g: int, analysis: _Analysis) -> bool:
 def pr_canonical_code(d: PrDiagram, mirror: bool = True) -> bytes:
     """Canonical code of the labeled surface map (label kinds only, so curves
     of one family are interchangeable, matching diagram isomorphism)."""
-    return cmb._key_code(_surface_key(d, mirror), d.surface.n_darts, mirror)
+    return cmb._key_code(_surface_key(d, _analyse(d), mirror), d.surface.n_darts, mirror)
 
 
-def _surface_key(d: PrDiagram, mirror: bool) -> list:
-    analysis = _analyse(d)
+def _surface_key(d: PrDiagram, analysis: _Analysis, mirror: bool) -> list:
+    """d's canonical key, made once for each ``mirror`` and kept in d's analysis."""
     keys = analysis.keys
     if mirror not in keys:
         keys[mirror] = cmb._canonical_key(d.surface, mirror, analysis.fid)
@@ -712,9 +704,9 @@ def _face_invariant(d: PrDiagram, analysis: _Analysis) -> list:
     same labels and hole bit.  The invariant is of the cells the key is made
     of; if the key is ever made of another structure, it must move with it."""
     if analysis.invariant is None:
-        kinds: dict[int, list[str]] = {}
+        kinds: dict[int, list[str]] = {f: [] for f in set(analysis.fid)}
         for f, lb in zip(analysis.fid, d.surface.labels):
-            kinds.setdefault(f, []).append(lb.kind._value_)
+            kinds[f].append(lb.kind._value_)
         analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])
     return analysis.invariant
 
@@ -730,7 +722,7 @@ def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
     held_a, held_b = _require_valid(a), _require_valid(b)
     if mirror not in held_b.keys and _face_invariant(a, held_a) != _face_invariant(b, held_b):
         return False
-    return _surface_key(a, mirror) == _surface_key(b, mirror)
+    return _surface_key(a, held_a, mirror) == _surface_key(b, held_b, mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -665,8 +665,12 @@ def _reached(alpha, sigma) -> set:
 
 
 def _rotation(sigma, d) -> list[int]:
+    """The darts around d's vertex, d first.  A sigma that is no permutation
+    may never lead back to d: the walk stops after len(sigma) darts."""
     rot = [d]
     while sigma[rot[-1]] != d:
+        if len(rot) == len(sigma):
+            raise AssertionError(f"sigma's walk from dart {d} does not return to it")
         rot.append(sigma[rot[-1]])
     return rot
 

@@ -156,7 +156,7 @@ MUTANTS = (
            "                x = jump.get(x, x)\n", "",
            (*_COUNTED, "tests/test_prdiag.py::test_hand_built_cycle_diagrams_by_hand")),
     Mutant("equivalent answers True once the face invariants tie", "prdiag.py",
-           "return _surface_key(a, mirror) == _surface_key(b, mirror)", "return True",
+           "return _surface_key(a, held_a, mirror) == _surface_key(b, held_b, mirror)", "return True",
            ("tests/test_prdiag.py::test_equivalent_agrees_with_comparing_codes",)),
     Mutant("prdiag._face_invariant leaves the faces in face-id order", "prdiag.py",
            "analysis.invariant = sorted([(analysis.hole[f], sorted(ks)) for f, ks in kinds.items()])",
@@ -201,8 +201,8 @@ MUTANTS = (
     # equality, and so every result, is unchanged: only the pinned hash rule
     # tells it apart
     Mutant("CombMap hashes its labels again", "combmap.py",
-           "labels: tuple[CurveLabel, ...] = field(hash=False)",
-           "labels: tuple[CurveLabel, ...]",
+           "hash((self.alpha, self.sigma, self.holes))",
+           "hash((self.alpha, self.sigma, self.labels, self.holes))",
            ("tests/test_prdiag.py::test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were",
             "tests/test_prdiag.py::test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses")),
     Mutant("is_river's window spaced by 2", "chord.py",
@@ -237,19 +237,18 @@ MUTANTS = (
            "setdefault = update = _read_only", "setdefault = _read_only",
            ("tests/test_catalog.py::test_package_built_flags_are_read_only",)),
     Mutant("save_catalog tells duplicate codes apart by identity", "catalog.py",
-           "code == prev.code", "code is prev.code",
+           "code == prev_code", "code is prev_code",
            ("tests/test_catalog.py::test_duplicate_code_rejected",)),
     Mutant("the catalog line format loses its genus field", "_formats.py",
            '"genus": int, ', "",
            ("tests/test_catalog.py::test_schema_violations_carry_line_and_field",)),
     Mutant("save_catalog continues a run when only flags is the same object", "catalog.py",
-           " or e.kind is not prev.kind\n                or e.genus is not prev.genus"
-           " or e.source is not prev.source\n"
-           "                or e.tool_version is not prev.tool_version",
+           " or e[1] is not kind or e[2] is not genus\n"
+           "                   or e[4] is not source or e[5] is not tool_version",
            "", ("tests/test_catalog.py::test_equal_flags_write_the_same_bytes_shared_or_not",)),
     Mutant("the writer skips the per-entry code check", "catalog.py",
-           "if type(code) is not str or not code or not run[1]:",
-           "if not run[1]:",
+           "if new_run or type(code) is not str or not code:",
+           "if new_run:",
            ("tests/test_catalog.py::test_save_refuses_a_code_that_is_no_string",)),
     Mutant("save_catalog checks the entry's own values, not the line it writes", "catalog.py",
            "_entry_from_json(dict(read, code=_read_back(code)), lineno)",

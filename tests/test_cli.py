@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-from dataclasses import replace
 from itertools import product
 
 from morsediag.chord import classify
@@ -416,7 +415,7 @@ def test_no_worker_count_starts_a_process(monkeypatch, capsys):
     monkeypatch.setattr(multiprocessing.Process, "start", refuse)
     one = classify(2)
     for workers in (2, 10000):
-        assert replace(classify(2, workers=workers), runtime_seconds=one.runtime_seconds) == one
+        assert classify(2, workers=workers)._replace(runtime_seconds=one.runtime_seconds) == one
     monkeypatch.delenv("MORSEDIAG_WORKERS", raising=False)
     outputs = [run(capsys, "classify", "--genus", "2", *argv)
                for argv in ((), ("--workers", "10000"))]

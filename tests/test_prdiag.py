@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -150,11 +149,11 @@ def test_registry_label_mismatch_is_reported():
     st = make_solid_torus_diagram()
     green, red = st.curves
     bdy = EmbeddedCurve((0,), False, CurveLabel(CurveKind.BDY))
-    closed = dataclasses.replace(green, closed=True)
+    closed = green._replace(closed=True)
     for curves, witness in [
         ((green,), "labeled edge 10 belongs to no curve"),
         ((green, red, bdy), "curve 2 labeled bdy"),
-        ((dataclasses.replace(green, edges=(9,)), red), "curve 0 references non-edge 9"),
+        ((green._replace(edges=(9,)), red), "curve 0 references non-edge 9"),
         ((green, green, red), "edge 8 belongs to two curves"),
         # a curve that is no walk, unless a registry fault comes after it
         ((closed, red), "single-edge curve flagged closed does not loop (edge 8)"),
@@ -570,28 +569,27 @@ def test_kept_hash_is_the_named_fields_hash_and_fields_stay_as_they_were():
     assert hash(m) == hash((m.alpha, m.sigma, m.holes))
     assert hash(m.labels[0]) == hash((m.labels[0].kind, m.labels[0].index))
     assert (repr(d), repr(m), repr(m.labels[0])) == texts
-    assert [f.name for f in dataclasses.fields(PrDiagram)] == ["surface", "curves"]
-    assert [f.name for f in dataclasses.fields(CombMap)] == \
-        ["alpha", "sigma", "labels", "holes"]
-    assert [f.name for f in dataclasses.fields(CurveLabel)] == ["kind", "index"]
+    assert PrDiagram._fields == ("surface", "curves")
+    assert CombMap._fields == ("alpha", "sigma", "labels", "holes")
+    assert CurveLabel._fields == ("kind", "index")
     # a diagram equals a fresh copy, both ways, and hashes like it
     fresh = _fresh_copy(d)
     assert d == fresh and fresh == d and hash(fresh) == hash(d)
     relabeled = PrDiagram(CombMap(m.alpha, m.sigma, m.labels[::-1], m.holes), d.curves)
     assert relabeled != d and d != relabeled
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.curves = ()
 
 
 def test_replace_gives_a_copy_hashed_by_its_own_named_fields():
     d = cat.load_fixture("solid_torus.json")
     m = d.surface
-    fewer = dataclasses.replace(d, curves=d.curves[:1])
+    fewer = d._replace(curves=d.curves[:1])
     assert hash(fewer) == hash(PrDiagram(m, d.curves[:1])) == hash(d)
-    no_holes = dataclasses.replace(m, holes=frozenset())
+    no_holes = m._replace(holes=frozenset())
     assert hash(no_holes) == hash(CombMap(m.alpha, m.sigma, m.labels, frozenset())) \
         == hash((m.alpha, m.sigma, frozenset()))
-    assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
+    assert d._replace() == d and hash(d._replace()) == hash(d)
 
 
 def test_diagrams_differing_only_in_labels_hash_alike_and_keep_their_own_analyses():
@@ -1035,7 +1033,7 @@ def _count_sides(rng, with_cycles: bool) -> Counter:
     hand += [relabel_diagram(d, rng) for d in hand] + [_mirrored(d) for d in hand]
     segment = next(m for m in small_disks() if m.n_darts == 2)
     annulus = make_solid_torus_diagram().surface
-    annulus = dataclasses.replace(annulus, labels=(cmb._BDY,) * annulus.n_darts)
+    annulus = annulus._replace(labels=(cmb._BDY,) * annulus.n_darts)
     pairs = [(make_sphere(), annulus), (segment, annulus), (segment, make_circle())]
     unions = [PrDiagram(disjoint_union(a, b), ()) for a, b in pairs]
     assert [validate(d).valid for d in unions] == [False, False, True]
