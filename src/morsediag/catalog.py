@@ -55,11 +55,9 @@ class CatalogEntry(NamedTuple):
     """One classified object; the canonical code is the deduplication key.
 
     A named tuple: a catalog holds one entry per class, and a tuple has no
-    instance __dict__ to add to each entry's memory.  The entries that
-    report_entries and load_catalog build share one read-only flags dict
-    per distinct value, and an entry built with no flags shares one empty
-    read-only dict; e._replace(flags={...}) gives an entry other flags.  An
-    entry built with flags keeps the mapping it is given."""
+    instance __dict__ to add to each entry's memory.  An entry built with
+    flags keeps the mapping it is given, else it shares one empty _Flags;
+    e._replace(flags={...}) gives an entry other flags."""
 
     code: str
     kind: str

@@ -62,13 +62,13 @@ def _usage_error(msg: str) -> int:
 def _load(path: str, reader):
     """``reader`` of the JSON value in the file at ``path``.  A file that
     cannot be read, is not ASCII JSON, nests too deeply to parse or that the
-    reader refuses (a ValueError, with the field's path) is a usage error
-    naming the file, never a traceback or a negative verdict."""
+    reader refuses (a ValueError, with the field's path) raises a ValueError
+    naming the file, a usage error for main, never a negative verdict."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             return reader(json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
-        raise SystemExit(_usage_error(f"{path}: {exc}"))
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_diagram(path: str) -> PrDiagram:
@@ -348,8 +348,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
 

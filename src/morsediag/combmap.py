@@ -77,8 +77,9 @@ class CombMap(NamedTuple):
     ``alpha`` and ``sigma`` are permutations of 0..n_darts-1, ``labels`` holds
     one CurveLabel per dart (both darts of an edge agree), ``holes`` is the
     set of face ids (smallest dart of the face orbit) marked as holes.  It
-    equals by all four fields but hashes by alpha, sigma and holes: a
-    label's hash is a Python call.
+    equals by all four fields but hashes by alpha, sigma and holes, which
+    hash in C, where a label's hash is a Python call per dart; so maps that
+    differ only in labels share a hash.
     """
 
     alpha: tuple[int, ...]
@@ -486,12 +487,10 @@ def canonical_code(m: CombMap, mirror: bool = True) -> bytes:
     label-kind-preserving homeomorphism (orientation-reversing ones allowed
     iff ``mirror``).
 
-    A trace covers its root's component, so the least trace is shorter than
-    the map exactly when the map is disconnected.  Then the code lists the
-    codes of all its components, sorted, after the dart count; with
-    ``mirror`` each component may be mirrored on its own, as a
-    homeomorphism of a disconnected surface may.
-    """
+    A trace covers its root's component, so it is shorter than the map
+    exactly when the map is disconnected; then the code lists the codes of
+    all its components, sorted, after the dart count, and with ``mirror``
+    each component may be mirrored on its own, as a homeomorphism may."""
     return _key_code(_canonical_key(m, mirror, _face_ids(m.alpha, m.sigma)), m.n_darts, mirror)
 
 

@@ -3,12 +3,10 @@ families (green arcs u and cycles U, red arcs v and cycles V).
 
 A diagram records a Morse flow with fixed points on the boundary of an
 oriented 3-manifold.  Well-formedness is the five-property criterion of the
-realization theory.  Equivalence is decided here as label-preserving
-isomorphism of one cell structure, by canonical codes of the labeled surface
-map: not topological equivalence, since a diagram and the one with its curve
-edges subdivided are told apart.  The fixed-point census,
-boundary-flow reconstruction, optimality test and the two chord-diagram
-conversions for optimal handlebody flows live here as well.
+realization theory.  Equivalence (equivalent) is label-preserving
+isomorphism of one cell structure.  The fixed-point census, boundary-flow
+reconstruction, optimality test and the two chord-diagram conversions for
+optimal handlebody flows live here as well.
 
 Fixed point types on the boundary of a 3-manifold, by index (p, q) where
 p + q is the dimension of the stable manifold and p its dimension within the
@@ -92,7 +90,8 @@ _SIDE = {   # green or not -> (arc kind, cycle kind) of that color
 
 class PrDiagram(NamedTuple):
     """Surface map plus registry of embedded curves, a named tuple of the
-    two; it equals by both and hashes by its surface."""
+    two.  It equals by both but hashes by its surface alone, which hashes
+    in C (CombMap), so diagrams that differ only in curves share a hash."""
 
     surface: CombMap
     curves: tuple[EmbeddedCurve, ...]
@@ -216,7 +215,7 @@ def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
         for e in c.edges:
             if not (0 <= e < n) or alpha[e] < e:
                 return f"curve {ci} references non-edge {e}", ()
-            if labels[e] is not label and labels[e] != label:
+            if labels[e] != label:
                 return f"edge {e} label does not match curve {ci}", ()
             if e in owned:
                 return f"edge {e} belongs to two curves", ()
@@ -332,8 +331,11 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     """Surgering the side's assembled cycles and cutting its arcs, counted
     on the uncut surface, with no cut made: ``vid``, ``fid`` and ``hole``
     are its dart -> vertex id, face id and whether in a hole face, ``chi``
-    its V - E + interior faces, ``faces`` its interior faces and ``inner``
-    its edges with an interior face on both sides, by their smaller dart.
+    its V - E + interior faces, connected or not, ``faces`` its interior
+    faces and ``inner`` its edges with an interior face on both sides, by
+    their smaller dart.  The side's s arcs are disjoint and end on the
+    boundary, and its c cycles are disjoint closed curves that meet the
+    boundary only at arc ends (properties 1, 3 and 4).
 
     The cut map keeps the surface's n darts and gives each dart of the
     side's curves a new dart, its Q copy; alpha pairs the copies of an
@@ -347,14 +349,25 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     The cut map's cells are the interior faces and two caps per cycle, P
     on the corner side of the cycle's darts and Q on the other side.  Its
     pieces are the edges with a hole on both sides and the classes of cells
-    joined across the edges with a cell on both sides: an edge on no curve
-    of the side and no hole, and a cycle edge, from the P cap to the face
-    of the cycle dart and from the Q cap to the face of its partner, unless
-    an arc runs there (cut after the surgery).  One piece with
-    chi + s + 2c = 1 (s arcs, c cycles) is a disk.  Else a piece's chi
-    counts its cells, its vertices (one per hole dart on the boundary) and
-    half its darts, and its boundary circles are the cycles of the hole
-    walk that jumps from each arc end to the other.  The README says why."""
+    joined across the edges with a cell on both sides:
+    - an edge on no curve of the side and no hole joins its two faces; as
+      a vertex has one hole corner at most, a piece's cells meet across them;
+    - surgery cuts along a cycle and caps both new circles, so the P cap
+      joins the face of each cycle dart, and the Q cap that of its partner,
+    - except across an arc edge: the left-turn rule leaves no dart between
+      an arc and the next piece of its cycle on the P side, so the arc lies
+      on the Q copy, and its cut parts the Q cap from the face beyond.
+    Cutting an arc of k edges adds k + 1 vertices and k edges, surgering a
+    cycle of k edges adds k vertices, k edges and two caps, so the pieces'
+    chi sum to chi + s + 2c.  One piece with chi + s + 2c = 1 is a disk
+    (as is every side of an optimal diagram), and no more is counted.
+    Else a piece's chi counts its cells, half its darts and its vertices:
+    one per hole dart (it has one hole corner), per vertex off the boundary
+    and the side's curves, and a P and a Q copy per cycle vertex, but an
+    arc through one splits its Q copy into boundary vertices.  Its boundary
+    circles are the cycles of the hole walk that jumps from each arc end to
+    the other: a cut arc's slit joins the holes at its ends; caps are not
+    holes.  The first piece that is not a disk is property 5's witness."""
     m = d.surface
     alpha, sigma, n = m.alpha, m.sigma, m.n_darts
     on = [0] * n   # dart -> 1 on a cycle of the side, 2 on an arc
@@ -405,10 +418,7 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
     rank = {}   # root cell -> piece, numbered by least dart
     comp = [rank.setdefault(_find(parent, f), len(rank)) for f in node]
     cap = [rank[_find(parent, f)] for f in range(n, len(parent))]   # P, Q of each cycle
-    # twice each piece's chi: two per cell and per vertex, less one per dart.
-    # A vertex per hole dart of the cut map, per vertex off the boundary and
-    # the side's curves, and per cycle vertex on each side (not on Q where
-    # an arc is cut)
+    # twice each piece's chi: two per cell and per vertex, less one per dart
     euler = [0] * len(rank)
     for k in comp:
         euler[k] -= 1
@@ -445,11 +455,12 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
 
 class _Analysis:
     """One validity analysis of a diagram: the report, the two dart tables
-    that later readers of the diagram take, ``fid`` (dart -> face id) and
-    ``hole`` (dart -> whether in a hole face), which every analysis holds,
-    valid or not, and, for a valid diagram, the curve walks, both side
-    reductions, each counted on the uncut surface, and the surface's Euler
-    characteristic (None if the surface is disconnected).
+    ``fid`` (dart -> face id) and ``hole`` (dart -> whether in a hole face),
+    which every analysis holds, valid or not, and which the side counts, the
+    chord-circle walk, the canonical keys and the face invariant read, and,
+    for a valid diagram, the curve walks, both side reductions, each counted
+    on the uncut surface, and the surface's Euler characteristic (None if
+    the surface is disconnected).
 
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that a later
@@ -538,10 +549,13 @@ def _disjointness_witness(walks: tuple[_Walk, ...], u_ends: set[int], v_ends: se
     return f"u and v arcs share endpoint (dart {min(shared)})" if shared else ""
 
 
-# Diagrams are frozen values, so the analyses of the last two are reused by
-# later calls on equal diagrams; two is the arity of equivalent(a, b).
 @lru_cache(maxsize=2)
 def _analyse(d: PrDiagram) -> _Analysis:
+    """The one analysis of d that every public call on it reads, so that
+    each call validates d at most once.  Diagrams are values, so the last
+    two analyses serve later calls on equal diagrams: two is the arity of
+    equivalent(a, b), and a chain of calls on one diagram mixed with
+    comparisons against one other analyses each once."""
     m = d.surface
     vid = cmb._orbit_ids(m.sigma)   # dart -> vertex id, its smallest dart
     fid = cmb._face_ids(m.alpha, m.sigma)
@@ -699,9 +713,10 @@ def _face_invariant(d: PrDiagram, analysis: _Analysis) -> list:
     """The (hole bit, sorted label kinds of its darts) of every face of the
     surface, sorted; made from the analysis's face ids once asked for and
     kept there.  Equal keys give equal invariants, with or without the
-    mirror: an isomorphism takes faces onto faces with their labels and
-    hole bits, and alpha takes each face onto a face of the mirror with the
-    same labels and hole bit.  The invariant is of the cells the key is made
+    mirror, on connected and disconnected surfaces alike: an isomorphism of
+    each component takes faces onto faces with their labels and hole bits,
+    and alpha takes each face onto a face of the mirror with the same labels
+    and hole bit.  The invariant is of the cells the key is made
     of; if the key is ever made of another structure, it must move with it."""
     if analysis.invariant is None:
         kinds: dict[int, list[str]] = {f: [] for f in set(analysis.fid)}
@@ -718,7 +733,8 @@ def equivalent(a: PrDiagram, b: PrDiagram, mirror: bool = True) -> bool:
     It is not topological equivalence: subdividing a curve's edges changes
     the cell structure, so a diagram and its subdivision are told apart.
     Unless b's key is held, the answer is False, with no key made, when the
-    face invariants differ; else the two keys are compared."""
+    face invariants differ (_face_invariant); else the two keys are
+    compared, each made unless held (_surface_key)."""
     held_a, held_b = _require_valid(a), _require_valid(b)
     if mirror not in held_b.keys and _face_invariant(a, held_a) != _face_invariant(b, held_b):
         return False
@@ -733,14 +749,18 @@ def to_colored_chord(d: PrDiagram,
                      sym: SymmetryConvention = DEFAULT_SYMMETRY) -> ColoredChordDiagram:
     """Read the circle of the disk left by cutting the red arcs: the green
     chord endpoints and one mark per red arc side, in circular order.  The
-    result is normalized to its canonical class representative.
+    result is normalized to its canonical class representative
+    (_least_colored).
 
     The circle is read on the uncut surface.  Arcs end on distinct boundary
-    vertices, their interiors avoid the boundary, and the red side of an
-    optimal diagram is one disk; so the circle is the hole segments joined
-    by the two sides of each red arc.  The walk follows the hole faces and,
-    on reaching a red arc's end, runs along that arc and leaves its other end
-    by the hole."""
+    vertices, no vertex ends both a u and a v arc, and arc interiors avoid
+    the boundary (properties 1 and 3), so the cut changes the hole faces
+    only at the red arcs' ends; and the red side of an optimal diagram is
+    one disk.  So the circle is the hole segments joined by the two sides of
+    each red arc, each met once.  The walk starts on the least hole id and
+    follows the hole faces until it is back there.  At a green arc's end it
+    marks a green point; at a red arc's end it marks a red point, runs along
+    that arc and leaves its other end by its one hole dart."""
     analysis = _require_valid(d)
     g = len(analysis.green.arc_copies)
     if not _is_optimal(g, analysis):

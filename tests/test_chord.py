@@ -271,6 +271,27 @@ def test_genus4_bases_equal_the_unpruned_least_image_filter(least_span_16):
     assert list(chord._canonical_bases(4, DIH)) == [(m, _least_image(m, DIH)[1]) for m in expected]
 
 
+def test_genus4_work_figures_of_the_docstrings(least_span_16):
+    # the figures that enumerate_bases and _classify_base quote
+    assert chord._harer_zagier_count(4) == 225_225
+    assert len(least_span_16) == 25_508
+    assert sum(1 for _ in chord._one_face(16, DIH)) == 9_353
+    full = (1 << 8) - 1   # all eight chords
+    bases = trivial = no_green = subsets = red_free = river_tests = 0
+    for match, stabiliser in chord._canonical_bases(4, DIH):
+        bases += 1
+        trivial += len(stabiliser) == 1
+        greens = _noncrossing_subsets(_crossing_masks(match)[0], 4)
+        no_green += not greens
+        subsets += len(greens)
+        red_free += sum((full ^ mask) in greens for mask in greens)
+        readers = stabiliser if len(stabiliser) > 1 else None
+        firsts = chord._classify_base(match, 4, DIH, readers)[3]
+        river_tests += sum((full ^ mask) in greens for mask in firsts)
+    assert (bases, trivial, no_green) == (7_258, 6_830, 2_873)
+    assert (subsets, red_free, river_tests) == (15_466, 1_226, 1_083)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_self_test_keeps_exactly_the_own_least_images(g):
     # the self-test builds no image: on every matching that meets its
