@@ -10,7 +10,7 @@ from pathlib import Path
 
 import morsediag.catalog as cat
 from morsediag import __version__
-from morsediag.chord import classify
+from morsediag.chord import ChordDiagram, canonical_chord, classify, enumerate_bases
 from morsediag.cli import _chord_svg, _pr_dot
 from morsediag.prdiag import to_colored_chord
 
@@ -32,6 +32,14 @@ print("byte-identical across runs:", path.read_bytes() == again.read_bytes())
 loaded = cat.load_catalog(path)
 print("load returns", len(loaded), "entries; river classes:",
       sum(1 for e in loaded if e.flags.get("river")))
+
+# A class code is its catalog key wherever the circle starts: turn a genus-2
+# base by one point and find its catalog line by the turned copy's code.
+base = enumerate_bases(2)[0]
+turned = ChordDiagram(base.n, tuple((base.match[p - 1] + 1) % base.points
+                                    for p in range(base.points)))
+line = next(i for i, e in enumerate(loaded, 1) if e.code == canonical_chord(turned))
+print(f"base {base.match} turned to {turned.match}: catalog line {line}")
 
 d = cat.load_fixture("g2_optimal_1.json")
 svg = out / "g2_optimal_1.svg"

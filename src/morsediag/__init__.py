@@ -31,7 +31,6 @@ from .chord import (  # noqa: F401
     SymmetryConvention,
     canonical_chord,
     classify,
-    crossing,
     enumerate_bases,
     enumerate_colorings,
     face_count,

@@ -111,18 +111,6 @@ class ColoredChordDiagram(NamedTuple("_ColoredFields", [("base", ChordDiagram),
         return [ch for ch, c in zip(self.base.chords(), self.colors) if c == RED]
 
 
-def crossing(cd: ChordDiagram, a: int, b: int) -> bool:
-    """Do chords a and b (indices into cd.chords()) interleave on the circle?"""
-    for i in (a, b):
-        if not 0 <= i < cd.n:
-            raise ValueError(f"chord index {i} is not in 0..{cd.n - 1}")
-    if a == b:
-        raise ValueError("crossing is defined for distinct chords")
-    chords = cd.chords()
-    (p, q), (r, s) = chords[a], chords[b]
-    return (p < r < q < s) or (r < p < s < q)
-
-
 def face_count(cd: ChordDiagram) -> int:
     """Boundary cycles of the one-vertex ribbon graph whose vertex rotation
     is the circular point order and whose edges are the chords."""
@@ -692,15 +680,12 @@ def classify(g: int, sym: SymmetryConvention = DEFAULT_SYMMETRY, workers: int = 
 # JSON chord format
 # ---------------------------------------------------------------------------
 
-def chord_to_json(cd: ChordDiagram, colors: Optional[Sequence[str]] = None) -> dict:
-    out = {"n": cd.n, "match": list(cd.match)}
-    if colors is not None:
-        out["colors"] = list(colors)
-    return out
+def chord_to_json(cd: ChordDiagram) -> dict:
+    return {"n": cd.n, "match": list(cd.match)}
 
 
 def colored_to_json(ccd: ColoredChordDiagram) -> dict:
-    return chord_to_json(ccd.base, ccd.colors)
+    return dict(chord_to_json(ccd.base), colors=list(ccd.colors))
 
 
 def chord_from_json(obj: dict):

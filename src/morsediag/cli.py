@@ -78,17 +78,16 @@ def _load_diagram(path: str) -> PrDiagram:
 
 def _cmd_classify(args) -> int:
     sym = SymmetryConvention(args.symmetry)
-    workers, source = args.workers, "--workers"
-    if workers is None:
-        source = "MORSEDIAG_WORKERS"
-        value = os.environ.get(source, "1")
-        try:
-            workers = int(value)
-        except ValueError:
-            return _usage_error(f"MORSEDIAG_WORKERS must be an integer, not {value!r}")
+    source, value = "--workers", args.workers
+    if value is None:
+        source, value = "MORSEDIAG_WORKERS", os.environ.get("MORSEDIAG_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        return _usage_error(f"{source} must be an integer, not {value!r}")
     if workers < 1:
         return _usage_error(f"{source} must be at least 1, not {workers}")
-    report = classify(args.genus, sym, workers=workers)
+    report = classify(args.genus, sym)
     if args.out:
         entries = catalog.report_entries(report, tool_version=__version__)
         catalog.save_catalog(entries, args.out)
@@ -298,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--symmetry", choices=["rotation", "dihedral"],
                    default=DEFAULT_SYMMETRY.value)
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers",
                    help="accepted (default: MORSEDIAG_WORKERS or 1); "
                         "classification runs in one process")
     p.add_argument("--out", help="write the class catalog (JSONL) here")

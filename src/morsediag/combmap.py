@@ -98,13 +98,13 @@ class CombMap(NamedTuple):
         return [d for d, a in enumerate(self.alpha) if d < a]
 
 
-def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    """Orbits of a permutation, each rotated to start at its smallest element,
-    sorted by that element."""
-    n = len(perm)
-    seen = [False] * n
+def faces(m: CombMap) -> list[tuple[int, ...]]:
+    """Face orbits of sigma∘alpha, smallest dart first, sorted."""
+    sigma = m.sigma
+    phi = [sigma[a] for a in m.alpha]
+    seen = [False] * len(phi)
     out = []
-    for start in range(n):
+    for start in range(len(phi)):
         if seen[start]:
             continue
         cyc = []
@@ -112,20 +112,9 @@ def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
         while not seen[d]:
             seen[d] = True
             cyc.append(d)
-            d = perm[d]
+            d = phi[d]
         out.append(tuple(cyc))
     return out
-
-
-def faces(m: CombMap) -> list[tuple[int, ...]]:
-    """Face orbits of sigma∘alpha, smallest dart first, sorted."""
-    sigma = m.sigma
-    return _orbits([sigma[a] for a in m.alpha])
-
-
-def vertices(m: CombMap) -> list[tuple[int, ...]]:
-    """Vertex orbits of sigma, smallest dart first, sorted."""
-    return _orbits(m.sigma)
 
 
 def _orbit_ids(perm: Sequence[int]) -> list[int]:
@@ -276,11 +265,9 @@ def euler_genus(m: CombMap) -> tuple[int, int, int]:
     """
     if not _is_connected(m.alpha, m.sigma):
         raise MapError("euler_genus requires a connected map")
-    v = len(vertices(m))
-    e = m.n_darts // 2
-    f_int = len(faces(m)) - len(m.holes)
-    chi = v - e + f_int
     b = len(m.holes)
+    chi = (len(set(_orbit_ids(m.sigma))) - m.n_darts // 2
+           + len(set(_face_ids(m.alpha, m.sigma))) - b)
     return chi, (2 - b - chi) // 2, b
 
 

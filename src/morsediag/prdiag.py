@@ -196,6 +196,11 @@ class _Walk(NamedTuple):
     kind: CurveKind
 
 
+def _arc_ends(alpha: tuple[int, ...], walk: _Walk) -> tuple[int, int]:
+    """The darts at which an arc's walk leaves its two end vertices."""
+    return walk.darts[0], alpha[walk.darts[-1]]
+
+
 def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
     """The first structural fault and, if there is none, the walk record of
     every curve, in registry order, in one loop over each curve's edges.  A
@@ -433,8 +438,7 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
         euler[cap[2 * j + 1]] += 2 + 2 * sum(vid[t] not in arc_verts for t in wk)
     jump = {}
     for ci in arc_copies:
-        w = walks[ci].darts
-        x, y = (_hole_dart(sigma, hole, t) for t in (w[0], alpha[w[-1]]))
+        x, y = (_hole_dart(sigma, hole, t) for t in _arc_ends(alpha, walks[ci]))
         jump[x], jump[y] = y, x
     holes = [0] * len(rank)
     seen = [False] * n
@@ -613,12 +617,6 @@ def _require_valid(d: PrDiagram) -> _Analysis:
     return analysis
 
 
-def _arc_ends(d: PrDiagram, analysis: _Analysis, ci: int) -> tuple[int, int]:
-    """The darts at which arc curve ci leaves its two end vertices."""
-    walk = analysis.walks[ci].darts
-    return walk[0], d.surface.alpha[walk[-1]]
-
-
 # ---------------------------------------------------------------------------
 # Census and necessary conditions
 # ---------------------------------------------------------------------------
@@ -772,7 +770,7 @@ def to_colored_chord(d: PrDiagram,
     arc_end = {}   # an arc end's hole dart -> (color, arc, hole dart to leave by)
     for color, side in ((GREEN, analysis.green), (RED, analysis.red)):
         for ci in side.arc_copies:
-            ends = [_hole_dart(sigma, hole, t) for t in _arc_ends(d, analysis, ci)]
+            ends = [_hole_dart(sigma, hole, t) for t in _arc_ends(alpha, analysis.walks[ci])]
             for x, leave in zip(ends, ends[::-1] if color == RED else ends):
                 arc_end[x] = (color, ci, leave)
 
@@ -882,7 +880,7 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     for reduction in (green, red):
         for ci, copies in reduction.arc_copies.items():
             sides = [darts[0] for darts in copies]   # P side, then Q side
-            ends = _arc_ends(d, analysis, ci)
+            ends = _arc_ends(d.surface.alpha, analysis.walks[ci])
             into, out = (sides, ends) if reduction is green else (ends, sides)
             edges += [(source[green.comp_of_dart[t]], saddle[ci]) for t in into]
             edges += [(saddle[ci], sink[red.comp_of_dart[t]]) for t in out]

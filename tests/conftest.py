@@ -17,8 +17,6 @@ from morsediag.combmap import (
     EmbeddedCurve,
     MapError,
     build_map,
-    components,
-    euler_genus,
     face_table,
 )
 
@@ -772,10 +770,24 @@ def reference_side_cut(d, walks, cycles, green: bool):
     return m, cap_darts, arc_copies
 
 
+def orbit_count(perm, darts) -> int:
+    """How many orbits of perm meet ``darts``.  Each walk stops at a dart
+    already seen, so a perm that is no permutation cannot hang it."""
+    seen = set()
+    count = 0
+    for d in darts:
+        count += d not in seen
+        while d not in seen:
+            seen.add(d)
+            d = perm[d]
+    return count
+
+
 def reference_side_reduction(d, walks, cycles, green: bool):
     """prdiag._counted_side's result from reference_side_cut: the cut map's
-    components as separate maps and euler_genus of each, which gives the
-    shape of the first one that is not a disk."""
+    components and each one's (chi, genus, boundary) from its own vertex,
+    edge, face and hole counts, which gives the shape of the first one that
+    is not a disk."""
     from morsediag import prdiag as pr
 
     m, cap_darts, arc_copies = reference_side_cut(d, walks, cycles, green)
@@ -792,7 +804,15 @@ def reference_side_reduction(d, walks, cycles, green: bool):
                     if comp[nxt] < 0:
                         comp[nxt] = label
                         stack.append(nxt)
-    shapes = [euler_genus(p) for p in components(m)]
+    pieces: dict = {}
+    for x, k in enumerate(comp):
+        pieces.setdefault(k, []).append(x)
+    phi = [m.sigma[a] for a in m.alpha]
+    shapes = []
+    for k, darts in pieces.items():
+        b = sum(comp[h] == k for h in m.holes)
+        chi = orbit_count(m.sigma, darts) - len(darts) // 2 + orbit_count(phi, darts) - b
+        shapes.append((chi, (2 - b - chi) // 2, b))
     return pr._SideReduction(
         comp_of_dart=comp,
         n_components=len(shapes),

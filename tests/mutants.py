@@ -260,6 +260,24 @@ MUTANTS = (
            "return e.kind, e.genus, e.flags, e.tool_version, e.source",
            ("tests/test_catalog.py::"
             "test_save_load_save_writes_the_same_bytes_and_one_tail_per_run",)),
+    Mutant("_arc_ends gives the first dart twice", "prdiag.py",
+           "return walk.darts[0], alpha[walk.darts[-1]]", "return walk.darts[0], walk.darts[0]",
+           ("tests/test_prdiag.py::test_solid_torus_chord_conversion",
+            "tests/test_prdiag.py::test_fixtures_are_valid")),
+    Mutant("euler_genus counts darts, not vertex ids", "combmap.py",
+           "chi = (len(set(_orbit_ids(m.sigma)))", "chi = (len(_orbit_ids(m.sigma))",
+           ("tests/test_combmap.py::test_euler_identity_after_operations",
+            "tests/test_combmap.py::test_torus_rotation_system")),
+    Mutant("colored_to_json writes no colors", "chord.py",
+           "return dict(chord_to_json(ccd.base), colors=list(ccd.colors))",
+           "return chord_to_json(ccd.base)",
+           ("tests/test_chord.py::test_chord_json_roundtrip",
+            "tests/test_cli.py::test_convert_both_ways")),
+    Mutant("the refusal names MORSEDIAG_WORKERS even when --workers is given", "cli.py",
+           'source, value = "--workers", args.workers',
+           'source, value = "MORSEDIAG_WORKERS", args.workers',
+           ("tests/test_cli.py::test_classify_workers_flag_below_one_exits_two",
+            "tests/test_readme.py::test_worker_counts_that_are_refused_exit_two")),
 )
 
 SURVIVORS = (

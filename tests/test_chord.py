@@ -25,7 +25,6 @@ from morsediag.chord import (
     chord_to_json,
     classify,
     colored_to_json,
-    crossing,
     enumerate_bases,
     enumerate_colorings,
     face_count,
@@ -61,17 +60,9 @@ CD_ALLCROSS4 = ChordDiagram(4, (4, 5, 6, 7, 0, 1, 2, 3))
 # ---------------------------------------------------------------------------
 
 def test_crossing_basics():
-    assert crossing(CD_CROSS, 0, 1)
-    assert not crossing(CD_NESTED, 0, 1)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            assert crossing(CD_ALLCROSS4, a, b)
-    with pytest.raises(ValueError, match="^crossing is defined for distinct chords$"):
-        crossing(CD_CROSS, 1, 1)
-    # an index that is no chord: -2 would read chord 0, -1 the last chord
-    for a, b, bad in ((0, -2, -2), (-1, 0, -1), (0, 2, 2), (5, 1, 5)):
-        with pytest.raises(ValueError, match=rf"^chord index {bad} is not in 0\.\.1$"):
-            crossing(CD_CROSS, a, b)
+    assert _crossing_masks(CD_CROSS.match)[0] == [0b10, 0b01]
+    assert _crossing_masks(CD_NESTED.match)[0] == [0, 0]
+    assert _crossing_masks(CD_ALLCROSS4.match)[0] == [0b1111 ^ 1 << k for k in range(4)]
 
 
 def test_face_counts():
@@ -424,10 +415,11 @@ def test_noncrossing_subsets_match_combinations(rng):
     bases += rng.sample(enumerate_bases(4), 60)
     for base in bases:
         crossed, lab = _crossing_masks(base.match)
-        for k, (a, b) in enumerate(base.chords()):
+        chords = base.chords()
+        for k, (a, b) in enumerate(chords):
             assert lab[a] == lab[b] == chr(base.n + 2 - k)
-            assert crossed[k] == sum(1 << j for j in range(base.n)
-                                     if j != k and crossing(base, k, j))
+            assert crossed[k] == sum(1 << j for j, other in enumerate(chords)
+                                     if _interleave((a, b), other))
         for size in range(base.n + 2):
             masks = _noncrossing_subsets(crossed, size)
             assert list(map(_chord_ids, masks)) == \

@@ -7,7 +7,8 @@ imported name, in src/, bench/ or demos/.  A name that only its own body
 reads is dead code; one that only tests read is reference code, which
 belongs in tests/.  Since an import counts as a use, every name a package
 module imports must also be loaded in that module, or an unused import
-could keep a name alive; ``__init__`` imports to re-export, so it is exempt.
+could keep a name alive.  ``__init__`` imports to re-export, and a
+re-export is not a use, so ``__init__`` is read by neither check.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def dead_names(readers=("src", "tests", "bench", "demos")) -> list[str]:
     uses: list = []
     for top in readers:
         for path in sorted((ROOT / top).rglob("*.py")):
+            if path == PACKAGE / "__init__.py":
+                continue
             tree = package.get(path) or ast.parse(path.read_text(), str(path))
             _uses(tree, (), uses)
     users: dict = {}

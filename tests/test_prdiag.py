@@ -1042,8 +1042,8 @@ def _count_sides(rng, with_cycles: bool) -> Counter:
         m = d.surface
         vid, fid = cmb._orbit_ids(m.sigma), cmb._face_ids(m.alpha, m.sigma)
         hole = [f in m.holes for f in fid]
-        faces = len(cmb.faces(m)) - len(m.holes)
-        chi = len(cmb.vertices(m)) - m.n_darts // 2 + faces
+        faces = len(set(fid)) - len(m.holes)
+        chi = len(set(vid)) - m.n_darts // 2 + faces
         inner = [e for e in m.edge_ids() if not (hole[e] or hole[m.alpha[e]])]
         _, walks = pr._curve_walks(d, vid)
         for green in (True, False):

@@ -106,8 +106,8 @@ def test_worker_counts_that_are_refused_exit_two(monkeypatch, capsys):
     monkeypatch.delenv("MORSEDIAG_WORKERS", raising=False)
     message = quoted("error: --workers must be at least 1, not 0")
     assert run(capsys, "classify", "--genus", "1", "--workers", "0") == (2, "", message + "\n")
-    code, out, err = run(capsys, "classify", "--genus", "1", "--workers", "two")
-    assert (code, out) == (2, "") and "--workers" in err
+    message = quoted("error: --workers must be an integer, not 'two'")
+    assert run(capsys, "classify", "--genus", "1", "--workers", "two") == (2, "", message + "\n")
     for value, text in (("two", "error: MORSEDIAG_WORKERS must be an integer, not 'two'"),
                         ("0", "error: MORSEDIAG_WORKERS must be at least 1, not 0")):
         monkeypatch.setenv("MORSEDIAG_WORKERS", value)
