@@ -34,14 +34,6 @@ class LabelMismatch(MapError):
     pass
 
 
-class CurveNotEmbedded(MapError):
-    pass
-
-
-class CurveNotClosed(MapError):
-    pass
-
-
 class CurveKind(Enum):
     """Label kinds: boundary segments and the four curve families."""
 
@@ -102,18 +94,13 @@ def faces(m: CombMap) -> list[tuple[int, ...]]:
     """Face orbits of sigma∘alpha, smallest dart first, sorted."""
     sigma = m.sigma
     phi = [sigma[a] for a in m.alpha]
-    seen = [False] * len(phi)
     out = []
-    for start in range(len(phi)):
-        if seen[start]:
-            continue
-        cyc = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cyc.append(d)
-            d = phi[d]
-        out.append(tuple(cyc))
+    for start, f in enumerate(_orbit_ids(phi)):
+        if start == f:
+            cyc = [start]
+            while phi[cyc[-1]] != start:
+                cyc.append(phi[cyc[-1]])
+            out.append(tuple(cyc))
     return out
 
 
@@ -165,19 +152,20 @@ def _is_connected(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     return max(_component_index(alpha, sigma), default=-1) == 0
 
 
-def _boundary_vertices(m: CombMap, vid: Sequence[int], in_hole: Sequence[bool]) -> list[bool]:
-    """vertex id -> whether the vertex has a corner in a hole face, from the
-    map's dart -> vertex id and dart -> whether in a hole face.  A vertex
-    with two such corners would pinch the surface: MapError names its two
-    smallest corner darts."""
-    corner = [-1] * m.n_darts
-    for x, s in enumerate(m.sigma):
+def _boundary_vertices(m: CombMap, vid: Sequence[int], in_hole: Sequence[bool]) -> list[int]:
+    """vertex id -> the hole dart leaving the vertex, or -1 if it has no
+    corner in a hole face, from the map's dart -> vertex id and dart ->
+    whether in a hole face.  A vertex with two such corners would pinch the
+    surface: MapError names its two smallest corner darts."""
+    sigma = m.sigma
+    corner = [-1] * len(sigma)
+    for x, s in enumerate(sigma):
         if in_hole[s]:
             v = vid[x]
             if corner[v] >= 0:
                 raise MapError(f"vertex has two boundary corners (darts {corner[v]} and {x})")
             corner[v] = x
-    return [c >= 0 for c in corner]
+    return [sigma[c] if c >= 0 else -1 for c in corner]
 
 
 def build_map(dart_count: int,
@@ -293,22 +281,22 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
     ``vtab`` is the map's dart -> vertex id (``_orbit_ids(m.sigma)``).
     Orientation: the first edge runs into the least vertex it shares with
     the second, unless it is a loop; a loop or a one-edge curve starts at its
-    edge id.  Raises CurveNotEmbedded for non-paths and non-simple curves."""
+    edge id.  Raises MapError for non-paths and non-simple curves."""
     edges, closed = curve.edges, curve.closed
     if not edges:
-        raise CurveNotEmbedded("curve has no edges")
+        raise MapError("curve has no edges")
     alpha = m.alpha
     e = edges[0]
     walk = [e]   # an edge id is the smaller dart of its edge
     if len(edges) == 1:
         if closed and vtab[e] != vtab[alpha[e]]:
-            raise CurveNotClosed(f"single-edge curve flagged closed does not loop (edge {e})")
+            raise MapError(f"single-edge curve flagged closed does not loop (edge {e})")
         if not closed and vtab[e] == vtab[alpha[e]]:
-            raise CurveNotEmbedded(f"open curve on a loop edge {e}")
+            raise MapError(f"open curve on a loop edge {e}")
     else:
         shared = {vtab[e], vtab[alpha[e]]} & {vtab[edges[1]], vtab[alpha[edges[1]]]}
         if not shared:
-            raise CurveNotEmbedded("consecutive curve edges share no vertex")
+            raise MapError("consecutive curve edges share no vertex")
         if vtab[e] == min(shared) != vtab[alpha[e]]:
             walk = [alpha[e]]
         for prev, e in zip(edges, edges[1:]):
@@ -318,19 +306,19 @@ def _dart_walk(m: CombMap, curve: EmbeddedCurve,
             elif vtab[alpha[e]] == end:
                 walk.append(alpha[e])
             else:
-                raise CurveNotEmbedded(f"curve edges {prev} and {e} do not chain")
+                raise MapError(f"curve edges {prev} and {e} do not chain")
     # Simplicity: traversal vertices must be distinct (up to closure).
     vseq = [vtab[walk[0]]] + [vtab[alpha[t]] for t in walk]
     if closed:
         if vseq[0] != vseq[-1]:
-            raise CurveNotClosed("closed curve does not return to its start")
+            raise MapError("closed curve does not return to its start")
         inner = vseq[:-1]
     else:
         if vseq[0] == vseq[-1]:
-            raise CurveNotEmbedded("open curve returns to its start vertex")
+            raise MapError("open curve returns to its start vertex")
         inner = vseq
     if len(set(inner)) != len(inner):
-        raise CurveNotEmbedded("curve visits a vertex twice")
+        raise MapError("curve visits a vertex twice")
     return walk, vseq
 
 

@@ -185,20 +185,14 @@ class BoundaryFlowGraph(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class _Walk(NamedTuple):
-    """One curve's oriented dart walk and the vertex ids it visits: all of
-    them, its two ends (none for a closed curve) and the rest; and the
-    curve's kind, which the loops over walks read here."""
+    """One curve's oriented dart walk, the vertex ids it visits and its two
+    ends (none for a closed curve); and the curve's kind, which the loops
+    over walks read here."""
 
     darts: list[int]
     verts: set[int]
     ends: tuple[int, ...]
-    inner: set[int]
     kind: CurveKind
-
-
-def _arc_ends(alpha: tuple[int, ...], walk: _Walk) -> tuple[int, int]:
-    """The darts at which an arc's walk leaves its two end vertices."""
-    return walk.darts[0], alpha[walk.darts[-1]]
 
 
 def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
@@ -231,9 +225,8 @@ def _curve_walks(d: PrDiagram, vid: list[int]) -> tuple[str, tuple[_Walk, ...]]:
             except MapError as exc:
                 err = str(exc)
                 continue
-            verts = set(vseq)
             ends = () if c.closed else (vseq[0], vseq[-1])
-            walks.append(_Walk(w, verts, ends, verts - set(ends), label.kind))
+            walks.append(_Walk(w, set(vseq), ends, label.kind))
     for e in m.edge_ids():   # an owned edge has its curve's label, never bdy
         if e not in owned and labels[e].kind is not CurveKind.BDY:
             return f"labeled edge {e} belongs to no curve", ()
@@ -316,13 +309,6 @@ class _SideReduction(NamedTuple):
     arc_copies: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _hole_dart(sigma, hole, t: int) -> int:
-    """The one hole dart at t's vertex, which leaves it along the hole."""
-    while not hole[t]:
-        t = sigma[t]
-    return t
-
-
 def _find(parent: list[int], f: int) -> int:
     """The root of f in the union-find forest ``parent``, halving its path."""
     while parent[f] != f:
@@ -332,10 +318,11 @@ def _find(parent: list[int], f: int) -> int:
 
 def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]],
                   green: bool, vid: list[int], fid: list[int], hole: list[bool],
-                  chi: int, faces: int, inner: list[int]) -> _SideReduction:
+                  at: list[int], chi: int, faces: int, inner: list[int]) -> _SideReduction:
     """Surgering the side's assembled cycles and cutting its arcs, counted
     on the uncut surface, with no cut made: ``vid``, ``fid`` and ``hole``
-    are its dart -> vertex id, face id and whether in a hole face, ``chi``
+    are its dart -> vertex id, face id and whether in a hole face, ``at``
+    its vertex id -> hole dart leaving it (``_boundary_vertices``), ``chi``
     its V - E + interior faces, connected or not, ``faces`` its interior
     faces and ``inner`` its edges with an interior face on both sides, by
     their smaller dart.  The side's s arcs are disjoint and end on the
@@ -438,7 +425,7 @@ def _counted_side(d: PrDiagram, walks: tuple[_Walk, ...], cycles: list[list[int]
         euler[cap[2 * j + 1]] += 2 + 2 * sum(vid[t] not in arc_verts for t in wk)
     jump = {}
     for ci in arc_copies:
-        x, y = (_hole_dart(sigma, hole, t) for t in _arc_ends(alpha, walks[ci]))
+        x, y = (at[v] for v in walks[ci].ends)
         jump[x], jump[y] = y, x
     holes = [0] * len(rank)
     seen = [False] * n
@@ -462,21 +449,22 @@ class _Analysis:
     ``fid`` (dart -> face id) and ``hole`` (dart -> whether in a hole face),
     which every analysis holds, valid or not, and which the side counts, the
     chord-circle walk, the canonical keys and the face invariant read, and,
-    for a valid diagram, the curve walks, both side reductions, each counted
-    on the uncut surface, and the surface's Euler characteristic (None if
-    the surface is disconnected).
+    for a valid diagram, the curve walks, ``at`` (vertex id -> hole dart
+    leaving it, or -1), both side reductions, each counted on the uncut
+    surface, and the surface's Euler characteristic (None if disconnected).
 
     An analysis is shared by every call on an equal diagram (``_analyse``
     keeps the last two), so no caller may change it, except that a later
     call may fill two fields on demand: ``_surface_key`` fills ``keys``
     (mirror -> canonical key), and ``_face_invariant`` fills ``invariant``."""
 
-    __slots__ = ("report", "fid", "hole", "walks", "green", "red", "chi", "keys", "invariant")
+    __slots__ = ("report", "fid", "hole", "walks", "at", "green", "red", "chi", "keys", "invariant")
 
     def __init__(self, report: ValidityReport, fid: list[int], hole: list[bool],
-                 walks: tuple[_Walk, ...] = (), green: Optional[_SideReduction] = None,
+                 walks: tuple[_Walk, ...] = (), at: list[int] = (),
+                 green: Optional[_SideReduction] = None,
                  red: Optional[_SideReduction] = None, chi: Optional[int] = None):
-        self.report, self.fid, self.hole, self.walks = report, fid, hole, walks
+        self.report, self.fid, self.hole, self.walks, self.at = report, fid, hole, walks, at
         self.green, self.red, self.chi = green, red, chi
         self.keys, self.invariant = {}, None   # filled on demand, as said above
 
@@ -515,16 +503,17 @@ def _report(*witnesses: str) -> ValidityReport:
                                 for name, w in zip(_PROPERTIES, witnesses)))
 
 
-def _placement_witness(walks: tuple[_Walk, ...], on_boundary: list[bool]) -> str:
-    """Property 1: the first curve that is an arc flagged closed, an arc with
-    an end off the boundary, or a curve whose interior touches it; or ""."""
+def _placement_witness(walks: tuple[_Walk, ...], at: list[int]) -> str:
+    """Property 1, read off ``at`` (-1 off the boundary): the first curve that
+    is an arc flagged closed, an arc with an end off the boundary, or a
+    curve whose interior touches it; or ""."""
     for ci, w in enumerate(walks):
         if w.kind in (CurveKind.U_GREEN_ARC, CurveKind.V_RED_ARC):
             if not w.ends:   # a closed curve's walk has no ends
                 return f"curve {ci}: arcs must be open"
-            if not all(on_boundary[v] for v in w.ends):
+            if not all(at[v] >= 0 for v in w.ends):
                 return f"curve {ci}: endpoint not on the boundary"
-        bad = [v for v in w.inner if on_boundary[v]]
+        bad = [v for v in w.verts - set(w.ends) if at[v] >= 0]
         if bad:
             return f"curve {ci}: interior touches boundary vertex (dart {bad[0]})"
     return ""
@@ -568,13 +557,13 @@ def _analyse(d: PrDiagram) -> _Analysis:
     err, walks = _curve_walks(d, vid)
     if not err:
         try:
-            on_boundary = cmb._boundary_vertices(m, vid, hole)
+            at = cmb._boundary_vertices(m, vid, hole)
         except MapError as exc:
             err = str(exc)
     if err:
         return _Analysis(_report(err, *["prerequisite failed"] * 4), *tables)
 
-    p1 = _placement_witness(walks, on_boundary)
+    p1 = _placement_witness(walks, at)
     # Property 2; an arc flagged closed, a p1 failure, has no ends
     arc_ends = {cyc_kind: {v for w in walks if w.kind is arc_kind for v in w.ends}
                 for arc_kind, cyc_kind in _SIDE.values()}   # by cycle kind
@@ -593,8 +582,8 @@ def _analyse(d: PrDiagram) -> _Analysis:
     faces = len(set(fid)) - len(m.holes)
     chi = len(set(vid)) - m.n_darts // 2 + faces
     inner = [x for x, a in enumerate(m.alpha) if x < a and not (hole[x] or hole[a])]
-    sides = (_counted_side(d, walks, green_cycles, True, vid, *tables, chi, faces, inner),
-             _counted_side(d, walks, red_cycles, False, vid, *tables, chi, faces, inner))
+    sides = (_counted_side(d, walks, green_cycles, True, vid, *tables, at, chi, faces, inner),
+             _counted_side(d, walks, red_cycles, False, vid, *tables, at, chi, faces, inner))
     p5 = ""
     for color, side in zip(("green", "red"), sides):
         if side.non_disk:
@@ -606,8 +595,8 @@ def _analyse(d: PrDiagram) -> _Analysis:
     # the surface connected without a search.
     if p5 or (min(side.n_components for side in sides) > 1
                       and not cmb._is_connected(m.alpha, m.sigma)):
-        return _Analysis(report, *tables, walks, *sides)
-    return _Analysis(report, *tables, walks, *sides, chi=chi)
+        return _Analysis(report, *tables, walks, at, *sides)
+    return _Analysis(report, *tables, walks, at, *sides, chi=chi)
 
 
 def _require_valid(d: PrDiagram) -> _Analysis:
@@ -766,11 +755,11 @@ def to_colored_chord(d: PrDiagram,
     if g == 0:
         raise NotOptimal("a chord diagram needs genus >= 1")
     m = d.surface
-    alpha, sigma, hole = m.alpha, m.sigma, analysis.hole
+    alpha, sigma, at = m.alpha, m.sigma, analysis.at
     arc_end = {}   # an arc end's hole dart -> (color, arc, hole dart to leave by)
     for color, side in ((GREEN, analysis.green), (RED, analysis.red)):
         for ci in side.arc_copies:
-            ends = [_hole_dart(sigma, hole, t) for t in _arc_ends(alpha, analysis.walks[ci])]
+            ends = [at[v] for v in analysis.walks[ci].ends]
             for x, leave in zip(ends, ends[::-1] if color == RED else ends):
                 arc_end[x] = (color, ci, leave)
 
@@ -877,10 +866,14 @@ def boundary_restriction(d: PrDiagram) -> BoundaryFlowGraph:
     saddle.update((ci, add_vertex(4)) for ci in red.arc_copies)
     sink = regions(red, 5, 6)
 
+    # No curve of the other color passes through an arc end (properties 1
+    # and 3), so every corner there lies in one piece of the other color's
+    # reduction, and so does the cell of the end's hole dart: the face
+    # across its boundary edge, at one of those corners.
     for reduction in (green, red):
         for ci, copies in reduction.arc_copies.items():
             sides = [darts[0] for darts in copies]   # P side, then Q side
-            ends = _arc_ends(d.surface.alpha, analysis.walks[ci])
+            ends = [analysis.at[v] for v in analysis.walks[ci].ends]
             into, out = (sides, ends) if reduction is green else (ends, sides)
             edges += [(source[green.comp_of_dart[t]], saddle[ci]) for t in into]
             edges += [(saddle[ci], sink[red.comp_of_dart[t]]) for t in out]

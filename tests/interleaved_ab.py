@@ -23,7 +23,8 @@ operations of the latency ratio B / A of the two runs of one operation, then
 that median over each genus's operations alone: the 185 small genus 1-3
 operations set the overall median, while the genus-4 and genus-5 ones cost
 the most each.  Last it prints each tree's ``tracemalloc`` peak over one
-more pass, its inputs drawn before tracing starts.  A tree compared with
+more pass, its inputs drawn before tracing starts, run first and run second
+of the two trees (``tracemalloc_peaks``).  A tree compared with
 itself (A/A) shows the noise floor of the ratio.  The script exits 1 if the
 two trees give different outputs on any operation: the report, census, Morse
 checks, boundary flow, colored class, canonical codes or equivalence
@@ -41,9 +42,10 @@ spread; here both trees run side by side.  It prints each tree's median
 classify, ``save_catalog``, ``load_catalog`` and whole round trip and the
 median over passes of each ratio B / A, so that the writer and the reader
 can each be compared alone, then each tree's ``tracemalloc`` peak over one
-more round trip.  The script exits 1 if the two trees' reports (the JSON
-that ``morsediag classify`` prints, apart from ``runtime_seconds``), catalog
-files or entries read back differ.  The seed does not apply.
+more round trip, run first and run second.  The script exits 1 if the two
+trees' reports (the JSON that ``morsediag classify`` prints, apart from
+``runtime_seconds``), catalog files or entries read back differ.  The seed
+does not apply.
 
 Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
 """
@@ -51,6 +53,7 @@ Stdlib only; it reads ``bench/workloads.py`` and changes nothing there.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -101,6 +104,32 @@ def operation(m, canonical_colored, ccd, renamed, other) -> tuple[float, tuple]:
                      canonical_colored(back), code, code_renamed, same, differs)
 
 
+def tracemalloc_peaks(traced) -> list[list[int]]:
+    """Each tree's ``tracemalloc`` peak in bytes over the call that
+    ``traced(tree)`` prepares, untraced: [run first, run second] of the two
+    trees, each after a full collection, which also empties the
+    interpreter's free lists.  Without it what the earlier call left, as
+    garbage or on a free list, moved the peak by over 10 %, with the run
+    order and not the code; the place still moves it by under 1 %."""
+    peaks = [[0, 0], [0, 0]]
+    for order in ((0, 1), (1, 0)):
+        for place, t in enumerate(order):
+            call = traced(t)
+            gc.collect()
+            tracemalloc.start()
+            call()
+            peaks[t][place] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    return peaks
+
+
+def peak_line(what: str, peaks: list[list[int]], unit: str, digits: int) -> str:
+    scale = {"KB": 2**10, "MB": 2**20}[unit]
+    a, b = ([f"{p / scale:.{digits}f} {unit}" for p in (*tree, max(tree))] for tree in peaks)
+    return (f"tracemalloc peak of {what}, run first / second (larger): "
+            f"A {a[0]} / {a[1]} ({a[2]}), B {b[0]} / {b[1]} ({b[2]})")
+
+
 def diagram_analysis(trees, args) -> int:
     runs = [workloads.DiagramAnalysis(m, args.seed, ROOT) for m in trees]
     if [c.code for c in runs[0].cases] != [c.code for c in runs[1].cases]:
@@ -136,15 +165,16 @@ def diagram_analysis(trees, args) -> int:
           "outputs identical")
     print("median B/A by genus: " + "; ".join(
         f"g{g} {statistics.median(r):.4f} ({len(r)} pairs)" for g, r in sorted(ratios.items())))
-    peaks = []
-    for t in (0, 1):
+
+    def one_pass(t):
         inputs = runs[t].draw()
-        tracemalloc.start()
-        for case_inputs in inputs:
-            operation(trees[t], runs[t].canonical_colored, *case_inputs)
-        peaks.append(tracemalloc.get_traced_memory()[1] / 2**10)
-        tracemalloc.stop()
-    print(f"tracemalloc peak of one more pass: A {peaks[0]:.1f} KB, B {peaks[1]:.1f} KB")
+
+        def call():
+            for case in inputs:
+                operation(trees[t], runs[t].canonical_colored, *case)
+        return call
+
+    print(peak_line("one more pass", tracemalloc_peaks(one_pass), "KB", 1))
     return 0
 
 
@@ -207,19 +237,14 @@ def classify_g4(trees, args) -> int:
             print(f"pass {p}: " + "; ".join(
                 f"{step} A {a[-1]:.4f} s, B {b[-1]:.4f} s, B/A {b[-1] / a[-1]:.4f}"
                 for step, (a, b) in times.items()))
-        peaks = []
-        for t in (0, 1):
-            tracemalloc.start()   # the peak holds both lists of entries
-            round_trip(trees[t], reports[t], paths[t])
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
-            tracemalloc.stop()
+        # the peak holds both lists of entries
+        peaks = tracemalloc_peaks(lambda t: lambda: round_trip(trees[t], reports[t], paths[t]))
     print(f"# {len(reports[0].base_codes) + len(reports[0].colored_codes)} genus-4 classes")
     for step, (a, b) in times.items():
         ratio = statistics.median(y / x for x, y in zip(a, b))
         print(f"median {step}: A {statistics.median(a):.4f} s, B {statistics.median(b):.4f} s; "
               f"median B/A over {len(a)} passes {ratio:.4f} ({(ratio - 1) * 100:+.1f} %)")
-    print(f"tracemalloc peak of one round trip: A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB; "
-          "outputs identical")
+    print(peak_line("one round trip", peaks, "MB", 2) + "; outputs identical")
     return 0
 
 

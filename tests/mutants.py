@@ -260,10 +260,15 @@ MUTANTS = (
            "return e.kind, e.genus, e.flags, e.tool_version, e.source",
            ("tests/test_catalog.py::"
             "test_save_load_save_writes_the_same_bytes_and_one_tail_per_run",)),
-    Mutant("_arc_ends gives the first dart twice", "prdiag.py",
-           "return walk.darts[0], alpha[walk.darts[-1]]", "return walk.darts[0], walk.darts[0]",
-           ("tests/test_prdiag.py::test_solid_torus_chord_conversion",
-            "tests/test_prdiag.py::test_fixtures_are_valid")),
+    Mutant("_boundary_vertices gives the corner dart, not the hole dart after it", "combmap.py",
+           "sigma[c] if c >= 0", "c if c >= 0",
+           ("tests/test_prdiag.py::test_analysis_outputs_match_pinned_digest",
+            _WITNESSES)),
+    Mutant("to_colored_chord reads both ends of an arc at its first end", "prdiag.py",
+           "ends = [at[v] for v in analysis.walks[ci].ends]",
+           "ends = [at[analysis.walks[ci].ends[0]]] * 2",
+           ("tests/test_prdiag.py::test_chord_circle_read_uncut_matches_the_red_cut_reference",
+            "tests/test_prdiag.py::test_solid_torus_chord_conversion")),
     Mutant("euler_genus counts darts, not vertex ids", "combmap.py",
            "chi = (len(set(_orbit_ids(m.sigma)))", "chi = (len(_orbit_ids(m.sigma))",
            ("tests/test_combmap.py::test_euler_identity_after_operations",

@@ -182,19 +182,19 @@ _FIGURE8 = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     ([(0, 0)], (0,), True, [0]),
     ([(0, 1)], (0,), False, [0]),
     # every refusal, word for word
-    (_PATH3, (), False, "CurveNotEmbedded: curve has no edges"),
+    (_PATH3, (), False, "MapError: curve has no edges"),
     (_PATH3, (0,), True,
-     "CurveNotClosed: single-edge curve flagged closed does not loop (edge 0)"),
-    ([(0, 0)], (0,), False, "CurveNotEmbedded: open curve on a loop edge 0"),
-    (_PATH3, (0, 4), False, "CurveNotEmbedded: consecutive curve edges share no vertex"),
-    (_PATH3 + [(3, 4)], (0, 2, 6), False, "CurveNotEmbedded: curve edges 2 and 6 do not chain"),
-    (_PATH3, (0, 2), True, "CurveNotClosed: closed curve does not return to its start"),
+     "MapError: single-edge curve flagged closed does not loop (edge 0)"),
+    ([(0, 0)], (0,), False, "MapError: open curve on a loop edge 0"),
+    (_PATH3, (0, 4), False, "MapError: consecutive curve edges share no vertex"),
+    (_PATH3 + [(3, 4)], (0, 2, 6), False, "MapError: curve edges 2 and 6 do not chain"),
+    (_PATH3, (0, 2), True, "MapError: closed curve does not return to its start"),
     ([(0, 1), (1, 2), (2, 0)], (0, 2, 4), False,
-     "CurveNotEmbedded: open curve returns to its start vertex"),
-    (_LOLLIPOP, (0, 2, 4, 6), False, "CurveNotEmbedded: curve visits a vertex twice"),
-    (_FIGURE8, (0, 2, 4, 6, 8, 10), True, "CurveNotEmbedded: curve visits a vertex twice"),
+     "MapError: open curve returns to its start vertex"),
+    (_LOLLIPOP, (0, 2, 4, 6), False, "MapError: curve visits a vertex twice"),
+    (_FIGURE8, (0, 2, 4, 6, 8, 10), True, "MapError: curve visits a vertex twice"),
     ([(0, 0), (0, 1)], (0, 2), False,   # a loop edge first
-     "CurveNotEmbedded: curve visits a vertex twice"),
+     "MapError: curve visits a vertex twice"),
 ])
 def test_dart_walk_walks_and_refusals(ends, edges, closed, outcome):
     m = _graph_map(ends)

@@ -1,12 +1,15 @@
 """The README's statements about the command line hold: each case finds its
 quoted text in README.md and in what ``morsediag`` prints, with the exit
-code the README states."""
+code the README states.  Its pinned figures are quoted as well: each is
+recomputed here or by the test named with it."""
 
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
 
+from morsediag.chord import SymmetryConvention, classify
 from morsediag.cli import main
 from morsediag.prdiag import PrDiagram, pr_to_json
 import morsediag.catalog as cat
@@ -112,3 +115,21 @@ def test_worker_counts_that_are_refused_exit_two(monkeypatch, capsys):
                         ("0", "error: MORSEDIAG_WORKERS must be at least 1, not 0")):
         monkeypatch.setenv("MORSEDIAG_WORKERS", value)
         assert run(capsys, "classify", "--genus", "1") == (2, "", quoted(text) + "\n")
+
+
+def test_rotation_only_genus3_bases_meet_the_quoted_bound():
+    # the labeled one-face matchings of 12 points (Harer-Zagier), whose
+    # rotation orbits have at most 12 elements
+    one_face = factorial(12) // (4 ** 3 * factorial(7))
+    bound = -(-one_face // 12)
+    assert (one_face, bound) == (1485, 124)
+    assert quoted(f"({one_face} labeled one-face diagrams admit at most 12-element rotation "
+                  f"orbits, so at least {bound} classes; there are 131)")
+    assert classify(3, SymmetryConvention.ROTATION_ONLY).bases == 131 >= bound
+
+
+def test_reversal_split_is_quoted():
+    # test_reversal_is_an_involution_on_the_colored_classes pins these figures
+    assert quoted("At genus 3 (dihedral), 4 of the 7 river classes reverse to non-river "
+                  "classes, 4 non-river classes reverse to river ones, and the other 3 are "
+                  "self-dual.")
