@@ -9,11 +9,11 @@ versioned fixture set inside the package.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from itertools import combinations, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as encode_string
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import _formats
@@ -259,8 +259,8 @@ def report_entries(report, tool_version: str = "") -> list[CatalogEntry]:
 # Fixtures
 # ---------------------------------------------------------------------------
 
-def fixture_dir():
-    return resources.files("morsediag") / "fixtures" / FIXTURE_SET
+def fixture_dir() -> Path:
+    return Path(__file__).parent / "fixtures" / FIXTURE_SET
 
 
 def fixture_names() -> list[str]:
@@ -306,7 +306,7 @@ def verify_fixtures() -> FixtureReport:
     """Re-check every shipped fixture: validity, expected censuses, pairwise
     non-equivalence of designated sets, and the bijection between the five
     genus-2 fixtures and the enumerated colored classes."""
-    from .chord import DEFAULT_SYMMETRY, canonical_colored, classify
+    from .chord import canonical_colored, classify
     from .prdiag import census, equivalent, to_colored_chord, validate
 
     checked = []
@@ -338,9 +338,8 @@ def verify_fixtures() -> FixtureReport:
 
     g2 = [n for n in sorted(diagrams) if n.startswith("g2_optimal_")]
     if g2:
-        codes = {canonical_colored(to_colored_chord(diagrams[name]), DEFAULT_SYMMETRY)
-                 for name in g2}
-        enumerated = set(classify(2, DEFAULT_SYMMETRY).colored_codes)
+        codes = {canonical_colored(to_colored_chord(diagrams[name])) for name in g2}
+        enumerated = set(classify(2).colored_codes)
         check("g2 fixtures biject onto enumerated colored classes",
               codes == enumerated,
               f"{len(codes)} fixture codes vs {len(enumerated)} classes")

@@ -181,20 +181,27 @@ _FIGURE8 = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     ([(0, 1), (0, 1)], (0, 2), True, [1, 2]),           # two edges, one vertex pair
     ([(0, 0)], (0,), True, [0]),
     ([(0, 1)], (0,), False, [0]),
-    # every refusal, word for word
-    (_PATH3, (), False, "MapError: curve has no edges"),
-    (_PATH3, (0,), True,
-     "MapError: single-edge curve flagged closed does not loop (edge 0)"),
-    ([(0, 0)], (0,), False, "MapError: open curve on a loop edge 0"),
-    (_PATH3, (0, 4), False, "MapError: consecutive curve edges share no vertex"),
-    (_PATH3 + [(3, 4)], (0, 2, 6), False, "MapError: curve edges 2 and 6 do not chain"),
-    (_PATH3, (0, 2), True, "MapError: closed curve does not return to its start"),
-    ([(0, 1), (1, 2), (2, 0)], (0, 2, 4), False,
-     "MapError: open curve returns to its start vertex"),
-    (_LOLLIPOP, (0, 2, 4, 6), False, "MapError: curve visits a vertex twice"),
-    (_FIGURE8, (0, 2, 4, 6, 8, 10), True, "MapError: curve visits a vertex twice"),
-    ([(0, 0), (0, 1)], (0, 2), False,   # a loop edge first
-     "MapError: curve visits a vertex twice"),
+    # every refusal, word for word; named ids, so a reworded message keeps them
+    pytest.param(_PATH3, (), False, "MapError: curve has no edges", id="no-edges"),
+    pytest.param(_PATH3, (0,), True,
+                 "MapError: single-edge curve flagged closed does not loop (edge 0)",
+                 id="closed-single-edge-no-loop"),
+    pytest.param([(0, 0)], (0,), False, "MapError: open curve on a loop edge 0",
+                 id="open-on-a-loop"),
+    pytest.param(_PATH3, (0, 4), False, "MapError: consecutive curve edges share no vertex",
+                 id="edges-share-no-vertex"),
+    pytest.param(_PATH3 + [(3, 4)], (0, 2, 6), False,
+                 "MapError: curve edges 2 and 6 do not chain", id="edges-do-not-chain"),
+    pytest.param(_PATH3, (0, 2), True,
+                 "MapError: closed curve does not return to its start", id="closed-no-return"),
+    pytest.param([(0, 1), (1, 2), (2, 0)], (0, 2, 4), False,
+                 "MapError: open curve returns to its start vertex", id="open-returns"),
+    pytest.param(_LOLLIPOP, (0, 2, 4, 6), False, "MapError: curve visits a vertex twice",
+                 id="lollipop-twice"),
+    pytest.param(_FIGURE8, (0, 2, 4, 6, 8, 10), True, "MapError: curve visits a vertex twice",
+                 id="figure-eight-twice"),
+    pytest.param([(0, 0), (0, 1)], (0, 2), False, "MapError: curve visits a vertex twice",
+                 id="loop-first-twice"),
 ])
 def test_dart_walk_walks_and_refusals(ends, edges, closed, outcome):
     m = _graph_map(ends)

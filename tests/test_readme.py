@@ -4,14 +4,16 @@ code the README states.  Its pinned figures are quoted as well: each is
 recomputed here or by the test named with it."""
 
 import json
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from morsediag.chord import SymmetryConvention, classify
+from morsediag.chord import SymmetryConvention, classify, enumerate_bases, enumerate_colorings
 from morsediag.cli import main
-from morsediag.prdiag import PrDiagram, pr_to_json
+from morsediag.combmap import euler_genus
+from morsediag.prdiag import PrDiagram, census, from_colored_chord, pr_to_json
 import morsediag.catalog as cat
 
 from conftest import disjoint_union
@@ -133,3 +135,19 @@ def test_reversal_split_is_quoted():
     assert quoted("At genus 3 (dihedral), 4 of the 7 river classes reverse to non-river "
                   "classes, 4 non-river classes reverse to river ones, and the other 3 are "
                   "self-dual.")
+
+
+def test_genus3_rebuilt_surfaces_are_as_quoted():
+    # every genus-3 colored class rebuilt; euler_genus refuses a map that
+    # is not connected
+    kinds = Counter()
+    for base in enumerate_bases(3):
+        for ccd in enumerate_colorings(base, 3):
+            d = from_colored_chord(ccd)
+            kinds[euler_genus(d.surface), tuple(census(d))] += 1
+    census3 = (1, 0, 3, 3, 0, 1, 3)
+    assert kinds == {((-2, 1, 2), census3): 135, ((-2, 0, 4), census3): 44}
+    assert quoted("(each rebuilt surface is connected, with Euler characteristic -2 and a "
+                  "non-empty boundary, so its fundamental group is free of rank 1 - (-2) = 3: "
+                  "135 have genus 1 and 2 boundary circles and 44 have genus 0 and 4, and each "
+                  "has census (1, 0, 3, 3, 0, 1) and boundary genus 3)")

@@ -1,10 +1,13 @@
-"""The package's records are named tuples.
+"""The package's records are named tuples, and a start-up loads no more of
+the standard library than the package needs.
 
 No package module imports ``dataclasses``: a fresh process would pay for
-importing it and for building each record's generated methods.  Every
-public record survives pickle, copy and ``_replace`` unchanged, refuses
-assignment, and the two chord records refuse bad fields however they are
-built.
+importing it and for building each record's generated methods.  Nor does
+one import ``importlib.resources``, which loads ``tempfile`` and ``shutil``
+to find the shipped fixtures that a path beside the package finds as well.
+Every public record survives pickle, copy and ``_replace`` unchanged,
+refuses assignment, and the two chord records refuse bad fields however
+they are built.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 import ast
 import copy
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -24,19 +30,35 @@ import morsediag.prdiag as pr
 from test_module_order import PACKAGE
 
 
+#: standard modules that no package module imports, nor any of their submodules
+REFUSED = ("dataclasses", "importlib.resources")
+
+
 def test_no_package_module_imports_dataclasses():
+    # nor importlib.resources; `from importlib import resources` names it too
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
             found += [f"{path.stem}: {name}" for name in names
-                      if name.split(".")[0] == "dataclasses"]
+                      if any(f"{name}.".startswith(f"{r}.") for r in REFUSED)]
     assert found == []
+
+
+def test_cli_start_up_without_site_loads_no_resource_reader():
+    # without site, which on some installs loads importlib.resources itself
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, morsediag.cli; "
+         "print([m for m in ('importlib.resources', 'zipfile') if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def _samples() -> dict:
